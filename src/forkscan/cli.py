@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__, delay, fixturegen, gitio, patchmodel, report, search, verdict
-from .gitio import RemoteReleaseSource, RepoHandle
+from .gitio import RepoHandle
 from .patchmodel import Patch, PatchError
 from .report import DelayInfo, ResultRow, ScanReport
 from .simcore import SimilarityParams, reward_sweep
@@ -46,8 +46,6 @@ class RunConfig:
     max_candidates: int = search.DEFAULT_MAX_CANDIDATES
     jobs: int = 0  # 0 = logical CPU count
     out: str = "report.json"
-    remote_releases: bool = False
-    remote_releases_url: str = ""
 
 
 def parse_config_file(text: str) -> dict[str, str]:
@@ -135,7 +133,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         if not Path(p).exists():
             raise ConfigError(f"path does not exist: {p}")
 
-    remote = bool(args.remote_releases) or cfg.get("remote_releases", "") == "true"
     return RunConfig(
         source=source,
         source_rev=pick(args.source_rev, "source_rev", "HEAD"),
@@ -147,8 +144,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         max_candidates=max_candidates,
         jobs=jobs,
         out=pick(args.out, "out", "report.json"),
-        remote_releases=remote,
-        remote_releases_url=cfg.get("remote_releases_url", ""),
     )
 
 
@@ -183,23 +178,6 @@ def _open_targets(config: RunConfig) -> list[_TargetCtx]:
     return ctxs
 
 
-def _apply_remote_releases(config: RunConfig, targets: list[_TargetCtx]) -> None:
-    if not config.remote_releases:
-        return
-    if not config.remote_releases_url:
-        log.warning("--remote-releases set but no remote_releases_url configured")
-        return
-    cache_dir = Path(config.out).resolve().parent / ".release_cache"
-    source = RemoteReleaseSource(config.remote_releases_url, cache_dir)
-    for ctx in targets:
-        if ctx.handle is None:
-            continue
-        try:
-            ctx.handle.release_date_overrides = source.fetch(ctx.name)
-        except Exception as exc:  # network best-effort, never fatal
-            log.warning("release listing for %s failed: %s", ctx.name, exc)
-
-
 def _load_patches(config: RunConfig) -> tuple[RepoHandle, list[Patch]]:
     source = RepoHandle(config.source, default_rev=config.source_rev)
     patches: list[Patch] = []
@@ -221,8 +199,7 @@ def _load_patches(config: RunConfig) -> tuple[RepoHandle, list[Patch]]:
 
 def _scan_one_hunk(ctx: _TargetCtx, hunk, config: RunConfig):
     outcome = search.collect_candidates(
-        ctx.handle, hunk, config.params, config.c_lines, config.max_candidates,
-        ctx.cache,
+        ctx.cache, hunk, config.params, config.c_lines, config.max_candidates
     )
     return [verdict.judge_candidate(c, hunk, config.params) for c in outcome.candidates]
 
@@ -231,7 +208,6 @@ def run_detect(config: RunConfig) -> tuple[int, ScanReport]:
     """Execute the full pipeline and write the report files."""
     source, patches = _load_patches(config)
     targets = _open_targets(config)
-    _apply_remote_releases(config, targets)
 
     jobs = config.jobs or os.cpu_count() or 1
     tasks: dict[tuple[int, int, int], object] = {}
@@ -454,10 +430,6 @@ def _add_detect_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--jobs", type=int, help="parallel tasks (default: CPU count)")
     p.add_argument("--out", help="report path (default report.json)")
-    p.add_argument(
-        "--remote-releases", action="store_true", default=None,
-        help="fetch release dates from the configured HTTP listing",
-    )
     p.add_argument("--config", help="flat key=value config file; flags win")
 
 

@@ -9,18 +9,12 @@ parallel.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import logging
 import re
 import subprocess
 import threading
-import urllib.request
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-
-log = logging.getLogger(__name__)
 
 
 class GitError(Exception):
@@ -50,13 +44,9 @@ class RepoHandle:
     default_rev is used for every query unless the caller overrides it.
     """
 
-    def __init__(self, root_path: str | Path, default_rev: str = "HEAD",
-                 release_date_overrides: dict[str, datetime] | None = None):
+    def __init__(self, root_path: str | Path, default_rev: str = "HEAD"):
         self.root = Path(root_path)
         self.default_rev = default_rev
-        # Tag dates fetched from a remote release listing, keyed by tag name;
-        # they take precedence over local tag dates when present.
-        self.release_date_overrides = release_date_overrides or {}
         self._lock = threading.Lock()
         if not self.root.is_dir():
             raise GitError(f"not a directory: {self.root}")
@@ -184,8 +174,7 @@ def releases_containing(repo: RepoHandle, sha: str) -> list[tuple[str, datetime]
     """Tags whose history contains sha, with creation timestamps, ascending.
 
     Annotated tags report the tag date, lightweight tags the tagged commit's
-    committer date. Remote release-date overrides on the handle, when
-    present, replace the local date for tags of the same name.
+    committer date.
     """
     proc = repo._run(["tag", "--contains", sha], check=False)
     if proc.returncode != 0:
@@ -203,42 +192,6 @@ def releases_containing(repo: RepoHandle, sha: str) -> list[tuple[str, datetime]
         name, _, stamp = row.partition("\t")
         if name not in names or not stamp:
             continue
-        date = repo.release_date_overrides.get(name)
-        if date is None:
-            date = datetime.fromisoformat(stamp).astimezone(timezone.utc)
-        releases.append((name, date))
+        releases.append((name, datetime.fromisoformat(stamp).astimezone(timezone.utc)))
     releases.sort(key=lambda it: (it[1], it[0]))
     return releases
-
-
-@dataclass
-class RemoteReleaseSource:
-    """Optional HTTP lookup of release dates, with an on-disk cache.
-
-    The endpoint must answer GET <url_template>.format(repo=<name>) with a
-    JSON array of {"tag": str, "date": ISO-8601 str} objects. Never consulted
-    unless explicitly enabled; offline runs use local tag dates only.
-    """
-
-    url_template: str
-    cache_dir: Path
-    timeout: float = 10.0
-
-    def fetch(self, repo_name: str) -> dict[str, datetime]:
-        url = self.url_template.format(repo=repo_name)
-        digest = hashlib.sha256(url.encode("utf-8")).hexdigest()[:16]
-        cache_file = self.cache_dir / f"releases-{digest}.json"
-        if cache_file.exists():
-            payload = json.loads(cache_file.read_text(encoding="utf-8"))
-        else:
-            log.info("fetching release listing: %s", url)
-            with urllib.request.urlopen(url, timeout=self.timeout) as resp:
-                payload = json.loads(resp.read().decode("utf-8"))
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            cache_file.write_text(json.dumps(payload), encoding="utf-8")
-        dates: dict[str, datetime] = {}
-        for entry in payload:
-            dates[entry["tag"]] = datetime.fromisoformat(entry["date"]).astimezone(
-                timezone.utc
-            )
-        return dates

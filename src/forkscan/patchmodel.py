@@ -67,12 +67,6 @@ class PatchContext:
         return bool(self.entries)
 
 
-def _context_from(stmts: list[NormalizedLine], side: Side) -> PatchContext:
-    return PatchContext(
-        entries=[(extract_keyword(s), s) for s in stmts], side=side
-    )
-
-
 @dataclass
 class PatchHunk:
     """One unit of change: deleted statements, added statements, contexts."""
@@ -89,10 +83,6 @@ class PatchHunk:
     # encoded as (anchor + 1, anchor) so "above" and "below" stay correct.
     old_span: tuple[int, int] = (1, 0)
     new_span: tuple[int, int] = (1, 0)
-    # Context statements captured from the diff's own context lines; used
-    # when no source repository is available.
-    diff_up: list[NormalizedLine] = field(default_factory=list)
-    diff_down: list[NormalizedLine] = field(default_factory=list)
 
     @property
     def code_len(self) -> int:
@@ -106,10 +96,6 @@ class Patch:
     hunks: list[PatchHunk]
     committed_at: datetime | None = None
     label: str = ""
-
-
-def classify_patch_type(hunk: PatchHunk) -> PatchType:
-    return _ptype(hunk.dp, hunk.ap)
 
 
 def _ptype(dp: list, ap: list) -> PatchType:
@@ -142,13 +128,22 @@ class _RawHunk:
     def old_span(self) -> tuple[int, int]:
         if self.removed:
             return (self.removed[0][0], self.removed[-1][0])
-        return (self.old_start + 1, self.old_start)
+        return _empty_span(self.old_start, self.old_count, len(self.ctx_before))
 
     @property
     def new_span(self) -> tuple[int, int]:
         if self.added:
             return (self.added[0][0], self.added[-1][0])
-        return (self.new_start + 1, self.new_start)
+        return _empty_span(self.new_start, self.new_count, len(self.ctx_before))
+
+
+def _empty_span(start: int, count: int, leading: int) -> tuple[int, int]:
+    """(anchor + 1, anchor) for a side with no changed lines, anchor being
+    the last line before the change. A zero-count range names that line
+    itself; otherwise the range starts with the `leading` context lines.
+    The same change so gets the same span at any context width."""
+    anchor = (start if count == 0 else start - 1) + leading
+    return (anchor + 1, anchor)
 
 
 @dataclass
@@ -319,8 +314,11 @@ def parse_patch(
     Changed lines that normalize to nothing (comments, blanks, lone brackets)
     are dropped; hunks left empty are discarded with a warning. Adjacent
     hunks separated by fewer than 2 * c_lines unchanged statements merge into
-    one logical hunk.
+    one logical hunk. Each hunk carries its UP and DOWN contexts of up to
+    c_lines statements.
     """
+    if c_lines < 1:
+        raise ValueError("c_lines must be >= 1")
     repo: RepoHandle | None = None
     if isinstance(source, RepoHandle):
         if not sha:
@@ -349,32 +347,31 @@ def parse_patch(
     )
 
 
+def _statements_at(
+    repo: RepoHandle, rev: str, path: str, file_class: FileClass
+) -> list[NormalizedLine]:
+    try:
+        lines = gitio.read_file_at(repo, rev, path)
+    except gitio.NotFoundError:
+        lines = []
+    return extract_statements(lines, path, file_class)
+
+
 def _build_file_hunks(
     fd: _FileDiff, repo: RepoHandle | None, sha: str | None, c_lines: int
 ) -> list[PatchHunk]:
     path = fd.path
     file_class = classify_file(path)
 
-    old_stmt_map: dict[int, NormalizedLine] = {}
-    new_stmt_map: dict[int, NormalizedLine] = {}
     old_stmts: list[NormalizedLine] = []
+    new_stmts: list[NormalizedLine] = []
     if repo is not None:
-        old_lines: list[str] = []
         if any(h.removed or h.old_count for h in fd.hunks) and fd.old_path != "/dev/null":
-            try:
-                old_lines = gitio.read_file_at(repo, f"{sha}^", fd.old_path)
-            except gitio.NotFoundError:
-                old_lines = []
-        old_stmts = extract_statements(old_lines, fd.old_path, file_class)
-        old_stmt_map = _stmts_by_line(old_stmts)
+            old_stmts = _statements_at(repo, f"{sha}^", fd.old_path, file_class)
         if fd.new_path != "/dev/null":
-            try:
-                new_lines = gitio.read_file_at(repo, sha, fd.new_path)
-            except gitio.NotFoundError:
-                new_lines = []
-            new_stmt_map = _stmts_by_line(
-                extract_statements(new_lines, fd.new_path, file_class)
-            )
+            new_stmts = _statements_at(repo, sha, fd.new_path, file_class)
+        old_stmt_map = _stmts_by_line(old_stmts)
+        new_stmt_map = _stmts_by_line(new_stmts)
 
         def gap_statements(prev_end: int, next_start: int) -> int:
             return sum(1 for s in old_stmts if prev_end < s.line_no < next_start)
@@ -425,26 +422,30 @@ def _build_file_hunks(
             )
             continue
 
-        old_lo = min(h.old_span[0] for h in group)
-        old_hi = max(h.old_span[1] for h in group)
-        new_lo = min(h.new_span[0] for h in group)
-        new_hi = max(h.new_span[1] for h in group)
+        old_span = (min(h.old_span[0] for h in group),
+                    max(h.old_span[1] for h in group))
+        new_span = (min(h.new_span[0] for h in group),
+                    max(h.new_span[1] for h in group))
 
-        diff_up: list[NormalizedLine] = []
-        diff_down: list[NormalizedLine] = []
-        if repo is None:
-            use_old = bool(dp)
-            first, last = group[0], group[-1]
-            before = [
-                (ln_old if use_old else ln_new, text)
-                for ln_old, ln_new, text in first.ctx_before
-            ]
-            after = [
-                (ln_old if use_old else ln_new, text)
-                for ln_old, ln_new, text in last.ctx_after
-            ]
-            diff_up = _fragment_stmts(before, path, file_class)[-c_lines:]
-            diff_down = _fragment_stmts(after, path, file_class)[:c_lines]
+        use_old = bool(dp)
+        if repo is not None:
+            stmts, (lo, hi) = (old_stmts, old_span) if use_old else (new_stmts, new_span)
+            above = [s for s in stmts if s.line_no < lo]
+            below = [s for s in stmts if s.line_no > hi]
+        else:
+            # Without a repository the diff's own context lines stand in.
+            above = _fragment_stmts(
+                [(o if use_old else n, t) for o, n, t in group[0].ctx_before],
+                path, file_class,
+            )
+            below = _fragment_stmts(
+                [(o if use_old else n, t) for o, n, t in group[-1].ctx_after],
+                path, file_class,
+            )
+        up_ctx, down_ctx = build_patch_context(above, below, c_lines)
+        if not up_ctx and not down_ctx:
+            log.warning("%s: no meaningful context around hunk at %s", path,
+                        old_span if use_old else new_span)
 
         result.append(
             PatchHunk(
@@ -453,53 +454,25 @@ def _build_file_hunks(
                 dp=dp,
                 ap=ap,
                 ptype=_ptype(dp, ap),
-                up_ctx=PatchContext([], Side.UP),
-                down_ctx=PatchContext([], Side.DOWN),
+                up_ctx=up_ctx,
+                down_ctx=down_ctx,
                 old_path=fd.old_path if fd.old_path != "/dev/null" else path,
-                old_span=(old_lo, old_hi),
-                new_span=(new_lo, new_hi),
-                diff_up=diff_up,
-                diff_down=diff_down,
+                old_span=old_span,
+                new_span=new_span,
             )
         )
     return result
 
 
 def build_patch_context(
-    source: RepoHandle | None, hunk: PatchHunk, c_lines: int, sha: str | None = None
-) -> PatchHunk:
-    """Fill the hunk's UP and DOWN contexts with nearby meaningful statements.
-
-    Contexts come from the parent revision for dp-bearing hunks and from the
-    patch revision for pure additions; truncated at file boundaries. Without
-    a repository the diff's own context lines are used instead.
-    """
-    if c_lines < 1:
-        raise ValueError("c_lines must be >= 1")
-    if source is None:
-        hunk.up_ctx = _context_from(hunk.diff_up[-c_lines:], Side.UP)
-        hunk.down_ctx = _context_from(hunk.diff_down[:c_lines], Side.DOWN)
-        return hunk
-
-    use_old = bool(hunk.dp)
-    rev = f"{sha}^" if use_old else sha
-    path = hunk.old_path if use_old else hunk.path
-    span = hunk.old_span if use_old else hunk.new_span
-    try:
-        lines = gitio.read_file_at(source, rev, path)
-    except gitio.NotFoundError:
-        log.warning("%s vanished at %s; contexts unavailable", path, rev)
-        hunk.up_ctx = _context_from([], Side.UP)
-        hunk.down_ctx = _context_from([], Side.DOWN)
-        return hunk
-    stmts = extract_statements(lines, path, hunk.file_class)
-    above = [s for s in stmts if s.line_no < span[0]]
-    below = [s for s in stmts if s.line_no > span[1]]
-    hunk.up_ctx = _context_from(above[-c_lines:], Side.UP)
-    hunk.down_ctx = _context_from(below[:c_lines], Side.DOWN)
-    if not hunk.up_ctx and not hunk.down_ctx:
-        log.warning("%s: no meaningful context around hunk at %s", path, span)
-    return hunk
+    above: list[NormalizedLine], below: list[NormalizedLine], c_lines: int
+) -> tuple[PatchContext, PatchContext]:
+    """UP and DOWN contexts: the c_lines statements nearest the hunk on each
+    side, truncated at file (or diff) boundaries."""
+    return (
+        PatchContext([(extract_keyword(s), s) for s in above[-c_lines:]], Side.UP),
+        PatchContext([(extract_keyword(s), s) for s in below[:c_lines]], Side.DOWN),
+    )
 
 
 def load_patch(
@@ -508,16 +481,12 @@ def load_patch(
     diff_text: str | None = None,
     c_lines: int = 5,
 ) -> Patch:
-    """parse_patch + build_patch_context for every hunk."""
+    """The patch of commit sha in source, or of diff_text when given."""
     if diff_text is not None:
-        patch = parse_patch(diff_text, c_lines=c_lines)
-    else:
-        if source is None or sha is None:
-            raise PatchError("need a repository and sha, or diff text")
-        patch = parse_patch(source, sha, c_lines=c_lines)
-    for hunk in patch.hunks:
-        build_patch_context(source if diff_text is None else None, hunk, c_lines, sha)
-    return patch
+        return parse_patch(diff_text, c_lines=c_lines)
+    if source is None or sha is None:
+        raise PatchError("need a repository and sha, or diff text")
+    return parse_patch(source, sha, c_lines=c_lines)
 
 
 _MANIFEST_RE = re.compile(r"^([0-9A-Za-z_.\-/^~]+)(?::(.*))?$")

@@ -267,7 +267,3 @@ def classify_norm(norm: str) -> StatementKind:
     if word or _IDENT_RE.search(norm):
         return StatementKind.CALL_OR_EXPR
     return StatementKind.OTHER
-
-
-def classify_statement(stmt: NormalizedLine) -> StatementKind:
-    return classify_norm(stmt.norm)

@@ -40,7 +40,7 @@ class StatementCache:
     tasks sharing a cache can at worst duplicate work, never see half state.
     """
 
-    def __init__(self, repo: RepoHandle, rev: str | None = None):
+    def __init__(self, repo: RepoHandle, rev: str):
         self.repo = repo
         self.rev = rev
         self._entries: dict[str, tuple[list[NormalizedLine], dict[int, int]]] = {}
@@ -110,11 +110,10 @@ def is_test_path(path: str) -> bool:
 
 
 def find_key_statements(
-    target: RepoHandle,
+    cache: StatementCache,
     ctx: PatchContext,
     patch_file_class: FileClass,
     params: SimilarityParams,
-    cache: StatementCache | None = None,
 ) -> list[KeyStatementMatch]:
     """Grep every context keyword in the target and keep plausible hits.
 
@@ -124,15 +123,13 @@ def find_key_statements(
     filters); survivors need strsim >= ks_threshold against that source
     statement. Sorted by descending similarity.
     """
-    if cache is None:
-        cache = StatementCache(target)
     keywords = ctx.keywords
     if not keywords:
         log.info("no keywords in %s context; nothing to search", ctx.side.value)
         return []
     best: dict[tuple[str, int], KeyStatementMatch] = {}
     for kw in keywords:
-        for hit in gitio.grep_repo(target, kw.keyword, cache.rev):
+        for hit in gitio.grep_repo(cache.repo, kw.keyword, cache.rev):
             if is_test_path(hit.path):
                 continue
             if classify_file(hit.path) != patch_file_class:
@@ -160,12 +157,11 @@ def find_key_statements(
 
 
 def expand_boundary(
-    target: RepoHandle,
+    cache: StatementCache,
     ks: KeyStatementMatch,
     patch_ctx: PatchContext,
     c_lines: int,
     params: SimilarityParams,
-    cache: StatementCache | None = None,
 ) -> tuple[int, int] | None:
     """Grow a key statement into a (start line, end line) context boundary.
 
@@ -174,8 +170,6 @@ def expand_boundary(
     start; within the c_lines below (inclusive), the best match against the
     last statement becomes the end. Both maxima must pass ks_threshold.
     """
-    if cache is None:
-        cache = StatementCache(target)
     ctx_stmts = patch_ctx.statements
     if not ctx_stmts:
         return None
@@ -219,12 +213,11 @@ def _best_in_window(
 
 
 def finalize_contexts(
-    target: RepoHandle,
+    cache: StatementCache,
     boundaries: list[tuple[str, tuple[int, int]]],
     patch_ctx: PatchContext,
     params: SimilarityParams,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
-    cache: StatementCache | None = None,
 ) -> list[CandidateContext]:
     """Score boundary regions against the patch context and keep the best.
 
@@ -234,8 +227,6 @@ def finalize_contexts(
     and the survivors are capped at max_candidates (0 = unlimited) by
     descending ctx_sim.
     """
-    if cache is None:
-        cache = StatementCache(target)
     patch_norms = [s.norm for s in patch_ctx.statements]
     if not patch_norms:
         return []
@@ -277,57 +268,34 @@ def finalize_contexts(
 
 
 def fetch_candidate_code(
-    target: RepoHandle,
+    cache: StatementCache,
     up: CandidateContext | None,
     down: CandidateContext | None,
     patch_code_len: int,
-    cache: StatementCache | None = None,
-) -> list[CandidateCode]:
+) -> CandidateCode:
     """Extract the candidate code adjacent to the located context(s).
 
-    With both contexts the candidate is everything strictly between them
-    (possibly empty). With one context it is the patch_code_len statements
-    directly below (UP) or above (DOWN). Incompatible pairs fall back to two
-    single-context candidates.
+    With both contexts (same file, DOWN below UP, as _pair_contexts pairs
+    them) the candidate is everything strictly between them, possibly
+    empty. With one context it is the patch_code_len statements directly
+    below (UP) or above (DOWN).
     """
-    if up is None and down is None:
-        raise ValueError("at least one context is required")
-    if cache is None:
-        cache = StatementCache(target)
     if up is not None and down is not None:
-        if up.path != down.path or down.ss_line <= up.es_line:
-            log.warning(
-                "contexts do not pair (%s:%d vs %s:%d); judging each side alone",
-                up.path, up.es_line, down.path, down.ss_line,
-            )
-            return fetch_candidate_code(
-                target, up, None, patch_code_len, cache
-            ) + fetch_candidate_code(target, None, down, patch_code_len, cache)
         stmts = cache.between(up.path, up.es_line + 1, down.ss_line - 1)
-        span = (
-            (stmts[0].line_no, stmts[-1].line_no)
-            if stmts
-            else (up.es_line + 1, up.es_line)
-        )
-        return [CandidateCode(up.path, stmts, span, paired_up=up, paired_down=down)]
-    if up is not None:
+        empty_at = up.es_line + 1
+    elif up is not None:
         after = [s for s in cache.statements(up.path) if s.line_no > up.es_line]
         stmts = after[:patch_code_len]
-        span = (
-            (stmts[0].line_no, stmts[-1].line_no)
-            if stmts
-            else (up.es_line + 1, up.es_line)
-        )
-        return [CandidateCode(up.path, stmts, span, paired_up=up)]
-    assert down is not None
-    before = [s for s in cache.statements(down.path) if s.line_no < down.ss_line]
-    stmts = before[-patch_code_len:] if patch_code_len > 0 else []
-    span = (
-        (stmts[0].line_no, stmts[-1].line_no)
-        if stmts
-        else (down.ss_line, down.ss_line - 1)
-    )
-    return [CandidateCode(down.path, stmts, span, paired_down=down)]
+        empty_at = up.es_line + 1
+    elif down is not None:
+        before = [s for s in cache.statements(down.path) if s.line_no < down.ss_line]
+        stmts = before[-patch_code_len:] if patch_code_len > 0 else []
+        empty_at = down.ss_line
+    else:
+        raise ValueError("at least one context is required")
+    span = (stmts[0].line_no, stmts[-1].line_no) if stmts else (empty_at, empty_at - 1)
+    path = up.path if up is not None else down.path
+    return CandidateCode(path, stmts, span, paired_up=up, paired_down=down)
 
 
 @dataclass
@@ -374,29 +342,24 @@ def _pair_contexts(
 
 
 def collect_candidates(
-    target: RepoHandle,
+    cache: StatementCache,
     hunk: PatchHunk,
     params: SimilarityParams,
     c_lines: int,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
-    cache: StatementCache | None = None,
 ) -> SearchOutcome:
     """Run the full search pipeline for one hunk against one target."""
-    if cache is None:
-        cache = StatementCache(target)
 
     def located(ctx: PatchContext) -> list[CandidateContext]:
         if not ctx:
             return []
-        seeds = find_key_statements(target, ctx, hunk.file_class, params, cache)
+        seeds = find_key_statements(cache, ctx, hunk.file_class, params)
         boundaries: list[tuple[str, tuple[int, int]]] = []
         for ks in seeds:
-            span = expand_boundary(target, ks, ctx, c_lines, params, cache)
+            span = expand_boundary(cache, ks, ctx, c_lines, params)
             if span is not None:
                 boundaries.append((ks.hit.path, span))
-        return finalize_contexts(
-            target, boundaries, ctx, params, max_candidates, cache
-        )
+        return finalize_contexts(cache, boundaries, ctx, params, max_candidates)
 
     ups = located(hunk.up_ctx)
     downs = located(hunk.down_ctx)
@@ -405,21 +368,17 @@ def collect_candidates(
     paired_up = {id(u) for u, _ in pairs}
     paired_down = {id(d) for _, d in pairs}
 
-    candidates: list[CandidateCode] = []
-    for up, down in pairs:
-        candidates.extend(
-            fetch_candidate_code(target, up, down, hunk.code_len, cache)
-        )
-    for up in ups:
-        if id(up) not in paired_up:
-            candidates.extend(
-                fetch_candidate_code(target, up, None, hunk.code_len, cache)
-            )
-    for down in downs:
-        if id(down) not in paired_down:
-            candidates.extend(
-                fetch_candidate_code(target, None, down, hunk.code_len, cache)
-            )
+    candidates = [
+        fetch_candidate_code(cache, up, down, hunk.code_len) for up, down in pairs
+    ]
+    candidates += [
+        fetch_candidate_code(cache, up, None, hunk.code_len)
+        for up in ups if id(up) not in paired_up
+    ]
+    candidates += [
+        fetch_candidate_code(cache, None, down, hunk.code_len)
+        for down in downs if id(down) not in paired_down
+    ]
 
     unique: dict[tuple[str, int, int], CandidateCode] = {}
     for cand in candidates:

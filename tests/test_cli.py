@@ -10,11 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from datetime import datetime
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import forkscan
 from forkscan import __version__
 from forkscan.cli import (
     ConfigError,
@@ -224,7 +229,6 @@ def _ns(**overrides) -> argparse.Namespace:
         max_candidates=None,
         jobs=None,
         out=None,
-        remote_releases=None,
     )
     values.update(overrides)
     return argparse.Namespace(**values)
@@ -254,7 +258,6 @@ class TestBuildConfig:
         )
         assert (cfg.c_lines, cfg.max_candidates, cfg.jobs) == (5, 10, 0)
         assert cfg.out == "report.json"
-        assert cfg.remote_releases is False
 
     def test_config_file_supplies_everything(self, dirs):
         conf = dirs.root / "scan.cfg"
@@ -400,34 +403,6 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="cannot read config"):
             _build_config(_ns(config=str(dirs.root / "absent.cfg")))
 
-    def test_remote_release_settings(self, dirs):
-        conf = dirs.root / "scan.cfg"
-        conf.write_text(
-            "remote_releases = true\n"
-            "remote_releases_url = file://host/{repo}.json\n",
-            encoding="utf-8",
-        )
-        cfg = _build_config(
-            _ns(
-                config=str(conf),
-                source=str(dirs.src),
-                patch=["abc"],
-                target=[str(dirs.tgt)],
-            )
-        )
-        assert cfg.remote_releases is True
-        assert cfg.remote_releases_url == "file://host/{repo}.json"
-        flag_only = _build_config(
-            _ns(
-                source=str(dirs.src),
-                patch=["abc"],
-                target=[str(dirs.tgt)],
-                remote_releases=True,
-            )
-        )
-        assert flag_only.remote_releases is True
-        assert flag_only.remote_releases_url == ""
-
 
 # ---------------------------------------------------------------------------
 # detect end to end
@@ -572,6 +547,45 @@ class TestDetectEndToEnd:
         ]
 
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+class TestTracedDetect:
+    """The benchmark's tracer wraps forkscan functions by name and counts
+    from their positional arguments and results; a traced scan must run to
+    forkscan's own exit code and write the untraced report."""
+
+    def test_traced_scan_matches_untraced(self, world, tmp_path):
+        targets = [world.vuln, world.fixed, world.clean]
+        plain = tmp_path / "plain" / "report.json"
+        code = _detect(world, targets, plain)
+
+        traced = tmp_path / "traced" / "report.json"
+        argv = ["detect", "--source", str(world.src), "--patch", world.patch_sha]
+        for t in targets:
+            argv += ["--target", str(t)]
+        argv += ["--out", str(traced)]
+        src = Path(forkscan.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(PERFBENCH)]))
+        trace_file = tmp_path / "trace.json"
+        proc = subprocess.run(
+            [sys.executable, str(PERFBENCH / "traced_detect.py"), str(trace_file),
+             *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode != 4, proc.stderr  # a traced function escaped
+        assert proc.returncode == code, proc.stderr
+        for name in ("report.json", "report.csv", "delay_cdf.csv"):
+            got, want = traced.parent / name, plain.parent / name
+            assert got.read_bytes() == want.read_bytes(), name
+
+        counts = json.loads(trace_file.read_text(encoding="utf-8"))["counts"]
+        for key in ("patchmodel.hunks", "patchmodel.keywords",
+                    "preprocess.extract_statements.lines_in", "simcore.strsim.cells",
+                    "search.candidates"):
+            assert counts.get(key, 0) > 0, key
+
+
 class TestDetectFromConfigFile:
     def test_config_only_invocation(self, world, tmp_path):
         out = tmp_path / "cfg_run" / "report.json"
@@ -661,52 +675,6 @@ class TestPatchFileRoute:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
-
-
-class TestRemoteReleases:
-    def _config(self, tmp_path, listing_dir) -> str:
-        conf = tmp_path / "rr.cfg"
-        conf.write_text(
-            f"remote_releases_url = file://{listing_dir}/{{repo}}.json\n",
-            encoding="utf-8",
-        )
-        return str(conf)
-
-    def test_listing_overrides_release_date(self, world, tmp_path):
-        listings = tmp_path / "listings"
-        listings.mkdir()
-        (listings / "fixedfork.json").write_text(
-            json.dumps([{"tag": "v2.0.0", "date": "2022-03-01T00:00:00+00:00"}]),
-            encoding="utf-8",
-        )
-        out = tmp_path / "rr" / "report.json"
-        code = _detect(
-            world,
-            [world.fixed],
-            out,
-            extra=["--remote-releases", "--config", self._config(tmp_path, listings)],
-        )
-        assert code == 0
-
-        row = parse_report(out.read_text(encoding="utf-8")).results[0]
-        assert row.delay.release_date == "2022-03-01T00:00:00+00:00"
-        assert row.delay.delay_days == 273
-        cache = out.parent / ".release_cache"
-        assert cache.is_dir() and list(cache.glob("releases-*.json"))
-
-    def test_missing_listing_degrades_to_local_tags(self, world, tmp_path):
-        empty = tmp_path / "listings"
-        empty.mkdir()
-        out = tmp_path / "report.json"
-        code = _detect(
-            world,
-            [world.fixed],
-            out,
-            extra=["--remote-releases", "--config", self._config(tmp_path, empty)],
-        )
-        assert code == 0
-        row = parse_report(out.read_text(encoding="utf-8")).results[0]
-        assert row.delay.delay_days == 183
 
 
 class TestDetectErrors:

@@ -2,7 +2,6 @@
 
 from datetime import datetime, timezone
 
-import json
 import pytest
 
 from conftest import (
@@ -16,7 +15,6 @@ from forkscan.gitio import (
     BlameEntry,
     GitError,
     NotFoundError,
-    RemoteReleaseSource,
     RepoHandle,
     blame_lines,
     commit_time,
@@ -236,44 +234,7 @@ class TestReleases:
             ("lw-v1.0", datetime(2021, 3, 4, tzinfo=UTC))
         ]
 
-    def test_overrides_replace_dates_and_resort(self, table_repo):
-        repo_path, c_rewrite, _ = table_repo
-        repo = RepoHandle(
-            repo_path,
-            release_date_overrides={
-                "mainnet-ignition-v0.19.0": datetime(2021, 1, 1, tzinfo=UTC)
-            },
-        )
-        got = releases_containing(repo, c_rewrite)
-        assert got == [
-            ("mainnet-ignition-v0.20.0", datetime(2020, 8, 1, tzinfo=UTC)),
-            ("mainnet-ignition-v0.19.0", datetime(2021, 1, 1, tzinfo=UTC)),
-        ]
-
     def test_unknown_sha(self, table_repo):
         with pytest.raises(NotFoundError):
             releases_containing(RepoHandle(table_repo[0]), "f" * 40)
 
-
-class TestRemoteReleaseSource:
-    def test_file_url_fetch_and_cache(self, tmp_path):
-        listing = [
-            {"tag": "v1.0", "date": "2020-05-01T00:00:00+00:00"},
-            {"tag": "v1.1", "date": "2020-09-15T12:30:00+02:00"},
-        ]
-        src_dir = tmp_path / "serve"
-        src_dir.mkdir()
-        (src_dir / "myfork.json").write_text(json.dumps(listing), encoding="utf-8")
-        source = RemoteReleaseSource(
-            url_template=f"file://{src_dir}/" + "{repo}.json",
-            cache_dir=tmp_path / "cache",
-        )
-        dates = source.fetch("myfork")
-        assert dates == {
-            "v1.0": datetime(2020, 5, 1, tzinfo=UTC),
-            "v1.1": datetime(2020, 9, 15, 10, 30, tzinfo=UTC),
-        }
-        # Second fetch must come from the cache, not the (now deleted) file.
-        (src_dir / "myfork.json").unlink()
-        assert source.fetch("myfork") == dates
-        assert list((tmp_path / "cache").glob("releases-*.json"))

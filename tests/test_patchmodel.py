@@ -13,8 +13,7 @@ from forkscan.patchmodel import (
     PatchHunk,
     PatchType,
     Side,
-    build_patch_context,
-    classify_patch_type,
+    _ptype,
     load_patch,
     parse_manifest,
     parse_patch,
@@ -114,6 +113,27 @@ class TestParseUnifiedDiff:
         assert h.ctx_before == [(2, 2, "int before = 1;")]
         assert h.ctx_after == [(4, 4, "int after = 2;"), (5, 5, "int tail = 3;")]
         assert h.old_span == (3, 3) and h.new_span == (3, 3)
+
+    def test_empty_side_anchors_after_leading_context(self):
+        text = (
+            "--- a/f.c\n"
+            "+++ b/f.c\n"
+            "@@ -1,2 +1,1 @@\n"
+            "-dropped();\n"
+            " int g = 2;\n"
+            "@@ -10,6 +9,7 @@\n"
+            " int a = 10;\n"
+            " int b = 11;\n"
+            " int c = 12;\n"
+            "+inserted();\n"
+            " int d = 13;\n"
+            " int e = 14;\n"
+            " int f = 15;\n"
+        )
+        rem, add = parse_unified_diff(text)[0].hunks
+        assert rem.old_span == (1, 1) and rem.new_span == (1, 0)
+        # -U0 would say "@@ -12,0 +12 @@": the same (13, 12) old span.
+        assert add.old_span == (13, 12) and add.new_span == (12, 12)
 
     def test_zero_count_spans_anchor_above(self):
         text = (
@@ -391,6 +411,33 @@ class TestHunkMerging:
         diff = run_git(root, "diff", "-U0", f"{sha}^", sha)
         assert len(parse_patch(diff, c_lines=5).hunks) == 2
 
+    def test_context_width_does_not_change_hunks(self, tmp_path):
+        lines = _numbered("v", 40)
+        root = init_repo(tmp_path / "width")
+        write_files(root, {"w.c": "\n".join(lines) + "\n"})
+        commit_all(root, "base", datetime(2021, 1, 1, tzinfo=UTC))
+        lines[14] = "int v14 = 99;"  # raw line 15 changes
+        del lines[29]  # raw line 30 goes
+        lines.insert(5, "int inserted = 1;")  # a line after raw line 5
+        write_files(root, {"w.c": "\n".join(lines) + "\n"})
+        sha = commit_all(root, "edit", datetime(2021, 1, 2, tzinfo=UTC))
+
+        def shape(width: str):
+            diff = run_git(root, "diff", width, f"{sha}^", sha)
+            return [
+                (h.ptype, [(s.line_no, s.norm) for s in h.dp],
+                 [(s.line_no, s.norm) for s in h.ap], h.old_span, h.new_span)
+                for h in parse_patch(diff, c_lines=5).hunks
+            ]
+
+        # Empty sides anchor after the last line before the change, so the
+        # insertion stays 9 raw lines from the change and merges with it.
+        assert shape("-U3") == shape("-U0")
+        assert [(t, o, n) for t, _, _, o, n in shape("-U0")] == [
+            (PatchType.CHA, (6, 15), (6, 16)),
+            (PatchType.DEL, (30, 30), (31, 30)),
+        ]
+
 
 class TestBuildPatchContext:
     def test_cha_contexts_from_parent(self, guard_repo):
@@ -435,9 +482,11 @@ class TestBuildPatchContext:
 
     def test_rejects_nonpositive_window(self, guard_repo):
         repo, shas = guard_repo
-        (h,) = parse_patch(repo, shas["cha"]).hunks
         with pytest.raises(ValueError):
-            build_patch_context(repo, h, 0, shas["cha"])
+            parse_patch(repo, shas["cha"], c_lines=0)
+        diff = "--- a/f.c\n+++ b/f.c\n@@ -1 +1 @@\n-a();\n+b();\n"
+        with pytest.raises(ValueError):
+            load_patch(None, diff_text=diff, c_lines=0)
 
     def test_whole_file_deletion_has_no_context(self, tmp_path, caplog):
         root = init_repo(tmp_path / "nuke")
@@ -489,21 +538,9 @@ class TestDiffTextContexts:
 
 
 class TestClassifyAndModel:
-    def test_classify_patch_type(self, guard_repo):
-        repo, shas = guard_repo
-        for key, expected in (("cha", PatchType.CHA), ("del", PatchType.DEL),
-                              ("add", PatchType.ADD)):
-            (h,) = parse_patch(repo, shas[key]).hunks
-            assert classify_patch_type(h) == expected
-
     def test_empty_hunk_rejected(self):
-        hunk = PatchHunk(
-            path="x.c", file_class=classify_file("x.c"), dp=[], ap=[],
-            ptype=PatchType.CHA, up_ctx=PatchContext([], Side.UP),
-            down_ctx=PatchContext([], Side.DOWN),
-        )
         with pytest.raises(PatchError):
-            classify_patch_type(hunk)
+            _ptype([], [])
 
     def test_code_len_floor_is_one(self):
         hunk = PatchHunk(

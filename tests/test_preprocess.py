@@ -13,7 +13,6 @@ from forkscan.preprocess import (
     StatementKind,
     classify_file,
     classify_norm,
-    classify_statement,
     extract_keyword,
     extract_statements,
 )
@@ -244,10 +243,6 @@ class TestClassify:
 
     def test_assignment_inside_call_args_does_not_count(self):
         assert classify_norm("call(a = 1);") == StatementKind.CALL_OR_EXPR
-
-    def test_classify_statement_wrapper(self):
-        stmt = _stmt("return 0;")
-        assert classify_statement(stmt) == StatementKind.RETURN
 
 
 class TestClassifyFile:

@@ -1,7 +1,5 @@
 """Candidate clone location: key statements, boundaries, contexts, code."""
 
-import logging
-
 import pytest
 
 from conftest import (
@@ -110,6 +108,10 @@ def _repo(tmp, files: dict[str, str]) -> RepoHandle:
     return RepoHandle(root)
 
 
+def _cache(repo: RepoHandle) -> StatementCache:
+    return StatementCache(repo, "HEAD")
+
+
 @pytest.fixture(scope="module")
 def fig_repo(tmp_path_factory):
     """Fork target with one clone plus comment, kind, test-path, file-class traps."""
@@ -149,7 +151,7 @@ class TestIsTestPath:
 
 class TestStatementCache:
     def test_matches_direct_extraction(self, fig_repo):
-        cache = StatementCache(fig_repo)
+        cache = _cache(fig_repo)
         path = "src/init.cpp"
         direct = extract_statements(
             read_file_at(fig_repo, "HEAD", path), path, classify_file(path)
@@ -160,13 +162,13 @@ class TestStatementCache:
         }
 
     def test_between_is_inclusive(self, fig_repo):
-        cache = StatementCache(fig_repo)
+        cache = _cache(fig_repo)
         got = cache.between("src/init.cpp", 3, 5)
         assert [s.line_no for s in got] == [3, 4, 5]
         assert cache.between("src/init.cpp", 13, 13) == []  # comment line
 
     def test_missing_file_is_empty(self, fig_repo):
-        cache = StatementCache(fig_repo)
+        cache = _cache(fig_repo)
         assert cache.statements("src/absent.cpp") == []
         assert cache.between("src/absent.cpp", 1, 10) == []
 
@@ -178,7 +180,7 @@ class TestStatementCache:
         commit_all(root, "v2", datetime(2020, 1, 2, tzinfo=UTC))
         repo = RepoHandle(root)
         assert StatementCache(repo, rev=old).statements("a.cpp")[0].norm == "int a = 1;"
-        assert StatementCache(repo).statements("a.cpp")[0].norm == "int a = 2;"
+        assert _cache(repo).statements("a.cpp")[0].norm == "int a = 2;"
 
 
 def _brute_force_keys(repo: RepoHandle, ctx: PatchContext) -> dict:
@@ -212,7 +214,7 @@ def _brute_force_keys(repo: RepoHandle, ctx: PatchContext) -> dict:
 
 class TestFindKeyStatements:
     def test_up_context_survivors(self, fig_repo):
-        ks = find_key_statements(fig_repo, make_ctx(UP_NORMS, Side.UP), PATCH_FC, PARAMS)
+        ks = find_key_statements(_cache(fig_repo), make_ctx(UP_NORMS, Side.UP), PATCH_FC, PARAMS)
         assert {(m.hit.path, m.hit.line_no) for m in ks} == {
             ("src/init.cpp", 3),
             ("src/init.cpp", 4),
@@ -227,13 +229,13 @@ class TestFindKeyStatements:
 
     def test_down_context_survivors(self, fig_repo):
         ks = find_key_statements(
-            fig_repo, make_ctx(DOWN_NORMS, Side.DOWN), PATCH_FC, PARAMS
+            _cache(fig_repo), make_ctx(DOWN_NORMS, Side.DOWN), PATCH_FC, PARAMS
         )
         assert [(m.hit.line_no, m.sim) for m in ks][0] == (9, 1.0)
         assert {m.hit.line_no for m in ks} == {7, 9}
 
     def test_filters_block_traps(self, fig_repo):
-        ks = find_key_statements(fig_repo, make_ctx(UP_NORMS, Side.UP), PATCH_FC, PARAMS)
+        ks = find_key_statements(_cache(fig_repo), make_ctx(UP_NORMS, Side.UP), PATCH_FC, PARAMS)
         hit_keys = {(m.hit.path, m.hit.line_no) for m in ks}
         assert ("src/tests/util_tests.cpp", 1) not in hit_keys  # test path
         assert ("src/validation.h", 1) not in hit_keys  # different file class
@@ -244,50 +246,50 @@ class TestFindKeyStatements:
     def test_matches_brute_force_scan(self, fig_repo, norms, side):
         ctx = make_ctx(norms, side)
         got = {(m.hit.path, m.hit.line_no): m.sim
-               for m in find_key_statements(fig_repo, ctx, PATCH_FC, PARAMS)}
+               for m in find_key_statements(_cache(fig_repo), ctx, PATCH_FC, PARAMS)}
         assert got == _brute_force_keys(fig_repo, ctx)
 
     def test_all_sims_pass_gate(self, fig_repo):
         for m in find_key_statements(
-            fig_repo, make_ctx(UP_NORMS, Side.UP), PATCH_FC, PARAMS
+            _cache(fig_repo), make_ctx(UP_NORMS, Side.UP), PATCH_FC, PARAMS
         ):
             assert PARAMS.ks_threshold <= m.sim <= 1.0
 
     def test_empty_context_finds_nothing(self, fig_repo):
         assert find_key_statements(
-            fig_repo, PatchContext([], Side.UP), PATCH_FC, PARAMS
+            _cache(fig_repo), PatchContext([], Side.UP), PATCH_FC, PARAMS
         ) == []
 
 
 class TestExpandBoundary:
     def _seed(self, repo, norms, side, line):
-        ks = find_key_statements(repo, make_ctx(norms, side), PATCH_FC, PARAMS)
+        ks = find_key_statements(_cache(repo), make_ctx(norms, side), PATCH_FC, PARAMS)
         return next(m for m in ks if m.hit.line_no == line)
 
     @pytest.mark.parametrize("line", [3, 4, 5])
     def test_up_seeds_converge(self, fig_repo, line):
         ctx = make_ctx(UP_NORMS, Side.UP)
         ks = self._seed(fig_repo, UP_NORMS, Side.UP, line)
-        assert expand_boundary(fig_repo, ks, ctx, 5, PARAMS) == (3, 5)
+        assert expand_boundary(_cache(fig_repo), ks, ctx, 5, PARAMS) == (3, 5)
 
     @pytest.mark.parametrize("line", [7, 9])
     def test_down_seeds_converge(self, fig_repo, line):
         ctx = make_ctx(DOWN_NORMS, Side.DOWN)
         ks = self._seed(fig_repo, DOWN_NORMS, Side.DOWN, line)
-        assert expand_boundary(fig_repo, ks, ctx, 5, PARAMS) == (7, 11)
+        assert expand_boundary(_cache(fig_repo), ks, ctx, 5, PARAMS) == (7, 11)
 
     def test_far_seed_expands_wide(self, fig_repo):
         # The line-8 seed still anchors its start at line 3; its end drifts
         # to the keyword-sharing return at line 12.
         ctx = make_ctx(UP_NORMS, Side.UP)
         ks = self._seed(fig_repo, UP_NORMS, Side.UP, 8)
-        assert expand_boundary(fig_repo, ks, ctx, 5, PARAMS) == (3, 12)
+        assert expand_boundary(_cache(fig_repo), ks, ctx, 5, PARAMS) == (3, 12)
 
     def test_single_statement_context_collapses_to_seed(self, fig_repo):
         ctx = make_ctx(["pindexState = chainActive.Tip();"], Side.UP)
-        ks = find_key_statements(fig_repo, ctx, PATCH_FC, PARAMS)[0]
+        ks = find_key_statements(_cache(fig_repo), ctx, PATCH_FC, PARAMS)[0]
         assert ks.hit.line_no == 9
-        assert expand_boundary(fig_repo, ks, ctx, 5, PARAMS) == (9, 9)
+        assert expand_boundary(_cache(fig_repo), ks, ctx, 5, PARAMS) == (9, 9)
 
     def test_gate_failure_returns_none(self, tmp_path):
         repo = _repo(tmp_path / "gate", {
@@ -298,9 +300,9 @@ class TestExpandBoundary:
             "nCheckValue = ComputeValue(x);",
             "OmegaEpsilonZetaTheta();",
         ], Side.UP)
-        ks = find_key_statements(repo, ctx, PATCH_FC, PARAMS)
+        ks = find_key_statements(_cache(repo), ctx, PATCH_FC, PARAMS)
         assert [(m.hit.line_no, m.sim) for m in ks] == [(2, 1.0)]
-        assert expand_boundary(repo, ks[0], ctx, 5, PARAMS) is None
+        assert expand_boundary(_cache(repo), ks[0], ctx, 5, PARAMS) is None
 
     def test_equal_matches_prefer_closest(self, tmp_path):
         repo = _repo(tmp_path / "dup", {
@@ -310,18 +312,18 @@ class TestExpandBoundary:
             ),
         })
         ctx = make_ctx(["BeginMarker(y);", "filler_stmt;", "MarkerEnd();"], Side.UP)
-        ks = find_key_statements(repo, ctx, PATCH_FC, PARAMS)
+        ks = find_key_statements(_cache(repo), ctx, PATCH_FC, PARAMS)
         seed2 = next(m for m in ks if m.hit.line_no == 2)
         # MarkerEnd() appears at lines 3 and 5 with equal similarity; the
         # boundary ends at the one nearer the seed.
-        assert expand_boundary(repo, seed2, ctx, 5, PARAMS) == (2, 3)
+        assert expand_boundary(_cache(repo), seed2, ctx, 5, PARAMS) == (2, 3)
 
     def test_empty_patch_context(self, fig_repo):
         ks = find_key_statements(
-            fig_repo, make_ctx(UP_NORMS, Side.UP), PATCH_FC, PARAMS
+            _cache(fig_repo), make_ctx(UP_NORMS, Side.UP), PATCH_FC, PARAMS
         )[0]
         assert expand_boundary(
-            fig_repo, ks, PatchContext([], Side.UP), 5, PARAMS
+            _cache(fig_repo), ks, PatchContext([], Side.UP), 5, PARAMS
         ) is None
 
 
@@ -329,7 +331,7 @@ class TestFinalizeContexts:
     def test_keeps_passing_region_with_oracle_score(self, fig_repo):
         ctx = make_ctx(UP_NORMS, Side.UP)
         kept = finalize_contexts(
-            fig_repo, [("src/init.cpp", (3, 5))], ctx, PARAMS
+            _cache(fig_repo), [("src/init.cpp", (3, 5))], ctx, PARAMS
         )
         assert len(kept) == 1
         c = kept[0]
@@ -343,9 +345,9 @@ class TestFinalizeContexts:
 
     def test_drops_region_below_threshold(self, fig_repo):
         ctx = make_ctx(UP_NORMS, Side.UP)
-        kept = finalize_contexts(fig_repo, [("src/init.cpp", (8, 12))], ctx, PARAMS)
+        kept = finalize_contexts(_cache(fig_repo), [("src/init.cpp", (8, 12))], ctx, PARAMS)
         assert kept == []
-        stmts = StatementCache(fig_repo).between("src/init.cpp", 8, 12)
+        stmts = _cache(fig_repo).between("src/init.cpp", 8, 12)
         assert oracle_fragment_similarity(
             UP_NORMS, [s.norm for s in stmts], PARAMS.r
         ) < PARAMS.t
@@ -353,7 +355,7 @@ class TestFinalizeContexts:
     def test_overlapping_regions_keep_best(self, fig_repo):
         ctx = make_ctx(UP_NORMS, Side.UP)
         kept = finalize_contexts(
-            fig_repo,
+            _cache(fig_repo),
             [("src/init.cpp", (3, 5)), ("src/init.cpp", (3, 12))],
             ctx, PARAMS,
         )
@@ -362,20 +364,20 @@ class TestFinalizeContexts:
     def test_cap_and_unlimited(self, twin_repo):
         ctx = make_ctx(UP_NORMS, Side.UP)
         spans = [("src/init.cpp", (3, 5)), ("src/wallet.cpp", (3, 5))]
-        capped = finalize_contexts(twin_repo, spans, ctx, PARAMS, max_candidates=1)
+        capped = finalize_contexts(_cache(twin_repo), spans, ctx, PARAMS, max_candidates=1)
         assert [(c.path, c.ss_line) for c in capped] == [("src/init.cpp", 3)]
-        unlimited = finalize_contexts(twin_repo, spans, ctx, PARAMS, max_candidates=0)
+        unlimited = finalize_contexts(_cache(twin_repo), spans, ctx, PARAMS, max_candidates=0)
         assert [c.path for c in unlimited] == ["src/init.cpp", "src/wallet.cpp"]
 
     def test_statementless_span_skipped(self, fig_repo):
         ctx = make_ctx(UP_NORMS, Side.UP)
         assert finalize_contexts(
-            fig_repo, [("src/init.cpp", (100, 120))], ctx, PARAMS
+            _cache(fig_repo), [("src/init.cpp", (100, 120))], ctx, PARAMS
         ) == []
 
     def test_empty_context_returns_nothing(self, fig_repo):
         assert finalize_contexts(
-            fig_repo, [("src/init.cpp", (3, 5))], PatchContext([], Side.UP), PARAMS
+            _cache(fig_repo), [("src/init.cpp", (3, 5))], PatchContext([], Side.UP), PARAMS
         ) == []
 
 
@@ -388,7 +390,7 @@ class TestFetchCandidateCode:
     def test_between_pair(self, fig_repo):
         up = _ctx("src/init.cpp", Side.UP, 3, 5)
         down = _ctx("src/init.cpp", Side.DOWN, 7, 11)
-        (cand,) = fetch_candidate_code(fig_repo, up, down, 1)
+        cand = fetch_candidate_code(_cache(fig_repo), up, down, 1)
         assert cand.span == (6, 6)
         assert cand.norms == [DP_LINE]
         assert cand.paired_up is up and cand.paired_down is down
@@ -396,61 +398,40 @@ class TestFetchCandidateCode:
     def test_adjacent_pair_yields_empty_candidate(self, fig_repo):
         up = _ctx("src/init.cpp", Side.UP, 3, 5)
         down = _ctx("src/init.cpp", Side.DOWN, 6, 11)
-        (cand,) = fetch_candidate_code(fig_repo, up, down, 1)
+        cand = fetch_candidate_code(_cache(fig_repo), up, down, 1)
         assert cand.stmts == [] and cand.span == (6, 5)
 
     def test_up_only_takes_statements_below(self, fig_repo):
         up = _ctx("src/init.cpp", Side.UP, 3, 5)
-        (cand,) = fetch_candidate_code(fig_repo, up, None, 2)
+        cand = fetch_candidate_code(_cache(fig_repo), up, None, 2)
         assert cand.span == (6, 7)
         assert [s.line_no for s in cand.stmts] == [6, 7]
         assert cand.paired_down is None
 
     def test_up_only_at_end_of_file(self, fig_repo):
         up = _ctx("src/init.cpp", Side.UP, 10, 12)
-        (cand,) = fetch_candidate_code(fig_repo, up, None, 2)
+        cand = fetch_candidate_code(_cache(fig_repo), up, None, 2)
         assert cand.stmts == [] and cand.span == (13, 12)
 
     def test_down_only_takes_statements_above(self, fig_repo):
         down = _ctx("src/init.cpp", Side.DOWN, 7, 11)
-        (cand,) = fetch_candidate_code(fig_repo, None, down, 2)
+        cand = fetch_candidate_code(_cache(fig_repo), None, down, 2)
         assert cand.span == (5, 6)
         assert cand.norms[-1] == DP_LINE
 
     def test_down_only_at_start_of_file(self, fig_repo):
         down = _ctx("src/init.cpp", Side.DOWN, 1, 5)
-        (cand,) = fetch_candidate_code(fig_repo, None, down, 3)
+        cand = fetch_candidate_code(_cache(fig_repo), None, down, 3)
         assert cand.stmts == [] and cand.span == (1, 0)
-
-    def test_cross_file_pair_degrades_to_singles(self, twin_repo, caplog):
-        up = _ctx("src/init.cpp", Side.UP, 3, 5)
-        down = _ctx("src/wallet.cpp", Side.DOWN, 7, 11)
-        with caplog.at_level(logging.WARNING):
-            cands = fetch_candidate_code(twin_repo, up, down, 1)
-        assert [(c.path, c.span) for c in cands] == [
-            ("src/init.cpp", (6, 6)),
-            ("src/wallet.cpp", (6, 6)),
-        ]
-        assert cands[0].paired_down is None and cands[1].paired_up is None
-        assert any("do not pair" in r.message for r in caplog.records)
-
-    def test_inverted_pair_degrades_to_singles(self, fig_repo):
-        up = _ctx("src/init.cpp", Side.UP, 7, 11)
-        down = _ctx("src/init.cpp", Side.DOWN, 3, 5)
-        cands = fetch_candidate_code(fig_repo, up, down, 1)
-        assert [(c.path, c.span) for c in cands] == [
-            ("src/init.cpp", (12, 12)),
-            ("src/init.cpp", (2, 2)),
-        ]
 
     def test_requires_a_context(self, fig_repo):
         with pytest.raises(ValueError):
-            fetch_candidate_code(fig_repo, None, None, 1)
+            fetch_candidate_code(_cache(fig_repo), None, None, 1)
 
 
 class TestCollectCandidates:
     def test_end_to_end_single_clone(self, fig_repo):
-        out = collect_candidates(fig_repo, make_hunk(UP_NORMS, DOWN_NORMS), PARAMS, 5)
+        out = collect_candidates(_cache(fig_repo), make_hunk(UP_NORMS, DOWN_NORMS), PARAMS, 5)
         assert [(c.path, c.ss_line, c.es_line) for c in out.up_contexts] == [
             ("src/init.cpp", 3, 5)
         ]
@@ -467,7 +448,7 @@ class TestCollectCandidates:
         )
 
     def test_two_files_two_candidates(self, twin_repo):
-        out = collect_candidates(twin_repo, make_hunk(UP_NORMS, DOWN_NORMS), PARAMS, 5)
+        out = collect_candidates(_cache(twin_repo), make_hunk(UP_NORMS, DOWN_NORMS), PARAMS, 5)
         assert [(c.path, c.span) for c in out.candidates] == [
             ("src/init.cpp", (6, 6)),
             ("src/wallet.cpp", (6, 6)),
@@ -477,14 +458,14 @@ class TestCollectCandidates:
             assert cand.paired_up is not None and cand.paired_down is not None
 
     def test_up_context_only(self, fig_repo):
-        out = collect_candidates(fig_repo, make_hunk(UP_NORMS, None), PARAMS, 5)
+        out = collect_candidates(_cache(fig_repo), make_hunk(UP_NORMS, None), PARAMS, 5)
         (cand,) = out.candidates
         assert cand.span == (6, 6) and cand.norms == [DP_LINE]
         assert cand.paired_up is not None and cand.paired_down is None
         assert out.down_contexts == []
 
     def test_down_context_only(self, fig_repo):
-        out = collect_candidates(fig_repo, make_hunk(None, DOWN_NORMS), PARAMS, 5)
+        out = collect_candidates(_cache(fig_repo), make_hunk(None, DOWN_NORMS), PARAMS, 5)
         (cand,) = out.candidates
         assert cand.span == (6, 6) and cand.norms == [DP_LINE]
         assert cand.paired_up is None and cand.paired_down is not None
@@ -493,7 +474,7 @@ class TestCollectCandidates:
         repo = _repo(tmp_path / "plant", {
             "src/clone.cpp": "\n".join(UP_NORMS + [DP_LINE] + DOWN_NORMS) + "\n",
         })
-        out = collect_candidates(repo, make_hunk(UP_NORMS, DOWN_NORMS), PARAMS, 5)
+        out = collect_candidates(_cache(repo), make_hunk(UP_NORMS, DOWN_NORMS), PARAMS, 5)
         assert [(c.ss_line, c.es_line, c.ctx_sim) for c in out.up_contexts] == [
             (1, 5, 1.0)
         ]
@@ -507,6 +488,6 @@ class TestCollectCandidates:
         repo = _repo(tmp_path / "empty", {
             "src/unrelated.cpp": "int completely = 0;\ndifferent_code(here);\n",
         })
-        out = collect_candidates(repo, make_hunk(UP_NORMS, DOWN_NORMS), PARAMS, 5)
+        out = collect_candidates(_cache(repo), make_hunk(UP_NORMS, DOWN_NORMS), PARAMS, 5)
         assert out.candidates == []
         assert out.up_contexts == [] and out.down_contexts == []
