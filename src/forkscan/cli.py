@@ -37,7 +37,6 @@ class ConfigError(Exception):
 @dataclass
 class RunConfig:
     source: str
-    source_rev: str = "HEAD"
     patch_shas: list[str] = field(default_factory=list)
     patch_files: list[str] = field(default_factory=list)
     targets: list[tuple[str, str]] = field(default_factory=list)  # (path, rev)
@@ -46,6 +45,13 @@ class RunConfig:
     max_candidates: int = search.DEFAULT_MAX_CANDIDATES
     jobs: int = 0  # 0 = logical CPU count
     out: str = "report.json"
+
+
+# Every key a config file may hold; any other key is a configuration error.
+CONFIG_KEYS = (
+    "source", "patch", "patch_file", "manifest", "targets", "r", "t",
+    "ks_threshold", "context_lines", "max_candidates", "jobs", "out",
+)
 
 
 def parse_config_file(text: str) -> dict[str, str]:
@@ -76,15 +82,18 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             cfg = parse_config_file(Path(args.config).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
+    unknown = [key for key in cfg if key not in CONFIG_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
-    def pick(flag, key: str, default):
+    def pick(key: str, default):
+        """The flag of that name, else the config key, else the default."""
+        flag = getattr(args, key)
         if flag is not None:
             return flag
-        if key in cfg:
-            return cfg[key]
-        return default
+        return cfg.get(key, default)
 
-    source = pick(args.source, "source", None)
+    source = pick("source", None)
     if not source:
         raise ConfigError("a source repository is required (--source)")
 
@@ -94,7 +103,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         patch_shas = cfg["patch"].split()
     if not patch_files and "patch_file" in cfg:
         patch_files = cfg["patch_file"].split()
-    manifest = pick(args.manifest, "manifest", None)
+    manifest = pick("manifest", None)
     if manifest:
         try:
             entries = patchmodel.parse_manifest(
@@ -115,13 +124,13 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
     try:
         params = SimilarityParams(
-            r=float(pick(args.r, "r", 0.95)),
-            t=float(pick(args.t, "t", 0.40)),
-            ks_threshold=float(pick(args.ks_threshold, "ks_threshold", 0.25)),
+            r=float(pick("r", SimilarityParams.r)),
+            t=float(pick("t", SimilarityParams.t)),
+            ks_threshold=float(pick("ks_threshold", SimilarityParams.ks_threshold)),
         )
-        c_lines = int(pick(args.context_lines, "context_lines", 5))
-        max_candidates = int(pick(args.max_candidates, "max_candidates", 10))
-        jobs = int(pick(args.jobs, "jobs", 0))
+        c_lines = int(pick("context_lines", RunConfig.c_lines))
+        max_candidates = int(pick("max_candidates", RunConfig.max_candidates))
+        jobs = int(pick("jobs", RunConfig.jobs))
     except ValueError as exc:
         raise ConfigError(f"bad parameter: {exc}") from exc
     if c_lines < 1:
@@ -135,7 +144,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
     return RunConfig(
         source=source,
-        source_rev=pick(args.source_rev, "source_rev", "HEAD"),
         patch_shas=patch_shas,
         patch_files=patch_files,
         targets=targets,
@@ -143,7 +151,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         c_lines=c_lines,
         max_candidates=max_candidates,
         jobs=jobs,
-        out=pick(args.out, "out", "report.json"),
+        out=pick("out", RunConfig.out),
     )
 
 
@@ -152,7 +160,6 @@ class _TargetCtx:
     name: str
     path: str
     rev: str
-    handle: RepoHandle | None = None
     cache: search.StatementCache | None = None
     error: str = ""
 
@@ -169,8 +176,7 @@ def _open_targets(config: RunConfig) -> list[_TargetCtx]:
     for name, (path, rev) in zip(_unique_names(config.targets), config.targets):
         ctx = _TargetCtx(name=name, path=path, rev=rev)
         try:
-            ctx.handle = RepoHandle(path, default_rev=rev)
-            ctx.cache = search.StatementCache(ctx.handle, rev)
+            ctx.cache = search.StatementCache(RepoHandle(path), rev)
         except gitio.GitError as exc:
             ctx.error = str(exc)
             log.warning("target %s unusable: %s", path, exc)
@@ -178,8 +184,8 @@ def _open_targets(config: RunConfig) -> list[_TargetCtx]:
     return ctxs
 
 
-def _load_patches(config: RunConfig) -> tuple[RepoHandle, list[Patch]]:
-    source = RepoHandle(config.source, default_rev=config.source_rev)
+def _load_patches(config: RunConfig) -> list[Patch]:
+    source = RepoHandle(config.source)
     patches: list[Patch] = []
     for sha in config.patch_shas:
         patches.append(patchmodel.load_patch(source, sha, c_lines=config.c_lines))
@@ -194,7 +200,7 @@ def _load_patches(config: RunConfig) -> tuple[RepoHandle, list[Patch]]:
             raise ConfigError(f"bad patch file {file}: {exc}") from exc
         patch.label = Path(file).name
         patches.append(patch)
-    return source, patches
+    return patches
 
 
 def _scan_one_hunk(ctx: _TargetCtx, hunk, config: RunConfig):
@@ -206,7 +212,7 @@ def _scan_one_hunk(ctx: _TargetCtx, hunk, config: RunConfig):
 
 def run_detect(config: RunConfig) -> tuple[int, ScanReport]:
     """Execute the full pipeline and write the report files."""
-    source, patches = _load_patches(config)
+    patches = _load_patches(config)
     targets = _open_targets(config)
 
     jobs = config.jobs or os.cpu_count() or 1
@@ -214,7 +220,7 @@ def run_detect(config: RunConfig) -> tuple[int, ScanReport]:
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         for pi, patch in enumerate(patches):
             for ti, ctx in enumerate(targets):
-                if ctx.handle is None:
+                if ctx.cache is None:
                     continue
                 for hi, hunk in enumerate(patch.hunks):
                     tasks[(pi, ti, hi)] = pool.submit(
@@ -225,7 +231,7 @@ def run_detect(config: RunConfig) -> tuple[int, ScanReport]:
     for pi, patch in enumerate(patches):
         for ti, ctx in enumerate(targets):
             notes: list[str] = []
-            if ctx.handle is None:
+            if ctx.cache is None:
                 rows.append(
                     ResultRow(
                         patch=patch.label, target=ctx.name,
@@ -299,7 +305,7 @@ def _row_for(
     if v.status is Status.FIXED:
         try:
             record = delay.fix_delay(
-                ctx.handle, patch.source_sha, patch.committed_at, v
+                ctx.cache.repo, ctx.cache.rev, patch.committed_at, v
             )
         except gitio.GitError as exc:
             log.warning("delay lookup failed for %s: %s", ctx.name, exc)
@@ -407,7 +413,6 @@ def run_sweep(pairs_dir: str, r_spec: str, out: str) -> int:
 
 def _add_detect_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--source", help="source (upstream) repository path")
-    p.add_argument("--source-rev", help="revision of the source repo (default HEAD)")
     p.add_argument("--patch", action="append", help="patch commit sha (repeatable)")
     p.add_argument(
         "--patch-file", action="append", help="unified diff file (repeatable)"

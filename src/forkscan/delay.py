@@ -1,9 +1,10 @@
 """For targets judged Fixed: who fixed it, in which release, and how late.
 
-git blame over the winning candidate region names the commits that shaped
-it; the earliest of them is taken as the true fix commit (later commits are
-refactors of already-fixed code). Its first containing release, compared to
-the source patch's commit date, gives the fix delay in whole days.
+git blame over the winning candidate region at the scanned revision names
+the commits that shaped it, with their commit times; the earliest of them is
+taken as the true fix commit (later commits are refactors of already-fixed
+code). Its first containing release, compared to the source patch's commit
+date, gives the fix delay in whole days.
 """
 
 from __future__ import annotations
@@ -33,17 +34,15 @@ class FixAttribution:
 
 @dataclass
 class DelayRecord:
-    patch_sha: str | None
-    target: str
     true_fix: str | None
     release: tuple[str, datetime] | None
     delay_days: int | None
 
 
 def find_fix_commit(
-    target: RepoHandle, path: str, span: tuple[int, int], rev: str | None = None
+    target: RepoHandle, path: str, span: tuple[int, int], rev: str
 ) -> FixAttribution:
-    """Blame the region and pick the earliest commit as the true fix.
+    """Blame the region at rev and pick the earliest commit as the true fix.
 
     Ties on the committer timestamp go to the lexicographically smaller sha.
     """
@@ -54,10 +53,7 @@ def find_fix_commit(
         raise AttributionFailed(f"blame {path}:{start}-{end} failed: {exc}") from exc
     if not entries:
         raise AttributionFailed(f"blame {path}:{start}-{end} returned nothing")
-    commits: dict[str, datetime] = {}
-    for entry in entries:
-        if entry.commit_sha not in commits:
-            commits[entry.commit_sha] = gitio.commit_time(target, entry.commit_sha)
+    commits = {entry.commit_sha: entry.committed_at for entry in entries}
     ordered = sorted(commits.items(), key=lambda it: (it[1], it[0]))
     return FixAttribution(commits=ordered, true_fix=ordered[0][0])
 
@@ -99,11 +95,11 @@ def _blame_region(verdict: Verdict) -> tuple[str, tuple[int, int]] | None:
 
 def fix_delay(
     target: RepoHandle,
-    patch_sha: str | None,
+    rev: str,
     patch_committed_at: datetime | None,
     verdict: Verdict,
 ) -> DelayRecord | None:
-    """Full attribution for one Fixed verdict; None for other statuses.
+    """Full attribution for one Fixed verdict at rev; None otherwise.
 
     Attribution failures degrade to a record with None fields rather than
     aborting the scan.
@@ -112,21 +108,17 @@ def fix_delay(
         return None
     region = _blame_region(verdict)
     if region is None:
-        return DelayRecord(patch_sha, target.name, None, None, None)
+        return DelayRecord(None, None, None)
     path, span = region
     try:
-        attribution = find_fix_commit(target, path, span)
+        attribution = find_fix_commit(target, path, span, rev)
     except AttributionFailed as exc:
         log.warning("%s: %s", target.name, exc)
-        return DelayRecord(patch_sha, target.name, None, None, None)
+        return DelayRecord(None, None, None)
     release = earliest_release(target, attribution.true_fix)
     delay = None
     if release is not None and patch_committed_at is not None:
         delay = patch_delay(patch_committed_at, release[1])
     return DelayRecord(
-        patch_sha=patch_sha,
-        target=target.name,
-        true_fix=attribution.true_fix,
-        release=release,
-        delay_days=delay,
+        true_fix=attribution.true_fix, release=release, delay_days=delay
     )

@@ -1,10 +1,10 @@
 """Thin adapter over local git repositories.
 
-Exactly the queries the scan pipeline needs: substring grep at a revision,
-file content at a revision, line blame, commit timestamps, and the tags that
-contain a commit. All access shells out to the git executable; calls against
-one repository are serialized, distinct repositories may be queried in
-parallel.
+Exactly the queries the scan pipeline needs, one git call each: substring
+grep, file content, and line blame with commit times at a revision, commit
+timestamps, and the dated tags that contain a commit. Every query takes the
+revision or commit it reads; a handle holds none. Calls against one
+repository are serialized, distinct repositories may be queried in parallel.
 """
 
 from __future__ import annotations
@@ -36,17 +36,14 @@ class GrepHit:
 class BlameEntry:
     commit_sha: str
     line_no: int  # 1-based
+    committed_at: datetime  # committer time of commit_sha, UTC
 
 
 class RepoHandle:
-    """Handle over a local git repository, read-only.
+    """Handle over a local git repository, read-only."""
 
-    default_rev is used for every query unless the caller overrides it.
-    """
-
-    def __init__(self, root_path: str | Path, default_rev: str = "HEAD"):
+    def __init__(self, root_path: str | Path):
         self.root = Path(root_path)
-        self.default_rev = default_rev
         self._lock = threading.Lock()
         if not self.root.is_dir():
             raise GitError(f"not a directory: {self.root}")
@@ -55,7 +52,7 @@ class RepoHandle:
             raise GitError(f"not a git repository: {self.root}")
 
     def __repr__(self) -> str:
-        return f"RepoHandle({str(self.root)!r}, rev={self.default_rev!r})"
+        return f"RepoHandle({str(self.root)!r})"
 
     @property
     def name(self) -> str:
@@ -71,9 +68,6 @@ class RepoHandle:
                 f"{proc.stderr.decode('utf-8', 'replace').strip()}"
             )
         return proc
-
-    def _rev(self, rev: str | None) -> str:
-        return rev if rev is not None else self.default_rev
 
 
 def _decode(data: bytes) -> str:
@@ -91,22 +85,21 @@ def _split_lines(text: str) -> list[str]:
 _GREP_LINE_RE = re.compile(r"^(.*?):(\d+):(.*)$", re.DOTALL)
 
 
-def grep_repo(repo: RepoHandle, keyword: str, rev: str | None = None) -> list[GrepHit]:
+def grep_repo(repo: RepoHandle, keyword: str, rev: str) -> list[GrepHit]:
     """Every line at rev containing keyword as a fixed substring.
 
     Case-sensitive; binary files skipped. Hits are ordered by (path, line).
     """
     if not keyword:
         raise ValueError("keyword must be non-empty")
-    at = repo._rev(rev)
-    proc = repo._run(["grep", "-I", "-n", "-F", "-e", keyword, at], check=False)
+    proc = repo._run(["grep", "-I", "-n", "-F", "-e", keyword, rev], check=False)
     if proc.returncode == 1 and not proc.stderr:
         return []
     if proc.returncode != 0:
         raise GitError(
             f"git grep failed in {repo.root}: {_decode(proc.stderr).strip()}"
         )
-    prefix = at + ":"
+    prefix = rev + ":"
     hits: list[GrepHit] = []
     for line in _split_lines(_decode(proc.stdout)):
         if line.startswith(prefix):
@@ -119,15 +112,14 @@ def grep_repo(repo: RepoHandle, keyword: str, rev: str | None = None) -> list[Gr
     return hits
 
 
-def read_file_at(repo: RepoHandle, rev: str | None, path: str) -> list[str]:
+def read_file_at(repo: RepoHandle, rev: str, path: str) -> list[str]:
     """Full file content at rev, split into lines (original text preserved)."""
-    at = repo._rev(rev)
-    proc = repo._run(["show", f"{at}:{path}"], check=False)
+    proc = repo._run(["show", f"{rev}:{path}"], check=False)
     if proc.returncode != 0:
         err = _decode(proc.stderr)
         if "does not exist" in err or "exists on disk, but not in" in err:
-            raise NotFoundError(f"{path} absent at {at} in {repo.root}")
-        raise GitError(f"git show {at}:{path} failed: {err.strip()}")
+            raise NotFoundError(f"{path} absent at {rev} in {repo.root}")
+        raise GitError(f"git show {rev}:{path} failed: {err.strip()}")
     return _split_lines(_decode(proc.stdout))
 
 
@@ -135,14 +127,14 @@ _BLAME_HEADER_RE = re.compile(r"^([0-9a-f]{40}) (\d+) (\d+)")
 
 
 def blame_lines(
-    repo: RepoHandle, rev: str | None, path: str, start: int, end: int
+    repo: RepoHandle, rev: str, path: str, start: int, end: int
 ) -> list[BlameEntry]:
-    """Attribute each line in [start, end] to the last commit touching it."""
+    """Attribute each line in [start, end] to the last commit touching it,
+    with that commit's committer time."""
     if start < 1 or end < start:
         raise ValueError(f"invalid blame range {start}..{end}")
-    at = repo._rev(rev)
     proc = repo._run(
-        ["blame", "--porcelain", "-L", f"{start},{end}", at, "--", path],
+        ["blame", "--porcelain", "-L", f"{start},{end}", rev, "--", path],
         check=False,
     )
     if proc.returncode != 0:
@@ -150,13 +142,20 @@ def blame_lines(
         if "has only" in err:
             raise ValueError(f"blame range {start}..{end} out of bounds: {err.strip()}")
         if "no such path" in err:
-            raise NotFoundError(f"{path} absent at {at} in {repo.root}")
+            raise NotFoundError(f"{path} absent at {rev} in {repo.root}")
         raise GitError(f"git blame failed: {err.strip()}")
-    entries: list[BlameEntry] = []
+    # Porcelain prints a commit's headers (committer-time among them) only
+    # at the first line it owns; content lines start with a tab.
+    owners: list[tuple[str, int]] = []
+    times: dict[str, datetime] = {}
     for line in _split_lines(_decode(proc.stdout)):
         m = _BLAME_HEADER_RE.match(line)
         if m:
-            entries.append(BlameEntry(commit_sha=m.group(1), line_no=int(m.group(3))))
+            owners.append((m.group(1), int(m.group(3))))
+        elif line.startswith("committer-time "):
+            stamp = int(line[len("committer-time "):])
+            times[owners[-1][0]] = datetime.fromtimestamp(stamp, timezone.utc)
+    entries = [BlameEntry(sha, line_no, times[sha]) for sha, line_no in owners]
     entries.sort(key=lambda e: e.line_no)
     return entries
 
@@ -176,21 +175,19 @@ def releases_containing(repo: RepoHandle, sha: str) -> list[tuple[str, datetime]
     Annotated tags report the tag date, lightweight tags the tagged commit's
     committer date.
     """
-    proc = repo._run(["tag", "--contains", sha], check=False)
+    proc = repo._run(
+        ["tag", "--contains", sha,
+         "--format=%(refname:short)%09%(creatordate:iso-strict)"],
+        check=False,
+    )
     if proc.returncode != 0:
         raise NotFoundError(
             f"unknown commit {sha} in {repo.root}: {_decode(proc.stderr).strip()}"
         )
-    names = set(_split_lines(_decode(proc.stdout)))
-    if not names:
-        return []
-    listing = repo._run(
-        ["for-each-ref", "refs/tags", "--format=%(refname:short)%09%(creatordate:iso-strict)"]
-    )
     releases: list[tuple[str, datetime]] = []
-    for row in _split_lines(_decode(listing.stdout)):
+    for row in _split_lines(_decode(proc.stdout)):
         name, _, stamp = row.partition("\t")
-        if name not in names or not stamp:
+        if not stamp:
             continue
         releases.append((name, datetime.fromisoformat(stamp).astimezone(timezone.utc)))
     releases.sort(key=lambda it: (it[1], it[0]))

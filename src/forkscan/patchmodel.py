@@ -428,24 +428,26 @@ def _build_file_hunks(
                     max(h.new_span[1] for h in group))
 
         use_old = bool(dp)
+        lo, hi = old_span if use_old else new_span
         if repo is not None:
-            stmts, (lo, hi) = (old_stmts, old_span) if use_old else (new_stmts, new_span)
+            stmts = old_stmts if use_old else new_stmts
             above = [s for s in stmts if s.line_no < lo]
             below = [s for s in stmts if s.line_no > hi]
         else:
             # Without a repository the diff's own context lines stand in.
-            above = _fragment_stmts(
-                [(o if use_old else n, t) for o, n, t in group[0].ctx_before],
-                path, file_class,
-            )
+            # ctx_after also holds the lines between two changes of one raw
+            # hunk; only those past the span lie below it.
+            def on_side(ctx: list[tuple[int, int, str]]) -> list[tuple[int, str]]:
+                return [(o if use_old else n, t) for o, n, t in ctx]
+
+            above = _fragment_stmts(on_side(group[0].ctx_before), path, file_class)
             below = _fragment_stmts(
-                [(o if use_old else n, t) for o, n, t in group[-1].ctx_after],
+                [(ln, t) for ln, t in on_side(group[-1].ctx_after) if ln > hi],
                 path, file_class,
             )
         up_ctx, down_ctx = build_patch_context(above, below, c_lines)
         if not up_ctx and not down_ctx:
-            log.warning("%s: no meaningful context around hunk at %s", path,
-                        old_span if use_old else new_span)
+            log.warning("%s: no meaningful context around hunk at %s", path, (lo, hi))
 
         result.append(
             PatchHunk(

@@ -306,7 +306,7 @@ def test_criterion_6_release_delay_fixture(table_repo):
     repo, c_rewrite, _ = table_repo
     handle = RepoHandle(repo)
 
-    attribution = find_fix_commit(handle, TABLE_FILE, (204, 208))
+    attribution = find_fix_commit(handle, TABLE_FILE, (204, 208), "HEAD")
     release = earliest_release(handle, attribution.true_fix)
     ok = attribution.true_fix == c_rewrite and release is not None
     delay = None

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from datetime import datetime
@@ -23,6 +24,7 @@ import forkscan
 from forkscan import __version__
 from forkscan.cli import (
     ConfigError,
+    _add_detect_flags,
     _build_config,
     _parse_r_spec,
     _parse_target_token,
@@ -217,7 +219,6 @@ def _ns(**overrides) -> argparse.Namespace:
     values = dict(
         config=None,
         source=None,
-        source_rev=None,
         patch=None,
         patch_file=None,
         manifest=None,
@@ -248,7 +249,6 @@ class TestBuildConfig:
             _ns(source=str(dirs.src), patch=["abc123"], target=[str(dirs.tgt)])
         )
         assert cfg.source == str(dirs.src)
-        assert cfg.source_rev == "HEAD"
         assert cfg.patch_shas == ["abc123"]
         assert cfg.targets == [(str(dirs.tgt), "HEAD")]
         assert (cfg.params.r, cfg.params.t, cfg.params.ks_threshold) == (
@@ -263,7 +263,6 @@ class TestBuildConfig:
         conf = dirs.root / "scan.cfg"
         conf.write_text(
             f"source = {dirs.src}\n"
-            "source_rev = v1\n"
             "patch = aaa bbb\n"
             f"targets = {dirs.tgt},dev {dirs.src}\n"
             "r = 0.9\n"
@@ -277,7 +276,6 @@ class TestBuildConfig:
         )
         cfg = _build_config(_ns(config=str(conf)))
         assert cfg.source == str(dirs.src)
-        assert cfg.source_rev == "v1"
         assert cfg.patch_shas == ["aaa", "bbb"]
         assert cfg.targets == [(str(dirs.tgt), "dev"), (str(dirs.src), "HEAD")]
         assert (cfg.params.r, cfg.params.t, cfg.params.ks_threshold) == (
@@ -763,6 +761,47 @@ class TestDetectErrors:
         )
         assert code == 2
         assert "bad parameter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [("context_line = 3", "context_line"), ("source_rev = v1", "source_rev")],
+    )
+    def test_unknown_config_key_exits_2(self, world, tmp_path, capsys, line, key):
+        conf = tmp_path / "scan.cfg"
+        conf.write_text(f"context_lines = 5\n{line}\n", encoding="utf-8")
+        code = main(
+            [
+                "detect",
+                "--config",
+                str(conf),
+                "--source",
+                str(world.src),
+                "--patch",
+                world.patch_sha,
+                "--target",
+                str(world.vuln),
+                "--out",
+                str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 2
+        assert f"unknown config key(s): {key}\n" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+
+class TestReadme:
+    def test_detect_table_lists_every_detect_flag(self):
+        # The README's `detect options` table and the parser name the same
+        # flags, so a flag cannot be added or dropped in one place only.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## detect options", 1)[1].split("\n#", 1)[0]
+        documented = set(re.findall(r"^\| `(--[a-z-]+)", section, re.MULTILINE))
+        parser = argparse.ArgumentParser()
+        _add_detect_flags(parser)
+        flags = {
+            opt for action in parser._actions for opt in action.option_strings
+        } - {"-h", "--help"}
+        assert documented == flags
 
 
 # ---------------------------------------------------------------------------

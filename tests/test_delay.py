@@ -34,7 +34,7 @@ class TestFindFixCommit:
     def test_earliest_of_region_owners(self, table_repo):
         repo_path, c_rewrite, c_tweak = table_repo
         repo = RepoHandle(repo_path)
-        attribution = find_fix_commit(repo, TABLE_FILE, (204, 208))
+        attribution = find_fix_commit(repo, TABLE_FILE, (204, 208), "HEAD")
         assert [sha for sha, _ in attribution.commits] == sorted(
             {c_rewrite, c_tweak},
             key=lambda s: (datetime(2019, 8, 10, tzinfo=UTC)
@@ -48,17 +48,21 @@ class TestFindFixCommit:
 
     def test_single_line_region(self, table_repo):
         repo_path, _, c_tweak = table_repo
-        attribution = find_fix_commit(RepoHandle(repo_path), TABLE_FILE, (205, 205))
+        attribution = find_fix_commit(
+            RepoHandle(repo_path), TABLE_FILE, (205, 205), "HEAD"
+        )
         assert attribution.true_fix == c_tweak
         assert len(attribution.commits) == 1
 
     def test_missing_path_raises(self, table_repo):
         with pytest.raises(AttributionFailed):
-            find_fix_commit(RepoHandle(table_repo[0]), "src/nope.cpp", (1, 2))
+            find_fix_commit(RepoHandle(table_repo[0]), "src/nope.cpp", (1, 2), "HEAD")
 
     def test_out_of_range_raises(self, table_repo):
         with pytest.raises(AttributionFailed):
-            find_fix_commit(RepoHandle(table_repo[0]), TABLE_FILE, (5000, 5001))
+            find_fix_commit(
+                RepoHandle(table_repo[0]), TABLE_FILE, (5000, 5001), "HEAD"
+            )
 
     def test_date_tie_breaks_on_sha(self, tmp_path):
         # Two commits share a committer timestamp; each owns one line.
@@ -68,14 +72,14 @@ class TestFindFixCommit:
         first = commit_all(root, "base", stamp)
         write_files(root, {"t.c": "int a = 1;\nint b = 99;\n"})
         second = commit_all(root, "bump b", stamp)
-        attribution = find_fix_commit(RepoHandle(root), "t.c", (1, 2))
+        attribution = find_fix_commit(RepoHandle(root), "t.c", (1, 2), "HEAD")
         assert {sha for sha, _ in attribution.commits} == {first, second}
         assert attribution.true_fix == min(first, second)
 
     def test_rev_pinning(self, table_repo):
         repo_path, c_rewrite, c_tweak = table_repo
         repo = RepoHandle(repo_path)
-        at_rewrite = find_fix_commit(repo, TABLE_FILE, (204, 208), rev=c_rewrite)
+        at_rewrite = find_fix_commit(repo, TABLE_FILE, (204, 208), c_rewrite)
         assert c_tweak not in dict(at_rewrite.commits)
         assert at_rewrite.true_fix == c_rewrite
 
@@ -136,22 +140,28 @@ class TestFixDelay:
     def test_full_attribution(self, table_repo):
         repo_path, c_rewrite, _ = table_repo
         record = fix_delay(
-            RepoHandle(repo_path), "patch123", self.PATCH_DATE,
+            RepoHandle(repo_path), "HEAD", self.PATCH_DATE,
             _verdict(Status.FIXED, self._candidate((204, 208))),
         )
         assert record == DelayRecord(
-            patch_sha="patch123",
-            target=repo_path.name,
             true_fix=c_rewrite,
             release=("mainnet-ignition-v0.19.0", datetime(2020, 2, 22, tzinfo=UTC)),
             delay_days=196,
         )
 
+    def test_blames_at_given_rev(self, table_repo):
+        # Line 205 is owned by the tweak at HEAD and by the rewrite before it.
+        repo_path, c_rewrite, c_tweak = table_repo
+        repo = RepoHandle(repo_path)
+        verdict = _verdict(Status.FIXED, self._candidate((205, 205)))
+        assert fix_delay(repo, "HEAD", self.PATCH_DATE, verdict).true_fix == c_tweak
+        assert fix_delay(repo, c_rewrite, self.PATCH_DATE, verdict).true_fix == c_rewrite
+
     def test_non_fixed_statuses_yield_none(self, table_repo):
         repo = RepoHandle(table_repo[0])
         for status in (Status.VULNERABLE, Status.CONTEXT_NOT_FOUND):
             verdict = _verdict(status, self._candidate((204, 208)))
-            assert fix_delay(repo, "p", self.PATCH_DATE, verdict) is None
+            assert fix_delay(repo, "HEAD", self.PATCH_DATE, verdict) is None
 
     def test_empty_candidate_blames_context_gap(self, table_repo):
         repo_path, c_rewrite, _ = table_repo
@@ -162,7 +172,7 @@ class TestFixDelay:
         cand = CandidateCode(path=TABLE_FILE, stmts=[], span=(205, 204),
                              paired_up=up, paired_down=down)
         record = fix_delay(
-            RepoHandle(repo_path), "p", self.PATCH_DATE,
+            RepoHandle(repo_path), "HEAD", self.PATCH_DATE,
             _verdict(Status.FIXED, cand),
         )
         # Fallback region (204, 207) includes the rewrite-owned lines.
@@ -176,14 +186,14 @@ class TestFixDelay:
         cand = CandidateCode(path=TABLE_FILE, stmts=[], span=(206, 205),
                              paired_up=up)
         record = fix_delay(
-            RepoHandle(repo_path), "p", self.PATCH_DATE,
+            RepoHandle(repo_path), "HEAD", self.PATCH_DATE,
             _verdict(Status.FIXED, cand),
         )
         assert record.true_fix == c_tweak
 
     def test_attribution_failure_degrades(self, table_repo):
         record = fix_delay(
-            RepoHandle(table_repo[0]), "p", self.PATCH_DATE,
+            RepoHandle(table_repo[0]), "HEAD", self.PATCH_DATE,
             _verdict(Status.FIXED, self._candidate((9000, 9001))),
         )
         assert record is not None
@@ -192,10 +202,10 @@ class TestFixDelay:
 
     def test_no_winning_candidate_degrades(self, table_repo):
         record = fix_delay(
-            RepoHandle(table_repo[0]), "p", self.PATCH_DATE,
+            RepoHandle(table_repo[0]), "HEAD", self.PATCH_DATE,
             _verdict(Status.FIXED, None),
         )
-        assert record == DelayRecord("p", table_repo[0].name, None, None, None)
+        assert record == DelayRecord(None, None, None)
 
     def test_unreleased_fix_has_no_delay(self, tmp_path):
         root = init_repo(tmp_path / "nofix")
@@ -203,7 +213,7 @@ class TestFixDelay:
         commit_all(root, "fix", datetime(2022, 1, 1, tzinfo=UTC))
         sha = run_git(root, "rev-parse", "HEAD")
         record = fix_delay(
-            RepoHandle(root), "p", self.PATCH_DATE,
+            RepoHandle(root), "HEAD", self.PATCH_DATE,
             _verdict(Status.FIXED, CandidateCode(path="f.c", stmts=[], span=(1, 1))),
         )
         assert record.true_fix == sha
@@ -211,7 +221,7 @@ class TestFixDelay:
 
     def test_unknown_patch_date_has_no_delay(self, table_repo):
         record = fix_delay(
-            RepoHandle(table_repo[0]), None, None,
+            RepoHandle(table_repo[0]), "HEAD", None,
             _verdict(Status.FIXED, self._candidate((204, 208))),
         )
         assert record.true_fix is not None

@@ -1,12 +1,13 @@
 """Git plumbing: grep, file reads, blame, timestamps, releases."""
 
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
 from conftest import (
     TABLE_FILE,
     commit_all,
+    init_repo,
     oracle_grep,
     run_git,
     write_files,
@@ -48,27 +49,27 @@ class TestGrep:
 
     @pytest.mark.parametrize("keyword", ["nCheckDepth", "hex", "a.b", "LogPrintf"])
     def test_matches_oracle(self, repo, keyword):
-        got = [(h.path, h.line_no) for h in grep_repo(repo, keyword)]
+        got = [(h.path, h.line_no) for h in grep_repo(repo, keyword, "HEAD")]
         assert got == oracle_grep(repo.root, keyword)
 
     def test_fixed_string_not_regex(self, repo):
-        hits = grep_repo(repo, "a.b")
+        hits = grep_repo(repo, "a.b", "HEAD")
         assert [(h.path, h.line_no) for h in hits] == [("docs/notes.txt", 2)]
 
     def test_hit_carries_raw_line(self, repo):
-        hits = grep_repo(repo, "EncodeHexStr")
+        hits = grep_repo(repo, "EncodeHexStr", "HEAD")
         assert len(hits) == 1
         assert "EncodeHexStr(data)" in hits[0].raw_line
 
     def test_no_match_is_empty(self, repo):
-        assert grep_repo(repo, "NoSuchTokenAnywhere") == []
+        assert grep_repo(repo, "NoSuchTokenAnywhere", "HEAD") == []
 
     def test_empty_keyword_rejected(self, repo):
         with pytest.raises(ValueError):
-            grep_repo(repo, "")
+            grep_repo(repo, "", "HEAD")
 
     def test_sorted_by_path_then_line(self, repo):
-        hits = grep_repo(repo, "nCheckDepth")
+        hits = grep_repo(repo, "nCheckDepth", "HEAD")
         keys = [(h.path, h.line_no) for h in hits]
         assert keys == sorted(keys)
 
@@ -77,28 +78,24 @@ class TestGrep:
         (root / "blob.bin").write_bytes(b"needleToken\x00binary payload")
         commit_all(root, "add binary", datetime(2020, 1, 2, tzinfo=UTC))
         repo = RepoHandle(root)
-        hits = grep_repo(repo, "needleToken")
+        hits = grep_repo(repo, "needleToken", "HEAD")
         assert [(h.path, h.line_no) for h in hits] == [("readme.txt", 1)]
         assert [(h.path, h.line_no) for h in hits] == oracle_grep(root, "needleToken")
 
     def test_table_layout_hits(self, table_repo):
         repo_path, c_rewrite, _ = table_repo
         repo = RepoHandle(repo_path)
-        assert [h.line_no for h in grep_repo(repo, "BitcoinApplication")] == [207]
-        assert [h.line_no for h in grep_repo(repo, "qt_argc")] == [204, 208]
-        assert [h.line_no for h in grep_repo(repo, "qt_argv")] == [205]
+        hits = grep_repo(repo, "BitcoinApplication", "HEAD")
+        assert [h.line_no for h in hits] == [207]
+        assert [h.line_no for h in grep_repo(repo, "qt_argc", "HEAD")] == [204, 208]
+        assert [h.line_no for h in grep_repo(repo, "qt_argv", "HEAD")] == [205]
         for kw in ("BitcoinApplication", "qt_argc", "qt_argv"):
-            got = [(h.path, h.line_no) for h in grep_repo(repo, kw)]
+            got = [(h.path, h.line_no) for h in grep_repo(repo, kw, "HEAD")]
             assert got == oracle_grep(repo_path, kw)
         # Same lines before the rebrand commit, different string content.
         at_rewrite = grep_repo(repo, "qt_argv", rev=c_rewrite)
         assert [h.line_no for h in at_rewrite] == [205]
         assert "bitcoin-qt" in at_rewrite[0].raw_line
-
-    def test_default_rev_respected(self, table_repo):
-        repo_path, c_rewrite, _ = table_repo
-        pinned = RepoHandle(repo_path, default_rev=c_rewrite)
-        assert "bitcoin-qt" in grep_repo(pinned, "qt_argv")[0].raw_line
 
 
 class TestRepoHandle:
@@ -158,13 +155,47 @@ class TestBlame:
         repo_path, _, c_tweak = table_repo
         repo = RepoHandle(repo_path)
         entries = blame_lines(repo, "HEAD", TABLE_FILE, 205, 205)
-        assert entries == [BlameEntry(commit_sha=c_tweak, line_no=205)]
+        assert entries == [
+            BlameEntry(
+                commit_sha=c_tweak,
+                line_no=205,
+                committed_at=datetime(2020, 6, 26, tzinfo=UTC),
+            )
+        ]
 
     def test_filler_owned_by_import(self, table_repo):
         repo_path, c_rewrite, c_tweak = table_repo
         repo = RepoHandle(repo_path)
         entries = blame_lines(repo, "HEAD", TABLE_FILE, 1, 3)
         assert {e.commit_sha for e in entries} & {c_rewrite, c_tweak} == set()
+
+    def test_commit_times_match_commit_time_oracle(self, tmp_path):
+        # Porcelain prints a commit's headers only at its first line: here
+        # `base` owns lines 1 and 3 and `edit` owns line 2 between them.
+        # Author dates differ from committer dates, and zones from UTC.
+        root = init_repo(tmp_path / "times")
+
+        def commit(content: str, committed: datetime) -> str:
+            write_files(root, {"t.c": content})
+            run_git(root, "add", "-A")
+            authored = (committed - timedelta(days=40)).isoformat()
+            run_git(root, "commit", "-q", "-m", "c", f"--date={authored}",
+                    date=committed)
+            return run_git(root, "rev-parse", "HEAD")
+
+        west = timezone(timedelta(hours=-7))
+        east = timezone(timedelta(hours=5, minutes=30))
+        base = commit("int a = 1;\nint b = 2;\nint c = 3;\n",
+                      datetime(2021, 3, 4, 23, 30, tzinfo=west))
+        edit = commit("int a = 1;\nint b = 20;\nint c = 3;\n",
+                      datetime(2022, 7, 1, 1, 15, tzinfo=east))
+        repo = RepoHandle(root)
+        entries = blame_lines(repo, "HEAD", "t.c", 1, 3)
+        assert [e.commit_sha for e in entries] == [base, edit, base]
+        for entry in entries:
+            assert entry.committed_at == commit_time(repo, entry.commit_sha)
+            assert entry.committed_at.tzinfo == UTC
+        assert entries[0].committed_at == datetime(2021, 3, 5, 6, 30, tzinfo=UTC)
 
     def test_invalid_range_rejected(self, table_repo):
         repo = RepoHandle(table_repo[0])

@@ -528,6 +528,26 @@ class TestDiffTextContexts:
         assert _norms(h.up_ctx.statements) == up[-3:]
         assert [s.line_no for s in h.up_ctx.statements] == [6, 7, 8]
 
+    def test_down_context_starts_after_last_change(self, tmp_path):
+        # One -U3 hunk changes lines 10 and 13; lines 11-12 between the two
+        # changes are not below the hunk.
+        lines = [f"int v{k} = {k};" for k in range(1, 21)]
+        root = init_repo(tmp_path / "down")
+        write_files(root, {"d.c": "\n".join(lines) + "\n"})
+        commit_all(root, "base", datetime(2021, 1, 1, tzinfo=UTC))
+        lines[9] = "int v10 = 100;"
+        lines[12] = "int v13 = 130;"
+        write_files(root, {"d.c": "\n".join(lines) + "\n"})
+        sha = commit_all(root, "edit", datetime(2021, 1, 2, tzinfo=UTC))
+        diff = run_git(root, "diff", "-U3", f"{sha}^", sha)
+        assert diff.count("@@ -") == 1
+        (h,) = load_patch(None, diff_text=diff).hunks
+        assert h.old_span == (10, 13)
+        assert [(s.line_no, s.norm) for s in h.down_ctx.statements] == [
+            (14, "int v14 = 14;"), (15, "int v15 = 15;"), (16, "int v16 = 16;"),
+        ]
+        assert [s.line_no for s in h.up_ctx.statements] == [7, 8, 9]
+
     def test_needs_some_input(self):
         with pytest.raises(PatchError):
             load_patch(None)
