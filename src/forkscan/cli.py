@@ -188,14 +188,14 @@ def _load_patches(config: RunConfig) -> list[Patch]:
     source = RepoHandle(config.source)
     patches: list[Patch] = []
     for sha in config.patch_shas:
-        patches.append(patchmodel.load_patch(source, sha, c_lines=config.c_lines))
+        patches.append(patchmodel.load_patch(source, sha, config.c_lines))
     for file in config.patch_files:
         try:
             text = Path(file).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read patch file {file}: {exc}") from exc
         try:
-            patch = patchmodel.load_patch(None, diff_text=text, c_lines=config.c_lines)
+            patch = patchmodel.parse_patch(text, config.c_lines)
         except PatchError as exc:
             raise ConfigError(f"bad patch file {file}: {exc}") from exc
         patch.label = Path(file).name

@@ -1,10 +1,16 @@
 """Security-patch parsing: unified diffs -> hunks of deleted/added statements
 plus the surrounding UP/DOWN contexts that drive the candidate search.
 
-A hunk's deleted statements (dp) textually exist only at the patch's parent
-revision, its added statements (ap) only at the patch revision; contexts are
-read from whichever side the hunk actually changes (parent for dp-bearing
-hunks, the patch revision for pure additions).
+One body builds every hunk from the statements of its two sides. A hunk's
+deleted statements (dp) are the old side's statements at its removed lines,
+its added statements (ap) the new side's at its added lines, and its
+contexts are read from the side it changes (the old side for dp-bearing
+hunks, the new side for pure additions). The inputs differ only in where a
+side's statements come from: for a commit (`load_patch`) the whole file at
+the parent revision and at the commit; for diff text (`parse_patch`) the
+diff's own lines, so a diff with whole-file context yields the commit's
+hunks. Adjacent raw hunks merge when their gap is under 2 * c_lines, counted
+in statements for a commit and in raw lines for diff text.
 """
 
 from __future__ import annotations
@@ -94,8 +100,8 @@ class PatchHunk:
 class Patch:
     source_sha: str | None
     hunks: list[PatchHunk]
-    committed_at: datetime | None = None
-    label: str = ""
+    committed_at: datetime | None
+    label: str
 
 
 def _ptype(dp: list, ap: list) -> PatchType:
@@ -135,6 +141,12 @@ class _RawHunk:
         if self.added:
             return (self.added[0][0], self.added[-1][0])
         return _empty_span(self.new_start, self.new_count, len(self.ctx_before))
+
+    def side_lines(self, old: bool) -> list[tuple[int, str]]:
+        """One side's (line, text) run: leading context, changes, trailing context."""
+        changed = self.removed if old else self.added
+        ctx = [(o if old else n, t) for o, n, t in self.ctx_before + self.ctx_after]
+        return sorted(ctx + changed)
 
 
 def _empty_span(start: int, count: int, leading: int) -> tuple[int, int]:
@@ -245,10 +257,15 @@ def parse_unified_diff(text: str) -> list[_FileDiff]:
 # ---------------------------------------------------------------------------
 # Patch assembly
 
+# Merged raw hunks with the old- and new-side statements they read from.
+_Group = tuple[list[_RawHunk], list[NormalizedLine], list[NormalizedLine]]
+
 
 def _diff_text_for_commit(repo: RepoHandle, sha: str) -> str:
+    """The commit's -U0 diff; a merge commit is diffed against its first parent."""
     proc = repo._run(
-        ["diff-tree", "--root", "-r", "-p", "-U0", "--no-color", "--format=", sha],
+        ["diff-tree", "--root", "-r", "-p", "-U0", "--no-color", "--format=",
+         "--diff-merges=first-parent", sha],
         check=False,
     )
     if proc.returncode != 0:
@@ -256,20 +273,17 @@ def _diff_text_for_commit(repo: RepoHandle, sha: str) -> str:
             f"cannot diff commit {sha} in {repo.root}: "
             f"{proc.stderr.decode('utf-8', 'replace').strip()}"
         )
-    text = proc.stdout.decode("utf-8", errors="replace")
-    if text.strip():
-        return text
-    # Merge commits produce no diff-tree output; fall back to first parent.
-    proc = repo._run(["diff", "-U0", "--no-color", f"{sha}^", sha], check=False)
-    if proc.returncode not in (0, 1):
-        raise gitio.GitError(
-            f"git diff failed for {sha}: {proc.stderr.decode('utf-8', 'replace').strip()}"
-        )
     return proc.stdout.decode("utf-8", errors="replace")
 
 
-def _stmts_by_line(stmts: list[NormalizedLine]) -> dict[int, NormalizedLine]:
-    return {s.line_no: s for s in stmts}
+def _statements_at(
+    repo: RepoHandle, rev: str, path: str, file_class: FileClass
+) -> list[NormalizedLine]:
+    try:
+        lines = gitio.read_file_at(repo, rev, path)
+    except gitio.NotFoundError:
+        lines = []
+    return extract_statements(lines, path, file_class)
 
 
 def _fragment_stmts(
@@ -288,15 +302,16 @@ def _fragment_stmts(
 
 def _merge_hunks(
     hunks: list[_RawHunk],
-    gap_statements: Callable[[int, int], int],
+    gap_size: Callable[[int, int], int],
     c_lines: int,
 ) -> list[list[_RawHunk]]:
-    """Group adjacent hunks whose unchanged gap is under 2 * c_lines."""
+    """Group adjacent hunks whose unchanged gap (gap_size between the old
+    spans) is under 2 * c_lines."""
     groups: list[list[_RawHunk]] = []
     for h in hunks:
         if groups:
             prev = groups[-1][-1]
-            gap = gap_statements(prev.old_span[1], h.old_span[0])
+            gap = gap_size(prev.old_span[1], h.old_span[0])
             if gap < 2 * c_lines:
                 groups[-1].append(h)
                 continue
@@ -304,166 +319,118 @@ def _merge_hunks(
     return groups
 
 
-def parse_patch(
-    source: RepoHandle | str,
-    sha: str | None = None,
-    c_lines: int = 5,
-) -> Patch:
-    """Build a Patch from a commit in a repository or from unified diff text.
+def load_patch(repo: RepoHandle, sha: str, c_lines: int) -> Patch:
+    """The patch of commit sha in repo.
 
-    Changed lines that normalize to nothing (comments, blanks, lone brackets)
-    are dropped; hunks left empty are discarded with a warning. Adjacent
-    hunks separated by fewer than 2 * c_lines unchanged statements merge into
-    one logical hunk. Each hunk carries its UP and DOWN contexts of up to
-    c_lines statements.
+    A side's statements are those of the whole file at sha^ (old) or sha
+    (new); the gap between raw hunks counts the old side's statements.
+    """
+    diff_text = _diff_text_for_commit(repo, sha)
+    committed_at = gitio.commit_time(repo, sha)
+
+    def groups(fd: _FileDiff, file_class: FileClass) -> list[_Group]:
+        old: list[NormalizedLine] = []
+        new: list[NormalizedLine] = []
+        if any(h.removed or h.old_count for h in fd.hunks) and fd.old_path != "/dev/null":
+            old = _statements_at(repo, f"{sha}^", fd.old_path, file_class)
+        if fd.new_path != "/dev/null":
+            new = _statements_at(repo, sha, fd.new_path, file_class)
+
+        def gap(prev_end: int, next_start: int) -> int:
+            return sum(1 for s in old if prev_end < s.line_no < next_start)
+
+        return [(g, old, new) for g in _merge_hunks(fd.hunks, gap, c_lines)]
+
+    return Patch(sha, _build_hunks(diff_text, groups, c_lines), committed_at, sha)
+
+
+def parse_patch(diff_text: str, c_lines: int) -> Patch:
+    """The patch of unified diff text.
+
+    The diff's own lines stand in for the file: a group's statements on each
+    side are those of its raw hunks (leading context, changed lines, trailing
+    context), and the gap between raw hunks counts raw lines.
+    """
+
+    def groups(fd: _FileDiff, file_class: FileClass) -> list[_Group]:
+        def gap(prev_end: int, next_start: int) -> int:
+            return max(0, next_start - prev_end - 1)
+
+        def side(group: list[_RawHunk], old: bool) -> list[NormalizedLine]:
+            return [s for rh in group
+                    for s in _fragment_stmts(rh.side_lines(old), fd.path, file_class)]
+
+        return [(g, side(g, True), side(g, False))
+                for g in _merge_hunks(fd.hunks, gap, c_lines)]
+
+    return Patch(None, _build_hunks(diff_text, groups, c_lines), None, "diff")
+
+
+def _build_hunks(
+    diff_text: str,
+    groups: Callable[[_FileDiff, FileClass], list[_Group]],
+    c_lines: int,
+) -> list[PatchHunk]:
+    """The hunks of every file in diff_text, one per group of raw hunks.
+
+    dp are the old side's statements at the removed lines, ap the new side's
+    at the added lines; changed lines that normalize to nothing (comments,
+    blanks, lone brackets) so drop out, and groups left empty are discarded
+    with a warning. UP and DOWN are up to c_lines statements above and below
+    the span on the side the hunk changes: the old side if it has dp.
     """
     if c_lines < 1:
         raise ValueError("c_lines must be >= 1")
-    repo: RepoHandle | None = None
-    if isinstance(source, RepoHandle):
-        if not sha:
-            raise PatchError("a commit sha is required with a source repository")
-        repo = source
-        diff_text = _diff_text_for_commit(repo, sha)
-        committed_at = gitio.commit_time(repo, sha)
-    else:
-        diff_text = source
-        committed_at = None
-
     files = parse_unified_diff(diff_text)
     if not files:
         raise PatchError("no file hunks found in patch input")
 
     hunks: list[PatchHunk] = []
     for fd in files:
-        hunks.extend(_build_file_hunks(fd, repo, sha, c_lines))
+        path = fd.path
+        file_class = classify_file(path)
+        for group, old_stmts, new_stmts in groups(fd, file_class):
+            removed = {ln for rh in group for ln, _ in rh.removed}
+            added = {ln for rh in group for ln, _ in rh.added}
+            dp = [s for s in old_stmts if s.line_no in removed]
+            ap = [s for s in new_stmts if s.line_no in added]
+            if not dp and not ap:
+                log.warning(
+                    "%s: hunk at -%d/+%d empty after normalization; skipped",
+                    path, group[0].old_start, group[0].new_start,
+                )
+                continue
+
+            old_span = (min(h.old_span[0] for h in group),
+                        max(h.old_span[1] for h in group))
+            new_span = (min(h.new_span[0] for h in group),
+                        max(h.new_span[1] for h in group))
+            stmts, (lo, hi) = (old_stmts, old_span) if dp else (new_stmts, new_span)
+            up_ctx, down_ctx = build_patch_context(
+                [s for s in stmts if s.line_no < lo],
+                [s for s in stmts if s.line_no > hi],
+                c_lines,
+            )
+            if not up_ctx and not down_ctx:
+                log.warning("%s: no meaningful context around hunk at %s", path, (lo, hi))
+
+            hunks.append(
+                PatchHunk(
+                    path=path,
+                    file_class=file_class,
+                    dp=dp,
+                    ap=ap,
+                    ptype=_ptype(dp, ap),
+                    up_ctx=up_ctx,
+                    down_ctx=down_ctx,
+                    old_path=fd.old_path if fd.old_path != "/dev/null" else path,
+                    old_span=old_span,
+                    new_span=new_span,
+                )
+            )
     if not hunks:
         raise PatchError("patch contains no meaningful statements after filtering")
-    return Patch(
-        source_sha=sha,
-        hunks=hunks,
-        committed_at=committed_at,
-        label=sha or "diff",
-    )
-
-
-def _statements_at(
-    repo: RepoHandle, rev: str, path: str, file_class: FileClass
-) -> list[NormalizedLine]:
-    try:
-        lines = gitio.read_file_at(repo, rev, path)
-    except gitio.NotFoundError:
-        lines = []
-    return extract_statements(lines, path, file_class)
-
-
-def _build_file_hunks(
-    fd: _FileDiff, repo: RepoHandle | None, sha: str | None, c_lines: int
-) -> list[PatchHunk]:
-    path = fd.path
-    file_class = classify_file(path)
-
-    old_stmts: list[NormalizedLine] = []
-    new_stmts: list[NormalizedLine] = []
-    if repo is not None:
-        if any(h.removed or h.old_count for h in fd.hunks) and fd.old_path != "/dev/null":
-            old_stmts = _statements_at(repo, f"{sha}^", fd.old_path, file_class)
-        if fd.new_path != "/dev/null":
-            new_stmts = _statements_at(repo, sha, fd.new_path, file_class)
-        old_stmt_map = _stmts_by_line(old_stmts)
-        new_stmt_map = _stmts_by_line(new_stmts)
-
-        def gap_statements(prev_end: int, next_start: int) -> int:
-            return sum(1 for s in old_stmts if prev_end < s.line_no < next_start)
-
-    else:
-
-        def gap_statements(prev_end: int, next_start: int) -> int:
-            # No file content available: fall back to the raw line distance.
-            return max(0, next_start - prev_end - 1)
-
-    result: list[PatchHunk] = []
-    for group in _merge_hunks(fd.hunks, gap_statements, c_lines):
-        dp: list[NormalizedLine] = []
-        ap: list[NormalizedLine] = []
-        for rh in group:
-            if repo is not None:
-                dp.extend(
-                    old_stmt_map[ln] for ln, _ in rh.removed if ln in old_stmt_map
-                )
-                ap.extend(
-                    new_stmt_map[ln] for ln, _ in rh.added if ln in new_stmt_map
-                )
-            else:
-                removed_set = {ln for ln, _ in rh.removed}
-                added_set = {ln for ln, _ in rh.added}
-                old_run = sorted(
-                    [(ln, t) for ln, _, t in rh.ctx_before]
-                    + rh.removed
-                    + [(ln, t) for ln, _, t in rh.ctx_after]
-                )
-                new_run = sorted(
-                    [(ln, t) for _, ln, t in rh.ctx_before]
-                    + rh.added
-                    + [(ln, t) for _, ln, t in rh.ctx_after]
-                )
-                dp.extend(
-                    s for s in _fragment_stmts(old_run, path, file_class)
-                    if s.line_no in removed_set
-                )
-                ap.extend(
-                    s for s in _fragment_stmts(new_run, path, file_class)
-                    if s.line_no in added_set
-                )
-        if not dp and not ap:
-            log.warning(
-                "%s: hunk at -%d/+%d empty after normalization; skipped",
-                path, group[0].old_start, group[0].new_start,
-            )
-            continue
-
-        old_span = (min(h.old_span[0] for h in group),
-                    max(h.old_span[1] for h in group))
-        new_span = (min(h.new_span[0] for h in group),
-                    max(h.new_span[1] for h in group))
-
-        use_old = bool(dp)
-        lo, hi = old_span if use_old else new_span
-        if repo is not None:
-            stmts = old_stmts if use_old else new_stmts
-            above = [s for s in stmts if s.line_no < lo]
-            below = [s for s in stmts if s.line_no > hi]
-        else:
-            # Without a repository the diff's own context lines stand in.
-            # ctx_after also holds the lines between two changes of one raw
-            # hunk; only those past the span lie below it.
-            def on_side(ctx: list[tuple[int, int, str]]) -> list[tuple[int, str]]:
-                return [(o if use_old else n, t) for o, n, t in ctx]
-
-            above = _fragment_stmts(on_side(group[0].ctx_before), path, file_class)
-            below = _fragment_stmts(
-                [(ln, t) for ln, t in on_side(group[-1].ctx_after) if ln > hi],
-                path, file_class,
-            )
-        up_ctx, down_ctx = build_patch_context(above, below, c_lines)
-        if not up_ctx and not down_ctx:
-            log.warning("%s: no meaningful context around hunk at %s", path, (lo, hi))
-
-        result.append(
-            PatchHunk(
-                path=path,
-                file_class=file_class,
-                dp=dp,
-                ap=ap,
-                ptype=_ptype(dp, ap),
-                up_ctx=up_ctx,
-                down_ctx=down_ctx,
-                old_path=fd.old_path if fd.old_path != "/dev/null" else path,
-                old_span=old_span,
-                new_span=new_span,
-            )
-        )
-    return result
+    return hunks
 
 
 def build_patch_context(
@@ -475,20 +442,6 @@ def build_patch_context(
         PatchContext([(extract_keyword(s), s) for s in above[-c_lines:]], Side.UP),
         PatchContext([(extract_keyword(s), s) for s in below[:c_lines]], Side.DOWN),
     )
-
-
-def load_patch(
-    source: RepoHandle | None,
-    sha: str | None = None,
-    diff_text: str | None = None,
-    c_lines: int = 5,
-) -> Patch:
-    """The patch of commit sha in source, or of diff_text when given."""
-    if diff_text is not None:
-        return parse_patch(diff_text, c_lines=c_lines)
-    if source is None or sha is None:
-        raise PatchError("need a repository and sha, or diff text")
-    return parse_patch(source, sha, c_lines=c_lines)
 
 
 _MANIFEST_RE = re.compile(r"^([0-9A-Za-z_.\-/^~]+)(?::(.*))?$")

@@ -238,7 +238,7 @@ class TestParseUnifiedDiff:
 class TestParsePatchFromRepo:
     def test_cha_commit(self, guard_repo):
         repo, shas = guard_repo
-        patch = parse_patch(repo, shas["cha"])
+        patch = load_patch(repo, shas["cha"], 5)
         assert patch.source_sha == shas["cha"]
         assert patch.committed_at == datetime(2020, 2, 1, tzinfo=UTC)
         assert patch.label == shas["cha"]
@@ -253,7 +253,7 @@ class TestParsePatchFromRepo:
 
     def test_del_commit(self, guard_repo):
         repo, shas = guard_repo
-        (h,) = parse_patch(repo, shas["del"]).hunks
+        (h,) = load_patch(repo, shas["del"], 5).hunks
         assert h.ptype == PatchType.DEL
         assert _norms(h.dp) == ["if (nDepth <= 0)", "nDepth = DEFAULT_DEPTH;"]
         assert h.ap == []
@@ -263,7 +263,7 @@ class TestParsePatchFromRepo:
 
     def test_add_commit(self, guard_repo):
         repo, shas = guard_repo
-        (h,) = parse_patch(repo, shas["add"]).hunks
+        (h,) = load_patch(repo, shas["add"], 5).hunks
         assert h.ptype == PatchType.ADD
         assert h.dp == [] and _norms(h.ap) == [ADD_LINE]
         assert h.new_span == (9, 9) and h.old_span == (9, 8)
@@ -271,7 +271,7 @@ class TestParsePatchFromRepo:
 
     def test_root_commit_is_pure_addition(self, guard_repo):
         repo, shas = guard_repo
-        patch = parse_patch(repo, shas["import"])
+        patch = load_patch(repo, shas["import"], 5)
         (h,) = patch.hunks
         assert h.ptype == PatchType.ADD and h.dp == []
         assert _norms(h.ap) == _norms(
@@ -280,16 +280,12 @@ class TestParsePatchFromRepo:
 
     def test_dp_ap_line_numbers_are_file_positions(self, guard_repo):
         repo, shas = guard_repo
-        (h,) = parse_patch(repo, shas["del"]).hunks
+        (h,) = load_patch(repo, shas["del"], 5).hunks
         assert [s.line_no for s in h.dp] == [5, 6]
-
-    def test_sha_required(self, guard_repo):
-        with pytest.raises(PatchError, match="sha"):
-            parse_patch(guard_repo[0])
 
     def test_unknown_sha(self, guard_repo):
         with pytest.raises(NotFoundError):
-            parse_patch(guard_repo[0], "f" * 40)
+            load_patch(guard_repo[0], "f" * 40, 5)
 
     def test_merge_commit_uses_first_parent(self, tmp_path):
         root = init_repo(tmp_path / "merged")
@@ -308,7 +304,7 @@ class TestParsePatchFromRepo:
                 date=datetime(2021, 1, 4, tzinfo=UTC))
         sha = run_git(root, "rev-parse", "HEAD")
         assert run_git(root, "rev-list", "--parents", "-n1", sha).count(" ") == 2
-        patch = parse_patch(RepoHandle(root), sha)
+        patch = load_patch(RepoHandle(root), sha, 5)
         assert [h.path for h in patch.hunks] == ["m.c"]
         (h,) = patch.hunks
         assert _norms(h.dp) == ["legacy_call(b);"]
@@ -321,7 +317,7 @@ class TestParsePatchFromRepo:
         write_files(root, {"c.c": "int a = 1;\n// new note\nint b = 2;\n"})
         sha = commit_all(root, "reword", datetime(2021, 1, 2, tzinfo=UTC))
         with pytest.raises(PatchError, match="no meaningful"):
-            parse_patch(RepoHandle(root), sha)
+            load_patch(RepoHandle(root), sha, 5)
 
     def test_comment_hunk_skipped_but_real_hunk_kept(self, tmp_path):
         root = init_repo(tmp_path / "mixed")
@@ -335,7 +331,7 @@ class TestParsePatchFromRepo:
             "code.c": "int new_value = 2;\n",
         })
         sha = commit_all(root, "update", datetime(2021, 1, 2, tzinfo=UTC))
-        patch = parse_patch(RepoHandle(root), sha)
+        patch = load_patch(RepoHandle(root), sha, 5)
         assert [h.path for h in patch.hunks] == ["code.c"]
 
     def test_new_file_commit(self, tmp_path):
@@ -344,7 +340,7 @@ class TestParsePatchFromRepo:
         commit_all(root, "base", datetime(2021, 1, 1, tzinfo=UTC))
         write_files(root, {"fresh.c": "int shiny = 1;\nint thing = 2;\n"})
         sha = commit_all(root, "add fresh", datetime(2021, 1, 2, tzinfo=UTC))
-        (h,) = parse_patch(RepoHandle(root), sha).hunks
+        (h,) = load_patch(RepoHandle(root), sha, 5).hunks
         assert h.ptype == PatchType.ADD
         assert h.path == "fresh.c" and h.old_path == "fresh.c"
         assert _norms(h.ap) == ["int shiny = 1;", "int thing = 2;"]
@@ -355,7 +351,7 @@ class TestParsePatchFromRepo:
         commit_all(root, "base", datetime(2021, 1, 1, tzinfo=UTC))
         (root / "doomed.c").unlink()
         sha = commit_all(root, "remove doomed", datetime(2021, 1, 2, tzinfo=UTC))
-        (h,) = parse_patch(RepoHandle(root), sha).hunks
+        (h,) = load_patch(RepoHandle(root), sha, 5).hunks
         assert h.ptype == PatchType.DEL and h.path == "doomed.c"
         assert _norms(h.dp) == ["int gone = 9;"]
 
@@ -380,13 +376,13 @@ class TestHunkMerging:
 
     def test_gap_at_least_twice_context_stays_split(self, far_repo):
         repo, sha = far_repo
-        patch = parse_patch(repo, sha, c_lines=5)  # 12 >= 10
+        patch = load_patch(repo, sha, 5)  # 12 >= 10
         assert len(patch.hunks) == 2
         assert [h.old_span for h in patch.hunks] == [(1, 1), (14, 14)]
 
     def test_gap_under_twice_context_merges(self, far_repo):
         repo, sha = far_repo
-        patch = parse_patch(repo, sha, c_lines=7)  # 12 < 14
+        patch = load_patch(repo, sha, 7)  # 12 < 14
         (h,) = patch.hunks
         assert _norms(h.dp) == ["head_call(a);", "tail_call(b);"]
         assert _norms(h.ap) == ["head_call(a, extra);", "tail_call(b, extra);"]
@@ -406,10 +402,10 @@ class TestHunkMerging:
         repo = RepoHandle(root)
 
         # Statement gap is 3 (< 10): one merged hunk.
-        assert len(parse_patch(repo, sha, c_lines=5).hunks) == 1
+        assert len(load_patch(repo, sha, 5).hunks) == 1
         # The same change as bare diff text: raw-line gap is 23 (>= 10).
         diff = run_git(root, "diff", "-U0", f"{sha}^", sha)
-        assert len(parse_patch(diff, c_lines=5).hunks) == 2
+        assert len(parse_patch(diff, 5).hunks) == 2
 
     def test_context_width_does_not_change_hunks(self, tmp_path):
         lines = _numbered("v", 40)
@@ -427,7 +423,7 @@ class TestHunkMerging:
             return [
                 (h.ptype, [(s.line_no, s.norm) for s in h.dp],
                  [(s.line_no, s.norm) for s in h.ap], h.old_span, h.new_span)
-                for h in parse_patch(diff, c_lines=5).hunks
+                for h in parse_patch(diff, 5).hunks
             ]
 
         # Empty sides anchor after the last line before the change, so the
@@ -442,7 +438,7 @@ class TestHunkMerging:
 class TestBuildPatchContext:
     def test_cha_contexts_from_parent(self, guard_repo):
         repo, shas = guard_repo
-        patch = load_patch(repo, shas["cha"])
+        patch = load_patch(repo, shas["cha"], 5)
         (h,) = patch.hunks
         up, down = _expected_context(GUARD_V0, h.old_span)
         assert _norms(h.up_ctx.statements) == up
@@ -452,7 +448,7 @@ class TestBuildPatchContext:
 
     def test_del_contexts_truncate_at_file_start(self, guard_repo):
         repo, shas = guard_repo
-        (h,) = load_patch(repo, shas["del"]).hunks
+        (h,) = load_patch(repo, shas["del"], 5).hunks
         up, down = _expected_context(GUARD_V1, h.old_span)
         assert _norms(h.up_ctx.statements) == up
         assert len(h.up_ctx) == 2  # only two meaningful statements above
@@ -460,7 +456,7 @@ class TestBuildPatchContext:
 
     def test_add_contexts_from_patch_revision(self, guard_repo):
         repo, shas = guard_repo
-        (h,) = load_patch(repo, shas["add"]).hunks
+        (h,) = load_patch(repo, shas["add"], 5).hunks
         up, down = _expected_context(GUARD_V3, h.new_span)
         assert _norms(h.up_ctx.statements) == up
         assert _norms(h.down_ctx.statements) == down
@@ -468,14 +464,14 @@ class TestBuildPatchContext:
 
     def test_keywords_follow_statement_extraction(self, guard_repo):
         repo, shas = guard_repo
-        (h,) = load_patch(repo, shas["cha"]).hunks
+        (h,) = load_patch(repo, shas["cha"], 5).hunks
         for kw in h.up_ctx.keywords + h.down_ctx.keywords:
             assert kw.source_line in (h.up_ctx.statements + h.down_ctx.statements)
             assert kw.keyword in kw.source_line.norm
 
     def test_custom_window_size(self, guard_repo):
         repo, shas = guard_repo
-        (h,) = load_patch(repo, shas["cha"], c_lines=2).hunks
+        (h,) = load_patch(repo, shas["cha"], 2).hunks
         up, down = _expected_context(GUARD_V0, h.old_span, c_lines=2)
         assert _norms(h.up_ctx.statements) == up and len(h.up_ctx) == 2
         assert _norms(h.down_ctx.statements) == down and len(h.down_ctx) == 2
@@ -483,10 +479,10 @@ class TestBuildPatchContext:
     def test_rejects_nonpositive_window(self, guard_repo):
         repo, shas = guard_repo
         with pytest.raises(ValueError):
-            parse_patch(repo, shas["cha"], c_lines=0)
+            load_patch(repo, shas["cha"], 0)
         diff = "--- a/f.c\n+++ b/f.c\n@@ -1 +1 @@\n-a();\n+b();\n"
         with pytest.raises(ValueError):
-            load_patch(None, diff_text=diff, c_lines=0)
+            parse_patch(diff, 0)
 
     def test_whole_file_deletion_has_no_context(self, tmp_path, caplog):
         root = init_repo(tmp_path / "nuke")
@@ -494,7 +490,7 @@ class TestBuildPatchContext:
         commit_all(root, "base", datetime(2021, 1, 1, tzinfo=UTC))
         (root / "b.c").unlink()
         sha = commit_all(root, "drop b", datetime(2021, 1, 2, tzinfo=UTC))
-        (h,) = load_patch(RepoHandle(root), sha).hunks
+        (h,) = load_patch(RepoHandle(root), sha, 5).hunks
         assert not h.up_ctx and not h.down_ctx
 
 
@@ -502,7 +498,7 @@ class TestDiffTextContexts:
     def test_contexts_come_from_diff_lines(self, guard_repo):
         repo, shas = guard_repo
         diff = run_git(repo.root, "diff", "-U5", f"{shas['cha']}^", shas["cha"])
-        patch = load_patch(None, diff_text=diff)
+        patch = parse_patch(diff, 5)
         assert patch.source_sha is None and patch.label == "diff"
         (h,) = patch.hunks
         assert _norms(h.dp) == ['if (fHavePruned) return error("pruned");']
@@ -515,13 +511,13 @@ class TestDiffTextContexts:
     def test_zero_context_diff_gives_empty_contexts(self, guard_repo):
         repo, shas = guard_repo
         diff = run_git(repo.root, "diff", "-U0", f"{shas['cha']}^", shas["cha"])
-        (h,) = load_patch(None, diff_text=diff).hunks
+        (h,) = parse_patch(diff, 5).hunks
         assert not h.up_ctx and not h.down_ctx
 
     def test_add_hunk_contexts_use_new_numbering(self, guard_repo):
         repo, shas = guard_repo
         diff = run_git(repo.root, "diff", "-U3", f"{shas['add']}^", shas["add"])
-        (h,) = load_patch(None, diff_text=diff).hunks
+        (h,) = parse_patch(diff, 5).hunks
         assert h.ptype == PatchType.ADD
         assert _norms(h.ap) == [ADD_LINE]
         up, down = _expected_context(GUARD_V3, h.new_span, c_lines=3)
@@ -541,20 +537,83 @@ class TestDiffTextContexts:
         sha = commit_all(root, "edit", datetime(2021, 1, 2, tzinfo=UTC))
         diff = run_git(root, "diff", "-U3", f"{sha}^", sha)
         assert diff.count("@@ -") == 1
-        (h,) = load_patch(None, diff_text=diff).hunks
+        (h,) = parse_patch(diff, 5).hunks
         assert h.old_span == (10, 13)
         assert [(s.line_no, s.norm) for s in h.down_ctx.statements] == [
             (14, "int v14 = 14;"), (15, "int v15 = 15;"), (16, "int v16 = 16;"),
         ]
         assert [s.line_no for s in h.up_ctx.statements] == [7, 8, 9]
 
-    def test_needs_some_input(self):
-        with pytest.raises(PatchError):
-            load_patch(None)
+    def test_merged_group_contexts_come_from_outer_raw_hunks(self, tmp_path):
+        # Changes at lines 10 and 18 give two -U3 raw hunks whose raw gap (7)
+        # is under 2 * 5, so they merge; lines 11-17 lie between the changes.
+        lines = [f"int v{k} = {k};" for k in range(1, 31)]
+        root = init_repo(tmp_path / "merged")
+        write_files(root, {"m.c": "\n".join(lines) + "\n"})
+        commit_all(root, "base", datetime(2021, 1, 1, tzinfo=UTC))
+        lines[9] = "int v10 = 100;"
+        lines[17] = "int v18 = 180;"
+        write_files(root, {"m.c": "\n".join(lines) + "\n"})
+        sha = commit_all(root, "edit", datetime(2021, 1, 2, tzinfo=UTC))
+        diff = run_git(root, "diff", "-U3", f"{sha}^", sha)
+        assert diff.count("@@ -") == 2
+        (h,) = parse_patch(diff, 5).hunks
+        assert h.old_span == (10, 18) and h.ptype == PatchType.CHA
+        assert [(s.line_no, s.norm) for s in h.dp] == [
+            (10, "int v10 = 10;"), (18, "int v18 = 18;"),
+        ]
+        assert [s.line_no for s in h.up_ctx.statements] == [7, 8, 9]
+        assert [s.line_no for s in h.down_ctx.statements] == [19, 20, 21]
 
     def test_rejects_non_diff_text(self):
         with pytest.raises(PatchError, match="no file hunks"):
-            parse_patch("just some prose\nwith lines\n")
+            parse_patch("just some prose\nwith lines\n", 5)
+
+
+@pytest.fixture(scope="module")
+def comment_repo(tmp_path_factory):
+    """A changed line opens a block comment that closes two lines below."""
+    lines = [
+        "int a1 = 1;",
+        "int a2 = 2;",
+        "int a3 = 3;",
+        "int old = 0; /* begin note",
+        "still_comment(x);",
+        "end note */",
+        "int b1 = 1;",
+    ]
+    root = init_repo(tmp_path_factory.mktemp("comment") / "source")
+    write_files(root, {"n.c": "\n".join(lines) + "\n"})
+    commit_all(root, "base", datetime(2021, 1, 1, tzinfo=UTC))
+    lines[3] = "int fresh = 0; /* begin note"
+    write_files(root, {"n.c": "\n".join(lines) + "\n"})
+    return RepoHandle(root), commit_all(root, "rename", datetime(2021, 1, 2, tzinfo=UTC))
+
+
+class TestCommitAndDiffTextAgree:
+    """A diff with whole-file context gives the commit's hunks."""
+
+    @staticmethod
+    def _shape(patch):
+        def stmts(seq):
+            return [(s.line_no, s.norm) for s in seq]
+
+        return [
+            (h.ptype, stmts(h.dp), stmts(h.ap), h.old_span, h.new_span,
+             stmts(h.up_ctx.statements), stmts(h.down_ctx.statements))
+            for h in patch.hunks
+        ]
+
+    @pytest.mark.parametrize("case", ["cha", "del", "add", "block_comment"])
+    def test_whole_file_diff_matches_commit(self, case, guard_repo, comment_repo):
+        repo, sha = comment_repo if case == "block_comment" else (
+            guard_repo[0], guard_repo[1][case])
+        diff = run_git(repo.root, "diff", "-U100000", f"{sha}^", sha)
+        want = self._shape(load_patch(repo, sha, 5))
+        assert self._shape(parse_patch(diff, 5)) == want
+        if case == "block_comment":
+            # Comment text below the change is not code on either path.
+            assert want[0][-1] == [(7, "int b1 = 1;")]
 
 
 class TestClassifyAndModel:
