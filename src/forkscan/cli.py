@@ -1,4 +1,4 @@
-"""Command line front end: configuration, pipeline fan-out, exit codes.
+"""Command line front end: configuration, the scan loop, exit codes.
 
 detect       scan target repositories for the presence of source patches
 sweep-r      score fragment pairs under a range of reward factors
@@ -14,9 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,15 +40,14 @@ class RunConfig:
     targets: list[tuple[str, str]] = field(default_factory=list)  # (path, rev)
     params: SimilarityParams = SimilarityParams()
     c_lines: int = 5
-    max_candidates: int = search.DEFAULT_MAX_CANDIDATES
-    jobs: int = 0  # 0 = logical CPU count
+    max_candidates: int = 10
     out: str = "report.json"
 
 
 # Every key a config file may hold; any other key is a configuration error.
 CONFIG_KEYS = (
     "source", "patch", "patch_file", "manifest", "targets", "r", "t",
-    "ks_threshold", "context_lines", "max_candidates", "jobs", "out",
+    "ks_threshold", "context_lines", "max_candidates", "out",
 )
 
 
@@ -130,7 +127,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         )
         c_lines = int(pick("context_lines", RunConfig.c_lines))
         max_candidates = int(pick("max_candidates", RunConfig.max_candidates))
-        jobs = int(pick("jobs", RunConfig.jobs))
     except ValueError as exc:
         raise ConfigError(f"bad parameter: {exc}") from exc
     if c_lines < 1:
@@ -150,7 +146,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         params=params,
         c_lines=c_lines,
         max_candidates=max_candidates,
-        jobs=jobs,
         out=pick("out", RunConfig.out),
     )
 
@@ -215,22 +210,9 @@ def run_detect(config: RunConfig) -> tuple[int, ScanReport]:
     patches = _load_patches(config)
     targets = _open_targets(config)
 
-    jobs = config.jobs or os.cpu_count() or 1
-    tasks: dict[tuple[int, int, int], object] = {}
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for pi, patch in enumerate(patches):
-            for ti, ctx in enumerate(targets):
-                if ctx.cache is None:
-                    continue
-                for hi, hunk in enumerate(patch.hunks):
-                    tasks[(pi, ti, hi)] = pool.submit(
-                        _scan_one_hunk, ctx, hunk, config
-                    )
-
     rows: list[ResultRow] = []
-    for pi, patch in enumerate(patches):
-        for ti, ctx in enumerate(targets):
-            notes: list[str] = []
+    for patch in patches:
+        for ctx in targets:
             if ctx.cache is None:
                 rows.append(
                     ResultRow(
@@ -240,11 +222,11 @@ def run_detect(config: RunConfig) -> tuple[int, ScanReport]:
                     )
                 )
                 continue
+            notes: list[str] = []
             judgments_per_hunk = []
-            for hi in range(len(patch.hunks)):
-                future = tasks[(pi, ti, hi)]
+            for hi, hunk in enumerate(patch.hunks):
                 try:
-                    judgments_per_hunk.append(future.result())
+                    judgments_per_hunk.append(_scan_one_hunk(ctx, hunk, config))
                 except Exception as exc:
                     log.warning(
                         "scan failed for %s hunk %d in %s: %s",
@@ -433,7 +415,10 @@ def _add_detect_flags(p: argparse.ArgumentParser) -> None:
         "--max-candidates", type=int,
         help="candidate contexts kept per side, 0 = unlimited (default 10)",
     )
-    p.add_argument("--jobs", type=int, help="parallel tasks (default: CPU count)")
+    p.add_argument(
+        "--jobs", type=int, choices=(1,),
+        help="scans run on one thread; only 1 is accepted",
+    )
     p.add_argument("--out", help="report path (default report.json)")
     p.add_argument("--config", help="flat key=value config file; flags win")
 

@@ -1,17 +1,15 @@
 """Thin adapter over local git repositories.
 
-Exactly the queries the scan pipeline needs, one git call each: substring
-grep, file content, and line blame with commit times at a revision, commit
-timestamps, and the dated tags that contain a commit. Every query takes the
-revision or commit it reads; a handle holds none. Calls against one
-repository are serialized, distinct repositories may be queried in parallel.
+Exactly the queries the scan pipeline needs, one git call each: a grep for
+any of several substrings, file content, and line blame with commit times at
+a revision, commit timestamps, and the dated tags that contain a commit.
+Every query takes the revision or commit it reads; a handle holds none.
 """
 
 from __future__ import annotations
 
 import re
 import subprocess
-import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -44,7 +42,6 @@ class RepoHandle:
 
     def __init__(self, root_path: str | Path):
         self.root = Path(root_path)
-        self._lock = threading.Lock()
         if not self.root.is_dir():
             raise GitError(f"not a directory: {self.root}")
         probe = self._run(["rev-parse", "--git-dir"], check=False)
@@ -60,8 +57,7 @@ class RepoHandle:
 
     def _run(self, args: list[str], check: bool = True) -> subprocess.CompletedProcess:
         cmd = ["git", "-C", str(self.root), "-c", "core.quotepath=false"] + args
-        with self._lock:
-            proc = subprocess.run(cmd, capture_output=True)
+        proc = subprocess.run(cmd, capture_output=True)
         if check and proc.returncode != 0:
             raise GitError(
                 f"git {' '.join(args)} failed in {self.root}: "
@@ -85,14 +81,16 @@ def _split_lines(text: str) -> list[str]:
 _GREP_LINE_RE = re.compile(r"^(.*?):(\d+):(.*)$", re.DOTALL)
 
 
-def grep_repo(repo: RepoHandle, keyword: str, rev: str) -> list[GrepHit]:
-    """Every line at rev containing keyword as a fixed substring.
+def grep_repo(repo: RepoHandle, keywords: list[str], rev: str) -> list[GrepHit]:
+    """Every line at rev containing any of keywords as a fixed substring.
 
+    One git call for all keywords; a line matching several is one hit.
     Case-sensitive; binary files skipped. Hits are ordered by (path, line).
     """
-    if not keyword:
-        raise ValueError("keyword must be non-empty")
-    proc = repo._run(["grep", "-I", "-n", "-F", "-e", keyword, rev], check=False)
+    if not keywords or not all(keywords):
+        raise ValueError("keywords must be non-empty strings")
+    patterns = [arg for kw in keywords for arg in ("-e", kw)]
+    proc = repo._run(["grep", "-I", "-n", "-F", *patterns, rev], check=False)
     if proc.returncode == 1 and not proc.stderr:
         return []
     if proc.returncode != 0:

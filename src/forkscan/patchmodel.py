@@ -331,7 +331,7 @@ def load_patch(repo: RepoHandle, sha: str, c_lines: int) -> Patch:
     def groups(fd: _FileDiff, file_class: FileClass) -> list[_Group]:
         old: list[NormalizedLine] = []
         new: list[NormalizedLine] = []
-        if any(h.removed or h.old_count for h in fd.hunks) and fd.old_path != "/dev/null":
+        if fd.old_path != "/dev/null":
             old = _statements_at(repo, f"{sha}^", fd.old_path, file_class)
         if fd.new_path != "/dev/null":
             new = _statements_at(repo, sha, fd.new_path, file_class)

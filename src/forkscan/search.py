@@ -30,15 +30,9 @@ log = logging.getLogger(__name__)
 # Path segments marking test code, compared case-insensitively.
 TEST_PATH_SEGMENTS = frozenset({"test", "tests", "testing", "testdata", "spec", "bench"})
 
-DEFAULT_MAX_CANDIDATES = 10
-
 
 class StatementCache:
-    """Memoized per-file statement extraction for one (repository, revision).
-
-    Entries are installed with a single atomic dict assignment so concurrent
-    tasks sharing a cache can at worst duplicate work, never see half state.
-    """
+    """Memoized per-file statement extraction for one (repository, revision)."""
 
     def __init__(self, repo: RepoHandle, rev: str):
         self.repo = repo
@@ -115,21 +109,26 @@ def find_key_statements(
     patch_file_class: FileClass,
     params: SimilarityParams,
 ) -> list[KeyStatementMatch]:
-    """Grep every context keyword in the target and keep plausible hits.
+    """Grep the context keywords in the target and keep plausible hits.
 
-    A hit survives when it is a meaningful statement (not a comment), not in
-    test code, in a file of the same class as the patched file, and of the
-    same statement kind as the keyword's source statement (OTHER never
-    filters); survivors need strsim >= ks_threshold against that source
-    statement. Sorted by descending similarity.
+    One grep covers every keyword; each hit is then weighed against every
+    keyword it contains, in keyword order. A hit survives when it is a
+    meaningful statement (not a comment), not in test code, in a file of the
+    same class as the patched file, and of the same statement kind as the
+    keyword's source statement (OTHER never filters); survivors need
+    strsim >= ks_threshold against that source statement. Sorted by
+    descending similarity.
     """
     keywords = ctx.keywords
     if not keywords:
         log.info("no keywords in %s context; nothing to search", ctx.side.value)
         return []
+    hits = gitio.grep_repo(cache.repo, [kw.keyword for kw in keywords], cache.rev)
     best: dict[tuple[str, int], KeyStatementMatch] = {}
     for kw in keywords:
-        for hit in gitio.grep_repo(cache.repo, kw.keyword, cache.rev):
+        for hit in hits:
+            if kw.keyword not in hit.raw_line:
+                continue
             if is_test_path(hit.path):
                 continue
             if classify_file(hit.path) != patch_file_class:
@@ -217,7 +216,7 @@ def finalize_contexts(
     boundaries: list[tuple[str, tuple[int, int]]],
     patch_ctx: PatchContext,
     params: SimilarityParams,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
+    max_candidates: int,
 ) -> list[CandidateContext]:
     """Score boundary regions against the patch context and keep the best.
 
@@ -346,7 +345,7 @@ def collect_candidates(
     hunk: PatchHunk,
     params: SimilarityParams,
     c_lines: int,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
+    max_candidates: int,
 ) -> SearchOutcome:
     """Run the full search pipeline for one hunk against one target."""
 

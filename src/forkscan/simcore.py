@@ -124,7 +124,6 @@ def fragment_similarity(
 def reward_sweep(
     pairs: list[tuple[list[str], list[str]]],
     r_values: list[float],
-    params: SimilarityParams | None = None,
 ) -> list[tuple[float, list[float]]]:
     """Score every fragment pair under each reward factor.
 
@@ -133,10 +132,9 @@ def reward_sweep(
     """
     if not pairs:
         raise ValueError("no fragment pairs given")
-    base = params or SimilarityParams()
     table: list[tuple[float, list[float]]] = []
     for r in r_values:
-        swept = SimilarityParams(r=r, t=base.t, ks_threshold=base.ks_threshold)
+        swept = SimilarityParams(r=r)
         scores = sorted(
             fragment_similarity(s, t, swept).score for s, t in pairs
         )

@@ -23,6 +23,7 @@ import pytest
 import forkscan
 from forkscan import __version__
 from forkscan.cli import (
+    CONFIG_KEYS,
     ConfigError,
     _add_detect_flags,
     _build_config,
@@ -228,7 +229,6 @@ def _ns(**overrides) -> argparse.Namespace:
         ks_threshold=None,
         context_lines=None,
         max_candidates=None,
-        jobs=None,
         out=None,
     )
     values.update(overrides)
@@ -256,7 +256,7 @@ class TestBuildConfig:
             0.40,
             0.25,
         )
-        assert (cfg.c_lines, cfg.max_candidates, cfg.jobs) == (5, 10, 0)
+        assert (cfg.c_lines, cfg.max_candidates) == (5, 10)
         assert cfg.out == "report.json"
 
     def test_config_file_supplies_everything(self, dirs):
@@ -270,7 +270,6 @@ class TestBuildConfig:
             "ks_threshold = 0.3\n"
             "context_lines = 3\n"
             "max_candidates = 0\n"
-            "jobs = 4\n"
             "out = deep/report.json\n",
             encoding="utf-8",
         )
@@ -283,7 +282,7 @@ class TestBuildConfig:
             0.5,
             0.3,
         )
-        assert (cfg.c_lines, cfg.max_candidates, cfg.jobs) == (3, 0, 4)
+        assert (cfg.c_lines, cfg.max_candidates) == (3, 0)
         assert cfg.out == "deep/report.json"
 
     def test_flags_beat_config(self, dirs):
@@ -545,6 +544,51 @@ class TestDetectEndToEnd:
         ]
 
 
+class TestScanFailureNotes:
+    """A failure inside one (patch, target) scan becomes that row's note;
+    the other rows and the run go on."""
+
+    def test_search_failure_notes_its_hunk(self, world, tmp_path, monkeypatch):
+        targets = [world.vuln, world.fixed]
+        plain = tmp_path / "plain" / "report.json"
+        assert _detect(world, targets, plain) == 1
+
+        real = forkscan.search.collect_candidates
+
+        def collect(cache, *args):
+            if cache.repo.root == world.vuln:
+                raise RuntimeError("grep exploded")
+            return real(cache, *args)
+
+        monkeypatch.setattr(forkscan.search, "collect_candidates", collect)
+        out = tmp_path / "broken" / "report.json"
+        assert _detect(world, targets, out) == 0  # only the Fixed row is left
+
+        rows = {r.target: r for r in parse_report(out.read_text(encoding="utf-8")).results}
+        want = {r.target: r for r in parse_report(plain.read_text(encoding="utf-8")).results}
+        assert rows["vulnfork"].status == "ContextNotFound"
+        assert rows["vulnfork"].conf == 0.0
+        assert rows["vulnfork"].note == "hunk 0: grep exploded"
+        assert rows["fixedfork"].to_dict() == want["fixedfork"].to_dict()
+
+    def test_delay_failure_notes_fixed_row(self, world, tmp_path, monkeypatch):
+        def releases(repo, sha):
+            raise forkscan.gitio.GitError("tags unreadable")
+
+        monkeypatch.setattr(forkscan.gitio, "releases_containing", releases)
+        out = tmp_path / "report.json"
+        assert _detect(world, [world.fixed, world.clean], out) == 0
+
+        rows = {r.target: r for r in parse_report(out.read_text(encoding="utf-8")).results}
+        fixed = rows["fixedfork"]
+        assert fixed.status == "Fixed"
+        assert fixed.note == "delay: tags unreadable"
+        assert fixed.delay is None
+        assert rows["cleanfork"].status == "ContextNotFound"
+        assert rows["cleanfork"].note == ""
+        assert not (tmp_path / "delay_cdf.csv").exists()
+
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -592,8 +636,7 @@ class TestDetectFromConfigFile:
             f"source = {world.src}\n"
             f"patch = {world.patch_sha}\n"
             f"targets = {world.fixed} {world.clean}\n"
-            f"out = {out}\n"
-            "jobs = 2\n",
+            f"out = {out}\n",
             encoding="utf-8",
         )
         assert main(["detect", "--config", str(conf)]) == 0
@@ -764,7 +807,11 @@ class TestDetectErrors:
 
     @pytest.mark.parametrize(
         "line, key",
-        [("context_line = 3", "context_line"), ("source_rev = v1", "source_rev")],
+        [
+            ("context_line = 3", "context_line"),
+            ("source_rev = v1", "source_rev"),
+            ("jobs = 4", "jobs"),
+        ],
     )
     def test_unknown_config_key_exits_2(self, world, tmp_path, capsys, line, key):
         conf = tmp_path / "scan.cfg"
@@ -788,6 +835,15 @@ class TestDetectErrors:
         assert f"unknown config key(s): {key}\n" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    def test_jobs_other_than_one_exits_2(self, world, tmp_path, capsys):
+        # Scans run on one thread; `--jobs 1` is still accepted.
+        assert _detect(world, [world.vuln], tmp_path / "one.json", ["--jobs", "1"]) == 1
+        with pytest.raises(SystemExit) as exc:
+            _detect(world, [world.vuln], tmp_path / "four.json", ["--jobs", "4"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "four.json").exists()
+
 
 class TestReadme:
     def test_detect_table_lists_every_detect_flag(self):
@@ -802,6 +858,14 @@ class TestReadme:
             opt for action in parser._actions for opt in action.option_strings
         } - {"-h", "--help"}
         assert documented == flags
+
+    def test_config_key_list_matches_parser(self):
+        # The README's `Config file` key list and CONFIG_KEYS name the same
+        # keys, in the same order.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config file", 1)[1].split("\n#", 1)[0]
+        sentence = section.split("The keys are ", 1)[1].split(";", 1)[0]
+        assert tuple(re.findall(r"`([a-z_]+)`", sentence)) == CONFIG_KEYS
 
 
 # ---------------------------------------------------------------------------

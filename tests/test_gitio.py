@@ -47,29 +47,41 @@ class TestGrep:
     def repo(self, make_repo):
         return RepoHandle(make_repo(MIXED_FILES))
 
-    @pytest.mark.parametrize("keyword", ["nCheckDepth", "hex", "a.b", "LogPrintf"])
-    def test_matches_oracle(self, repo, keyword):
-        got = [(h.path, h.line_no) for h in grep_repo(repo, keyword, "HEAD")]
-        assert got == oracle_grep(repo.root, keyword)
+    @pytest.mark.parametrize(
+        "keywords",
+        [
+            *(pytest.param([kw], id=kw)
+              for kw in ["nCheckDepth", "hex", "a.b", "LogPrintf"]),
+            pytest.param(["nCheckDepth", "a.b"], id="nCheckDepth+a.b"),
+            pytest.param(["hex", "LogPrintf", "hex"], id="hex+LogPrintf+hex"),
+            pytest.param(["hex", "EncodeHexStr"], id="hex+EncodeHexStr"),  # same line
+        ],
+    )
+    def test_matches_oracle(self, repo, keywords):
+        # One grep over several keywords hits the union of their lines, once each.
+        got = [(h.path, h.line_no) for h in grep_repo(repo, keywords, "HEAD")]
+        assert got == sorted({hit for kw in keywords for hit in oracle_grep(repo.root, kw)})
 
     def test_fixed_string_not_regex(self, repo):
-        hits = grep_repo(repo, "a.b", "HEAD")
+        hits = grep_repo(repo, ["a.b"], "HEAD")
         assert [(h.path, h.line_no) for h in hits] == [("docs/notes.txt", 2)]
 
     def test_hit_carries_raw_line(self, repo):
-        hits = grep_repo(repo, "EncodeHexStr", "HEAD")
+        hits = grep_repo(repo, ["EncodeHexStr"], "HEAD")
         assert len(hits) == 1
         assert "EncodeHexStr(data)" in hits[0].raw_line
 
     def test_no_match_is_empty(self, repo):
-        assert grep_repo(repo, "NoSuchTokenAnywhere", "HEAD") == []
+        assert grep_repo(repo, ["NoSuchTokenAnywhere"], "HEAD") == []
 
     def test_empty_keyword_rejected(self, repo):
-        with pytest.raises(ValueError):
-            grep_repo(repo, "", "HEAD")
+        # `-e ""` would match every line.
+        for keywords in ([], [""], ["hex", ""]):
+            with pytest.raises(ValueError):
+                grep_repo(repo, keywords, "HEAD")
 
     def test_sorted_by_path_then_line(self, repo):
-        hits = grep_repo(repo, "nCheckDepth", "HEAD")
+        hits = grep_repo(repo, ["nCheckDepth"], "HEAD")
         keys = [(h.path, h.line_no) for h in hits]
         assert keys == sorted(keys)
 
@@ -78,22 +90,22 @@ class TestGrep:
         (root / "blob.bin").write_bytes(b"needleToken\x00binary payload")
         commit_all(root, "add binary", datetime(2020, 1, 2, tzinfo=UTC))
         repo = RepoHandle(root)
-        hits = grep_repo(repo, "needleToken", "HEAD")
+        hits = grep_repo(repo, ["needleToken"], "HEAD")
         assert [(h.path, h.line_no) for h in hits] == [("readme.txt", 1)]
         assert [(h.path, h.line_no) for h in hits] == oracle_grep(root, "needleToken")
 
     def test_table_layout_hits(self, table_repo):
         repo_path, c_rewrite, _ = table_repo
         repo = RepoHandle(repo_path)
-        hits = grep_repo(repo, "BitcoinApplication", "HEAD")
+        hits = grep_repo(repo, ["BitcoinApplication"], "HEAD")
         assert [h.line_no for h in hits] == [207]
-        assert [h.line_no for h in grep_repo(repo, "qt_argc", "HEAD")] == [204, 208]
-        assert [h.line_no for h in grep_repo(repo, "qt_argv", "HEAD")] == [205]
+        assert [h.line_no for h in grep_repo(repo, ["qt_argc"], "HEAD")] == [204, 208]
+        assert [h.line_no for h in grep_repo(repo, ["qt_argv"], "HEAD")] == [205]
         for kw in ("BitcoinApplication", "qt_argc", "qt_argv"):
-            got = [(h.path, h.line_no) for h in grep_repo(repo, kw, "HEAD")]
+            got = [(h.path, h.line_no) for h in grep_repo(repo, [kw], "HEAD")]
             assert got == oracle_grep(repo_path, kw)
         # Same lines before the rebrand commit, different string content.
-        at_rewrite = grep_repo(repo, "qt_argv", rev=c_rewrite)
+        at_rewrite = grep_repo(repo, ["qt_argv"], rev=c_rewrite)
         assert [h.line_no for h in at_rewrite] == [205]
         assert "bitcoin-qt" in at_rewrite[0].raw_line
 

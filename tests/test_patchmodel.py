@@ -407,6 +407,25 @@ class TestHunkMerging:
         diff = run_git(root, "diff", "-U0", f"{sha}^", sha)
         assert len(parse_patch(diff, 5).hunks) == 2
 
+    def test_add_only_file_splits_distant_insertions(self, tmp_path):
+        lines = _numbered("v", 60)
+        root = init_repo(tmp_path / "inserts")
+        write_files(root, {"ins.c": "\n".join(lines) + "\n"})
+        commit_all(root, "base", datetime(2021, 1, 1, tzinfo=UTC))
+        lines.insert(50, "int late = 1;")  # after raw line 50
+        lines.insert(5, "int early = 1;")  # after raw line 5
+        write_files(root, {"ins.c": "\n".join(lines) + "\n"})
+        sha = commit_all(root, "insert two lines", datetime(2021, 1, 2, tzinfo=UTC))
+
+        # 45 old statements separate the insertions (>= 10): two ADD hunks,
+        # from the commit as from its -U0 diff.
+        diff = run_git(root, "diff", "-U0", f"{sha}^", sha)
+        for patch in (load_patch(RepoHandle(root), sha, 5), parse_patch(diff, 5)):
+            assert [(h.ptype, h.new_span, _norms(h.ap)) for h in patch.hunks] == [
+                (PatchType.ADD, (6, 6), ["int early = 1;"]),
+                (PatchType.ADD, (52, 52), ["int late = 1;"]),
+            ]
+
     def test_context_width_does_not_change_hunks(self, tmp_path):
         lines = _numbered("v", 40)
         root = init_repo(tmp_path / "width")

@@ -76,6 +76,16 @@ TARGET_LINES = [
 
 DECOY_LINE = "fCheckedBlocks = (nCheckDepth > 0);\n"
 
+# One grep serves all keywords of a context, so each hit must be scored only
+# against the keywords it contains: line 9 contains `pindexState` (from a
+# RETURN, so the kind filter drops it) but not `chainActive.TipX`, although
+# that keyword's statement is nearly line 9 itself.
+ROUTING_NORMS = [
+    "return pindexState;",
+    "pindexState = chainActive.TipX();",
+    "fCheckedBlocks = (nCheckDepth > 0);",
+]
+
 PARAMS = SimilarityParams()
 
 
@@ -242,7 +252,11 @@ class TestFindKeyStatements:
         assert ("src/init.cpp", 12) not in hit_keys  # RETURN vs ASSIGNMENT
         assert ("src/init.cpp", 13) not in hit_keys  # comment line
 
-    @pytest.mark.parametrize("norms,side", [(UP_NORMS, Side.UP), (DOWN_NORMS, Side.DOWN)])
+    @pytest.mark.parametrize("norms,side", [
+        (UP_NORMS, Side.UP),
+        (DOWN_NORMS, Side.DOWN),
+        (ROUTING_NORMS, Side.UP),
+    ])
     def test_matches_brute_force_scan(self, fig_repo, norms, side):
         ctx = make_ctx(norms, side)
         got = {(m.hit.path, m.hit.line_no): m.sim
@@ -331,7 +345,7 @@ class TestFinalizeContexts:
     def test_keeps_passing_region_with_oracle_score(self, fig_repo):
         ctx = make_ctx(UP_NORMS, Side.UP)
         kept = finalize_contexts(
-            _cache(fig_repo), [("src/init.cpp", (3, 5))], ctx, PARAMS
+            _cache(fig_repo), [("src/init.cpp", (3, 5))], ctx, PARAMS, 10
         )
         assert len(kept) == 1
         c = kept[0]
@@ -345,7 +359,9 @@ class TestFinalizeContexts:
 
     def test_drops_region_below_threshold(self, fig_repo):
         ctx = make_ctx(UP_NORMS, Side.UP)
-        kept = finalize_contexts(_cache(fig_repo), [("src/init.cpp", (8, 12))], ctx, PARAMS)
+        kept = finalize_contexts(
+            _cache(fig_repo), [("src/init.cpp", (8, 12))], ctx, PARAMS, 10
+        )
         assert kept == []
         stmts = _cache(fig_repo).between("src/init.cpp", 8, 12)
         assert oracle_fragment_similarity(
@@ -357,7 +373,7 @@ class TestFinalizeContexts:
         kept = finalize_contexts(
             _cache(fig_repo),
             [("src/init.cpp", (3, 5)), ("src/init.cpp", (3, 12))],
-            ctx, PARAMS,
+            ctx, PARAMS, 10,
         )
         assert [(c.ss_line, c.es_line) for c in kept] == [(3, 5)]
 
@@ -372,12 +388,12 @@ class TestFinalizeContexts:
     def test_statementless_span_skipped(self, fig_repo):
         ctx = make_ctx(UP_NORMS, Side.UP)
         assert finalize_contexts(
-            _cache(fig_repo), [("src/init.cpp", (100, 120))], ctx, PARAMS
+            _cache(fig_repo), [("src/init.cpp", (100, 120))], ctx, PARAMS, 10
         ) == []
 
     def test_empty_context_returns_nothing(self, fig_repo):
         assert finalize_contexts(
-            _cache(fig_repo), [("src/init.cpp", (3, 5))], PatchContext([], Side.UP), PARAMS
+            _cache(fig_repo), [("src/init.cpp", (3, 5))], PatchContext([], Side.UP), PARAMS, 10
         ) == []
 
 
@@ -431,7 +447,7 @@ class TestFetchCandidateCode:
 
 class TestCollectCandidates:
     def test_end_to_end_single_clone(self, fig_repo):
-        out = collect_candidates(_cache(fig_repo), make_hunk(UP_NORMS, DOWN_NORMS), PARAMS, 5)
+        out = collect_candidates(_cache(fig_repo), make_hunk(UP_NORMS, DOWN_NORMS), PARAMS, 5, 10)
         assert [(c.path, c.ss_line, c.es_line) for c in out.up_contexts] == [
             ("src/init.cpp", 3, 5)
         ]
@@ -448,7 +464,7 @@ class TestCollectCandidates:
         )
 
     def test_two_files_two_candidates(self, twin_repo):
-        out = collect_candidates(_cache(twin_repo), make_hunk(UP_NORMS, DOWN_NORMS), PARAMS, 5)
+        out = collect_candidates(_cache(twin_repo), make_hunk(UP_NORMS, DOWN_NORMS), PARAMS, 5, 10)
         assert [(c.path, c.span) for c in out.candidates] == [
             ("src/init.cpp", (6, 6)),
             ("src/wallet.cpp", (6, 6)),
@@ -458,14 +474,14 @@ class TestCollectCandidates:
             assert cand.paired_up is not None and cand.paired_down is not None
 
     def test_up_context_only(self, fig_repo):
-        out = collect_candidates(_cache(fig_repo), make_hunk(UP_NORMS, None), PARAMS, 5)
+        out = collect_candidates(_cache(fig_repo), make_hunk(UP_NORMS, None), PARAMS, 5, 10)
         (cand,) = out.candidates
         assert cand.span == (6, 6) and cand.norms == [DP_LINE]
         assert cand.paired_up is not None and cand.paired_down is None
         assert out.down_contexts == []
 
     def test_down_context_only(self, fig_repo):
-        out = collect_candidates(_cache(fig_repo), make_hunk(None, DOWN_NORMS), PARAMS, 5)
+        out = collect_candidates(_cache(fig_repo), make_hunk(None, DOWN_NORMS), PARAMS, 5, 10)
         (cand,) = out.candidates
         assert cand.span == (6, 6) and cand.norms == [DP_LINE]
         assert cand.paired_up is None and cand.paired_down is not None
@@ -474,7 +490,7 @@ class TestCollectCandidates:
         repo = _repo(tmp_path / "plant", {
             "src/clone.cpp": "\n".join(UP_NORMS + [DP_LINE] + DOWN_NORMS) + "\n",
         })
-        out = collect_candidates(_cache(repo), make_hunk(UP_NORMS, DOWN_NORMS), PARAMS, 5)
+        out = collect_candidates(_cache(repo), make_hunk(UP_NORMS, DOWN_NORMS), PARAMS, 5, 10)
         assert [(c.ss_line, c.es_line, c.ctx_sim) for c in out.up_contexts] == [
             (1, 5, 1.0)
         ]
@@ -488,6 +504,6 @@ class TestCollectCandidates:
         repo = _repo(tmp_path / "empty", {
             "src/unrelated.cpp": "int completely = 0;\ndifferent_code(here);\n",
         })
-        out = collect_candidates(_cache(repo), make_hunk(UP_NORMS, DOWN_NORMS), PARAMS, 5)
+        out = collect_candidates(_cache(repo), make_hunk(UP_NORMS, DOWN_NORMS), PARAMS, 5, 10)
         assert out.candidates == []
         assert out.up_contexts == [] and out.down_contexts == []
