@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__, delay, fixturegen, gitio, patchmodel, report, search, verdict
 from .gitio import RepoHandle
 from .patchmodel import Patch, PatchError
-from .report import DelayInfo, ResultRow, ScanReport
+from .report import ResultRow, ScanReport
 from .simcore import SimilarityParams, reward_sweep
 from .verdict import Status
 
@@ -223,19 +223,19 @@ def run_detect(config: RunConfig) -> tuple[int, ScanReport]:
                 )
                 continue
             notes: list[str] = []
-            judgments_per_hunk = []
+            hunk_judgments = []
             for hi, hunk in enumerate(patch.hunks):
                 try:
-                    judgments_per_hunk.append(_scan_one_hunk(ctx, hunk, config))
+                    hunk_judgments.append(_scan_one_hunk(ctx, hunk, config))
                 except Exception as exc:
                     log.warning(
                         "scan failed for %s hunk %d in %s: %s",
                         patch.label, hi, ctx.name, exc,
                     )
                     notes.append(f"hunk {hi}: {exc}")
-                    judgments_per_hunk.append([])
+                    hunk_judgments.append([])
             rows.append(
-                _row_for(patch, ctx, verdict.aggregate(judgments_per_hunk), notes)
+                _row_for(patch, ctx, verdict.aggregate(hunk_judgments), notes)
             )
 
     scan = ScanReport(
@@ -286,22 +286,12 @@ def _row_for(
             row.ctx_sim_down = _round(cand.paired_down.ctx_sim)
     if v.status is Status.FIXED:
         try:
-            record = delay.fix_delay(
+            row.delay = delay.fix_delay(
                 ctx.cache.repo, ctx.cache.rev, patch.committed_at, v
             )
         except gitio.GitError as exc:
             log.warning("delay lookup failed for %s: %s", ctx.name, exc)
-            record = None
             row.note = "; ".join(filter(None, [row.note, f"delay: {exc}"]))
-        if record is not None:
-            row.delay = DelayInfo(
-                true_fix=record.true_fix,
-                release_tag=record.release[0] if record.release else None,
-                release_date=report.delay_iso(
-                    record.release[1] if record.release else None
-                ),
-                delay_days=record.delay_days,
-            )
     return row
 
 
@@ -311,8 +301,7 @@ def _round(v: float | None) -> float | None:
 
 def _write_outputs(scan: ScanReport, out: str) -> None:
     out_path = Path(out)
-    if out_path.parent and not out_path.parent.exists():
-        out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(report.emit_report(scan, "json"), encoding="utf-8")
     csv_path = out_path.with_suffix(".csv")
     csv_path.write_text(report.emit_report(scan, "csv"), encoding="utf-8")

@@ -10,11 +10,11 @@ date, gives the fix delay in whole days.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from datetime import datetime
 
 from . import gitio
 from .gitio import RepoHandle
+from .report import DelayRecord
 from .verdict import Status, Verdict
 
 log = logging.getLogger(__name__)
@@ -24,25 +24,11 @@ class AttributionFailed(Exception):
     """blame could not attribute the fixed region to any commit."""
 
 
-@dataclass
-class FixAttribution:
-    """Commits that last touched the fixed region, plus the earliest one."""
-
-    commits: list[tuple[str, datetime]]
-    true_fix: str
-
-
-@dataclass
-class DelayRecord:
-    true_fix: str | None
-    release: tuple[str, datetime] | None
-    delay_days: int | None
-
-
 def find_fix_commit(
     target: RepoHandle, path: str, span: tuple[int, int], rev: str
-) -> FixAttribution:
-    """Blame the region at rev and pick the earliest commit as the true fix.
+) -> str:
+    """Blame the region at rev and return the true fix: the sha of the
+    earliest commit that shaped it.
 
     Ties on the committer timestamp go to the lexicographically smaller sha.
     """
@@ -53,9 +39,7 @@ def find_fix_commit(
         raise AttributionFailed(f"blame {path}:{start}-{end} failed: {exc}") from exc
     if not entries:
         raise AttributionFailed(f"blame {path}:{start}-{end} returned nothing")
-    commits = {entry.commit_sha: entry.committed_at for entry in entries}
-    ordered = sorted(commits.items(), key=lambda it: (it[1], it[0]))
-    return FixAttribution(commits=ordered, true_fix=ordered[0][0])
+    return min((e.committed_at, e.commit_sha) for e in entries)[1]
 
 
 def earliest_release(target: RepoHandle, sha: str) -> tuple[str, datetime] | None:
@@ -99,7 +83,7 @@ def fix_delay(
     patch_committed_at: datetime | None,
     verdict: Verdict,
 ) -> DelayRecord | None:
-    """Full attribution for one Fixed verdict at rev; None otherwise.
+    """The DelayRecord of one Fixed verdict at rev; None for any other status.
 
     Attribution failures degrade to a record with None fields rather than
     aborting the scan.
@@ -111,14 +95,12 @@ def fix_delay(
         return DelayRecord(None, None, None)
     path, span = region
     try:
-        attribution = find_fix_commit(target, path, span, rev)
+        true_fix = find_fix_commit(target, path, span, rev)
     except AttributionFailed as exc:
         log.warning("%s: %s", target.name, exc)
         return DelayRecord(None, None, None)
-    release = earliest_release(target, attribution.true_fix)
+    release = earliest_release(target, true_fix)
     delay = None
     if release is not None and patch_committed_at is not None:
         delay = patch_delay(patch_committed_at, release[1])
-    return DelayRecord(
-        true_fix=attribution.true_fix, release=release, delay_days=delay
-    )
+    return DelayRecord(true_fix=true_fix, release=release, delay_days=delay)

@@ -143,16 +143,15 @@ def _is_bracket_only(norm: str) -> bool:
 
 
 def extract_statements(
-    lines: list[str], path: str, file_class: FileClass | None = None
+    lines: list[str], path: str, file_class: FileClass
 ) -> list[NormalizedLine]:
     """Filter raw lines down to meaningful statements.
 
     Drops empty lines, full-line and block comments, and bracket-only lines;
     strips trailing comments; collapses whitespace. Line numbers of the
-    survivors refer to the original file.
+    survivors refer to the original file; file_class (see classify_file)
+    decides whether '#' starts a comment.
     """
-    if file_class is None:
-        file_class = classify_file(path)
     # '#' introduces comments only outside the C family (where it starts
     # preprocessor directives) and Go (no hash comments at all).
     hash_comments = not (file_class.is_c_family or file_class == GO)

@@ -18,28 +18,23 @@ SCHEMA_VERSION = 1
 
 
 @dataclass
-class DelayInfo:
-    true_fix: str | None = None
-    release_tag: str | None = None
-    release_date: str | None = None  # ISO-8601, UTC
-    delay_days: int | None = None
+class DelayRecord:
+    """Fix attribution of a Fixed row: the true fix commit, its first
+    release as (tag, date), and the days from the source patch to that
+    release. Any field is None when it could not be established."""
+
+    true_fix: str | None
+    release: tuple[str, datetime] | None
+    delay_days: int | None
 
     def to_dict(self) -> dict:
+        tag, date = self.release if self.release is not None else (None, None)
         return {
             "true_fix": self.true_fix,
-            "release_tag": self.release_tag,
-            "release_date": self.release_date,
+            "release_tag": tag,
+            "release_date": delay_iso(date),
             "delay_days": self.delay_days,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DelayInfo":
-        return cls(
-            true_fix=d.get("true_fix"),
-            release_tag=d.get("release_tag"),
-            release_date=d.get("release_date"),
-            delay_days=d.get("delay_days"),
-        )
 
 
 @dataclass
@@ -56,7 +51,7 @@ class ResultRow:
     ctx_sim_down: float | None = None
     s_del: float | None = None
     s_add: float | None = None
-    delay: DelayInfo | None = None
+    delay: DelayRecord | None = None
     note: str = ""
 
     def to_dict(self) -> dict:
@@ -74,23 +69,6 @@ class ResultRow:
             "delay": self.delay.to_dict() if self.delay is not None else None,
             "note": self.note,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ResultRow":
-        return cls(
-            patch=d["patch"],
-            target=d["target"],
-            status=d["status"],
-            conf=d["conf"],
-            path=d.get("path"),
-            span=tuple(d["span"]) if d.get("span") is not None else None,
-            ctx_sim_up=d.get("ctx_sim_up"),
-            ctx_sim_down=d.get("ctx_sim_down"),
-            s_del=d.get("s_del"),
-            s_add=d.get("s_add"),
-            delay=DelayInfo.from_dict(d["delay"]) if d.get("delay") else None,
-            note=d.get("note", ""),
-        )
 
 
 @dataclass
@@ -122,18 +100,6 @@ class ScanReport:
             "summary": self.summary(),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScanReport":
-        if d.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema_version: {d.get('schema_version')}")
-        return cls(
-            tool_version=d["tool_version"],
-            params=dict(d["params"]),
-            patches=list(d["patches"]),
-            targets=list(d["targets"]),
-            results=[ResultRow.from_dict(r) for r in d["results"]],
-        )
-
 
 def sorted_rows(rows: list[ResultRow]) -> list[ResultRow]:
     return sorted(rows, key=lambda r: (r.patch, r.target))
@@ -155,7 +121,8 @@ def emit_report(report: ScanReport, format: str = "json") -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
         for row in sorted_rows(report.results):
-            d = row.delay or DelayInfo()
+            # The delay's to_dict keys are the CSV's four delay columns, in order.
+            d = (row.delay or DelayRecord(None, None, None)).to_dict()
             writer.writerow([
                 row.patch, row.target, row.status, row.conf,
                 _blank(row.path),
@@ -163,8 +130,7 @@ def emit_report(report: ScanReport, format: str = "json") -> str:
                 _blank(row.span[1] if row.span else None),
                 _blank(row.ctx_sim_up), _blank(row.ctx_sim_down),
                 _blank(row.s_del), _blank(row.s_add),
-                _blank(d.true_fix), _blank(d.release_tag),
-                _blank(d.release_date), _blank(d.delay_days),
+                *(_blank(v) for v in d.values()),
                 row.note,
             ])
         return buf.getvalue()
@@ -173,10 +139,6 @@ def emit_report(report: ScanReport, format: str = "json") -> str:
 
 def _blank(v) -> object:
     return "" if v is None else v
-
-
-def parse_report(text: str) -> ScanReport:
-    return ScanReport.from_dict(json.loads(text))
 
 
 @dataclass

@@ -14,8 +14,8 @@ import logging
 from dataclasses import dataclass, field
 
 from . import gitio
-from .gitio import GrepHit, RepoHandle
-from .patchmodel import PatchContext, PatchHunk, Side
+from .gitio import RepoHandle
+from .patchmodel import PatchContext, PatchHunk
 from .preprocess import (
     FileClass,
     NormalizedLine,
@@ -64,12 +64,11 @@ class StatementCache:
 
 @dataclass(frozen=True)
 class KeyStatementMatch:
-    """A grep hit that survived all filters, scored against its patch statement."""
+    """The target statement of a grep hit that survived all filters, scored
+    against its patch statement."""
 
-    hit: GrepHit
     stmt: NormalizedLine
     sim: float
-    side: Side
 
 
 @dataclass
@@ -77,10 +76,8 @@ class CandidateContext:
     """A target-side region judged similar enough to one patch context."""
 
     path: str
-    side: Side
     ss_line: int
     es_line: int
-    stmts: list[NormalizedLine]
     ctx_sim: float
 
 
@@ -150,9 +147,8 @@ def find_key_statements(
             key = (hit.path, hit.line_no)
             prev = best.get(key)
             if prev is None or sim > prev.sim:
-                best[key] = KeyStatementMatch(hit=hit, stmt=stmt, sim=sim, side=ctx.side)
-    matches = sorted(best.values(), key=lambda m: (-m.sim, m.hit.path, m.hit.line_no))
-    return matches
+                best[key] = KeyStatementMatch(stmt=stmt, sim=sim)
+    return sorted(best.values(), key=lambda m: (-m.sim, m.stmt.path, m.stmt.line_no))
 
 
 def expand_boundary(
@@ -172,16 +168,12 @@ def expand_boundary(
     ctx_stmts = patch_ctx.statements
     if not ctx_stmts:
         return None
-    stmts = cache.statements(ks.hit.path)
-    idx = cache.index_by_line(ks.hit.path).get(ks.hit.line_no)
-    if idx is None:
-        return None
+    stmts = cache.statements(ks.stmt.path)
+    idx = cache.index_by_line(ks.stmt.path)[ks.stmt.line_no]
     up_window = stmts[max(0, idx - c_lines): idx + 1]
     down_window = stmts[idx: idx + c_lines + 1]
     ss = _best_in_window(up_window, ctx_stmts[0].norm, ks.stmt.line_no)
     es = _best_in_window(down_window, ctx_stmts[-1].norm, ks.stmt.line_no)
-    if ss is None or es is None:
-        return None
     if ss[0] < params.ks_threshold or es[0] < params.ks_threshold:
         return None
     return (ss[1], es[1])
@@ -189,26 +181,17 @@ def expand_boundary(
 
 def _best_in_window(
     window: list[NormalizedLine], patch_norm: str, ks_line: int
-) -> tuple[float, int] | None:
+) -> tuple[float, int]:
     """(similarity, line_no) of the window statement most like patch_norm.
 
     Ties prefer the statement closest to the key statement, then the lower
-    line number.
+    line number. The window always holds the key statement itself.
     """
-    best: tuple[float, int, int] | None = None  # (sim, distance, line_no)
-    for s in window:
-        sim = strsim(patch_norm, s.norm)
-        cand = (sim, abs(s.line_no - ks_line), s.line_no)
-        if (
-            best is None
-            or cand[0] > best[0]
-            or (cand[0] == best[0] and cand[1] < best[1])
-            or (cand[0] == best[0] and cand[1] == best[1] and cand[2] < best[2])
-        ):
-            best = cand
-    if best is None:
-        return None
-    return (best[0], best[2])
+    sim, _, neg_line = max(
+        (strsim(patch_norm, s.norm), -abs(s.line_no - ks_line), -s.line_no)
+        for s in window
+    )
+    return (sim, -neg_line)
 
 
 def finalize_contexts(
@@ -238,19 +221,10 @@ def finalize_contexts(
         stmts = cache.between(path, ss_line, es_line)
         if not stmts:
             continue
-        sim = fragment_similarity(patch_norms, [s.norm for s in stmts], params).score
+        sim = fragment_similarity(patch_norms, [s.norm for s in stmts], params)
         if sim < params.t:
             continue
-        scored.append(
-            CandidateContext(
-                path=path,
-                side=patch_ctx.side,
-                ss_line=ss_line,
-                es_line=es_line,
-                stmts=stmts,
-                ctx_sim=sim,
-            )
-        )
+        scored.append(CandidateContext(path, ss_line, es_line, sim))
     scored.sort(key=lambda c: (-c.ctx_sim, c.path, c.ss_line, c.es_line))
     kept: list[CandidateContext] = []
     for cand in scored:
@@ -357,7 +331,7 @@ def collect_candidates(
         for ks in seeds:
             span = expand_boundary(cache, ks, ctx, c_lines, params)
             if span is not None:
-                boundaries.append((ks.hit.path, span))
+                boundaries.append((ks.stmt.path, span))
         return finalize_contexts(cache, boundaries, ctx, params, max_candidates)
 
     ups = located(hunk.up_ctx)

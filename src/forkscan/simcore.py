@@ -3,7 +3,7 @@ order-tolerant fragment similarity with positional reward decay."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class EmptyFragmentError(ValueError):
@@ -34,18 +34,6 @@ class SimilarityParams:
             raise ValueError(
                 f"ks_threshold must be in (0, t], got {self.ks_threshold} (t={self.t})"
             )
-
-
-@dataclass(frozen=True)
-class FragmentMatch:
-    """Result of matching a source fragment against a target fragment.
-
-    alignment holds one (source index, target index, line similarity) entry
-    per source statement; score is the reward-weighted mean over them.
-    """
-
-    score: float
-    alignment: list[tuple[int, int, float]] = field(default_factory=list)
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -91,13 +79,13 @@ def strsim(a: str, b: str) -> float:
 
 def fragment_similarity(
     source: list[str], target: list[str], params: SimilarityParams
-) -> FragmentMatch:
-    """Order-tolerant similarity of two code fragments.
+) -> float:
+    """Order-tolerant similarity score of two code fragments, in [0, 1].
 
     Every source statement is matched to its most similar target statement
     (ties broken by minimal index offset, then by smaller target index); the
-    per-line similarity is discounted by r**|i - j| and the result averaged
-    over the source statements. Asymmetric by construction: the first
+    per-line similarity is discounted by r**|i - j| and the score is the
+    mean over the source statements. Asymmetric by construction: the first
     argument is the fragment being explained.
     """
     if not source:
@@ -105,20 +93,17 @@ def fragment_similarity(
     if not target:
         raise EmptyFragmentError("target fragment is empty")
     r = params.r
-    alignment: list[tuple[int, int, float]] = []
     total = 0.0
     for i, s_line in enumerate(source):
-        best_j = 0
         best_sim = strsim(s_line, target[0])
-        best_off = abs(i)
+        best_off = i
         for j in range(1, len(target)):
             sim = strsim(s_line, target[j])
             off = abs(i - j)
             if sim > best_sim or (sim == best_sim and off < best_off):
-                best_j, best_sim, best_off = j, sim, off
-        total += best_sim * r ** abs(i - best_j)
-        alignment.append((i, best_j, best_sim))
-    return FragmentMatch(score=total / len(source), alignment=alignment)
+                best_sim, best_off = sim, off
+        total += best_sim * r ** best_off
+    return total / len(source)
 
 
 def reward_sweep(
@@ -135,8 +120,6 @@ def reward_sweep(
     table: list[tuple[float, list[float]]] = []
     for r in r_values:
         swept = SimilarityParams(r=r)
-        scores = sorted(
-            fragment_similarity(s, t, swept).score for s, t in pairs
-        )
+        scores = sorted(fragment_similarity(s, t, swept) for s, t in pairs)
         table.append((r, scores))
     return table

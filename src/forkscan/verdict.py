@@ -44,18 +44,12 @@ class CandidateJudgment:
 
 
 @dataclass
-class HunkOutcome:
-    status: Status
-    conf: float
-    winner: CandidateJudgment | None
-
-
-@dataclass
 class Verdict:
+    """The (patch, target) answer and the judgment it rests on, if any."""
+
     status: Status
     conf: float
     winning: CandidateJudgment | None
-    per_hunk: list[HunkOutcome]
 
 
 def decide(
@@ -100,9 +94,7 @@ def judge_candidate(
     def sim_to(patch_stmts) -> float:
         if not norms:
             return 0.0
-        return fragment_similarity(
-            norms, [s.norm for s in patch_stmts], params
-        ).score
+        return fragment_similarity(norms, [s.norm for s in patch_stmts], params)
 
     s_del = sim_to(hunk.dp) if hunk.dp else None
     s_add = sim_to(hunk.ap) if hunk.ap else None
@@ -112,30 +104,29 @@ def judge_candidate(
     )
 
 
-def _hunk_outcome(judgments: list[CandidateJudgment]) -> HunkOutcome:
-    decided = [j for j in judgments if j.decided]
-    if not decided:
-        return HunkOutcome(Status.CONTEXT_NOT_FOUND, 0.0, None)
-    winner = min(
-        decided,
+def _hunk_winner(judgments: list[CandidateJudgment]) -> CandidateJudgment | None:
+    """The decided judgment with the highest confidence (ties: lower path,
+    then lower line); None when no judgment was decided."""
+    return min(
+        (j for j in judgments if j.decided),
         key=lambda j: (-j.conf, j.candidate.path, j.candidate.span[0]),
+        default=None,
     )
-    status = Status.VULNERABLE if winner.fv == 0 else Status.FIXED
-    return HunkOutcome(status, winner.conf, winner)
 
 
-def aggregate(judgments_per_hunk: list[list[CandidateJudgment]]) -> Verdict:
+def aggregate(hunk_judgments: list[list[CandidateJudgment]]) -> Verdict:
     """Combine per-candidate judgments into the per-(patch, target) verdict.
 
-    Per hunk the decided judgment with the highest confidence wins (ties:
-    lower path, then lower line). Any Vulnerable hunk makes the patch
-    Vulnerable; otherwise any Fixed hunk makes it Fixed; otherwise the
-    patch context was not found at all.
+    Each hunk contributes its winning judgment. Any Vulnerable winner makes
+    the patch Vulnerable; otherwise any Fixed winner makes it Fixed. The
+    verdict carries the most confident winner of that status (ties: the
+    earliest hunk) and its conf. With no decided judgment in any hunk the
+    verdict is ContextNotFound with conf 0 and no winning judgment.
     """
-    outcomes = [_hunk_outcome(js) for js in judgments_per_hunk]
-    for wanted in (Status.VULNERABLE, Status.FIXED):
-        hits = [o for o in outcomes if o.status is wanted]
+    winners = [w for w in map(_hunk_winner, hunk_judgments) if w is not None]
+    for wanted, fv in ((Status.VULNERABLE, 0), (Status.FIXED, 1)):
+        hits = [w for w in winners if w.fv == fv]
         if hits:
-            top = max(hits, key=lambda o: o.conf)
-            return Verdict(wanted, top.conf, top.winner, outcomes)
-    return Verdict(Status.CONTEXT_NOT_FOUND, 0.0, None, outcomes)
+            top = max(hits, key=lambda w: w.conf)
+            return Verdict(wanted, top.conf, top)
+    return Verdict(Status.CONTEXT_NOT_FOUND, 0.0, None)

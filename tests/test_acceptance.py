@@ -23,7 +23,7 @@ from forkscan.cli import main
 from forkscan.delay import earliest_release, find_fix_commit, patch_delay
 from forkscan.gitio import RepoHandle
 from forkscan.patchmodel import PatchType
-from forkscan.report import emit_cdf, parse_report
+from forkscan.report import emit_cdf
 from forkscan.simcore import SimilarityParams, fragment_similarity, reward_sweep, strsim
 from forkscan.verdict import decide
 
@@ -136,12 +136,12 @@ def test_criterion_2_fragment_similarity_exactness():
 
     for _ in range(50):
         frag = _fragment(rng)
-        if fragment_similarity(frag, frag, params).score != 1.0:
+        if fragment_similarity(frag, frag, params) != 1.0:
             failures.append("identity != 1.0")
             break
 
     for _ in range(1000):
-        score = fragment_similarity(_fragment(rng), _fragment(rng), params).score
+        score = fragment_similarity(_fragment(rng), _fragment(rng), params)
         if not 0.0 <= score <= 1.0:
             failures.append(f"score {score} out of [0, 1]")
             break
@@ -159,7 +159,7 @@ def test_criterion_2_fragment_similarity_exactness():
         r = sweep_rs[k % len(sweep_rs)]
         got = fragment_similarity(
             [base[perm[i]] for i in range(p)], base, SimilarityParams(r=r)
-        ).score
+        )
         expected = sum(r ** abs(i - perm[i]) for i in range(p)) / p
         worst = max(worst, abs(got - expected))
     if worst > 1e-12:
@@ -169,7 +169,7 @@ def test_criterion_2_fragment_similarity_exactness():
         ["second_line(b);", "first_line(a);"],
         ["first_line(a);", "second_line(b);"],
         SimilarityParams(r=0.95),
-    ).score
+    )
     if swap != 0.95:
         failures.append(f"two-line swap gave {swap}, want 0.95")
 
@@ -194,7 +194,7 @@ def test_criterion_3_reward_factor_monotonicity():
 
     failures: list[str] = []
     per_pair = [
-        [fragment_similarity(a, b, SimilarityParams(r=r)).score for r in rs]
+        [fragment_similarity(a, b, SimilarityParams(r=r)) for r in rs]
         for a, b in pairs
     ]
     for i, seq in enumerate(per_pair):
@@ -227,10 +227,10 @@ def test_criterion_4_planted_clone_corpus(corpus_env):
     hits: dict[int, list[int]] = {1: [0, 0], 2: [0, 0], 3: [0, 0]}
     type1_fixed_vulnerable = 0
     for case in corpus_env.index["cases"]:
-        scan = parse_report(
+        scan = json.loads(
             corpus_env.reports[case["name"]].read_text(encoding="utf-8")
         )
-        by_target = {r.target: r.status for r in scan.results}
+        by_target = {r["target"]: r["status"] for r in scan["results"]}
         vuln = by_target[f"tgt_{case['name']}_vuln"]
         fixed = by_target[f"tgt_{case['name']}_fixed"]
         if vuln == "Vulnerable":
@@ -306,9 +306,9 @@ def test_criterion_6_release_delay_fixture(table_repo):
     repo, c_rewrite, _ = table_repo
     handle = RepoHandle(repo)
 
-    attribution = find_fix_commit(handle, TABLE_FILE, (204, 208), "HEAD")
-    release = earliest_release(handle, attribution.true_fix)
-    ok = attribution.true_fix == c_rewrite and release is not None
+    true_fix = find_fix_commit(handle, TABLE_FILE, (204, 208), "HEAD")
+    release = earliest_release(handle, true_fix)
+    ok = true_fix == c_rewrite and release is not None
     delay = None
     if ok:
         delay = patch_delay(datetime(2019, 8, 10, tzinfo=UTC), release[1])
@@ -316,7 +316,7 @@ def test_criterion_6_release_delay_fixture(table_repo):
     _criterion(
         6,
         ok,
-        f"true_fix {'ok' if attribution.true_fix == c_rewrite else 'WRONG'}, "
+        f"true_fix {'ok' if true_fix == c_rewrite else 'WRONG'}, "
         f"release {release and release[0]}, delay {delay} days (197 +/- 1)",
     )
 
@@ -341,17 +341,17 @@ def test_criterion_7_throughput_on_bulk_target(tmp_path):
     )
     elapsed = time.monotonic() - started
 
-    row = parse_report(out.read_text(encoding="utf-8")).results[0]
+    row = json.loads(out.read_text(encoding="utf-8"))["results"][0]
     ok = (
         elapsed < 10.0
         and code == 1
-        and row.status == "Vulnerable"
-        and row.path == bulk["planted_file"]
+        and row["status"] == "Vulnerable"
+        and row["path"] == bulk["planted_file"]
     )
     _criterion(
         7,
         ok,
-        f"100 kLOC scan {elapsed:.2f}s (< 10s), {row.status} in {row.path}",
+        f"100 kLOC scan {elapsed:.2f}s (< 10s), {row['status']} in {row['path']}",
     )
 
 

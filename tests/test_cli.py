@@ -33,8 +33,6 @@ from forkscan.cli import (
     main,
     parse_config_file,
 )
-from forkscan.report import parse_report
-
 from conftest import (
     UTC,
     commit_all,
@@ -405,6 +403,10 @@ class TestBuildConfig:
 # detect end to end
 
 
+def _rows(out: Path) -> list[dict]:
+    return json.loads(out.read_text(encoding="utf-8"))["results"]
+
+
 def _detect(world, targets, out, extra=()) -> int:
     argv = ["detect", "--source", str(world.src), "--patch", world.patch_sha]
     for t in targets:
@@ -418,19 +420,19 @@ class TestDetectEndToEnd:
         out = tmp_path / "report.json"
         assert _detect(world, [world.vuln], out) == 1
 
-        scan = parse_report(out.read_text(encoding="utf-8"))
-        assert [r.target for r in scan.results] == ["vulnfork"]
-        row = scan.results[0]
-        assert row.patch == world.patch_sha
-        assert row.status == "Vulnerable"
-        assert row.conf == pytest.approx(0.6)
-        assert row.path == "src/validation.cpp"
-        assert row.span == (8, 8)
-        assert row.s_del == pytest.approx(1.0)
-        assert row.s_add is not None and 0.0 < row.s_add < 1.0
-        assert row.ctx_sim_up == pytest.approx(1.0)
-        assert row.ctx_sim_down == pytest.approx(1.0)
-        assert row.delay is None
+        rows = _rows(out)
+        assert [r["target"] for r in rows] == ["vulnfork"]
+        row = rows[0]
+        assert row["patch"] == world.patch_sha
+        assert row["status"] == "Vulnerable"
+        assert row["conf"] == pytest.approx(0.6)
+        assert row["path"] == "src/validation.cpp"
+        assert row["span"] == [8, 8]
+        assert row["s_del"] == pytest.approx(1.0)
+        assert row["s_add"] is not None and 0.0 < row["s_add"] < 1.0
+        assert row["ctx_sim_up"] == pytest.approx(1.0)
+        assert row["ctx_sim_down"] == pytest.approx(1.0)
+        assert row["delay"] is None
         assert (
             "vulnfork: 1 vulnerable, 0 fixed, 0 context-not-found"
             in capsys.readouterr().out
@@ -441,16 +443,16 @@ class TestDetectEndToEnd:
         out = out_dir / "scan.json"
         assert _detect(world, [world.fixed], out) == 0
 
-        scan = parse_report(out.read_text(encoding="utf-8"))
-        row = scan.results[0]
-        assert row.status == "Fixed"
-        assert row.conf == pytest.approx(0.6)
-        assert row.s_add == pytest.approx(1.0)
-        assert row.delay is not None
-        assert row.delay.true_fix == world.backport_sha
-        assert row.delay.release_tag == "v2.0.0"
-        assert row.delay.release_date == "2021-12-01T00:00:00+00:00"
-        assert row.delay.delay_days == 183
+        row = _rows(out)[0]
+        assert row["status"] == "Fixed"
+        assert row["conf"] == pytest.approx(0.6)
+        assert row["s_add"] == pytest.approx(1.0)
+        assert row["delay"] == {
+            "true_fix": world.backport_sha,
+            "release_tag": "v2.0.0",
+            "release_date": "2021-12-01T00:00:00+00:00",
+            "delay_days": 183,
+        }
 
         csv_text = (out_dir / "scan.csv").read_text(encoding="utf-8")
         header, data = csv_text.splitlines()[:2]
@@ -463,12 +465,11 @@ class TestDetectEndToEnd:
         out = tmp_path / "report.json"
         assert _detect(world, [world.clean], out) == 0
 
-        scan = parse_report(out.read_text(encoding="utf-8"))
-        row = scan.results[0]
-        assert row.status == "ContextNotFound"
-        assert row.conf == 0.0
-        assert row.path is None and row.span is None
-        assert row.note == ""
+        row = _rows(out)[0]
+        assert row["status"] == "ContextNotFound"
+        assert row["conf"] == 0.0
+        assert row["path"] is None and row["span"] is None
+        assert row["note"] == ""
         assert not (tmp_path / "delay_cdf.csv").exists()
 
     def test_three_targets_summary_and_row_order(self, world, tmp_path, capsys):
@@ -476,8 +477,7 @@ class TestDetectEndToEnd:
         code = _detect(world, [world.vuln, world.fixed, world.clean], out)
         assert code == 1
 
-        scan = parse_report(out.read_text(encoding="utf-8"))
-        assert [(r.target, r.status) for r in scan.results] == [
+        assert [(r["target"], r["status"]) for r in _rows(out)] == [
             ("cleanfork", "ContextNotFound"),
             ("fixedfork", "Fixed"),
             ("vulnfork", "Vulnerable"),
@@ -493,12 +493,11 @@ class TestDetectEndToEnd:
         out = tmp_path / "report.json"
         assert _detect(world, [world.plain, world.fixed], out) == 0
 
-        scan = parse_report(out.read_text(encoding="utf-8"))
-        by_target = {r.target: r for r in scan.results}
+        by_target = {r["target"]: r for r in _rows(out)}
         bad = by_target["notarepo"]
-        assert bad.status == "ContextNotFound"
-        assert bad.note.startswith("target unusable:")
-        assert by_target["fixedfork"].status == "Fixed"
+        assert bad["status"] == "ContextNotFound"
+        assert bad["note"].startswith("target unusable:")
+        assert by_target["fixedfork"]["status"] == "Fixed"
         assert (
             "notarepo: 0 vulnerable, 0 fixed, 1 context-not-found"
             in capsys.readouterr().out
@@ -508,9 +507,9 @@ class TestDetectEndToEnd:
         out = tmp_path / "report.json"
         assert _detect(world, [world.vuln, world.vuln], out) == 1
 
-        scan = parse_report(out.read_text(encoding="utf-8"))
-        assert [r.target for r in scan.results] == [str(world.vuln)] * 2
-        assert {r.status for r in scan.results} == {"Vulnerable"}
+        rows = _rows(out)
+        assert [r["target"] for r in rows] == [str(world.vuln)] * 2
+        assert {r["status"] for r in rows} == {"Vulnerable"}
 
     def test_rescan_is_byte_identical(self, world, tmp_path):
         first = tmp_path / "one" / "report.json"
@@ -564,12 +563,12 @@ class TestScanFailureNotes:
         out = tmp_path / "broken" / "report.json"
         assert _detect(world, targets, out) == 0  # only the Fixed row is left
 
-        rows = {r.target: r for r in parse_report(out.read_text(encoding="utf-8")).results}
-        want = {r.target: r for r in parse_report(plain.read_text(encoding="utf-8")).results}
-        assert rows["vulnfork"].status == "ContextNotFound"
-        assert rows["vulnfork"].conf == 0.0
-        assert rows["vulnfork"].note == "hunk 0: grep exploded"
-        assert rows["fixedfork"].to_dict() == want["fixedfork"].to_dict()
+        rows = {r["target"]: r for r in _rows(out)}
+        want = {r["target"]: r for r in _rows(plain)}
+        assert rows["vulnfork"]["status"] == "ContextNotFound"
+        assert rows["vulnfork"]["conf"] == 0.0
+        assert rows["vulnfork"]["note"] == "hunk 0: grep exploded"
+        assert rows["fixedfork"] == want["fixedfork"]
 
     def test_delay_failure_notes_fixed_row(self, world, tmp_path, monkeypatch):
         def releases(repo, sha):
@@ -579,13 +578,13 @@ class TestScanFailureNotes:
         out = tmp_path / "report.json"
         assert _detect(world, [world.fixed, world.clean], out) == 0
 
-        rows = {r.target: r for r in parse_report(out.read_text(encoding="utf-8")).results}
+        rows = {r["target"]: r for r in _rows(out)}
         fixed = rows["fixedfork"]
-        assert fixed.status == "Fixed"
-        assert fixed.note == "delay: tags unreadable"
-        assert fixed.delay is None
-        assert rows["cleanfork"].status == "ContextNotFound"
-        assert rows["cleanfork"].note == ""
+        assert fixed["status"] == "Fixed"
+        assert fixed["note"] == "delay: tags unreadable"
+        assert fixed["delay"] is None
+        assert rows["cleanfork"]["status"] == "ContextNotFound"
+        assert rows["cleanfork"]["note"] == ""
         assert not (tmp_path / "delay_cdf.csv").exists()
 
 
@@ -624,7 +623,7 @@ class TestTracedDetect:
         counts = json.loads(trace_file.read_text(encoding="utf-8"))["counts"]
         for key in ("patchmodel.hunks", "patchmodel.keywords",
                     "preprocess.extract_statements.lines_in", "simcore.strsim.cells",
-                    "search.candidates"):
+                    "search.candidates", "verdict.decided", "delay.attributed"):
             assert counts.get(key, 0) > 0, key
 
 
@@ -641,8 +640,7 @@ class TestDetectFromConfigFile:
         )
         assert main(["detect", "--config", str(conf)]) == 0
 
-        scan = parse_report(out.read_text(encoding="utf-8"))
-        assert [(r.target, r.status) for r in scan.results] == [
+        assert [(r["target"], r["status"]) for r in _rows(out)] == [
             ("cleanfork", "ContextNotFound"),
             ("fixedfork", "Fixed"),
         ]
@@ -661,8 +659,7 @@ class TestDetectFromConfigFile:
             ["detect", "--config", str(conf), "--target", str(world.vuln)]
         )
         assert code == 1
-        scan = parse_report(out.read_text(encoding="utf-8"))
-        assert [r.target for r in scan.results] == ["vulnfork"]
+        assert [r["target"] for r in _rows(out)] == ["vulnfork"]
 
 
 class TestPatchFileRoute:
@@ -689,12 +686,11 @@ class TestPatchFileRoute:
         )
         assert code == 1
 
-        scan = parse_report(out.read_text(encoding="utf-8"))
-        row = scan.results[0]
-        assert row.patch == "fix-pruned.diff"
-        assert row.status == "Vulnerable"
-        assert row.span == (8, 8)
         data = json.loads(out.read_text(encoding="utf-8"))
+        row = data["results"][0]
+        assert row["patch"] == "fix-pruned.diff"
+        assert row["status"] == "Vulnerable"
+        assert row["span"] == [8, 8]
         assert data["patches"][0]["sha"] is None
         assert data["patches"][0]["committed_at"] is None
 
@@ -1008,13 +1004,12 @@ class TestGenFixtures:
         )
         assert code == 1
 
-        scan = parse_report(out.read_text(encoding="utf-8"))
-        by_target = {r.target: r for r in scan.results}
-        assert by_target["tgt_smoke_vuln"].status == "Vulnerable"
+        by_target = {r["target"]: r for r in _rows(out)}
+        assert by_target["tgt_smoke_vuln"]["status"] == "Vulnerable"
         fixed_row = by_target["tgt_smoke_fixed"]
-        assert fixed_row.status == "Fixed"
-        assert fixed_row.delay.release_tag == "v1.0.0"
-        assert fixed_row.delay.delay_days == case["expect_delay_days"] == 183
+        assert fixed_row["status"] == "Fixed"
+        assert fixed_row["delay"]["release_tag"] == "v1.0.0"
+        assert fixed_row["delay"]["delay_days"] == case["expect_delay_days"] == 183
 
     def test_bad_spec_json_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

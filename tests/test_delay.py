@@ -7,15 +7,14 @@ import pytest
 from conftest import TABLE_FILE, commit_all, init_repo, run_git, write_files
 from forkscan.delay import (
     AttributionFailed,
-    DelayRecord,
     earliest_release,
     find_fix_commit,
     fix_delay,
     patch_delay,
 )
-from forkscan.gitio import RepoHandle
+from forkscan.gitio import RepoHandle, blame_lines
+from forkscan.report import DelayRecord
 from forkscan.search import CandidateCode, CandidateContext
-from forkscan.patchmodel import Side
 from forkscan.verdict import CandidateJudgment, Status, Verdict
 
 UTC = timezone.utc
@@ -27,32 +26,26 @@ def _verdict(status: Status, candidate: CandidateCode | None) -> Verdict:
         winning = CandidateJudgment(
             candidate=candidate, s_del=None, s_add=1.0, fv=1, conf=0.6
         )
-    return Verdict(status=status, conf=0.6, winning=winning, per_hunk=[])
+    return Verdict(status=status, conf=0.6, winning=winning)
+
+
+def _owners(repo: RepoHandle, rev: str, path: str, span) -> set[str]:
+    """Commits that blame names for the region."""
+    return {e.commit_sha for e in blame_lines(repo, rev, path, *span)}
 
 
 class TestFindFixCommit:
     def test_earliest_of_region_owners(self, table_repo):
         repo_path, c_rewrite, c_tweak = table_repo
         repo = RepoHandle(repo_path)
-        attribution = find_fix_commit(repo, TABLE_FILE, (204, 208), "HEAD")
-        assert [sha for sha, _ in attribution.commits] == sorted(
-            {c_rewrite, c_tweak},
-            key=lambda s: (datetime(2019, 8, 10, tzinfo=UTC)
-                           if s == c_rewrite
-                           else datetime(2020, 6, 26, tzinfo=UTC), s),
-        )
-        assert attribution.true_fix == c_rewrite
-        assert dict(attribution.commits)[c_rewrite] == datetime(
-            2019, 8, 10, tzinfo=UTC
-        )
+        assert _owners(repo, "HEAD", TABLE_FILE, (204, 208)) == {c_rewrite, c_tweak}
+        assert find_fix_commit(repo, TABLE_FILE, (204, 208), "HEAD") == c_rewrite
 
     def test_single_line_region(self, table_repo):
         repo_path, _, c_tweak = table_repo
-        attribution = find_fix_commit(
-            RepoHandle(repo_path), TABLE_FILE, (205, 205), "HEAD"
-        )
-        assert attribution.true_fix == c_tweak
-        assert len(attribution.commits) == 1
+        repo = RepoHandle(repo_path)
+        assert _owners(repo, "HEAD", TABLE_FILE, (205, 205)) == {c_tweak}
+        assert find_fix_commit(repo, TABLE_FILE, (205, 205), "HEAD") == c_tweak
 
     def test_missing_path_raises(self, table_repo):
         with pytest.raises(AttributionFailed):
@@ -72,16 +65,15 @@ class TestFindFixCommit:
         first = commit_all(root, "base", stamp)
         write_files(root, {"t.c": "int a = 1;\nint b = 99;\n"})
         second = commit_all(root, "bump b", stamp)
-        attribution = find_fix_commit(RepoHandle(root), "t.c", (1, 2), "HEAD")
-        assert {sha for sha, _ in attribution.commits} == {first, second}
-        assert attribution.true_fix == min(first, second)
+        repo = RepoHandle(root)
+        assert _owners(repo, "HEAD", "t.c", (1, 2)) == {first, second}
+        assert find_fix_commit(repo, "t.c", (1, 2), "HEAD") == min(first, second)
 
     def test_rev_pinning(self, table_repo):
         repo_path, c_rewrite, c_tweak = table_repo
         repo = RepoHandle(repo_path)
-        at_rewrite = find_fix_commit(repo, TABLE_FILE, (204, 208), c_rewrite)
-        assert c_tweak not in dict(at_rewrite.commits)
-        assert at_rewrite.true_fix == c_rewrite
+        assert c_tweak not in _owners(repo, c_rewrite, TABLE_FILE, (204, 208))
+        assert find_fix_commit(repo, TABLE_FILE, (204, 208), c_rewrite) == c_rewrite
 
 
 class TestEarliestRelease:
@@ -165,10 +157,8 @@ class TestFixDelay:
 
     def test_empty_candidate_blames_context_gap(self, table_repo):
         repo_path, c_rewrite, _ = table_repo
-        up = CandidateContext(path=TABLE_FILE, side=Side.UP, ss_line=201,
-                              es_line=204, stmts=[], ctx_sim=0.9)
-        down = CandidateContext(path=TABLE_FILE, side=Side.DOWN, ss_line=207,
-                                es_line=211, stmts=[], ctx_sim=0.9)
+        up = CandidateContext(path=TABLE_FILE, ss_line=201, es_line=204, ctx_sim=0.9)
+        down = CandidateContext(path=TABLE_FILE, ss_line=207, es_line=211, ctx_sim=0.9)
         cand = CandidateCode(path=TABLE_FILE, stmts=[], span=(205, 204),
                              paired_up=up, paired_down=down)
         record = fix_delay(
@@ -181,8 +171,7 @@ class TestFixDelay:
 
     def test_empty_candidate_single_context_fallback(self, table_repo):
         repo_path, _, c_tweak = table_repo
-        up = CandidateContext(path=TABLE_FILE, side=Side.UP, ss_line=205,
-                              es_line=205, stmts=[], ctx_sim=0.9)
+        up = CandidateContext(path=TABLE_FILE, ss_line=205, es_line=205, ctx_sim=0.9)
         cand = CandidateCode(path=TABLE_FILE, stmts=[], span=(206, 205),
                              paired_up=up)
         record = fix_delay(

@@ -84,7 +84,9 @@ def _norms(stmts) -> list[str]:
 
 def _expected_context(content: str, span: tuple[int, int], c_lines: int = 5):
     """Independent context slice: meaningful statements around a raw span."""
-    stmts = extract_statements(content.rstrip("\n").split("\n"), GUARD)
+    stmts = extract_statements(
+        content.rstrip("\n").split("\n"), GUARD, classify_file(GUARD)
+    )
     above = [s.norm for s in stmts if s.line_no < span[0]]
     below = [s.norm for s in stmts if s.line_no > span[1]]
     return above[-c_lines:], below[:c_lines]
@@ -275,7 +277,9 @@ class TestParsePatchFromRepo:
         (h,) = patch.hunks
         assert h.ptype == PatchType.ADD and h.dp == []
         assert _norms(h.ap) == _norms(
-            extract_statements(GUARD_V0.rstrip("\n").split("\n"), GUARD)
+            extract_statements(
+                GUARD_V0.rstrip("\n").split("\n"), GUARD, classify_file(GUARD)
+            )
         )
 
     def test_dp_ap_line_numbers_are_file_positions(self, guard_repo):

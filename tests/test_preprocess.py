@@ -115,20 +115,24 @@ if (nValue > 0) {
 
 class TestExtractStatements:
     def test_matches_whole_file_oracle_on_c(self):
-        got = extract_statements(SAMPLE_C.split("\n"), "sample.c")
+        got = extract_statements(
+            SAMPLE_C.split("\n"), "sample.c", classify_file("sample.c")
+        )
         expect = oracle_strip_file(SAMPLE_C, hash_comments=False)
         assert [(s.line_no, s.norm) for s in got] == expect
 
     def test_matches_oracle_on_hash_language(self):
         text = 'x = 1  # tail\n# full line\ns = "a#b"  # after string\nfoo(s)\n'
-        got = extract_statements(text.split("\n"), "script.py")
+        got = extract_statements(
+            text.split("\n"), "script.py", classify_file("script.py")
+        )
         expect = oracle_strip_file(text, hash_comments=True)
         assert [(s.line_no, s.norm) for s in got] == expect
         assert [s.norm for s in got] == ["x = 1", 's = "a#b"', "foo(s)"]
 
     def test_line_numbers_are_original(self):
         lines = ["", "// gone", "int a = 1;", "", "int b = 2;"]
-        got = extract_statements(lines, "f.c")
+        got = extract_statements(lines, "f.c", classify_file("f.c"))
         assert [(s.line_no, s.norm) for s in got] == [
             (3, "int a = 1;"),
             (5, "int b = 2;"),
@@ -136,7 +140,7 @@ class TestExtractStatements:
 
     def test_block_comment_spans_lines(self):
         lines = ["start();", "/* a", "   b", "*/ end();", "tail();"]
-        got = extract_statements(lines, "f.c")
+        got = extract_statements(lines, "f.c", classify_file("f.c"))
         assert [(s.line_no, s.norm) for s in got] == [
             (1, "start();"),
             (4, "end();"),
@@ -144,31 +148,37 @@ class TestExtractStatements:
         ]
 
     def test_comment_markers_inside_strings_survive(self):
-        got = extract_statements(['s = "//not/*a*/comment";'], "f.c")
+        got = extract_statements(
+            ['s = "//not/*a*/comment";'], "f.c", classify_file("f.c")
+        )
         assert got[0].norm == 's = "//not/*a*/comment";'
 
     def test_escaped_quote_in_string(self):
-        got = extract_statements(['s = "a\\"b"; // tail'], "f.c")
+        got = extract_statements(['s = "a\\"b"; // tail'], "f.c", classify_file("f.c"))
         assert got[0].norm == 's = "a\\"b";'
 
     def test_hash_kept_in_c_and_go(self):
-        assert extract_statements(["#include <x>"], "f.c")[0].norm == "#include <x>"
-        got = extract_statements(["x := 1 # kept"], "f.go")
+        assert extract_statements(
+            ["#include <x>"], "f.c", classify_file("f.c")
+        )[0].norm == "#include <x>"
+        got = extract_statements(["x := 1 # kept"], "f.go", classify_file("f.go"))
         assert got[0].norm == "x := 1 # kept"
 
     def test_bracket_only_lines_dropped(self):
         lines = ["{", "});", "  ,  ", "[ ] ;", "real();"]
-        got = extract_statements(lines, "f.c")
+        got = extract_statements(lines, "f.c", classify_file("f.c"))
         assert [s.norm for s in got] == ["real();"]
 
     def test_unterminated_block_comment_warns(self, caplog):
         with caplog.at_level(logging.WARNING):
-            got = extract_statements(["ok();", "/* open", "never closed"], "f.c")
+            got = extract_statements(
+                ["ok();", "/* open", "never closed"], "f.c", classify_file("f.c")
+            )
         assert [s.norm for s in got] == ["ok();"]
         assert any("unterminated" in r.message for r in caplog.records)
 
     def test_raw_preserved(self):
-        got = extract_statements(["   int  a = 1;   // c"], "f.c")
+        got = extract_statements(["   int  a = 1;   // c"], "f.c", classify_file("f.c"))
         assert got[0].raw == "   int  a = 1;   // c"
         assert got[0].norm == "int a = 1;"
 

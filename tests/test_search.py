@@ -90,12 +90,12 @@ PARAMS = SimilarityParams()
 
 
 def make_ctx(norms: list[str], side: Side) -> PatchContext:
-    stmts = extract_statements(norms, PATCH_PATH)
+    stmts = extract_statements(norms, PATCH_PATH, PATCH_FC)
     return PatchContext(entries=[(extract_keyword(s), s) for s in stmts], side=side)
 
 
 def make_stmts(norms: list[str]):
-    return extract_statements(norms, PATCH_PATH)
+    return extract_statements(norms, PATCH_PATH, PATCH_FC)
 
 
 def make_hunk(up_norms=None, down_norms=None) -> PatchHunk:
@@ -225,15 +225,14 @@ def _brute_force_keys(repo: RepoHandle, ctx: PatchContext) -> dict:
 class TestFindKeyStatements:
     def test_up_context_survivors(self, fig_repo):
         ks = find_key_statements(_cache(fig_repo), make_ctx(UP_NORMS, Side.UP), PATCH_FC, PARAMS)
-        assert {(m.hit.path, m.hit.line_no) for m in ks} == {
+        assert {(m.stmt.path, m.stmt.line_no) for m in ks} == {
             ("src/init.cpp", 3),
             ("src/init.cpp", 4),
             ("src/init.cpp", 5),
             ("src/init.cpp", 8),
         }
         head = ks[0]
-        assert (head.hit.line_no, head.sim) == (5, 1.0)
-        assert head.side == Side.UP
+        assert (head.stmt.line_no, head.sim) == (5, 1.0)
         sims = [m.sim for m in ks]
         assert sims == sorted(sims, reverse=True)
 
@@ -241,12 +240,12 @@ class TestFindKeyStatements:
         ks = find_key_statements(
             _cache(fig_repo), make_ctx(DOWN_NORMS, Side.DOWN), PATCH_FC, PARAMS
         )
-        assert [(m.hit.line_no, m.sim) for m in ks][0] == (9, 1.0)
-        assert {m.hit.line_no for m in ks} == {7, 9}
+        assert [(m.stmt.line_no, m.sim) for m in ks][0] == (9, 1.0)
+        assert {m.stmt.line_no for m in ks} == {7, 9}
 
     def test_filters_block_traps(self, fig_repo):
         ks = find_key_statements(_cache(fig_repo), make_ctx(UP_NORMS, Side.UP), PATCH_FC, PARAMS)
-        hit_keys = {(m.hit.path, m.hit.line_no) for m in ks}
+        hit_keys = {(m.stmt.path, m.stmt.line_no) for m in ks}
         assert ("src/tests/util_tests.cpp", 1) not in hit_keys  # test path
         assert ("src/validation.h", 1) not in hit_keys  # different file class
         assert ("src/init.cpp", 12) not in hit_keys  # RETURN vs ASSIGNMENT
@@ -259,7 +258,7 @@ class TestFindKeyStatements:
     ])
     def test_matches_brute_force_scan(self, fig_repo, norms, side):
         ctx = make_ctx(norms, side)
-        got = {(m.hit.path, m.hit.line_no): m.sim
+        got = {(m.stmt.path, m.stmt.line_no): m.sim
                for m in find_key_statements(_cache(fig_repo), ctx, PATCH_FC, PARAMS)}
         assert got == _brute_force_keys(fig_repo, ctx)
 
@@ -278,7 +277,7 @@ class TestFindKeyStatements:
 class TestExpandBoundary:
     def _seed(self, repo, norms, side, line):
         ks = find_key_statements(_cache(repo), make_ctx(norms, side), PATCH_FC, PARAMS)
-        return next(m for m in ks if m.hit.line_no == line)
+        return next(m for m in ks if m.stmt.line_no == line)
 
     @pytest.mark.parametrize("line", [3, 4, 5])
     def test_up_seeds_converge(self, fig_repo, line):
@@ -302,7 +301,7 @@ class TestExpandBoundary:
     def test_single_statement_context_collapses_to_seed(self, fig_repo):
         ctx = make_ctx(["pindexState = chainActive.Tip();"], Side.UP)
         ks = find_key_statements(_cache(fig_repo), ctx, PATCH_FC, PARAMS)[0]
-        assert ks.hit.line_no == 9
+        assert ks.stmt.line_no == 9
         assert expand_boundary(_cache(fig_repo), ks, ctx, 5, PARAMS) == (9, 9)
 
     def test_gate_failure_returns_none(self, tmp_path):
@@ -315,7 +314,7 @@ class TestExpandBoundary:
             "OmegaEpsilonZetaTheta();",
         ], Side.UP)
         ks = find_key_statements(_cache(repo), ctx, PATCH_FC, PARAMS)
-        assert [(m.hit.line_no, m.sim) for m in ks] == [(2, 1.0)]
+        assert [(m.stmt.line_no, m.sim) for m in ks] == [(2, 1.0)]
         assert expand_boundary(_cache(repo), ks[0], ctx, 5, PARAMS) is None
 
     def test_equal_matches_prefer_closest(self, tmp_path):
@@ -327,7 +326,7 @@ class TestExpandBoundary:
         })
         ctx = make_ctx(["BeginMarker(y);", "filler_stmt;", "MarkerEnd();"], Side.UP)
         ks = find_key_statements(_cache(repo), ctx, PATCH_FC, PARAMS)
-        seed2 = next(m for m in ks if m.hit.line_no == 2)
+        seed2 = next(m for m in ks if m.stmt.line_no == 2)
         # MarkerEnd() appears at lines 3 and 5 with equal similarity; the
         # boundary ends at the one nearer the seed.
         assert expand_boundary(_cache(repo), seed2, ctx, 5, PARAMS) == (2, 3)
@@ -349,10 +348,11 @@ class TestFinalizeContexts:
         )
         assert len(kept) == 1
         c = kept[0]
-        assert (c.path, c.ss_line, c.es_line, c.side) == ("src/init.cpp", 3, 5, Side.UP)
-        assert [s.line_no for s in c.stmts] == [3, 4, 5]
+        assert (c.path, c.ss_line, c.es_line) == ("src/init.cpp", 3, 5)
+        stmts = _cache(fig_repo).between(c.path, c.ss_line, c.es_line)
+        assert [s.line_no for s in stmts] == [3, 4, 5]
         expected = oracle_fragment_similarity(
-            UP_NORMS, [s.norm for s in c.stmts], PARAMS.r
+            UP_NORMS, [s.norm for s in stmts], PARAMS.r
         )
         assert c.ctx_sim == pytest.approx(expected, abs=1e-12)
         assert c.ctx_sim >= PARAMS.t
@@ -397,46 +397,45 @@ class TestFinalizeContexts:
         ) == []
 
 
-def _ctx(path: str, side: Side, ss: int, es: int) -> CandidateContext:
-    return CandidateContext(path=path, side=side, ss_line=ss, es_line=es,
-                            stmts=[], ctx_sim=0.9)
+def _ctx(path: str, ss: int, es: int) -> CandidateContext:
+    return CandidateContext(path=path, ss_line=ss, es_line=es, ctx_sim=0.9)
 
 
 class TestFetchCandidateCode:
     def test_between_pair(self, fig_repo):
-        up = _ctx("src/init.cpp", Side.UP, 3, 5)
-        down = _ctx("src/init.cpp", Side.DOWN, 7, 11)
+        up = _ctx("src/init.cpp", 3, 5)
+        down = _ctx("src/init.cpp", 7, 11)
         cand = fetch_candidate_code(_cache(fig_repo), up, down, 1)
         assert cand.span == (6, 6)
         assert cand.norms == [DP_LINE]
         assert cand.paired_up is up and cand.paired_down is down
 
     def test_adjacent_pair_yields_empty_candidate(self, fig_repo):
-        up = _ctx("src/init.cpp", Side.UP, 3, 5)
-        down = _ctx("src/init.cpp", Side.DOWN, 6, 11)
+        up = _ctx("src/init.cpp", 3, 5)
+        down = _ctx("src/init.cpp", 6, 11)
         cand = fetch_candidate_code(_cache(fig_repo), up, down, 1)
         assert cand.stmts == [] and cand.span == (6, 5)
 
     def test_up_only_takes_statements_below(self, fig_repo):
-        up = _ctx("src/init.cpp", Side.UP, 3, 5)
+        up = _ctx("src/init.cpp", 3, 5)
         cand = fetch_candidate_code(_cache(fig_repo), up, None, 2)
         assert cand.span == (6, 7)
         assert [s.line_no for s in cand.stmts] == [6, 7]
         assert cand.paired_down is None
 
     def test_up_only_at_end_of_file(self, fig_repo):
-        up = _ctx("src/init.cpp", Side.UP, 10, 12)
+        up = _ctx("src/init.cpp", 10, 12)
         cand = fetch_candidate_code(_cache(fig_repo), up, None, 2)
         assert cand.stmts == [] and cand.span == (13, 12)
 
     def test_down_only_takes_statements_above(self, fig_repo):
-        down = _ctx("src/init.cpp", Side.DOWN, 7, 11)
+        down = _ctx("src/init.cpp", 7, 11)
         cand = fetch_candidate_code(_cache(fig_repo), None, down, 2)
         assert cand.span == (5, 6)
         assert cand.norms[-1] == DP_LINE
 
     def test_down_only_at_start_of_file(self, fig_repo):
-        down = _ctx("src/init.cpp", Side.DOWN, 1, 5)
+        down = _ctx("src/init.cpp", 1, 5)
         cand = fetch_candidate_code(_cache(fig_repo), None, down, 3)
         assert cand.stmts == [] and cand.span == (1, 0)
 
@@ -458,8 +457,9 @@ class TestCollectCandidates:
         assert cand.span == (6, 6) and cand.norms == [DP_LINE]
         assert cand.paired_up is not None and cand.paired_down is not None
         up = out.up_contexts[0]
+        up_stmts = _cache(fig_repo).between(up.path, up.ss_line, up.es_line)
         assert up.ctx_sim == pytest.approx(
-            oracle_fragment_similarity(UP_NORMS, [s.norm for s in up.stmts], PARAMS.r),
+            oracle_fragment_similarity(UP_NORMS, [s.norm for s in up_stmts], PARAMS.r),
             abs=1e-12,
         )
 

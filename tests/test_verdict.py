@@ -171,7 +171,6 @@ class TestAggregate:
         assert v.status is Status.VULNERABLE
         assert v.conf == 0.6
         assert v.winning is not None and v.winning.fv == 0
-        assert len(v.per_hunk) == 1
 
     def test_single_fixed(self):
         v = aggregate([[_judgment(1, 0.25)]])
@@ -203,11 +202,12 @@ class TestAggregate:
     def test_no_candidates_is_context_not_found(self):
         v = aggregate([[]])
         assert v.status is Status.CONTEXT_NOT_FOUND
-        assert len(v.per_hunk) == 1
+        assert v.conf == 0.0 and v.winning is None
 
     def test_no_hunks_is_context_not_found(self):
         v = aggregate([])
-        assert v.status is Status.CONTEXT_NOT_FOUND and v.per_hunk == []
+        assert v.status is Status.CONTEXT_NOT_FOUND
+        assert v.conf == 0.0 and v.winning is None
 
     def test_any_vulnerable_hunk_wins(self):
         fixed_hunk = [_judgment(1, 0.9)]
@@ -215,21 +215,20 @@ class TestAggregate:
         v = aggregate([fixed_hunk, vulnerable_hunk])
         assert v.status is Status.VULNERABLE
         assert v.conf == 0.05  # the vulnerable hunk's own confidence
-        assert v.winning.fv == 0
+        assert v.winning is vulnerable_hunk[0]
 
     def test_vulnerable_conf_is_max_within_class(self):
         v = aggregate([[_judgment(0, 0.05)], [_judgment(0, 0.3)], [_judgment(1, 0.9)]])
         assert v.status is Status.VULNERABLE and v.conf == 0.3
 
     def test_fixed_beats_context_not_found(self):
-        v = aggregate([[], [_judgment(1, 0.2)], [_judgment(None, -0.3)]])
+        fixed = _judgment(1, 0.2)
+        v = aggregate([[], [fixed], [_judgment(None, -0.3)]])
         assert v.status is Status.FIXED and v.conf == 0.2
-        statuses = [o.status for o in v.per_hunk]
-        assert statuses == [
-            Status.CONTEXT_NOT_FOUND, Status.FIXED, Status.CONTEXT_NOT_FOUND,
-        ]
+        assert v.winning is fixed
 
-    def test_per_hunk_outcomes_recorded(self):
-        v = aggregate([[_judgment(0, 0.6)], [_judgment(1, 0.4)]])
-        assert [o.status for o in v.per_hunk] == [Status.VULNERABLE, Status.FIXED]
-        assert [o.conf for o in v.per_hunk] == [0.6, 0.4]
+    def test_equal_conf_across_hunks_first_hunk_wins(self):
+        first = _judgment(0, 0.3, path="src/z.cpp", span=(50, 50))
+        second = _judgment(0, 0.3, path="src/a.cpp", span=(1, 1))
+        v = aggregate([[_judgment(1, 0.9)], [first], [second]])
+        assert v.status is Status.VULNERABLE and v.winning is first
