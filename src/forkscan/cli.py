@@ -1,8 +1,12 @@
-"""Command line front end: configuration, the scan loop, exit codes.
+"""Command line front end: flags, the scan loop, exit codes.
 
 detect       scan target repositories for the presence of source patches
 sweep-r      score fragment pairs under a range of reward factors
 gen-fixtures build the deterministic planted-clone corpus
+
+Every setting is a flag with its default on the parser. An argument `@FILE`
+stands for the lines of FILE, one argument per line; a flag that takes one
+value keeps the last one given, and repeatable flags add up.
 
 Exit codes: 0 clean scan, 1 at least one Vulnerable verdict, 2 configuration
 error, 3 source repository or patch unreadable. Failures scoped to a single
@@ -15,7 +19,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, delay, fixturegen, gitio, patchmodel, report, search, verdict
@@ -35,34 +39,13 @@ class ConfigError(Exception):
 @dataclass
 class RunConfig:
     source: str
-    patch_shas: list[str] = field(default_factory=list)
-    patch_files: list[str] = field(default_factory=list)
-    targets: list[tuple[str, str]] = field(default_factory=list)  # (path, rev)
-    params: SimilarityParams = SimilarityParams()
-    c_lines: int = 5
-    max_candidates: int = 10
-    out: str = "report.json"
-
-
-# Every key a config file may hold; any other key is a configuration error.
-CONFIG_KEYS = (
-    "source", "patch", "patch_file", "manifest", "targets", "r", "t",
-    "ks_threshold", "context_lines", "max_candidates", "out",
-)
-
-
-def parse_config_file(text: str) -> dict[str, str]:
-    """Flat `key = value` lines; '#' starts a comment; later keys win."""
-    values: dict[str, str] = {}
-    for no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep or not key.strip():
-            raise ConfigError(f"config line {no} is not `key = value`: {raw!r}")
-        values[key.strip()] = value.strip()
-    return values
+    patch_shas: list[str]
+    patch_files: list[str]
+    targets: list[tuple[str, str]]  # (path, rev)
+    params: SimilarityParams
+    c_lines: int
+    max_candidates: int
+    out: str
 
 
 def _parse_target_token(token: str) -> tuple[str, str]:
@@ -73,80 +56,47 @@ def _parse_target_token(token: str) -> tuple[str, str]:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    cfg: dict[str, str] = {}
-    if args.config:
-        try:
-            cfg = parse_config_file(Path(args.config).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-    unknown = [key for key in cfg if key not in CONFIG_KEYS]
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-
-    def pick(key: str, default):
-        """The flag of that name, else the config key, else the default."""
-        flag = getattr(args, key)
-        if flag is not None:
-            return flag
-        return cfg.get(key, default)
-
-    source = pick("source", None)
-    if not source:
+    if not args.source:
         raise ConfigError("a source repository is required (--source)")
 
-    patch_shas = list(args.patch or [])
-    patch_files = list(args.patch_file or [])
-    if not patch_shas and "patch" in cfg:
-        patch_shas = cfg["patch"].split()
-    if not patch_files and "patch_file" in cfg:
-        patch_files = cfg["patch_file"].split()
-    manifest = pick("manifest", None)
-    if manifest:
+    patch_shas = list(args.patch)
+    if args.manifest:
         try:
             entries = patchmodel.parse_manifest(
-                Path(manifest).read_text(encoding="utf-8")
+                Path(args.manifest).read_text(encoding="utf-8")
             )
         except (OSError, PatchError) as exc:
-            raise ConfigError(f"bad manifest {manifest}: {exc}") from exc
+            raise ConfigError(f"bad manifest {args.manifest}: {exc}") from exc
         patch_shas.extend(sha for sha, _ in entries)
-    if not patch_shas and not patch_files:
+    if not patch_shas and not args.patch_file:
         raise ConfigError("no patches given (--patch, --patch-file or --manifest)")
 
-    target_tokens = list(args.target or [])
-    if not target_tokens and "targets" in cfg:
-        target_tokens = cfg["targets"].split()
-    if not target_tokens:
+    if not args.target:
         raise ConfigError("at least one --target is required")
-    targets = [_parse_target_token(tok) for tok in target_tokens]
+    targets = [_parse_target_token(tok) for tok in args.target]
 
     try:
-        params = SimilarityParams(
-            r=float(pick("r", SimilarityParams.r)),
-            t=float(pick("t", SimilarityParams.t)),
-            ks_threshold=float(pick("ks_threshold", SimilarityParams.ks_threshold)),
-        )
-        c_lines = int(pick("context_lines", RunConfig.c_lines))
-        max_candidates = int(pick("max_candidates", RunConfig.max_candidates))
+        params = SimilarityParams(r=args.r, t=args.t, ks_threshold=args.ks_threshold)
     except ValueError as exc:
         raise ConfigError(f"bad parameter: {exc}") from exc
-    if c_lines < 1:
+    if args.context_lines < 1:
         raise ConfigError("context-lines must be >= 1")
-    if max_candidates < 0:
+    if args.max_candidates < 0:
         raise ConfigError("max-candidates must be >= 0")
 
-    for p in [source, *patch_files, *(t[0] for t in targets)]:
+    for p in [args.source, *args.patch_file, *(t[0] for t in targets)]:
         if not Path(p).exists():
             raise ConfigError(f"path does not exist: {p}")
 
     return RunConfig(
-        source=source,
+        source=args.source,
         patch_shas=patch_shas,
-        patch_files=patch_files,
+        patch_files=args.patch_file,
         targets=targets,
         params=params,
-        c_lines=c_lines,
-        max_candidates=max_candidates,
-        out=pick("out", RunConfig.out),
+        c_lines=args.context_lines,
+        max_candidates=args.max_candidates,
+        out=args.out,
     )
 
 
@@ -160,9 +110,13 @@ class _TargetCtx:
 
 
 def _unique_names(targets: list[tuple[str, str]]) -> list[str]:
+    """The basename where it is unique, else the path; a path scanned at
+    more than one revision is named `path,rev`."""
     names = [Path(p).name or p for p, _ in targets]
+    names = [n if names.count(n) == 1 else p for n, (p, _) in zip(names, targets)]
     return [
-        n if names.count(n) == 1 else targets[i][0] for i, n in enumerate(names)
+        f"{n},{rev}" if len({r for q, r in targets if q == p}) > 1 else n
+        for n, (p, rev) in zip(names, targets)
     ]
 
 
@@ -310,9 +264,11 @@ def _write_outputs(scan: ScanReport, out: str) -> None:
         for r in scan.results
         if r.delay is not None and r.delay.delay_days is not None
     ]
+    cdf_path = out_path.parent / "delay_cdf.csv"
     if delays:
-        series = report.emit_cdf(delays, "delay_days")
-        report.write_cdf_csv(series, str(out_path.parent / "delay_cdf.csv"))
+        report.write_cdf_csv(report.emit_cdf(delays, "delay_days"), str(cdf_path))
+    else:
+        cdf_path.unlink(missing_ok=True)  # a CDF left by an earlier scan
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +289,8 @@ def _parse_r_spec(spec: str) -> list[float]:
             while v <= stop + 1e-9:
                 values.append(round(v, 10))
                 v += step
+            if not values:
+                raise ValueError("the range holds no value")
             return values
     except ValueError as exc:
         raise ConfigError(f"bad --r spec {spec!r}: {exc}") from exc
@@ -384,38 +342,50 @@ def run_sweep(pairs_dir: str, r_spec: str, out: str) -> int:
 
 def _add_detect_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--source", help="source (upstream) repository path")
-    p.add_argument("--patch", action="append", help="patch commit sha (repeatable)")
     p.add_argument(
-        "--patch-file", action="append", help="unified diff file (repeatable)"
+        "--patch", action="append", default=[], help="patch commit sha (repeatable)"
+    )
+    p.add_argument(
+        "--patch-file", action="append", default=[],
+        help="unified diff file (repeatable)",
     )
     p.add_argument("--manifest", help="file with one patch sha per line")
     p.add_argument(
-        "--target", action="append", help="target repo as path[,rev] (repeatable)"
-    )
-    p.add_argument("--r", type=float, help="positional reward factor (default 0.95)")
-    p.add_argument("--t", type=float, help="decision threshold (default 0.4)")
-    p.add_argument(
-        "--ks-threshold", type=float, help="key statement gate (default 0.25)"
+        "--target", action="append", default=[],
+        help="target repo as path[,rev] (repeatable)",
     )
     p.add_argument(
-        "--context-lines", type=int, help="context statements per side (default 5)"
+        "--r", type=float, default=SimilarityParams.r,
+        help="positional reward factor (default %(default)s)",
     )
     p.add_argument(
-        "--max-candidates", type=int,
-        help="candidate contexts kept per side, 0 = unlimited (default 10)",
+        "--t", type=float, default=SimilarityParams.t,
+        help="decision threshold (default %(default)s)",
     )
     p.add_argument(
-        "--jobs", type=int, choices=(1,),
+        "--ks-threshold", type=float, default=SimilarityParams.ks_threshold,
+        help="key statement gate (default %(default)s)",
+    )
+    p.add_argument(
+        "--context-lines", type=int, default=5,
+        help="context statements per side (default %(default)s)",
+    )
+    p.add_argument(
+        "--max-candidates", type=int, default=10,
+        help="candidate contexts kept per side, 0 = unlimited (default %(default)s)",
+    )
+    p.add_argument(
+        "--jobs", type=int, choices=(1,), default=1,
         help="scans run on one thread; only 1 is accepted",
     )
-    p.add_argument("--out", help="report path (default report.json)")
-    p.add_argument("--config", help="flat key=value config file; flags win")
+    p.add_argument("--out", default="report.json", help="report path (default %(default)s)")
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="forkscan",
         description="Check forked repositories for unapplied security patches.",
+        fromfile_prefix_chars="@",
     )
     parser.add_argument("--version", action="version", version=f"forkscan {__version__}")
     parser.add_argument(
@@ -434,8 +404,11 @@ def main(argv: list[str] | None = None) -> int:
     gen = sub.add_parser("gen-fixtures", help="build the planted-clone corpus")
     gen.add_argument("--spec", help="corpus spec JSON (default: built-in corpus)")
     gen.add_argument("--out", required=True, help="output directory")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

@@ -166,8 +166,6 @@ def expand_boundary(
     last statement becomes the end. Both maxima must pass ks_threshold.
     """
     ctx_stmts = patch_ctx.statements
-    if not ctx_stmts:
-        return None
     stmts = cache.statements(ks.stmt.path)
     idx = cache.index_by_line(ks.stmt.path)[ks.stmt.line_no]
     up_window = stmts[max(0, idx - c_lines): idx + 1]
@@ -210,8 +208,6 @@ def finalize_contexts(
     descending ctx_sim.
     """
     patch_norms = [s.norm for s in patch_ctx.statements]
-    if not patch_norms:
-        return []
     scored: list[CandidateContext] = []
     seen_spans: set[tuple[str, int, int]] = set()
     for path, (ss_line, es_line) in boundaries:
@@ -262,7 +258,7 @@ def fetch_candidate_code(
         empty_at = up.es_line + 1
     elif down is not None:
         before = [s for s in cache.statements(down.path) if s.line_no < down.ss_line]
-        stmts = before[-patch_code_len:] if patch_code_len > 0 else []
+        stmts = before[-patch_code_len:]
         empty_at = down.ss_line
     else:
         raise ValueError("at least one context is required")
@@ -353,15 +349,9 @@ def collect_candidates(
         for down in downs if id(down) not in paired_down
     ]
 
+    # Paired candidates come first, so the first at a span has the most contexts.
     unique: dict[tuple[str, int, int], CandidateCode] = {}
     for cand in candidates:
-        key = (cand.path, *cand.span)
-        prev = unique.get(key)
-        if prev is None or _ctx_count(cand) > _ctx_count(prev):
-            unique[key] = cand
+        unique.setdefault((cand.path, *cand.span), cand)
     ordered = sorted(unique.values(), key=lambda c: (c.path, c.span))
     return SearchOutcome(candidates=ordered, up_contexts=ups, down_contexts=downs)
-
-
-def _ctx_count(c: CandidateCode) -> int:
-    return (c.paired_up is not None) + (c.paired_down is not None)

@@ -23,15 +23,14 @@ import pytest
 import forkscan
 from forkscan import __version__
 from forkscan.cli import (
-    CONFIG_KEYS,
     ConfigError,
     _add_detect_flags,
     _build_config,
     _parse_r_spec,
     _parse_target_token,
+    _parser,
     _unique_names,
     main,
-    parse_config_file,
 )
 from conftest import (
     UTC,
@@ -134,35 +133,6 @@ def world(tmp_path_factory):
 # configuration units
 
 
-class TestParseConfigFile:
-    def test_basic_pairs(self):
-        assert parse_config_file("r = 0.9\nt=0.5\n") == {"r": "0.9", "t": "0.5"}
-
-    def test_comments_and_blank_lines(self):
-        text = "# header\n\nr = 0.9  # trailing\n   \n# t = 0.1\n"
-        assert parse_config_file(text) == {"r": "0.9"}
-
-    def test_later_key_wins(self):
-        assert parse_config_file("out = a.json\nout = b.json\n") == {
-            "out": "b.json"
-        }
-
-    def test_value_may_contain_equals(self):
-        got = parse_config_file("url = file://host/list?fmt=json\n")
-        assert got == {"url": "file://host/list?fmt=json"}
-
-    def test_value_keeps_inner_spaces(self):
-        assert parse_config_file("targets = a b c\n") == {"targets": "a b c"}
-
-    def test_missing_equals_reports_line(self):
-        with pytest.raises(ConfigError, match="line 2"):
-            parse_config_file("r = 0.9\njust words\n")
-
-    def test_empty_key_rejected(self):
-        with pytest.raises(ConfigError, match="line 1"):
-            parse_config_file("= 0.9\n")
-
-
 class TestParseTargetToken:
     def test_plain_path_defaults_to_head(self):
         assert _parse_target_token("/repos/fork") == ("/repos/fork", "HEAD")
@@ -197,7 +167,7 @@ class TestParseRSpec:
         with pytest.raises(ConfigError, match="step"):
             _parse_r_spec(spec)
 
-    @pytest.mark.parametrize("spec", ["0.8:1.0", "a:b:c", "fast", ""])
+    @pytest.mark.parametrize("spec", ["0.8:1.0", "a:b:c", "fast", "", "0.9:0.1:0.2"])
     def test_malformed_spec_rejected(self, spec):
         with pytest.raises(ConfigError, match="bad --r spec"):
             _parse_r_spec(spec)
@@ -213,24 +183,11 @@ class TestUniqueNames:
         assert _unique_names(targets) == ["/a/clone", "/b/clone", "other"]
 
 
-def _ns(**overrides) -> argparse.Namespace:
-    """Namespace with every detect flag unset, as argparse would produce."""
-    values = dict(
-        config=None,
-        source=None,
-        patch=None,
-        patch_file=None,
-        manifest=None,
-        target=None,
-        r=None,
-        t=None,
-        ks_threshold=None,
-        context_lines=None,
-        max_candidates=None,
-        out=None,
-    )
-    values.update(overrides)
-    return argparse.Namespace(**values)
+def _ns(*argv: str, **overrides) -> argparse.Namespace:
+    """`detect ARGV` as the command line parser reads it, then `overrides`."""
+    args = _parser().parse_args(["detect", *argv])
+    vars(args).update(overrides)
+    return args
 
 
 class TestBuildConfig:
@@ -258,20 +215,23 @@ class TestBuildConfig:
         assert cfg.out == "report.json"
 
     def test_config_file_supplies_everything(self, dirs):
-        conf = dirs.root / "scan.cfg"
-        conf.write_text(
-            f"source = {dirs.src}\n"
-            "patch = aaa bbb\n"
-            f"targets = {dirs.tgt},dev {dirs.src}\n"
-            "r = 0.9\n"
-            "t = 0.5\n"
-            "ks_threshold = 0.3\n"
-            "context_lines = 3\n"
-            "max_candidates = 0\n"
-            "out = deep/report.json\n",
-            encoding="utf-8",
-        )
-        cfg = _build_config(_ns(config=str(conf)))
+        # `@FILE` reads the flags from FILE, one argument per line.
+        conf = dirs.root / "scan.args"
+        lines = [
+            f"--source={dirs.src}",
+            "--patch=aaa",
+            "--patch=bbb",
+            f"--target={dirs.tgt},dev",
+            f"--target={dirs.src}",
+            "--r=0.9",
+            "--t=0.5",
+            "--ks-threshold=0.3",
+            "--context-lines=3",
+            "--max-candidates=0",
+            "--out=deep/report.json",
+        ]
+        conf.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = _build_config(_ns(f"@{conf}"))
         assert cfg.source == str(dirs.src)
         assert cfg.patch_shas == ["aaa", "bbb"]
         assert cfg.targets == [(str(dirs.tgt), "dev"), (str(dirs.src), "HEAD")]
@@ -284,24 +244,27 @@ class TestBuildConfig:
         assert cfg.out == "deep/report.json"
 
     def test_flags_beat_config(self, dirs):
-        conf = dirs.root / "scan.cfg"
+        # A scalar takes the last value given, in the file or after it;
+        # repeatable flags from both add up.
+        conf = dirs.root / "scan.args"
         conf.write_text(
-            f"source = {dirs.root}\nr = 0.5\npatch = zzz\ntargets = {dirs.root}\n",
+            f"--source={dirs.root}\n--r=0.5\n--patch=zzz\n--target={dirs.root}\n",
             encoding="utf-8",
         )
         cfg = _build_config(
             _ns(
-                config=str(conf),
-                source=str(dirs.src),
-                r=0.7,
-                patch=["abc"],
-                target=[str(dirs.tgt)],
+                f"@{conf}",
+                "--source", str(dirs.src),
+                "--r", "0.7",
+                "--patch", "abc",
+                "--target", str(dirs.tgt),
             )
         )
         assert cfg.source == str(dirs.src)
         assert cfg.params.r == 0.7
-        assert cfg.patch_shas == ["abc"]
-        assert cfg.targets == [(str(dirs.tgt), "HEAD")]
+        assert cfg.patch_shas == ["zzz", "abc"]
+        assert cfg.targets == [(str(dirs.root), "HEAD"), (str(dirs.tgt), "HEAD")]
+        assert _build_config(_ns("--r", "0.7", f"@{conf}")).params.r == 0.5
 
     def test_manifest_extends_patch_list(self, dirs):
         manifest = dirs.root / "patches.txt"
@@ -345,18 +308,11 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="target"):
             _build_config(_ns(source=str(dirs.src), patch=["abc"]))
 
-    def test_unparsable_number_rejected(self, dirs):
-        conf = dirs.root / "scan.cfg"
-        conf.write_text("r = fast\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="bad parameter"):
-            _build_config(
-                _ns(
-                    config=str(conf),
-                    source=str(dirs.src),
-                    patch=["abc"],
-                    target=[str(dirs.tgt)],
-                )
-            )
+    def test_unparsable_number_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _ns("--r", "fast")
+        assert exc.value.code == 2
+        assert "--r: invalid float value: 'fast'" in capsys.readouterr().err
 
     def test_context_lines_floor(self, dirs):
         with pytest.raises(ConfigError, match="context-lines"):
@@ -389,14 +345,16 @@ class TestBuildConfig:
         elif field == "target":
             kw["target"] = [missing]
         else:
-            kw["patch"] = None
+            kw["patch"] = []
             kw["patch_file"] = [missing]
         with pytest.raises(ConfigError, match="does not exist"):
             _build_config(_ns(**kw))
 
-    def test_unreadable_config_rejected(self, dirs):
-        with pytest.raises(ConfigError, match="cannot read config"):
-            _build_config(_ns(config=str(dirs.root / "absent.cfg")))
+    def test_unreadable_config_rejected(self, dirs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _ns(f"@{dirs.root / 'absent.args'}")
+        assert exc.value.code == 2
+        assert "absent.args" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +468,30 @@ class TestDetectEndToEnd:
         rows = _rows(out)
         assert [r["target"] for r in rows] == [str(world.vuln)] * 2
         assert {r["status"] for r in rows} == {"Vulnerable"}
+
+    def test_one_repo_at_two_revisions_gets_two_names(self, world, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        old, new = f"{world.fixed},HEAD~1", f"{world.fixed},HEAD"
+        assert _detect(world, [old, new], out) == 1
+
+        assert [(r["target"], r["status"]) for r in _rows(out)] == [
+            (new, "Fixed"),
+            (old, "Vulnerable"),
+        ]
+        data = json.loads(out.read_text(encoding="utf-8"))
+        assert [t["name"] for t in data["targets"]] == [old, new]
+        printed = [l for l in capsys.readouterr().out.splitlines() if l]
+        assert printed == [
+            f"{new}: 0 vulnerable, 1 fixed, 0 context-not-found",
+            f"{old}: 1 vulnerable, 0 fixed, 0 context-not-found",
+        ]
+
+    def test_scan_without_delay_removes_old_cdf(self, world, tmp_path):
+        out = tmp_path / "report.json"
+        assert _detect(world, [world.fixed], out) == 0
+        assert (tmp_path / "delay_cdf.csv").exists()
+        assert _detect(world, [world.clean], out) == 0
+        assert not (tmp_path / "delay_cdf.csv").exists()
 
     def test_rescan_is_byte_identical(self, world, tmp_path):
         first = tmp_path / "one" / "report.json"
@@ -628,38 +610,42 @@ class TestTracedDetect:
 
 
 class TestDetectFromConfigFile:
-    def test_config_only_invocation(self, world, tmp_path):
-        out = tmp_path / "cfg_run" / "report.json"
-        conf = tmp_path / "scan.cfg"
+    """`forkscan detect @FILE` reads its flags from FILE, one per line."""
+
+    def test_config_only_invocation(self, world, tmp_path, capsys):
+        targets = [world.fixed, world.clean]
+        flags = tmp_path / "flags" / "report.json"
+        assert _detect(world, targets, flags) == 0
+        printed = capsys.readouterr().out
+
+        out = tmp_path / "file" / "report.json"
+        conf = tmp_path / "scan.args"
         conf.write_text(
-            f"source = {world.src}\n"
-            f"patch = {world.patch_sha}\n"
-            f"targets = {world.fixed} {world.clean}\n"
-            f"out = {out}\n",
+            f"--source\n{world.src}\n--patch={world.patch_sha}\n"
+            + "".join(f"--target={t}\n" for t in targets)
+            + f"--out={out}\n",
             encoding="utf-8",
         )
-        assert main(["detect", "--config", str(conf)]) == 0
+        assert main(["detect", f"@{conf}"]) == 0
+        assert capsys.readouterr().out == printed
+        for name in ("report.json", "report.csv", "delay_cdf.csv"):
+            got, want = out.parent / name, flags.parent / name
+            assert got.read_bytes() == want.read_bytes(), name
 
-        assert [(r["target"], r["status"]) for r in _rows(out)] == [
-            ("cleanfork", "ContextNotFound"),
-            ("fixedfork", "Fixed"),
-        ]
-
-    def test_flag_overrides_config_target(self, world, tmp_path):
-        out = tmp_path / "report.json"
-        conf = tmp_path / "scan.cfg"
+    def test_flag_after_file_wins_and_targets_add_up(self, world, tmp_path):
+        in_file, on_line = tmp_path / "a" / "report.json", tmp_path / "b" / "report.json"
+        conf = tmp_path / "scan.args"
         conf.write_text(
-            f"source = {world.src}\n"
-            f"patch = {world.patch_sha}\n"
-            f"targets = {world.fixed}\n"
-            f"out = {out}\n",
+            f"--source={world.src}\n--patch={world.patch_sha}\n"
+            f"--target={world.fixed}\n--out={in_file}\n",
             encoding="utf-8",
         )
         code = main(
-            ["detect", "--config", str(conf), "--target", str(world.vuln)]
+            ["detect", f"@{conf}", "--target", str(world.vuln), "--out", str(on_line)]
         )
         assert code == 1
-        assert [r["target"] for r in _rows(out)] == ["vulnfork"]
+        assert not in_file.exists()
+        assert [r["target"] for r in _rows(on_line)] == ["fixedfork", "vulnfork"]
 
 
 class TestPatchFileRoute:
@@ -781,54 +767,18 @@ class TestDetectErrors:
         assert "--target" in capsys.readouterr().err
 
     def test_bad_config_value_exits_2(self, world, tmp_path, capsys):
-        conf = tmp_path / "scan.cfg"
-        conf.write_text("r = fast\n", encoding="utf-8")
-        code = main(
-            [
-                "detect",
-                "--config",
-                str(conf),
-                "--source",
-                str(world.src),
-                "--patch",
-                world.patch_sha,
-                "--target",
-                str(world.vuln),
-                "--out",
-                str(tmp_path / "r.json"),
-            ]
-        )
+        code = _detect(world, [world.vuln], tmp_path / "r.json", ["--r", "1.5"])
         assert code == 2
         assert "bad parameter" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize(
-        "line, key",
-        [
-            ("context_line = 3", "context_line"),
-            ("source_rev = v1", "source_rev"),
-            ("jobs = 4", "jobs"),
-        ],
-    )
-    def test_unknown_config_key_exits_2(self, world, tmp_path, capsys, line, key):
+    def test_config_flag_is_unrecognized(self, world, tmp_path, capsys):
         conf = tmp_path / "scan.cfg"
-        conf.write_text(f"context_lines = 5\n{line}\n", encoding="utf-8")
-        code = main(
-            [
-                "detect",
-                "--config",
-                str(conf),
-                "--source",
-                str(world.src),
-                "--patch",
-                world.patch_sha,
-                "--target",
-                str(world.vuln),
-                "--out",
-                str(tmp_path / "r.json"),
-            ]
-        )
-        assert code == 2
-        assert f"unknown config key(s): {key}\n" in capsys.readouterr().err
+        conf.write_text("context_lines = 5\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            _detect(world, [world.vuln], tmp_path / "r.json", ["--config", str(conf)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
     def test_jobs_other_than_one_exits_2(self, world, tmp_path, capsys):
@@ -844,24 +794,27 @@ class TestDetectErrors:
 class TestReadme:
     def test_detect_table_lists_every_detect_flag(self):
         # The README's `detect options` table and the parser name the same
-        # flags, so a flag cannot be added or dropped in one place only.
+        # flags with the same defaults, so neither can change in one place only.
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         section = readme.split("## detect options", 1)[1].split("\n#", 1)[0]
-        documented = set(re.findall(r"^\| `(--[a-z-]+)", section, re.MULTILINE))
+        documented = dict(
+            re.findall(r"^\| `(--[a-z-]+)[^`]*` \|([^|]*)\|", section, re.MULTILINE)
+        )
         parser = argparse.ArgumentParser()
         _add_detect_flags(parser)
-        flags = {
-            opt for action in parser._actions for opt in action.option_strings
-        } - {"-h", "--help"}
-        assert documented == flags
-
-    def test_config_key_list_matches_parser(self):
-        # The README's `Config file` key list and CONFIG_KEYS name the same
-        # keys, in the same order.
-        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-        section = readme.split("### Config file", 1)[1].split("\n#", 1)[0]
-        sentence = section.split("The keys are ", 1)[1].split(";", 1)[0]
-        assert tuple(re.findall(r"`([a-z_]+)`", sentence)) == CONFIG_KEYS
+        defaults = {
+            opt: action.default
+            for action in parser._actions
+            for opt in action.option_strings
+            if opt not in ("-h", "--help")
+        }
+        assert documented.keys() == defaults.keys()
+        for flag, cell in documented.items():
+            cell, want = cell.strip().strip("`"), defaults[flag]
+            if want in (None, []):
+                assert cell in ("", "required"), flag
+            else:
+                assert type(want)(cell) == want, flag
 
 
 # ---------------------------------------------------------------------------

@@ -331,14 +331,6 @@ class TestExpandBoundary:
         # boundary ends at the one nearer the seed.
         assert expand_boundary(_cache(repo), seed2, ctx, 5, PARAMS) == (2, 3)
 
-    def test_empty_patch_context(self, fig_repo):
-        ks = find_key_statements(
-            _cache(fig_repo), make_ctx(UP_NORMS, Side.UP), PATCH_FC, PARAMS
-        )[0]
-        assert expand_boundary(
-            _cache(fig_repo), ks, PatchContext([], Side.UP), 5, PARAMS
-        ) is None
-
 
 class TestFinalizeContexts:
     def test_keeps_passing_region_with_oracle_score(self, fig_repo):
@@ -389,11 +381,6 @@ class TestFinalizeContexts:
         ctx = make_ctx(UP_NORMS, Side.UP)
         assert finalize_contexts(
             _cache(fig_repo), [("src/init.cpp", (100, 120))], ctx, PARAMS, 10
-        ) == []
-
-    def test_empty_context_returns_nothing(self, fig_repo):
-        assert finalize_contexts(
-            _cache(fig_repo), [("src/init.cpp", (3, 5))], PatchContext([], Side.UP), PARAMS, 10
         ) == []
 
 
