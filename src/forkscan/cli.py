@@ -5,8 +5,9 @@ sweep-r      score fragment pairs under a range of reward factors
 gen-fixtures build the deterministic planted-clone corpus
 
 Every setting is a flag with its default on the parser. An argument `@FILE`
-stands for the lines of FILE, one argument per line; a flag that takes one
-value keeps the last one given, and repeatable flags add up.
+stands for the lines of FILE, one argument per line, blank lines skipped; a
+flag that takes one value keeps the last one given, and repeatable flags add
+up.
 
 Exit codes: 0 clean scan, 1 at least one Vulnerable verdict, 2 configuration
 error, 3 source repository or patch unreadable. Failures scoped to a single
@@ -16,7 +17,6 @@ error, 3 source repository or patch unreadable. Failures scoped to a single
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from dataclasses import dataclass
@@ -26,7 +26,7 @@ from . import __version__, delay, fixturegen, gitio, patchmodel, report, search,
 from .gitio import RepoHandle
 from .patchmodel import Patch, PatchError
 from .report import ResultRow, ScanReport
-from .simcore import SimilarityParams, reward_sweep
+from .simcore import KS_THRESHOLD, SimilarityParams, reward_sweep
 from .verdict import Status
 
 log = logging.getLogger(__name__)
@@ -43,8 +43,6 @@ class RunConfig:
     patch_files: list[str]
     targets: list[tuple[str, str]]  # (path, rev)
     params: SimilarityParams
-    c_lines: int
-    max_candidates: int
     out: str
 
 
@@ -62,12 +60,11 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     patch_shas = list(args.patch)
     if args.manifest:
         try:
-            entries = patchmodel.parse_manifest(
+            patch_shas += patchmodel.parse_manifest(
                 Path(args.manifest).read_text(encoding="utf-8")
             )
         except (OSError, PatchError) as exc:
             raise ConfigError(f"bad manifest {args.manifest}: {exc}") from exc
-        patch_shas.extend(sha for sha, _ in entries)
     if not patch_shas and not args.patch_file:
         raise ConfigError("no patches given (--patch, --patch-file or --manifest)")
 
@@ -76,13 +73,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     targets = [_parse_target_token(tok) for tok in args.target]
 
     try:
-        params = SimilarityParams(r=args.r, t=args.t, ks_threshold=args.ks_threshold)
+        params = SimilarityParams(r=args.r, t=args.t)
     except ValueError as exc:
         raise ConfigError(f"bad parameter: {exc}") from exc
-    if args.context_lines < 1:
-        raise ConfigError("context-lines must be >= 1")
-    if args.max_candidates < 0:
-        raise ConfigError("max-candidates must be >= 0")
 
     for p in [args.source, *args.patch_file, *(t[0] for t in targets)]:
         if not Path(p).exists():
@@ -94,8 +87,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         patch_files=args.patch_file,
         targets=targets,
         params=params,
-        c_lines=args.context_lines,
-        max_candidates=args.max_candidates,
         out=args.out,
     )
 
@@ -137,14 +128,14 @@ def _load_patches(config: RunConfig) -> list[Patch]:
     source = RepoHandle(config.source)
     patches: list[Patch] = []
     for sha in config.patch_shas:
-        patches.append(patchmodel.load_patch(source, sha, config.c_lines))
+        patches.append(patchmodel.load_patch(source, sha))
     for file in config.patch_files:
         try:
             text = Path(file).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read patch file {file}: {exc}") from exc
         try:
-            patch = patchmodel.parse_patch(text, config.c_lines)
+            patch = patchmodel.parse_patch(text)
         except PatchError as exc:
             raise ConfigError(f"bad patch file {file}: {exc}") from exc
         patch.label = Path(file).name
@@ -153,9 +144,7 @@ def _load_patches(config: RunConfig) -> list[Patch]:
 
 
 def _scan_one_hunk(ctx: _TargetCtx, hunk, config: RunConfig):
-    outcome = search.collect_candidates(
-        ctx.cache, hunk, config.params, config.c_lines, config.max_candidates
-    )
+    outcome = search.collect_candidates(ctx.cache, hunk, config.params)
     return [verdict.judge_candidate(c, hunk, config.params) for c in outcome.candidates]
 
 
@@ -197,9 +186,9 @@ def run_detect(config: RunConfig) -> tuple[int, ScanReport]:
         params={
             "r": config.params.r,
             "t": config.params.t,
-            "ks_threshold": config.params.ks_threshold,
-            "context_lines": config.c_lines,
-            "max_candidates": config.max_candidates,
+            "ks_threshold": KS_THRESHOLD,
+            "context_lines": patchmodel.CONTEXT_LINES,
+            "max_candidates": search.MAX_CANDIDATES,
         },
         patches=[
             {
@@ -241,7 +230,7 @@ def _row_for(
     if v.status is Status.FIXED:
         try:
             row.delay = delay.fix_delay(
-                ctx.cache.repo, ctx.cache.rev, patch.committed_at, v
+                ctx.cache.repo, ctx.cache.rev, patch.committed_at, v.winning.candidate
             )
         except gitio.GitError as exc:
             log.warning("delay lookup failed for %s: %s", ctx.name, exc)
@@ -266,35 +255,13 @@ def _write_outputs(scan: ScanReport, out: str) -> None:
     ]
     cdf_path = out_path.parent / "delay_cdf.csv"
     if delays:
-        report.write_cdf_csv(report.emit_cdf(delays, "delay_days"), str(cdf_path))
+        report.write_cdf_csv(report.emit_cdf(delays), str(cdf_path))
     else:
         cdf_path.unlink(missing_ok=True)  # a CDF left by an earlier scan
 
 
 # ---------------------------------------------------------------------------
 # sweep-r
-
-
-def _parse_r_spec(spec: str) -> list[float]:
-    parts = spec.split(":")
-    try:
-        if len(parts) == 1:
-            return [float(parts[0])]
-        if len(parts) == 3:
-            start, stop, step = (float(p) for p in parts)
-            if step <= 0:
-                raise ValueError("step must be positive")
-            values = []
-            v = start
-            while v <= stop + 1e-9:
-                values.append(round(v, 10))
-                v += step
-            if not values:
-                raise ValueError("the range holds no value")
-            return values
-    except ValueError as exc:
-        raise ConfigError(f"bad --r spec {spec!r}: {exc}") from exc
-    raise ConfigError(f"bad --r spec {spec!r}: use START:STOP:STEP or a single value")
 
 
 def _load_pairs(pairs_dir: str) -> list[tuple[list[str], list[str]]]:
@@ -324,14 +291,13 @@ def _load_pairs(pairs_dir: str) -> list[tuple[list[str], list[str]]]:
     return pairs
 
 
-def run_sweep(pairs_dir: str, r_spec: str, out: str) -> int:
+def run_sweep(pairs_dir: str, r_values: list[float], out: str) -> int:
     pairs = _load_pairs(pairs_dir)
-    r_values = _parse_r_spec(r_spec)
-    swept = reward_sweep(pairs, r_values)
-    series = [
-        (r, report.emit_cdf(scores, f"r={r}")) for r, scores in swept
-    ]
-    report.write_rsweep_csv(series, out)
+    try:
+        swept = reward_sweep(pairs, r_values)
+    except ValueError as exc:
+        raise ConfigError(f"bad parameter: {exc}") from exc
+    report.write_rsweep_csv([(r, report.emit_cdf(scores)) for r, scores in swept], out)
     print(f"swept {len(pairs)} pairs over r={r_values} -> {out}")
     return 0
 
@@ -363,26 +329,20 @@ def _add_detect_flags(p: argparse.ArgumentParser) -> None:
         help="decision threshold (default %(default)s)",
     )
     p.add_argument(
-        "--ks-threshold", type=float, default=SimilarityParams.ks_threshold,
-        help="key statement gate (default %(default)s)",
-    )
-    p.add_argument(
-        "--context-lines", type=int, default=5,
-        help="context statements per side (default %(default)s)",
-    )
-    p.add_argument(
-        "--max-candidates", type=int, default=10,
-        help="candidate contexts kept per side, 0 = unlimited (default %(default)s)",
-    )
-    p.add_argument(
         "--jobs", type=int, choices=(1,), default=1,
         help="scans run on one thread; only 1 is accepted",
     )
     p.add_argument("--out", default="report.json", help="report path (default %(default)s)")
 
 
+class _Parser(argparse.ArgumentParser):
+    def convert_arg_line_to_args(self, arg_line: str) -> list[str]:
+        """One argument per `@FILE` line; a blank line is none."""
+        return [arg_line] if arg_line.strip() else []
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="forkscan",
         description="Check forked repositories for unapplied security patches.",
         fromfile_prefix_chars="@",
@@ -398,11 +358,12 @@ def _parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep-r", help="score fragment pairs across reward factors")
     sweep.add_argument("--pairs", required=True, help="directory of *.a.txt/*.b.txt")
-    sweep.add_argument("--r", required=True, help="START:STOP:STEP or single value")
+    sweep.add_argument(
+        "--r", type=float, nargs="+", required=True, help="reward factors to score"
+    )
     sweep.add_argument("--out", default="rsweep_cdf.csv")
 
     gen = sub.add_parser("gen-fixtures", help="build the planted-clone corpus")
-    gen.add_argument("--spec", help="corpus spec JSON (default: built-in corpus)")
     gen.add_argument("--out", required=True, help="output directory")
     return parser
 
@@ -430,17 +391,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep-r":
             return run_sweep(args.pairs, args.r, args.out)
         if args.command == "gen-fixtures":
-            if args.spec:
-                try:
-                    spec = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-                except (OSError, json.JSONDecodeError) as exc:
-                    raise ConfigError(f"bad corpus spec {args.spec}: {exc}") from exc
-            else:
-                spec = fixturegen.default_corpus_spec()
-            try:
-                corpus = fixturegen.gen_fixtures(spec, args.out)
-            except fixturegen.FixtureError as exc:
-                raise ConfigError(str(exc)) from exc
+            corpus = fixturegen.gen_fixtures(fixturegen.default_cases(), args.out)
             print(f"built {len(corpus['cases'])} cases under {args.out}")
             return 0
         raise ConfigError(f"unknown command {args.command!r}")

@@ -15,7 +15,7 @@ from datetime import datetime
 from . import gitio
 from .gitio import RepoHandle
 from .report import DelayRecord
-from .verdict import Status, Verdict
+from .search import CandidateCode
 
 log = logging.getLogger(__name__)
 
@@ -53,49 +53,37 @@ def patch_delay(source_commit_date: datetime, release_date: datetime) -> int:
     return (release_date - source_commit_date).days
 
 
-def _blame_region(verdict: Verdict) -> tuple[str, tuple[int, int]] | None:
-    """Region to blame for the fix: the winning candidate, if it has lines.
+def _blame_span(cand: CandidateCode) -> tuple[int, int]:
+    """Lines to blame for the fix: the candidate's own, if it has any.
 
-    A Fixed verdict with an empty candidate (a deletion that was applied)
-    leaves nothing to blame directly; fall back to the located context
-    boundaries around it.
+    An empty candidate (a deletion that was applied) leaves nothing to blame
+    directly; fall back to the located context boundaries around it. Every
+    candidate has at least one context.
     """
-    winning = verdict.winning
-    if winning is None:
-        return None
-    cand = winning.candidate
     lo, hi = cand.span
     if lo <= hi:
-        return (cand.path, (lo, hi))
+        return (lo, hi)
     up, down = cand.paired_up, cand.paired_down
     if up is not None and down is not None:
-        return (cand.path, (up.es_line, down.ss_line))
+        return (up.es_line, down.ss_line)
     if up is not None:
-        return (cand.path, (up.ss_line, up.es_line))
-    if down is not None:
-        return (cand.path, (down.ss_line, down.es_line))
-    return None
+        return (up.ss_line, up.es_line)
+    return (down.ss_line, down.es_line)
 
 
 def fix_delay(
     target: RepoHandle,
     rev: str,
     patch_committed_at: datetime | None,
-    verdict: Verdict,
-) -> DelayRecord | None:
-    """The DelayRecord of one Fixed verdict at rev; None for any other status.
+    cand: CandidateCode,
+) -> DelayRecord:
+    """The DelayRecord of the winning candidate of a Fixed verdict at rev.
 
     Attribution failures degrade to a record with None fields rather than
     aborting the scan.
     """
-    if verdict.status is not Status.FIXED:
-        return None
-    region = _blame_region(verdict)
-    if region is None:
-        return DelayRecord(None, None, None)
-    path, span = region
     try:
-        true_fix = find_fix_commit(target, path, span, rev)
+        true_fix = find_fix_commit(target, cand.path, _blame_span(cand), rev)
     except AttributionFailed as exc:
         log.warning("%s: %s", target.name, exc)
         return DelayRecord(None, None, None)

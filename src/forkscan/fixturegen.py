@@ -26,10 +26,6 @@ EPOCH_RELEASE = datetime(2019, 12, 1, tzinfo=timezone.utc)  # target release tag
 _IDENT = "Fixture Bot <fixtures@example.invalid>"
 
 
-class FixtureError(Exception):
-    """Corpus spec unusable."""
-
-
 def _git(cwd: Path, *args: str, date: datetime | None = None) -> str:
     env = dict(os.environ)
     env.update(
@@ -90,26 +86,12 @@ def default_corpus_spec() -> dict:
     return {"schema": 1, "cases": cases}
 
 
-def _load_cases(spec: dict) -> list[CloneCase]:
-    if not isinstance(spec, dict) or "cases" not in spec:
-        raise FixtureError("corpus spec must be an object with a 'cases' list")
-    cases: list[CloneCase] = []
-    for idx, entry in enumerate(spec["cases"]):
-        try:
-            case = CloneCase(
-                name=str(entry["name"]),
-                clone_type=int(entry["clone_type"]),
-                ptype=str(entry["ptype"]).upper(),
-                index=idx,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FixtureError(f"bad corpus case #{idx}: {exc}") from exc
-        if case.clone_type not in (1, 2, 3) or case.ptype not in ("CHA", "DEL", "ADD"):
-            raise FixtureError(f"bad corpus case #{idx}: {entry}")
-        cases.append(case)
-    if not cases:
-        raise FixtureError("corpus spec has no cases")
-    return cases
+def default_cases() -> list[CloneCase]:
+    """The built-in corpus as cases, indexed in spec order."""
+    return [
+        CloneCase(c["name"], c["clone_type"], c["ptype"], i)
+        for i, c in enumerate(default_corpus_spec()["cases"])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +205,7 @@ def _apply_type3(text: str) -> str:
     lines = text.split("\n")
 
     def find(substr: str) -> int:
-        for i, line in enumerate(lines):
-            if substr in line:
-                return i
-        raise FixtureError(f"type-3 anchor not found: {substr!r}")
+        return next(i for i, line in enumerate(lines) if substr in line)
 
     a = find("params.MaxScanDepth()) nCheckDepth")
     b = find("chainstate.Tip()")
@@ -250,13 +229,13 @@ def clone_transform(case: CloneCase, text: str) -> str:
 # Corpus assembly
 
 
-def gen_fixtures(spec: dict, out_dir: str | Path) -> dict:
-    """Build the corpus under out_dir; returns the corpus index (also on disk).
+def gen_fixtures(cases: list[CloneCase], out_dir: str | Path) -> dict:
+    """Build the corpus of cases under out_dir; returns the corpus index (also
+    on disk). A case's index sets its dates and, for CHA cases, its flavor.
 
     Layout: out_dir/source (patch source repo), out_dir/targets/tgt_<case>_vuln
     and ..._fixed, plus corpus.json describing every case.
     """
-    cases = _load_cases(spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -44,7 +44,7 @@ class RepoHandle:
         self.root = Path(root_path)
         if not self.root.is_dir():
             raise GitError(f"not a directory: {self.root}")
-        probe = self._run(["rev-parse", "--git-dir"], check=False)
+        probe = self._run(["rev-parse", "--git-dir"])
         if probe.returncode != 0:
             raise GitError(f"not a git repository: {self.root}")
 
@@ -55,15 +55,10 @@ class RepoHandle:
     def name(self) -> str:
         return self.root.name
 
-    def _run(self, args: list[str], check: bool = True) -> subprocess.CompletedProcess:
+    def _run(self, args: list[str]) -> subprocess.CompletedProcess:
+        """Run git in the repository; the caller reads the exit status."""
         cmd = ["git", "-C", str(self.root), "-c", "core.quotepath=false"] + args
-        proc = subprocess.run(cmd, capture_output=True)
-        if check and proc.returncode != 0:
-            raise GitError(
-                f"git {' '.join(args)} failed in {self.root}: "
-                f"{proc.stderr.decode('utf-8', 'replace').strip()}"
-            )
-        return proc
+        return subprocess.run(cmd, capture_output=True)
 
 
 def _decode(data: bytes) -> str:
@@ -90,7 +85,7 @@ def grep_repo(repo: RepoHandle, keywords: list[str], rev: str) -> list[GrepHit]:
     if not keywords or not all(keywords):
         raise ValueError("keywords must be non-empty strings")
     patterns = [arg for kw in keywords for arg in ("-e", kw)]
-    proc = repo._run(["grep", "-I", "-n", "-F", *patterns, rev], check=False)
+    proc = repo._run(["grep", "-I", "-n", "-F", *patterns, rev])
     if proc.returncode == 1 and not proc.stderr:
         return []
     if proc.returncode != 0:
@@ -112,7 +107,7 @@ def grep_repo(repo: RepoHandle, keywords: list[str], rev: str) -> list[GrepHit]:
 
 def read_file_at(repo: RepoHandle, rev: str, path: str) -> list[str]:
     """Full file content at rev, split into lines (original text preserved)."""
-    proc = repo._run(["show", f"{rev}:{path}"], check=False)
+    proc = repo._run(["show", f"{rev}:{path}"])
     if proc.returncode != 0:
         err = _decode(proc.stderr)
         if "does not exist" in err or "exists on disk, but not in" in err:
@@ -131,10 +126,7 @@ def blame_lines(
     with that commit's committer time."""
     if start < 1 or end < start:
         raise ValueError(f"invalid blame range {start}..{end}")
-    proc = repo._run(
-        ["blame", "--porcelain", "-L", f"{start},{end}", rev, "--", path],
-        check=False,
-    )
+    proc = repo._run(["blame", "--porcelain", "-L", f"{start},{end}", rev, "--", path])
     if proc.returncode != 0:
         err = _decode(proc.stderr)
         if "has only" in err:
@@ -160,7 +152,7 @@ def blame_lines(
 
 def commit_time(repo: RepoHandle, sha: str) -> datetime:
     """Committer timestamp of a commit, normalized to UTC."""
-    proc = repo._run(["show", "-s", "--format=%cI", f"{sha}^{{commit}}"], check=False)
+    proc = repo._run(["show", "-s", "--format=%cI", f"{sha}^{{commit}}"])
     if proc.returncode != 0:
         raise NotFoundError(f"unknown commit {sha} in {repo.root}")
     stamp = _decode(proc.stdout).strip().splitlines()[-1]
@@ -175,8 +167,7 @@ def releases_containing(repo: RepoHandle, sha: str) -> list[tuple[str, datetime]
     """
     proc = repo._run(
         ["tag", "--contains", sha,
-         "--format=%(refname:short)%09%(creatordate:iso-strict)"],
-        check=False,
+         "--format=%(refname:short)%09%(creatordate:iso-strict)"]
     )
     if proc.returncode != 0:
         raise NotFoundError(

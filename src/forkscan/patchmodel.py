@@ -9,8 +9,8 @@ hunks, the new side for pure additions). The inputs differ only in where a
 side's statements come from: for a commit (`load_patch`) the whole file at
 the parent revision and at the commit; for diff text (`parse_patch`) the
 diff's own lines, so a diff with whole-file context yields the commit's
-hunks. Adjacent raw hunks merge when their gap is under 2 * c_lines, counted
-in statements for a commit and in raw lines for diff text.
+hunks. Adjacent raw hunks merge when their gap is under 2 * CONTEXT_LINES,
+counted in statements for a commit and in raw lines for diff text.
 """
 
 from __future__ import annotations
@@ -34,6 +34,9 @@ from .preprocess import (
 )
 
 log = logging.getLogger(__name__)
+
+# Statements per context side; raw hunks closer than twice this merge.
+CONTEXT_LINES = 5
 
 
 class PatchError(Exception):
@@ -265,8 +268,7 @@ def _diff_text_for_commit(repo: RepoHandle, sha: str) -> str:
     """The commit's -U0 diff; a merge commit is diffed against its first parent."""
     proc = repo._run(
         ["diff-tree", "--root", "-r", "-p", "-U0", "--no-color", "--format=",
-         "--diff-merges=first-parent", sha],
-        check=False,
+         "--diff-merges=first-parent", sha]
     )
     if proc.returncode != 0:
         raise gitio.NotFoundError(
@@ -301,25 +303,23 @@ def _fragment_stmts(
 
 
 def _merge_hunks(
-    hunks: list[_RawHunk],
-    gap_size: Callable[[int, int], int],
-    c_lines: int,
+    hunks: list[_RawHunk], gap_size: Callable[[int, int], int]
 ) -> list[list[_RawHunk]]:
     """Group adjacent hunks whose unchanged gap (gap_size between the old
-    spans) is under 2 * c_lines."""
+    spans) is under 2 * CONTEXT_LINES."""
     groups: list[list[_RawHunk]] = []
     for h in hunks:
         if groups:
             prev = groups[-1][-1]
             gap = gap_size(prev.old_span[1], h.old_span[0])
-            if gap < 2 * c_lines:
+            if gap < 2 * CONTEXT_LINES:
                 groups[-1].append(h)
                 continue
         groups.append([h])
     return groups
 
 
-def load_patch(repo: RepoHandle, sha: str, c_lines: int) -> Patch:
+def load_patch(repo: RepoHandle, sha: str) -> Patch:
     """The patch of commit sha in repo.
 
     A side's statements are those of the whole file at sha^ (old) or sha
@@ -339,12 +339,12 @@ def load_patch(repo: RepoHandle, sha: str, c_lines: int) -> Patch:
         def gap(prev_end: int, next_start: int) -> int:
             return sum(1 for s in old if prev_end < s.line_no < next_start)
 
-        return [(g, old, new) for g in _merge_hunks(fd.hunks, gap, c_lines)]
+        return [(g, old, new) for g in _merge_hunks(fd.hunks, gap)]
 
-    return Patch(sha, _build_hunks(diff_text, groups, c_lines), committed_at, sha)
+    return Patch(sha, _build_hunks(diff_text, groups), committed_at, sha)
 
 
-def parse_patch(diff_text: str, c_lines: int) -> Patch:
+def parse_patch(diff_text: str) -> Patch:
     """The patch of unified diff text.
 
     The diff's own lines stand in for the file: a group's statements on each
@@ -361,26 +361,22 @@ def parse_patch(diff_text: str, c_lines: int) -> Patch:
                     for s in _fragment_stmts(rh.side_lines(old), fd.path, file_class)]
 
         return [(g, side(g, True), side(g, False))
-                for g in _merge_hunks(fd.hunks, gap, c_lines)]
+                for g in _merge_hunks(fd.hunks, gap)]
 
-    return Patch(None, _build_hunks(diff_text, groups, c_lines), None, "diff")
+    return Patch(None, _build_hunks(diff_text, groups), None, "diff")
 
 
 def _build_hunks(
-    diff_text: str,
-    groups: Callable[[_FileDiff, FileClass], list[_Group]],
-    c_lines: int,
+    diff_text: str, groups: Callable[[_FileDiff, FileClass], list[_Group]]
 ) -> list[PatchHunk]:
     """The hunks of every file in diff_text, one per group of raw hunks.
 
     dp are the old side's statements at the removed lines, ap the new side's
     at the added lines; changed lines that normalize to nothing (comments,
     blanks, lone brackets) so drop out, and groups left empty are discarded
-    with a warning. UP and DOWN are up to c_lines statements above and below
-    the span on the side the hunk changes: the old side if it has dp.
+    with a warning. UP and DOWN are up to CONTEXT_LINES statements above and
+    below the span on the side the hunk changes: the old side if it has dp.
     """
-    if c_lines < 1:
-        raise ValueError("c_lines must be >= 1")
     files = parse_unified_diff(diff_text)
     if not files:
         raise PatchError("no file hunks found in patch input")
@@ -409,7 +405,6 @@ def _build_hunks(
             up_ctx, down_ctx = build_patch_context(
                 [s for s in stmts if s.line_no < lo],
                 [s for s in stmts if s.line_no > hi],
-                c_lines,
             )
             if not up_ctx and not down_ctx:
                 log.warning("%s: no meaningful context around hunk at %s", path, (lo, hi))
@@ -434,22 +429,25 @@ def _build_hunks(
 
 
 def build_patch_context(
-    above: list[NormalizedLine], below: list[NormalizedLine], c_lines: int
+    above: list[NormalizedLine], below: list[NormalizedLine]
 ) -> tuple[PatchContext, PatchContext]:
-    """UP and DOWN contexts: the c_lines statements nearest the hunk on each
-    side, truncated at file (or diff) boundaries."""
+    """UP and DOWN contexts: the CONTEXT_LINES statements nearest the hunk on
+    each side, truncated at file (or diff) boundaries."""
+    up = above[-CONTEXT_LINES:]
+    down = below[:CONTEXT_LINES]
     return (
-        PatchContext([(extract_keyword(s), s) for s in above[-c_lines:]], Side.UP),
-        PatchContext([(extract_keyword(s), s) for s in below[:c_lines]], Side.DOWN),
+        PatchContext([(extract_keyword(s), s) for s in up], Side.UP),
+        PatchContext([(extract_keyword(s), s) for s in down], Side.DOWN),
     )
 
 
-_MANIFEST_RE = re.compile(r"^([0-9A-Za-z_.\-/^~]+)(?::(.*))?$")
+_MANIFEST_RE = re.compile(r"^([0-9A-Za-z_.\-/^~]+)(?::.*)?$")
 
 
-def parse_manifest(text: str) -> list[tuple[str, str]]:
-    """Parse a patch manifest: one `sha[:note]` per line, '#' comments."""
-    entries: list[tuple[str, str]] = []
+def parse_manifest(text: str) -> list[str]:
+    """The shas of a patch manifest: one `sha[:note]` per line, '#' comments;
+    notes are for the reader."""
+    shas: list[str] = []
     for no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -457,5 +455,5 @@ def parse_manifest(text: str) -> list[tuple[str, str]]:
         m = _MANIFEST_RE.match(line)
         if not m:
             raise PatchError(f"manifest line {no} is malformed: {raw!r}")
-        entries.append((m.group(1), (m.group(2) or "").strip()))
-    return entries
+        shas.append(m.group(1))
+    return shas

@@ -145,12 +145,11 @@ def _blank(v) -> object:
 class CdfSeries:
     """Empirical CDF: distinct ascending values with cumulative fractions."""
 
-    label: str
     values: list[float]
     fractions: list[float]
 
 
-def emit_cdf(values: list[float], label: str) -> CdfSeries:
+def emit_cdf(values: list[float]) -> CdfSeries:
     """Step-function CDF over the values; duplicates collapse to one point."""
     if not values:
         raise ValueError("cannot build a CDF from no values")
@@ -162,9 +161,7 @@ def emit_cdf(values: list[float], label: str) -> CdfSeries:
             continue  # keep only the last occurrence of each value
         points.append((v, i / n))
     return CdfSeries(
-        label=label,
-        values=[p[0] for p in points],
-        fractions=[p[1] for p in points],
+        values=[p[0] for p in points], fractions=[p[1] for p in points]
     )
 
 

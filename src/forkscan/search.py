@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from . import gitio
 from .gitio import RepoHandle
-from .patchmodel import PatchContext, PatchHunk
+from .patchmodel import CONTEXT_LINES, PatchContext, PatchHunk
 from .preprocess import (
     FileClass,
     NormalizedLine,
@@ -23,12 +23,15 @@ from .preprocess import (
     classify_file,
     extract_statements,
 )
-from .simcore import SimilarityParams, fragment_similarity, strsim
+from .simcore import KS_THRESHOLD, SimilarityParams, fragment_similarity, strsim
 
 log = logging.getLogger(__name__)
 
 # Path segments marking test code, compared case-insensitively.
 TEST_PATH_SEGMENTS = frozenset({"test", "tests", "testing", "testdata", "spec", "bench"})
+
+# Candidate contexts kept per patch context side, best ctx_sim first.
+MAX_CANDIDATES = 10
 
 
 class StatementCache:
@@ -101,10 +104,7 @@ def is_test_path(path: str) -> bool:
 
 
 def find_key_statements(
-    cache: StatementCache,
-    ctx: PatchContext,
-    patch_file_class: FileClass,
-    params: SimilarityParams,
+    cache: StatementCache, ctx: PatchContext, patch_file_class: FileClass
 ) -> list[KeyStatementMatch]:
     """Grep the context keywords in the target and keep plausible hits.
 
@@ -113,7 +113,7 @@ def find_key_statements(
     meaningful statement (not a comment), not in test code, in a file of the
     same class as the patched file, and of the same statement kind as the
     keyword's source statement (OTHER never filters); survivors need
-    strsim >= ks_threshold against that source statement. Sorted by
+    strsim >= KS_THRESHOLD against that source statement. Sorted by
     descending similarity.
     """
     keywords = ctx.keywords
@@ -142,7 +142,7 @@ def find_key_statements(
             ):
                 continue
             sim = strsim(kw.source_line.norm, stmt.norm)
-            if sim < params.ks_threshold:
+            if sim < KS_THRESHOLD:
                 continue
             key = (hit.path, hit.line_no)
             prev = best.get(key)
@@ -152,27 +152,24 @@ def find_key_statements(
 
 
 def expand_boundary(
-    cache: StatementCache,
-    ks: KeyStatementMatch,
-    patch_ctx: PatchContext,
-    c_lines: int,
-    params: SimilarityParams,
+    cache: StatementCache, ks: KeyStatementMatch, patch_ctx: PatchContext
 ) -> tuple[int, int] | None:
     """Grow a key statement into a (start line, end line) context boundary.
 
-    Within the c_lines statements above the key statement (inclusive) the
-    best strsim match against the patch context's first statement becomes the
-    start; within the c_lines below (inclusive), the best match against the
-    last statement becomes the end. Both maxima must pass ks_threshold.
+    Within the CONTEXT_LINES statements above the key statement (inclusive)
+    the best strsim match against the patch context's first statement
+    becomes the start; within the CONTEXT_LINES below (inclusive), the best
+    match against the last statement becomes the end. Both maxima must pass
+    KS_THRESHOLD.
     """
     ctx_stmts = patch_ctx.statements
     stmts = cache.statements(ks.stmt.path)
     idx = cache.index_by_line(ks.stmt.path)[ks.stmt.line_no]
-    up_window = stmts[max(0, idx - c_lines): idx + 1]
-    down_window = stmts[idx: idx + c_lines + 1]
+    up_window = stmts[max(0, idx - CONTEXT_LINES): idx + 1]
+    down_window = stmts[idx: idx + CONTEXT_LINES + 1]
     ss = _best_in_window(up_window, ctx_stmts[0].norm, ks.stmt.line_no)
     es = _best_in_window(down_window, ctx_stmts[-1].norm, ks.stmt.line_no)
-    if ss[0] < params.ks_threshold or es[0] < params.ks_threshold:
+    if ss[0] < KS_THRESHOLD or es[0] < KS_THRESHOLD:
         return None
     return (ss[1], es[1])
 
@@ -197,15 +194,13 @@ def finalize_contexts(
     boundaries: list[tuple[str, tuple[int, int]]],
     patch_ctx: PatchContext,
     params: SimilarityParams,
-    max_candidates: int,
 ) -> list[CandidateContext]:
     """Score boundary regions against the patch context and keep the best.
 
     ctx_sim is the fragment similarity of the patch context against the
     candidate's statements; regions under the decision threshold are dropped,
     overlapping regions in the same file keep only the higher-scoring one,
-    and the survivors are capped at max_candidates (0 = unlimited) by
-    descending ctx_sim.
+    and the survivors are capped at MAX_CANDIDATES by descending ctx_sim.
     """
     patch_norms = [s.norm for s in patch_ctx.statements]
     scored: list[CandidateContext] = []
@@ -231,7 +226,7 @@ def finalize_contexts(
         ):
             continue
         kept.append(cand)
-        if max_candidates and len(kept) >= max_candidates:
+        if len(kept) >= MAX_CANDIDATES:
             break
     return kept
 
@@ -311,24 +306,20 @@ def _pair_contexts(
 
 
 def collect_candidates(
-    cache: StatementCache,
-    hunk: PatchHunk,
-    params: SimilarityParams,
-    c_lines: int,
-    max_candidates: int,
+    cache: StatementCache, hunk: PatchHunk, params: SimilarityParams
 ) -> SearchOutcome:
     """Run the full search pipeline for one hunk against one target."""
 
     def located(ctx: PatchContext) -> list[CandidateContext]:
         if not ctx:
             return []
-        seeds = find_key_statements(cache, ctx, hunk.file_class, params)
+        seeds = find_key_statements(cache, ctx, hunk.file_class)
         boundaries: list[tuple[str, tuple[int, int]]] = []
         for ks in seeds:
-            span = expand_boundary(cache, ks, ctx, c_lines, params)
+            span = expand_boundary(cache, ks, ctx)
             if span is not None:
                 boundaries.append((ks.stmt.path, span))
-        return finalize_contexts(cache, boundaries, ctx, params, max_candidates)
+        return finalize_contexts(cache, boundaries, ctx, params)
 
     ups = located(hunk.up_ctx)
     downs = located(hunk.down_ctx)

@@ -10,29 +10,30 @@ class EmptyFragmentError(ValueError):
     """Raised when fragment similarity is asked about an empty fragment."""
 
 
+# Low-recall gate used while searching key statements and expanding context
+# boundaries; the decision threshold t may not be set below it.
+KS_THRESHOLD = 0.25
+
+
 @dataclass(frozen=True)
 class SimilarityParams:
     """Tunable knobs of the similarity pipeline.
 
-    r            -- positional reward factor: a statement matched at offset
-                    d from its expected position contributes sim * r**d.
-    t            -- decision threshold for patch-applied similarity tests.
-    ks_threshold -- low-recall gate used while searching key statements and
-                    expanding context boundaries.
+    r -- positional reward factor: a statement matched at offset d from its
+         expected position contributes sim * r**d.
+    t -- decision threshold for patch-applied similarity tests.
     """
 
     r: float = 0.95
     t: float = 0.40
-    ks_threshold: float = 0.25
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"r must be in [0, 1], got {self.r}")
-        if not 0.0 < self.t < 1.0:
-            raise ValueError(f"t must be in (0, 1), got {self.t}")
-        if not 0.0 < self.ks_threshold <= self.t:
+        if not KS_THRESHOLD <= self.t < 1.0:
             raise ValueError(
-                f"ks_threshold must be in (0, t], got {self.ks_threshold} (t={self.t})"
+                f"t must be in [{KS_THRESHOLD}, 1) (the key-statement gate is "
+                f"{KS_THRESHOLD}), got {self.t}"
             )
 
 

@@ -98,7 +98,7 @@ def corpus_env(tmp_path_factory):
     base = tmp_path_factory.mktemp("acceptance")
     corpus_dir = base / "corpus"
     started = time.monotonic()
-    index = fixturegen.gen_fixtures(fixturegen.default_corpus_spec(), corpus_dir)
+    index = fixturegen.gen_fixtures(fixturegen.default_cases(), corpus_dir)
     reports = _scan_corpus(corpus_dir, index, base / "reports_a")
     elapsed = time.monotonic() - started
     return SimpleNamespace(
@@ -203,7 +203,7 @@ def test_criterion_3_reward_factor_monotonicity():
             break
 
     for r, scores in reward_sweep(pairs, rs):
-        series = emit_cdf(scores, f"r={r}")
+        series = emit_cdf(scores)
         ascending = all(
             series.values[k] < series.values[k + 1]
             for k in range(len(series.values) - 1)

@@ -21,17 +21,17 @@ from types import SimpleNamespace
 import pytest
 
 import forkscan
-from forkscan import __version__
+from forkscan import __version__, fixturegen
 from forkscan.cli import (
     ConfigError,
     _add_detect_flags,
     _build_config,
-    _parse_r_spec,
     _parse_target_token,
     _parser,
     _unique_names,
     main,
 )
+from forkscan.fixturegen import CloneCase
 from conftest import (
     UTC,
     commit_all,
@@ -152,25 +152,21 @@ class TestParseTargetToken:
             _parse_target_token(token)
 
 
+def _sweep_r(*r: str) -> list[float]:
+    return _parser().parse_args(["sweep-r", "--pairs", "p", "--r", *r]).r
+
+
 class TestParseRSpec:
     def test_single_value(self):
-        assert _parse_r_spec("0.95") == [0.95]
-
-    def test_range_is_inclusive(self):
-        assert _parse_r_spec("0.8:1.0:0.1") == [0.8, 0.9, 1.0]
-
-    def test_range_with_uneven_step(self):
-        assert _parse_r_spec("0.85:1.0:0.05") == [0.85, 0.9, 0.95, 1.0]
-
-    @pytest.mark.parametrize("spec", ["0.8:1.0:0", "0.8:1.0:-0.1"])
-    def test_nonpositive_step_rejected(self, spec):
-        with pytest.raises(ConfigError, match="step"):
-            _parse_r_spec(spec)
+        assert _sweep_r("0.95") == [0.95]
+        assert _sweep_r("0.15", "0.55", "0.95") == [0.15, 0.55, 0.95]
 
     @pytest.mark.parametrize("spec", ["0.8:1.0", "a:b:c", "fast", "", "0.9:0.1:0.2"])
-    def test_malformed_spec_rejected(self, spec):
-        with pytest.raises(ConfigError, match="bad --r spec"):
-            _parse_r_spec(spec)
+    def test_malformed_spec_rejected(self, spec, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _sweep_r(spec)
+        assert exc.value.code == 2
+        assert f"--r: invalid float value: '{spec}'" in capsys.readouterr().err
 
 
 class TestUniqueNames:
@@ -206,12 +202,7 @@ class TestBuildConfig:
         assert cfg.source == str(dirs.src)
         assert cfg.patch_shas == ["abc123"]
         assert cfg.targets == [(str(dirs.tgt), "HEAD")]
-        assert (cfg.params.r, cfg.params.t, cfg.params.ks_threshold) == (
-            0.95,
-            0.40,
-            0.25,
-        )
-        assert (cfg.c_lines, cfg.max_candidates) == (5, 10)
+        assert (cfg.params.r, cfg.params.t) == (0.95, 0.40)
         assert cfg.out == "report.json"
 
     def test_config_file_supplies_everything(self, dirs):
@@ -225,9 +216,6 @@ class TestBuildConfig:
             f"--target={dirs.src}",
             "--r=0.9",
             "--t=0.5",
-            "--ks-threshold=0.3",
-            "--context-lines=3",
-            "--max-candidates=0",
             "--out=deep/report.json",
         ]
         conf.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -235,13 +223,18 @@ class TestBuildConfig:
         assert cfg.source == str(dirs.src)
         assert cfg.patch_shas == ["aaa", "bbb"]
         assert cfg.targets == [(str(dirs.tgt), "dev"), (str(dirs.src), "HEAD")]
-        assert (cfg.params.r, cfg.params.t, cfg.params.ks_threshold) == (
-            0.9,
-            0.5,
-            0.3,
-        )
-        assert (cfg.c_lines, cfg.max_candidates) == (3, 0)
+        assert (cfg.params.r, cfg.params.t) == (0.9, 0.5)
         assert cfg.out == "deep/report.json"
+
+    def test_blank_lines_in_config_file_skipped(self, dirs):
+        conf = dirs.root / "scan.args"
+        conf.write_text(
+            f"--source={dirs.src}\n\n--patch=aaa\n   \n--target={dirs.tgt}\n\n",
+            encoding="utf-8",
+        )
+        cfg = _build_config(_ns(f"@{conf}"))
+        assert (cfg.source, cfg.patch_shas) == (str(dirs.src), ["aaa"])
+        assert cfg.targets == [(str(dirs.tgt), "HEAD")]
 
     def test_flags_beat_config(self, dirs):
         # A scalar takes the last value given, in the file or after it;
@@ -314,26 +307,10 @@ class TestBuildConfig:
         assert exc.value.code == 2
         assert "--r: invalid float value: 'fast'" in capsys.readouterr().err
 
-    def test_context_lines_floor(self, dirs):
-        with pytest.raises(ConfigError, match="context-lines"):
+    def test_t_below_key_statement_gate_rejected(self, dirs):
+        with pytest.raises(ConfigError, match=r"t must be in \[0\.25, 1\).*got 0\.2"):
             _build_config(
-                _ns(
-                    source=str(dirs.src),
-                    patch=["abc"],
-                    target=[str(dirs.tgt)],
-                    context_lines=0,
-                )
-            )
-
-    def test_negative_max_candidates_rejected(self, dirs):
-        with pytest.raises(ConfigError, match="max-candidates"):
-            _build_config(
-                _ns(
-                    source=str(dirs.src),
-                    patch=["abc"],
-                    target=[str(dirs.tgt)],
-                    max_candidates=-1,
-                )
+                _ns(source=str(dirs.src), patch=["abc"], target=[str(dirs.tgt)], t=0.2)
             )
 
     @pytest.mark.parametrize("field", ["source", "target", "patch_file"])
@@ -781,6 +758,16 @@ class TestDetectErrors:
         assert "unrecognized arguments: --config" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize(
+        "flag", ["--ks-threshold", "--context-lines", "--max-candidates"]
+    )
+    def test_fixed_search_constant_is_unrecognized(self, world, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            _detect(world, [world.vuln], tmp_path / "r.json", [flag, "5"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_jobs_other_than_one_exits_2(self, world, tmp_path, capsys):
         # Scans run on one thread; `--jobs 1` is still accepted.
         assert _detect(world, [world.vuln], tmp_path / "one.json", ["--jobs", "1"]) == 1
@@ -837,7 +824,7 @@ class TestSweepR:
     def test_sweep_writes_flat_cdf_rows(self, pairs_dir, tmp_path, capsys):
         out = tmp_path / "cdf.csv"
         code = main(
-            ["sweep-r", "--pairs", str(pairs_dir), "--r", "0.8:1.0:0.1", "--out", str(out)]
+            ["sweep-r", "--pairs", str(pairs_dir), "--r", "0.8", "0.9", "1.0", "--out", str(out)]
         )
         assert code == 0
         lines = out.read_text(encoding="utf-8").splitlines()
@@ -891,11 +878,22 @@ class TestSweepR:
         )
         assert code == 2
 
-    def test_bad_r_spec_exits_2(self, pairs_dir, tmp_path):
-        code = main(
-            ["sweep-r", "--pairs", str(pairs_dir), "--r", "0.8:1.0", "--out", str(tmp_path / "c.csv")]
-        )
+    def test_bad_r_spec_exits_2(self, pairs_dir, tmp_path, capsys):
+        # --r takes plain floats; the old START:STOP:STEP form is not one.
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["sweep-r", "--pairs", str(pairs_dir), "--r", "0.8:1.0", "--out", str(tmp_path / "c.csv")]
+            )
+        assert exc.value.code == 2
+        assert "--r: invalid float value: '0.8:1.0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("r", ["1.5", "-0.1"])
+    def test_r_out_of_range_exits_2(self, pairs_dir, tmp_path, capsys, r):
+        out = tmp_path / "c.csv"
+        code = main(["sweep-r", "--pairs", str(pairs_dir), "--r", r, "--out", str(out)])
         assert code == 2
+        assert f"r must be in [0, 1], got {r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -903,23 +901,12 @@ class TestSweepR:
 
 
 class TestGenFixtures:
-    def _spec_file(self, tmp_path, cases) -> str:
-        spec = tmp_path / "spec.json"
-        spec.write_text(
-            json.dumps({"schema": 1, "cases": cases}), encoding="utf-8"
-        )
-        return str(spec)
-
-    def test_small_spec_builds_corpus(self, tmp_path, capsys):
-        spec = self._spec_file(
-            tmp_path,
-            [
-                {"name": "one", "clone_type": 1, "ptype": "CHA"},
-                {"name": "two", "clone_type": 2, "ptype": "DEL"},
-            ],
-        )
+    def test_small_spec_builds_corpus(self, tmp_path, capsys, monkeypatch):
+        # gen-fixtures always builds the built-in cases; two stand in for 30.
+        cases = [CloneCase("one", 1, "CHA", 0), CloneCase("two", 2, "DEL", 1)]
+        monkeypatch.setattr(fixturegen, "default_cases", lambda: cases)
         out_dir = tmp_path / "corpus"
-        assert main(["gen-fixtures", "--spec", spec, "--out", str(out_dir)]) == 0
+        assert main(["gen-fixtures", "--out", str(out_dir)]) == 0
 
         corpus = json.loads((out_dir / "corpus.json").read_text(encoding="utf-8"))
         assert [c["name"] for c in corpus["cases"]] == ["one", "two"]
@@ -930,14 +917,9 @@ class TestGenFixtures:
         assert "built 2 cases" in capsys.readouterr().out
 
     def test_generated_case_scans_end_to_end(self, tmp_path):
-        spec = self._spec_file(
-            tmp_path, [{"name": "smoke", "clone_type": 1, "ptype": "CHA"}]
-        )
         out_dir = tmp_path / "corpus"
-        assert main(["gen-fixtures", "--spec", spec, "--out", str(out_dir)]) == 0
-        case = json.loads((out_dir / "corpus.json").read_text(encoding="utf-8"))[
-            "cases"
-        ][0]
+        corpus = fixturegen.gen_fixtures([CloneCase("smoke", 1, "CHA", 0)], out_dir)
+        case = corpus["cases"][0]
 
         out = tmp_path / "report.json"
         code = main(
@@ -964,34 +946,21 @@ class TestGenFixtures:
         assert fixed_row["delay"]["release_tag"] == "v1.0.0"
         assert fixed_row["delay"]["delay_days"] == case["expect_delay_days"] == 183
 
-    def test_bad_spec_json_exits_2(self, tmp_path, capsys):
-        spec = tmp_path / "spec.json"
-        spec.write_text("not json", encoding="utf-8")
-        code = main(
-            ["gen-fixtures", "--spec", str(spec), "--out", str(tmp_path / "c")]
-        )
-        assert code == 2
-        assert "bad corpus spec" in capsys.readouterr().err
+    def test_default_cases_follow_the_spec(self):
+        spec = fixturegen.default_corpus_spec()["cases"]
+        cases = fixturegen.default_cases()
+        assert len(cases) == 30
+        assert [(c.name, c.clone_type, c.ptype) for c in cases] == [
+            (e["name"], e["clone_type"], e["ptype"]) for e in spec
+        ]
+        assert [c.index for c in cases] == list(range(30))
 
-    def test_bad_case_exits_2(self, tmp_path, capsys):
-        spec = self._spec_file(
-            tmp_path, [{"name": "x", "clone_type": 9, "ptype": "CHA"}]
-        )
-        code = main(["gen-fixtures", "--spec", spec, "--out", str(tmp_path / "c")])
-        assert code == 2
-        assert "bad corpus case" in capsys.readouterr().err
-
-    def test_missing_spec_file_exits_2(self, tmp_path):
-        code = main(
-            [
-                "gen-fixtures",
-                "--spec",
-                str(tmp_path / "absent.json"),
-                "--out",
-                str(tmp_path / "c"),
-            ]
-        )
-        assert code == 2
+    def test_spec_flag_is_unrecognized(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-fixtures", "--spec", "x.json", "--out", str(tmp_path / "c")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --spec x.json" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
 
 # ---------------------------------------------------------------------------

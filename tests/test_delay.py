@@ -15,18 +15,8 @@ from forkscan.delay import (
 from forkscan.gitio import RepoHandle, blame_lines
 from forkscan.report import DelayRecord
 from forkscan.search import CandidateCode, CandidateContext
-from forkscan.verdict import CandidateJudgment, Status, Verdict
 
 UTC = timezone.utc
-
-
-def _verdict(status: Status, candidate: CandidateCode | None) -> Verdict:
-    winning = None
-    if candidate is not None:
-        winning = CandidateJudgment(
-            candidate=candidate, s_del=None, s_add=1.0, fv=1, conf=0.6
-        )
-    return Verdict(status=status, conf=0.6, winning=winning)
 
 
 def _owners(repo: RepoHandle, rev: str, path: str, span) -> set[str]:
@@ -133,7 +123,7 @@ class TestFixDelay:
         repo_path, c_rewrite, _ = table_repo
         record = fix_delay(
             RepoHandle(repo_path), "HEAD", self.PATCH_DATE,
-            _verdict(Status.FIXED, self._candidate((204, 208))),
+            self._candidate((204, 208)),
         )
         assert record == DelayRecord(
             true_fix=c_rewrite,
@@ -145,15 +135,9 @@ class TestFixDelay:
         # Line 205 is owned by the tweak at HEAD and by the rewrite before it.
         repo_path, c_rewrite, c_tweak = table_repo
         repo = RepoHandle(repo_path)
-        verdict = _verdict(Status.FIXED, self._candidate((205, 205)))
-        assert fix_delay(repo, "HEAD", self.PATCH_DATE, verdict).true_fix == c_tweak
-        assert fix_delay(repo, c_rewrite, self.PATCH_DATE, verdict).true_fix == c_rewrite
-
-    def test_non_fixed_statuses_yield_none(self, table_repo):
-        repo = RepoHandle(table_repo[0])
-        for status in (Status.VULNERABLE, Status.CONTEXT_NOT_FOUND):
-            verdict = _verdict(status, self._candidate((204, 208)))
-            assert fix_delay(repo, "HEAD", self.PATCH_DATE, verdict) is None
+        cand = self._candidate((205, 205))
+        assert fix_delay(repo, "HEAD", self.PATCH_DATE, cand).true_fix == c_tweak
+        assert fix_delay(repo, c_rewrite, self.PATCH_DATE, cand).true_fix == c_rewrite
 
     def test_empty_candidate_blames_context_gap(self, table_repo):
         repo_path, c_rewrite, _ = table_repo
@@ -163,7 +147,7 @@ class TestFixDelay:
                              paired_up=up, paired_down=down)
         record = fix_delay(
             RepoHandle(repo_path), "HEAD", self.PATCH_DATE,
-            _verdict(Status.FIXED, cand),
+            cand,
         )
         # Fallback region (204, 207) includes the rewrite-owned lines.
         assert record.true_fix == c_rewrite
@@ -176,25 +160,18 @@ class TestFixDelay:
                              paired_up=up)
         record = fix_delay(
             RepoHandle(repo_path), "HEAD", self.PATCH_DATE,
-            _verdict(Status.FIXED, cand),
+            cand,
         )
         assert record.true_fix == c_tweak
 
     def test_attribution_failure_degrades(self, table_repo):
         record = fix_delay(
             RepoHandle(table_repo[0]), "HEAD", self.PATCH_DATE,
-            _verdict(Status.FIXED, self._candidate((9000, 9001))),
+            self._candidate((9000, 9001)),
         )
         assert record is not None
         assert record.true_fix is None
         assert record.release is None and record.delay_days is None
-
-    def test_no_winning_candidate_degrades(self, table_repo):
-        record = fix_delay(
-            RepoHandle(table_repo[0]), "HEAD", self.PATCH_DATE,
-            _verdict(Status.FIXED, None),
-        )
-        assert record == DelayRecord(None, None, None)
 
     def test_unreleased_fix_has_no_delay(self, tmp_path):
         root = init_repo(tmp_path / "nofix")
@@ -203,7 +180,7 @@ class TestFixDelay:
         sha = run_git(root, "rev-parse", "HEAD")
         record = fix_delay(
             RepoHandle(root), "HEAD", self.PATCH_DATE,
-            _verdict(Status.FIXED, CandidateCode(path="f.c", stmts=[], span=(1, 1))),
+            CandidateCode(path="f.c", stmts=[], span=(1, 1)),
         )
         assert record.true_fix == sha
         assert record.release is None and record.delay_days is None
@@ -211,7 +188,7 @@ class TestFixDelay:
     def test_unknown_patch_date_has_no_delay(self, table_repo):
         record = fix_delay(
             RepoHandle(table_repo[0]), "HEAD", None,
-            _verdict(Status.FIXED, self._candidate((204, 208))),
+            self._candidate((204, 208)),
         )
         assert record.true_fix is not None
         assert record.release is not None

@@ -82,14 +82,15 @@ def _norms(stmts) -> list[str]:
     return [s.norm for s in stmts]
 
 
-def _expected_context(content: str, span: tuple[int, int], c_lines: int = 5):
-    """Independent context slice: meaningful statements around a raw span."""
+def _expected_context(content: str, span: tuple[int, int]):
+    """Independent context slice: the five meaningful statements on each side
+    of a raw span."""
     stmts = extract_statements(
         content.rstrip("\n").split("\n"), GUARD, classify_file(GUARD)
     )
     above = [s.norm for s in stmts if s.line_no < span[0]]
     below = [s.norm for s in stmts if s.line_no > span[1]]
-    return above[-c_lines:], below[:c_lines]
+    return above[-5:], below[:5]
 
 
 class TestParseUnifiedDiff:
@@ -240,7 +241,7 @@ class TestParseUnifiedDiff:
 class TestParsePatchFromRepo:
     def test_cha_commit(self, guard_repo):
         repo, shas = guard_repo
-        patch = load_patch(repo, shas["cha"], 5)
+        patch = load_patch(repo, shas["cha"])
         assert patch.source_sha == shas["cha"]
         assert patch.committed_at == datetime(2020, 2, 1, tzinfo=UTC)
         assert patch.label == shas["cha"]
@@ -255,7 +256,7 @@ class TestParsePatchFromRepo:
 
     def test_del_commit(self, guard_repo):
         repo, shas = guard_repo
-        (h,) = load_patch(repo, shas["del"], 5).hunks
+        (h,) = load_patch(repo, shas["del"]).hunks
         assert h.ptype == PatchType.DEL
         assert _norms(h.dp) == ["if (nDepth <= 0)", "nDepth = DEFAULT_DEPTH;"]
         assert h.ap == []
@@ -265,7 +266,7 @@ class TestParsePatchFromRepo:
 
     def test_add_commit(self, guard_repo):
         repo, shas = guard_repo
-        (h,) = load_patch(repo, shas["add"], 5).hunks
+        (h,) = load_patch(repo, shas["add"]).hunks
         assert h.ptype == PatchType.ADD
         assert h.dp == [] and _norms(h.ap) == [ADD_LINE]
         assert h.new_span == (9, 9) and h.old_span == (9, 8)
@@ -273,7 +274,7 @@ class TestParsePatchFromRepo:
 
     def test_root_commit_is_pure_addition(self, guard_repo):
         repo, shas = guard_repo
-        patch = load_patch(repo, shas["import"], 5)
+        patch = load_patch(repo, shas["import"])
         (h,) = patch.hunks
         assert h.ptype == PatchType.ADD and h.dp == []
         assert _norms(h.ap) == _norms(
@@ -284,12 +285,12 @@ class TestParsePatchFromRepo:
 
     def test_dp_ap_line_numbers_are_file_positions(self, guard_repo):
         repo, shas = guard_repo
-        (h,) = load_patch(repo, shas["del"], 5).hunks
+        (h,) = load_patch(repo, shas["del"]).hunks
         assert [s.line_no for s in h.dp] == [5, 6]
 
     def test_unknown_sha(self, guard_repo):
         with pytest.raises(NotFoundError):
-            load_patch(guard_repo[0], "f" * 40, 5)
+            load_patch(guard_repo[0], "f" * 40)
 
     def test_merge_commit_uses_first_parent(self, tmp_path):
         root = init_repo(tmp_path / "merged")
@@ -308,7 +309,7 @@ class TestParsePatchFromRepo:
                 date=datetime(2021, 1, 4, tzinfo=UTC))
         sha = run_git(root, "rev-parse", "HEAD")
         assert run_git(root, "rev-list", "--parents", "-n1", sha).count(" ") == 2
-        patch = load_patch(RepoHandle(root), sha, 5)
+        patch = load_patch(RepoHandle(root), sha)
         assert [h.path for h in patch.hunks] == ["m.c"]
         (h,) = patch.hunks
         assert _norms(h.dp) == ["legacy_call(b);"]
@@ -321,7 +322,7 @@ class TestParsePatchFromRepo:
         write_files(root, {"c.c": "int a = 1;\n// new note\nint b = 2;\n"})
         sha = commit_all(root, "reword", datetime(2021, 1, 2, tzinfo=UTC))
         with pytest.raises(PatchError, match="no meaningful"):
-            load_patch(RepoHandle(root), sha, 5)
+            load_patch(RepoHandle(root), sha)
 
     def test_comment_hunk_skipped_but_real_hunk_kept(self, tmp_path):
         root = init_repo(tmp_path / "mixed")
@@ -335,7 +336,7 @@ class TestParsePatchFromRepo:
             "code.c": "int new_value = 2;\n",
         })
         sha = commit_all(root, "update", datetime(2021, 1, 2, tzinfo=UTC))
-        patch = load_patch(RepoHandle(root), sha, 5)
+        patch = load_patch(RepoHandle(root), sha)
         assert [h.path for h in patch.hunks] == ["code.c"]
 
     def test_new_file_commit(self, tmp_path):
@@ -344,7 +345,7 @@ class TestParsePatchFromRepo:
         commit_all(root, "base", datetime(2021, 1, 1, tzinfo=UTC))
         write_files(root, {"fresh.c": "int shiny = 1;\nint thing = 2;\n"})
         sha = commit_all(root, "add fresh", datetime(2021, 1, 2, tzinfo=UTC))
-        (h,) = load_patch(RepoHandle(root), sha, 5).hunks
+        (h,) = load_patch(RepoHandle(root), sha).hunks
         assert h.ptype == PatchType.ADD
         assert h.path == "fresh.c" and h.old_path == "fresh.c"
         assert _norms(h.ap) == ["int shiny = 1;", "int thing = 2;"]
@@ -355,7 +356,7 @@ class TestParsePatchFromRepo:
         commit_all(root, "base", datetime(2021, 1, 1, tzinfo=UTC))
         (root / "doomed.c").unlink()
         sha = commit_all(root, "remove doomed", datetime(2021, 1, 2, tzinfo=UTC))
-        (h,) = load_patch(RepoHandle(root), sha, 5).hunks
+        (h,) = load_patch(RepoHandle(root), sha).hunks
         assert h.ptype == PatchType.DEL and h.path == "doomed.c"
         assert _norms(h.dp) == ["int gone = 9;"]
 
@@ -365,10 +366,10 @@ def _numbered(prefix: str, n: int) -> list[str]:
 
 
 class TestHunkMerging:
-    @pytest.fixture
-    def far_repo(self, tmp_path):
-        """Two changed lines separated by 12 meaningful statements."""
-        lines = (["head_call(a);"] + _numbered("mid", 12) + ["tail_call(b);"])
+    @staticmethod
+    def _gap_repo(tmp_path, gap: int):
+        """Two changed lines separated by `gap` meaningful statements."""
+        lines = (["head_call(a);"] + _numbered("mid", gap) + ["tail_call(b);"])
         root = init_repo(tmp_path / "far")
         write_files(root, {"far.c": "\n".join(lines) + "\n"})
         commit_all(root, "base", datetime(2021, 1, 1, tzinfo=UTC))
@@ -378,19 +379,16 @@ class TestHunkMerging:
         sha = commit_all(root, "extend calls", datetime(2021, 1, 2, tzinfo=UTC))
         return RepoHandle(root), sha
 
-    def test_gap_at_least_twice_context_stays_split(self, far_repo):
-        repo, sha = far_repo
-        patch = load_patch(repo, sha, 5)  # 12 >= 10
+    def test_gap_at_least_twice_context_stays_split(self, tmp_path):
+        patch = load_patch(*self._gap_repo(tmp_path, 10))  # 10 >= 2 * 5
         assert len(patch.hunks) == 2
-        assert [h.old_span for h in patch.hunks] == [(1, 1), (14, 14)]
+        assert [h.old_span for h in patch.hunks] == [(1, 1), (12, 12)]
 
-    def test_gap_under_twice_context_merges(self, far_repo):
-        repo, sha = far_repo
-        patch = load_patch(repo, sha, 7)  # 12 < 14
-        (h,) = patch.hunks
+    def test_gap_under_twice_context_merges(self, tmp_path):
+        (h,) = load_patch(*self._gap_repo(tmp_path, 9)).hunks  # 9 < 2 * 5
         assert _norms(h.dp) == ["head_call(a);", "tail_call(b);"]
         assert _norms(h.ap) == ["head_call(a, extra);", "tail_call(b, extra);"]
-        assert h.old_span == (1, 14) and h.ptype == PatchType.CHA
+        assert h.old_span == (1, 11) and h.ptype == PatchType.CHA
 
     def test_comment_lines_do_not_count_toward_gap(self, tmp_path):
         comments = [f"// filler {k}" for k in range(20)]
@@ -406,10 +404,10 @@ class TestHunkMerging:
         repo = RepoHandle(root)
 
         # Statement gap is 3 (< 10): one merged hunk.
-        assert len(load_patch(repo, sha, 5).hunks) == 1
+        assert len(load_patch(repo, sha).hunks) == 1
         # The same change as bare diff text: raw-line gap is 23 (>= 10).
         diff = run_git(root, "diff", "-U0", f"{sha}^", sha)
-        assert len(parse_patch(diff, 5).hunks) == 2
+        assert len(parse_patch(diff).hunks) == 2
 
     def test_add_only_file_splits_distant_insertions(self, tmp_path):
         lines = _numbered("v", 60)
@@ -424,7 +422,7 @@ class TestHunkMerging:
         # 45 old statements separate the insertions (>= 10): two ADD hunks,
         # from the commit as from its -U0 diff.
         diff = run_git(root, "diff", "-U0", f"{sha}^", sha)
-        for patch in (load_patch(RepoHandle(root), sha, 5), parse_patch(diff, 5)):
+        for patch in (load_patch(RepoHandle(root), sha), parse_patch(diff)):
             assert [(h.ptype, h.new_span, _norms(h.ap)) for h in patch.hunks] == [
                 (PatchType.ADD, (6, 6), ["int early = 1;"]),
                 (PatchType.ADD, (52, 52), ["int late = 1;"]),
@@ -446,7 +444,7 @@ class TestHunkMerging:
             return [
                 (h.ptype, [(s.line_no, s.norm) for s in h.dp],
                  [(s.line_no, s.norm) for s in h.ap], h.old_span, h.new_span)
-                for h in parse_patch(diff, 5).hunks
+                for h in parse_patch(diff).hunks
             ]
 
         # Empty sides anchor after the last line before the change, so the
@@ -461,7 +459,7 @@ class TestHunkMerging:
 class TestBuildPatchContext:
     def test_cha_contexts_from_parent(self, guard_repo):
         repo, shas = guard_repo
-        patch = load_patch(repo, shas["cha"], 5)
+        patch = load_patch(repo, shas["cha"])
         (h,) = patch.hunks
         up, down = _expected_context(GUARD_V0, h.old_span)
         assert _norms(h.up_ctx.statements) == up
@@ -471,7 +469,7 @@ class TestBuildPatchContext:
 
     def test_del_contexts_truncate_at_file_start(self, guard_repo):
         repo, shas = guard_repo
-        (h,) = load_patch(repo, shas["del"], 5).hunks
+        (h,) = load_patch(repo, shas["del"]).hunks
         up, down = _expected_context(GUARD_V1, h.old_span)
         assert _norms(h.up_ctx.statements) == up
         assert len(h.up_ctx) == 2  # only two meaningful statements above
@@ -479,7 +477,7 @@ class TestBuildPatchContext:
 
     def test_add_contexts_from_patch_revision(self, guard_repo):
         repo, shas = guard_repo
-        (h,) = load_patch(repo, shas["add"], 5).hunks
+        (h,) = load_patch(repo, shas["add"]).hunks
         up, down = _expected_context(GUARD_V3, h.new_span)
         assert _norms(h.up_ctx.statements) == up
         assert _norms(h.down_ctx.statements) == down
@@ -487,25 +485,10 @@ class TestBuildPatchContext:
 
     def test_keywords_follow_statement_extraction(self, guard_repo):
         repo, shas = guard_repo
-        (h,) = load_patch(repo, shas["cha"], 5).hunks
+        (h,) = load_patch(repo, shas["cha"]).hunks
         for kw in h.up_ctx.keywords + h.down_ctx.keywords:
             assert kw.source_line in (h.up_ctx.statements + h.down_ctx.statements)
             assert kw.keyword in kw.source_line.norm
-
-    def test_custom_window_size(self, guard_repo):
-        repo, shas = guard_repo
-        (h,) = load_patch(repo, shas["cha"], 2).hunks
-        up, down = _expected_context(GUARD_V0, h.old_span, c_lines=2)
-        assert _norms(h.up_ctx.statements) == up and len(h.up_ctx) == 2
-        assert _norms(h.down_ctx.statements) == down and len(h.down_ctx) == 2
-
-    def test_rejects_nonpositive_window(self, guard_repo):
-        repo, shas = guard_repo
-        with pytest.raises(ValueError):
-            load_patch(repo, shas["cha"], 0)
-        diff = "--- a/f.c\n+++ b/f.c\n@@ -1 +1 @@\n-a();\n+b();\n"
-        with pytest.raises(ValueError):
-            parse_patch(diff, 0)
 
     def test_whole_file_deletion_has_no_context(self, tmp_path, caplog):
         root = init_repo(tmp_path / "nuke")
@@ -513,7 +496,7 @@ class TestBuildPatchContext:
         commit_all(root, "base", datetime(2021, 1, 1, tzinfo=UTC))
         (root / "b.c").unlink()
         sha = commit_all(root, "drop b", datetime(2021, 1, 2, tzinfo=UTC))
-        (h,) = load_patch(RepoHandle(root), sha, 5).hunks
+        (h,) = load_patch(RepoHandle(root), sha).hunks
         assert not h.up_ctx and not h.down_ctx
 
 
@@ -521,7 +504,7 @@ class TestDiffTextContexts:
     def test_contexts_come_from_diff_lines(self, guard_repo):
         repo, shas = guard_repo
         diff = run_git(repo.root, "diff", "-U5", f"{shas['cha']}^", shas["cha"])
-        patch = parse_patch(diff, 5)
+        patch = parse_patch(diff)
         assert patch.source_sha is None and patch.label == "diff"
         (h,) = patch.hunks
         assert _norms(h.dp) == ['if (fHavePruned) return error("pruned");']
@@ -534,16 +517,16 @@ class TestDiffTextContexts:
     def test_zero_context_diff_gives_empty_contexts(self, guard_repo):
         repo, shas = guard_repo
         diff = run_git(repo.root, "diff", "-U0", f"{shas['cha']}^", shas["cha"])
-        (h,) = parse_patch(diff, 5).hunks
+        (h,) = parse_patch(diff).hunks
         assert not h.up_ctx and not h.down_ctx
 
     def test_add_hunk_contexts_use_new_numbering(self, guard_repo):
         repo, shas = guard_repo
         diff = run_git(repo.root, "diff", "-U3", f"{shas['add']}^", shas["add"])
-        (h,) = parse_patch(diff, 5).hunks
+        (h,) = parse_patch(diff).hunks
         assert h.ptype == PatchType.ADD
         assert _norms(h.ap) == [ADD_LINE]
-        up, down = _expected_context(GUARD_V3, h.new_span, c_lines=3)
+        up, down = _expected_context(GUARD_V3, h.new_span)
         assert _norms(h.up_ctx.statements) == up[-3:]
         assert [s.line_no for s in h.up_ctx.statements] == [6, 7, 8]
 
@@ -560,7 +543,7 @@ class TestDiffTextContexts:
         sha = commit_all(root, "edit", datetime(2021, 1, 2, tzinfo=UTC))
         diff = run_git(root, "diff", "-U3", f"{sha}^", sha)
         assert diff.count("@@ -") == 1
-        (h,) = parse_patch(diff, 5).hunks
+        (h,) = parse_patch(diff).hunks
         assert h.old_span == (10, 13)
         assert [(s.line_no, s.norm) for s in h.down_ctx.statements] == [
             (14, "int v14 = 14;"), (15, "int v15 = 15;"), (16, "int v16 = 16;"),
@@ -580,7 +563,7 @@ class TestDiffTextContexts:
         sha = commit_all(root, "edit", datetime(2021, 1, 2, tzinfo=UTC))
         diff = run_git(root, "diff", "-U3", f"{sha}^", sha)
         assert diff.count("@@ -") == 2
-        (h,) = parse_patch(diff, 5).hunks
+        (h,) = parse_patch(diff).hunks
         assert h.old_span == (10, 18) and h.ptype == PatchType.CHA
         assert [(s.line_no, s.norm) for s in h.dp] == [
             (10, "int v10 = 10;"), (18, "int v18 = 18;"),
@@ -590,7 +573,7 @@ class TestDiffTextContexts:
 
     def test_rejects_non_diff_text(self):
         with pytest.raises(PatchError, match="no file hunks"):
-            parse_patch("just some prose\nwith lines\n", 5)
+            parse_patch("just some prose\nwith lines\n")
 
 
 @pytest.fixture(scope="module")
@@ -632,8 +615,8 @@ class TestCommitAndDiffTextAgree:
         repo, sha = comment_repo if case == "block_comment" else (
             guard_repo[0], guard_repo[1][case])
         diff = run_git(repo.root, "diff", "-U100000", f"{sha}^", sha)
-        want = self._shape(load_patch(repo, sha, 5))
-        assert self._shape(parse_patch(diff, 5)) == want
+        want = self._shape(load_patch(repo, sha))
+        assert self._shape(parse_patch(diff)) == want
         if case == "block_comment":
             # Comment text below the change is not code on either path.
             assert want[0][-1] == [(7, "int b1 = 1;")]
@@ -662,11 +645,7 @@ class TestParseManifest:
             "deadbeef\n"
             "v0.21.0~2: note with: extra colon\n"
         )
-        assert parse_manifest(text) == [
-            ("0123abc", "CVE-2021-3401 clamp fix"),
-            ("deadbeef", ""),
-            ("v0.21.0~2", "note with: extra colon"),
-        ]
+        assert parse_manifest(text) == ["0123abc", "deadbeef", "v0.21.0~2"]
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(PatchError, match="line 2"):

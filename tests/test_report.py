@@ -195,23 +195,22 @@ class TestCsv:
 
 class TestCdf:
     def test_simple_series(self):
-        series = emit_cdf([3.0, 1.0, 2.0, 4.0], "delays")
+        series = emit_cdf([3.0, 1.0, 2.0, 4.0])
         assert series.values == [1.0, 2.0, 3.0, 4.0]
         assert series.fractions == [0.25, 0.5, 0.75, 1.0]
-        assert series.label == "delays"
 
     def test_duplicates_collapse_keeping_last(self):
-        series = emit_cdf([1.0, 2.0, 2.0, 4.0], "d")
+        series = emit_cdf([1.0, 2.0, 2.0, 4.0])
         assert series.values == [1.0, 2.0, 4.0]
         assert series.fractions == [0.25, 0.75, 1.0]
 
     def test_single_value(self):
-        series = emit_cdf([7.0], "d")
+        series = emit_cdf([7.0])
         assert series.values == [7.0] and series.fractions == [1.0]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            emit_cdf([], "d")
+            emit_cdf([])
 
     def test_fractions_strictly_increase_to_one(self):
         import random
@@ -219,7 +218,7 @@ class TestCdf:
         rng = random.Random(20240814)
         for _ in range(25):
             values = [rng.randrange(0, 50) * 1.0 for _ in range(rng.randrange(1, 60))]
-            series = emit_cdf(values, "x")
+            series = emit_cdf(values)
             assert series.values == sorted(set(series.values))
             assert all(b > a for a, b in zip(series.fractions, series.fractions[1:]))
             assert series.fractions[-1] == pytest.approx(1.0, abs=1e-12)
@@ -232,15 +231,15 @@ class TestCdf:
 
     def test_write_cdf_csv(self, tmp_path):
         out = tmp_path / "cdf.csv"
-        write_cdf_csv(emit_cdf([1.0, 2.0], "d"), str(out))
+        write_cdf_csv(emit_cdf([1.0, 2.0]), str(out))
         rows = list(csv.reader(io.StringIO(out.read_text(encoding="utf-8"))))
         assert rows == [["value", "cum_fraction"], ["1.0", "0.5"], ["2.0", "1.0"]]
 
     def test_write_rsweep_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
         series = [
-            (0.5, CdfSeries("a", [0.1, 0.9], [0.5, 1.0])),
-            (0.95, CdfSeries("b", [0.2], [1.0])),
+            (0.5, CdfSeries([0.1, 0.9], [0.5, 1.0])),
+            (0.95, CdfSeries([0.2], [1.0])),
         ]
         write_rsweep_csv(series, str(out))
         rows = list(csv.reader(io.StringIO(out.read_text(encoding="utf-8"))))

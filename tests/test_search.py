@@ -7,6 +7,7 @@ from conftest import (
     oracle_strsim,
     run_git,
 )
+from forkscan import search
 from forkscan.gitio import RepoHandle, read_file_at
 from forkscan.patchmodel import PatchContext, PatchHunk, PatchType, Side
 from forkscan.preprocess import (
@@ -25,7 +26,7 @@ from forkscan.search import (
     find_key_statements,
     is_test_path,
 )
-from forkscan.simcore import SimilarityParams
+from forkscan.simcore import KS_THRESHOLD, SimilarityParams
 from test_patchmodel import init_repo, write_files, commit_all
 from datetime import datetime, timezone
 
@@ -215,7 +216,7 @@ def _brute_force_keys(repo: RepoHandle, ctx: PatchContext) -> dict:
                 ):
                     continue
                 sim = oracle_strsim(kw.source_line.norm, s.norm)
-                if sim < PARAMS.ks_threshold:
+                if sim < KS_THRESHOLD:
                     continue
                 key = (path, s.line_no)
                 expected[key] = max(expected.get(key, 0.0), sim)
@@ -224,7 +225,7 @@ def _brute_force_keys(repo: RepoHandle, ctx: PatchContext) -> dict:
 
 class TestFindKeyStatements:
     def test_up_context_survivors(self, fig_repo):
-        ks = find_key_statements(_cache(fig_repo), make_ctx(UP_NORMS, Side.UP), PATCH_FC, PARAMS)
+        ks = find_key_statements(_cache(fig_repo), make_ctx(UP_NORMS, Side.UP), PATCH_FC)
         assert {(m.stmt.path, m.stmt.line_no) for m in ks} == {
             ("src/init.cpp", 3),
             ("src/init.cpp", 4),
@@ -238,13 +239,13 @@ class TestFindKeyStatements:
 
     def test_down_context_survivors(self, fig_repo):
         ks = find_key_statements(
-            _cache(fig_repo), make_ctx(DOWN_NORMS, Side.DOWN), PATCH_FC, PARAMS
+            _cache(fig_repo), make_ctx(DOWN_NORMS, Side.DOWN), PATCH_FC
         )
         assert [(m.stmt.line_no, m.sim) for m in ks][0] == (9, 1.0)
         assert {m.stmt.line_no for m in ks} == {7, 9}
 
     def test_filters_block_traps(self, fig_repo):
-        ks = find_key_statements(_cache(fig_repo), make_ctx(UP_NORMS, Side.UP), PATCH_FC, PARAMS)
+        ks = find_key_statements(_cache(fig_repo), make_ctx(UP_NORMS, Side.UP), PATCH_FC)
         hit_keys = {(m.stmt.path, m.stmt.line_no) for m in ks}
         assert ("src/tests/util_tests.cpp", 1) not in hit_keys  # test path
         assert ("src/validation.h", 1) not in hit_keys  # different file class
@@ -259,50 +260,50 @@ class TestFindKeyStatements:
     def test_matches_brute_force_scan(self, fig_repo, norms, side):
         ctx = make_ctx(norms, side)
         got = {(m.stmt.path, m.stmt.line_no): m.sim
-               for m in find_key_statements(_cache(fig_repo), ctx, PATCH_FC, PARAMS)}
+               for m in find_key_statements(_cache(fig_repo), ctx, PATCH_FC)}
         assert got == _brute_force_keys(fig_repo, ctx)
 
     def test_all_sims_pass_gate(self, fig_repo):
         for m in find_key_statements(
-            _cache(fig_repo), make_ctx(UP_NORMS, Side.UP), PATCH_FC, PARAMS
+            _cache(fig_repo), make_ctx(UP_NORMS, Side.UP), PATCH_FC
         ):
-            assert PARAMS.ks_threshold <= m.sim <= 1.0
+            assert KS_THRESHOLD <= m.sim <= 1.0
 
     def test_empty_context_finds_nothing(self, fig_repo):
         assert find_key_statements(
-            _cache(fig_repo), PatchContext([], Side.UP), PATCH_FC, PARAMS
+            _cache(fig_repo), PatchContext([], Side.UP), PATCH_FC
         ) == []
 
 
 class TestExpandBoundary:
     def _seed(self, repo, norms, side, line):
-        ks = find_key_statements(_cache(repo), make_ctx(norms, side), PATCH_FC, PARAMS)
+        ks = find_key_statements(_cache(repo), make_ctx(norms, side), PATCH_FC)
         return next(m for m in ks if m.stmt.line_no == line)
 
     @pytest.mark.parametrize("line", [3, 4, 5])
     def test_up_seeds_converge(self, fig_repo, line):
         ctx = make_ctx(UP_NORMS, Side.UP)
         ks = self._seed(fig_repo, UP_NORMS, Side.UP, line)
-        assert expand_boundary(_cache(fig_repo), ks, ctx, 5, PARAMS) == (3, 5)
+        assert expand_boundary(_cache(fig_repo), ks, ctx) == (3, 5)
 
     @pytest.mark.parametrize("line", [7, 9])
     def test_down_seeds_converge(self, fig_repo, line):
         ctx = make_ctx(DOWN_NORMS, Side.DOWN)
         ks = self._seed(fig_repo, DOWN_NORMS, Side.DOWN, line)
-        assert expand_boundary(_cache(fig_repo), ks, ctx, 5, PARAMS) == (7, 11)
+        assert expand_boundary(_cache(fig_repo), ks, ctx) == (7, 11)
 
     def test_far_seed_expands_wide(self, fig_repo):
         # The line-8 seed still anchors its start at line 3; its end drifts
         # to the keyword-sharing return at line 12.
         ctx = make_ctx(UP_NORMS, Side.UP)
         ks = self._seed(fig_repo, UP_NORMS, Side.UP, 8)
-        assert expand_boundary(_cache(fig_repo), ks, ctx, 5, PARAMS) == (3, 12)
+        assert expand_boundary(_cache(fig_repo), ks, ctx) == (3, 12)
 
     def test_single_statement_context_collapses_to_seed(self, fig_repo):
         ctx = make_ctx(["pindexState = chainActive.Tip();"], Side.UP)
-        ks = find_key_statements(_cache(fig_repo), ctx, PATCH_FC, PARAMS)[0]
+        ks = find_key_statements(_cache(fig_repo), ctx, PATCH_FC)[0]
         assert ks.stmt.line_no == 9
-        assert expand_boundary(_cache(fig_repo), ks, ctx, 5, PARAMS) == (9, 9)
+        assert expand_boundary(_cache(fig_repo), ks, ctx) == (9, 9)
 
     def test_gate_failure_returns_none(self, tmp_path):
         repo = _repo(tmp_path / "gate", {
@@ -313,9 +314,9 @@ class TestExpandBoundary:
             "nCheckValue = ComputeValue(x);",
             "OmegaEpsilonZetaTheta();",
         ], Side.UP)
-        ks = find_key_statements(_cache(repo), ctx, PATCH_FC, PARAMS)
+        ks = find_key_statements(_cache(repo), ctx, PATCH_FC)
         assert [(m.stmt.line_no, m.sim) for m in ks] == [(2, 1.0)]
-        assert expand_boundary(_cache(repo), ks[0], ctx, 5, PARAMS) is None
+        assert expand_boundary(_cache(repo), ks[0], ctx) is None
 
     def test_equal_matches_prefer_closest(self, tmp_path):
         repo = _repo(tmp_path / "dup", {
@@ -325,18 +326,18 @@ class TestExpandBoundary:
             ),
         })
         ctx = make_ctx(["BeginMarker(y);", "filler_stmt;", "MarkerEnd();"], Side.UP)
-        ks = find_key_statements(_cache(repo), ctx, PATCH_FC, PARAMS)
+        ks = find_key_statements(_cache(repo), ctx, PATCH_FC)
         seed2 = next(m for m in ks if m.stmt.line_no == 2)
         # MarkerEnd() appears at lines 3 and 5 with equal similarity; the
         # boundary ends at the one nearer the seed.
-        assert expand_boundary(_cache(repo), seed2, ctx, 5, PARAMS) == (2, 3)
+        assert expand_boundary(_cache(repo), seed2, ctx) == (2, 3)
 
 
 class TestFinalizeContexts:
     def test_keeps_passing_region_with_oracle_score(self, fig_repo):
         ctx = make_ctx(UP_NORMS, Side.UP)
         kept = finalize_contexts(
-            _cache(fig_repo), [("src/init.cpp", (3, 5))], ctx, PARAMS, 10
+            _cache(fig_repo), [("src/init.cpp", (3, 5))], ctx, PARAMS
         )
         assert len(kept) == 1
         c = kept[0]
@@ -352,7 +353,7 @@ class TestFinalizeContexts:
     def test_drops_region_below_threshold(self, fig_repo):
         ctx = make_ctx(UP_NORMS, Side.UP)
         kept = finalize_contexts(
-            _cache(fig_repo), [("src/init.cpp", (8, 12))], ctx, PARAMS, 10
+            _cache(fig_repo), [("src/init.cpp", (8, 12))], ctx, PARAMS
         )
         assert kept == []
         stmts = _cache(fig_repo).between("src/init.cpp", 8, 12)
@@ -365,22 +366,23 @@ class TestFinalizeContexts:
         kept = finalize_contexts(
             _cache(fig_repo),
             [("src/init.cpp", (3, 5)), ("src/init.cpp", (3, 12))],
-            ctx, PARAMS, 10,
+            ctx, PARAMS,
         )
         assert [(c.ss_line, c.es_line) for c in kept] == [(3, 5)]
 
-    def test_cap_and_unlimited(self, twin_repo):
+    def test_cap_keeps_best_contexts(self, twin_repo, monkeypatch):
         ctx = make_ctx(UP_NORMS, Side.UP)
         spans = [("src/init.cpp", (3, 5)), ("src/wallet.cpp", (3, 5))]
-        capped = finalize_contexts(_cache(twin_repo), spans, ctx, PARAMS, max_candidates=1)
+        under_cap = finalize_contexts(_cache(twin_repo), spans, ctx, PARAMS)
+        assert [c.path for c in under_cap] == ["src/init.cpp", "src/wallet.cpp"]
+        monkeypatch.setattr(search, "MAX_CANDIDATES", 1)
+        capped = finalize_contexts(_cache(twin_repo), spans, ctx, PARAMS)
         assert [(c.path, c.ss_line) for c in capped] == [("src/init.cpp", 3)]
-        unlimited = finalize_contexts(_cache(twin_repo), spans, ctx, PARAMS, max_candidates=0)
-        assert [c.path for c in unlimited] == ["src/init.cpp", "src/wallet.cpp"]
 
     def test_statementless_span_skipped(self, fig_repo):
         ctx = make_ctx(UP_NORMS, Side.UP)
         assert finalize_contexts(
-            _cache(fig_repo), [("src/init.cpp", (100, 120))], ctx, PARAMS, 10
+            _cache(fig_repo), [("src/init.cpp", (100, 120))], ctx, PARAMS
         ) == []
 
 
@@ -433,7 +435,7 @@ class TestFetchCandidateCode:
 
 class TestCollectCandidates:
     def test_end_to_end_single_clone(self, fig_repo):
-        out = collect_candidates(_cache(fig_repo), make_hunk(UP_NORMS, DOWN_NORMS), PARAMS, 5, 10)
+        out = collect_candidates(_cache(fig_repo), make_hunk(UP_NORMS, DOWN_NORMS), PARAMS)
         assert [(c.path, c.ss_line, c.es_line) for c in out.up_contexts] == [
             ("src/init.cpp", 3, 5)
         ]
@@ -451,7 +453,7 @@ class TestCollectCandidates:
         )
 
     def test_two_files_two_candidates(self, twin_repo):
-        out = collect_candidates(_cache(twin_repo), make_hunk(UP_NORMS, DOWN_NORMS), PARAMS, 5, 10)
+        out = collect_candidates(_cache(twin_repo), make_hunk(UP_NORMS, DOWN_NORMS), PARAMS)
         assert [(c.path, c.span) for c in out.candidates] == [
             ("src/init.cpp", (6, 6)),
             ("src/wallet.cpp", (6, 6)),
@@ -461,14 +463,14 @@ class TestCollectCandidates:
             assert cand.paired_up is not None and cand.paired_down is not None
 
     def test_up_context_only(self, fig_repo):
-        out = collect_candidates(_cache(fig_repo), make_hunk(UP_NORMS, None), PARAMS, 5, 10)
+        out = collect_candidates(_cache(fig_repo), make_hunk(UP_NORMS, None), PARAMS)
         (cand,) = out.candidates
         assert cand.span == (6, 6) and cand.norms == [DP_LINE]
         assert cand.paired_up is not None and cand.paired_down is None
         assert out.down_contexts == []
 
     def test_down_context_only(self, fig_repo):
-        out = collect_candidates(_cache(fig_repo), make_hunk(None, DOWN_NORMS), PARAMS, 5, 10)
+        out = collect_candidates(_cache(fig_repo), make_hunk(None, DOWN_NORMS), PARAMS)
         (cand,) = out.candidates
         assert cand.span == (6, 6) and cand.norms == [DP_LINE]
         assert cand.paired_up is None and cand.paired_down is not None
@@ -477,7 +479,7 @@ class TestCollectCandidates:
         repo = _repo(tmp_path / "plant", {
             "src/clone.cpp": "\n".join(UP_NORMS + [DP_LINE] + DOWN_NORMS) + "\n",
         })
-        out = collect_candidates(_cache(repo), make_hunk(UP_NORMS, DOWN_NORMS), PARAMS, 5, 10)
+        out = collect_candidates(_cache(repo), make_hunk(UP_NORMS, DOWN_NORMS), PARAMS)
         assert [(c.ss_line, c.es_line, c.ctx_sim) for c in out.up_contexts] == [
             (1, 5, 1.0)
         ]
@@ -491,6 +493,6 @@ class TestCollectCandidates:
         repo = _repo(tmp_path / "empty", {
             "src/unrelated.cpp": "int completely = 0;\ndifferent_code(here);\n",
         })
-        out = collect_candidates(_cache(repo), make_hunk(UP_NORMS, DOWN_NORMS), PARAMS, 5, 10)
+        out = collect_candidates(_cache(repo), make_hunk(UP_NORMS, DOWN_NORMS), PARAMS)
         assert out.candidates == []
         assert out.up_contexts == [] and out.down_contexts == []

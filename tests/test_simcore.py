@@ -6,6 +6,7 @@ import random
 import pytest
 
 from forkscan.simcore import (
+    KS_THRESHOLD,
     EmptyFragmentError,
     SimilarityParams,
     fragment_similarity,
@@ -79,11 +80,11 @@ class TestStrsim:
 class TestParams:
     def test_defaults(self):
         p = SimilarityParams()
-        assert (p.r, p.t, p.ks_threshold) == (0.95, 0.40, 0.25)
+        assert (p.r, p.t, KS_THRESHOLD) == (0.95, 0.40, 0.25)
 
     @pytest.mark.parametrize("kwargs", [
         {"r": -0.1}, {"r": 1.1}, {"t": 0.0}, {"t": 1.0},
-        {"ks_threshold": 0.0}, {"ks_threshold": 0.5},  # must stay <= t
+        {"t": 0.2}, {"t": 0.24},  # below the key-statement gate
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
