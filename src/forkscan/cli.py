@@ -279,10 +279,11 @@ def _load_pairs(pairs_dir: str) -> list[tuple[list[str], list[str]]]:
         ]
 
     pairs = []
-    for a_file in sorted(root.glob("*.a.txt")):
-        b_file = a_file.with_name(a_file.name[:-6] + ".b.txt")
-        if not b_file.exists():
-            raise ConfigError(f"missing counterpart for {a_file.name}")
+    for stem in sorted({f.name[:-len(".a.txt")] for f in root.glob("*.[ab].txt")}):
+        a_file, b_file = root / f"{stem}.a.txt", root / f"{stem}.b.txt"
+        if not (a_file.exists() and b_file.exists()):
+            orphan = a_file if a_file.exists() else b_file
+            raise ConfigError(f"missing counterpart for {orphan.name}")
         a, b = fragment(a_file), fragment(b_file)
         if a and b:
             pairs.append((a, b))

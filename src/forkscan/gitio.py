@@ -2,7 +2,8 @@
 
 Exactly the queries the scan pipeline needs, one git call each: a grep for
 any of several substrings, file content, and line blame with commit times at
-a revision, commit timestamps, and the dated tags that contain a commit.
+a revision, a commit's diff, commit timestamps, and the dated tags that
+contain a commit.
 Every query takes the revision or commit it reads; a handle holds none.
 """
 
@@ -148,6 +149,20 @@ def blame_lines(
     entries = [BlameEntry(sha, line_no, times[sha]) for sha, line_no in owners]
     entries.sort(key=lambda e: e.line_no)
     return entries
+
+
+def commit_diff(repo: RepoHandle, sha: str) -> str:
+    """The commit's diff with whole-file context; a merge commit is diffed
+    against its first parent, a root commit against the empty tree."""
+    proc = repo._run(
+        ["diff-tree", "--root", "-r", "-p", "-U2147483647", "--no-color",
+         "--format=", "--diff-merges=first-parent", sha]
+    )
+    if proc.returncode != 0:
+        raise NotFoundError(
+            f"cannot diff commit {sha} in {repo.root}: {_decode(proc.stderr).strip()}"
+        )
+    return _decode(proc.stdout)
 
 
 def commit_time(repo: RepoHandle, sha: str) -> datetime:

@@ -1,23 +1,24 @@
 """Security-patch parsing: unified diffs -> hunks of deleted/added statements
 plus the surrounding UP/DOWN contexts that drive the candidate search.
 
-One body builds every hunk from the statements of its two sides. A hunk's
-deleted statements (dp) are the old side's statements at its removed lines,
-its added statements (ap) the new side's at its added lines, and its
-contexts are read from the side it changes (the old side for dp-bearing
-hunks, the new side for pure additions). The inputs differ only in where a
-side's statements come from: for a commit (`load_patch`) the whole file at
-the parent revision and at the commit; for diff text (`parse_patch`) the
-diff's own lines, so a diff with whole-file context yields the commit's
-hunks. Adjacent raw hunks merge when their gap is under 2 * CONTEXT_LINES,
-counted in statements for a commit and in raw lines for diff text.
+Every patch is read as diff text: a commit (`load_patch`) as its diff with
+whole-file context, a `--patch-file` (`parse_patch`) as given. The diff's
+own lines are the only statement source: each git hunk's old-side and
+new-side lines are extracted as one fragment each, so a commit's fragments
+are its whole files. Each git hunk splits into change runs (maximal
+stretches of -/+ lines), and adjacent runs merge when fewer than
+2 * CONTEXT_LINES lines lie between them, a line the diff shows counting
+only if it is a statement. A hunk's deleted statements (dp) are the old
+side's statements at its removed lines, its added statements (ap) the new
+side's at its added lines, and its contexts are read from the side it
+changes (the old side for dp-bearing hunks, the new side for pure
+additions).
 """
 
 from __future__ import annotations
 
 import logging
 import re
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
@@ -35,7 +36,7 @@ from .preprocess import (
 
 log = logging.getLogger(__name__)
 
-# Statements per context side; raw hunks closer than twice this merge.
+# Statements per context side; change runs closer than twice this merge.
 CONTEXT_LINES = 5
 
 
@@ -87,7 +88,6 @@ class PatchHunk:
     ptype: PatchType
     up_ctx: PatchContext
     down_ctx: PatchContext
-    old_path: str = ""
     # Inclusive raw-line spans of the changed region; an empty side is
     # encoded as (anchor + 1, anchor) so "above" and "below" stay correct.
     old_span: tuple[int, int] = (1, 0)
@@ -122,54 +122,30 @@ def _ptype(dp: list, ap: list) -> PatchType:
 
 
 @dataclass
-class _RawHunk:
-    old_start: int
-    old_count: int
-    new_start: int
-    new_count: int
-    removed: list[tuple[int, str]] = field(default_factory=list)  # (old line, text)
-    added: list[tuple[int, str]] = field(default_factory=list)  # (new line, text)
-    # Context lines as (old line, new line, text), in order of appearance.
-    ctx_before: list[tuple[int, int, str]] = field(default_factory=list)
-    ctx_after: list[tuple[int, int, str]] = field(default_factory=list)
+class _Run:
+    """A maximal stretch of -/+ lines in one git hunk, as inclusive spans of
+    the lines it removes and adds. A span starts at the side's line counter
+    where the run starts, so an empty side is (ln, ln - 1)."""
 
-    @property
-    def old_span(self) -> tuple[int, int]:
-        if self.removed:
-            return (self.removed[0][0], self.removed[-1][0])
-        return _empty_span(self.old_start, self.old_count, len(self.ctx_before))
-
-    @property
-    def new_span(self) -> tuple[int, int]:
-        if self.added:
-            return (self.added[0][0], self.added[-1][0])
-        return _empty_span(self.new_start, self.new_count, len(self.ctx_before))
-
-    def side_lines(self, old: bool) -> list[tuple[int, str]]:
-        """One side's (line, text) run: leading context, changes, trailing context."""
-        changed = self.removed if old else self.added
-        ctx = [(o if old else n, t) for o, n, t in self.ctx_before + self.ctx_after]
-        return sorted(ctx + changed)
+    old_span: tuple[int, int]
+    new_span: tuple[int, int]
+    hunk: int  # index of its git hunk in the file
 
 
-def _empty_span(start: int, count: int, leading: int) -> tuple[int, int]:
-    """(anchor + 1, anchor) for a side with no changed lines, anchor being
-    the last line before the change. A zero-count range names that line
-    itself; otherwise the range starts with the `leading` context lines.
-    The same change so gets the same span at any context width."""
-    anchor = (start if count == 0 else start - 1) + leading
-    return (anchor + 1, anchor)
+@dataclass
+class _GitHunk:
+    """One @@ hunk: every line it shows on each side, as (line, text) in
+    order, and its change runs."""
+
+    old_lines: list[tuple[int, str]] = field(default_factory=list)
+    new_lines: list[tuple[int, str]] = field(default_factory=list)
+    runs: list[_Run] = field(default_factory=list)
 
 
 @dataclass
 class _FileDiff:
-    old_path: str
-    new_path: str
-    hunks: list[_RawHunk] = field(default_factory=list)
-
-    @property
-    def path(self) -> str:
-        return self.new_path if self.new_path != "/dev/null" else self.old_path
+    path: str
+    hunks: list[_GitHunk] = field(default_factory=list)
 
 
 _HUNK_HEADER_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
@@ -184,35 +160,42 @@ def _strip_diff_prefix(path: str) -> str:
 
 
 def parse_unified_diff(text: str) -> list[_FileDiff]:
-    """Parse unified diff text into per-file raw hunks."""
+    """Parse unified diff text into per-file git hunks."""
     files: list[_FileDiff] = []
     current: _FileDiff | None = None
-    hunk: _RawHunk | None = None
+    hunk: _GitHunk | None = None
     old_ln = new_ln = old_rem = new_rem = 0
-    pending_changes = False
+    run: _Run | None = None  # the run the next -/+ line extends
     old_header: str | None = None
     for no, line in enumerate(text.split("\n"), 1):
         if hunk is not None and (old_rem > 0 or new_rem > 0):
             # Inside a hunk the declared line counts win over any
             # header-looking content (e.g. a removed line "--- x").
-            if line.startswith("-"):
-                hunk.removed.append((old_ln, line[1:]))
+            tag, body = line[:1], line[1:]
+            if tag in ("-", "+"):
+                if run is None:
+                    run = _Run((old_ln, old_ln - 1), (new_ln, new_ln - 1),
+                               len(current.hunks) - 1)
+                    hunk.runs.append(run)
+                if tag == "-":
+                    hunk.old_lines.append((old_ln, body))
+                    run.old_span = (run.old_span[0], old_ln)
+                    old_ln += 1
+                    old_rem -= 1
+                else:
+                    hunk.new_lines.append((new_ln, body))
+                    run.new_span = (run.new_span[0], new_ln)
+                    new_ln += 1
+                    new_rem -= 1
+            elif tag == " " or line == "":
+                hunk.old_lines.append((old_ln, body))
+                hunk.new_lines.append((new_ln, body))
                 old_ln += 1
-                old_rem -= 1
-                pending_changes = True
-            elif line.startswith("+"):
-                hunk.added.append((new_ln, line[1:]))
-                new_ln += 1
-                new_rem -= 1
-                pending_changes = True
-            elif line.startswith(" ") or line == "":
-                dest = hunk.ctx_after if pending_changes else hunk.ctx_before
-                dest.append((old_ln, new_ln, line[1:]))
-                old_ln += 1
                 new_ln += 1
                 old_rem -= 1
                 new_rem -= 1
-            elif line.startswith("\\"):
+                run = None
+            elif tag == "\\":
                 pass  # "\ No newline at end of file"
             else:
                 raise PatchError(f"truncated hunk at diff line {no}: {line!r}")
@@ -233,7 +216,9 @@ def parse_unified_diff(text: str) -> list[_FileDiff]:
             continue
         if line.startswith("+++ "):
             new_path = _strip_diff_prefix(line[4:].split("\t")[0])
-            current = _FileDiff(old_path=old_header or new_path, new_path=new_path)
+            if new_path == "/dev/null":
+                new_path = old_header or new_path
+            current = _FileDiff(new_path)
             files.append(current)
             old_header = None
             continue
@@ -241,17 +226,15 @@ def parse_unified_diff(text: str) -> list[_FileDiff]:
         if m:
             if current is None:
                 raise PatchError(f"hunk header outside any file at diff line {no}")
-            old_start = int(m.group(1))
-            old_count = int(m.group(2)) if m.group(2) is not None else 1
-            new_start = int(m.group(3))
-            new_count = int(m.group(4)) if m.group(4) is not None else 1
-            hunk = _RawHunk(old_start, old_count, new_start, new_count)
+            old_start, new_start = int(m.group(1)), int(m.group(3))
+            old_rem = int(m.group(2)) if m.group(2) is not None else 1
+            new_rem = int(m.group(4)) if m.group(4) is not None else 1
+            hunk = _GitHunk()
             current.hunks.append(hunk)
-            # Zero-count ranges anchor to the line before the change.
-            old_ln = old_start if old_count > 0 else old_start + 1
-            new_ln = new_start if new_count > 0 else new_start + 1
-            old_rem, new_rem = old_count, new_count
-            pending_changes = False
+            # A zero-count range names the line before the change.
+            old_ln = old_start if old_rem > 0 else old_start + 1
+            new_ln = new_start if new_rem > 0 else new_start + 1
+            run = None
             continue
         # Commit message, index lines, mode changes, rename markers...
     return [f for f in files if f.hunks]
@@ -259,33 +242,6 @@ def parse_unified_diff(text: str) -> list[_FileDiff]:
 
 # ---------------------------------------------------------------------------
 # Patch assembly
-
-# Merged raw hunks with the old- and new-side statements they read from.
-_Group = tuple[list[_RawHunk], list[NormalizedLine], list[NormalizedLine]]
-
-
-def _diff_text_for_commit(repo: RepoHandle, sha: str) -> str:
-    """The commit's -U0 diff; a merge commit is diffed against its first parent."""
-    proc = repo._run(
-        ["diff-tree", "--root", "-r", "-p", "-U0", "--no-color", "--format=",
-         "--diff-merges=first-parent", sha]
-    )
-    if proc.returncode != 0:
-        raise gitio.NotFoundError(
-            f"cannot diff commit {sha} in {repo.root}: "
-            f"{proc.stderr.decode('utf-8', 'replace').strip()}"
-        )
-    return proc.stdout.decode("utf-8", errors="replace")
-
-
-def _statements_at(
-    repo: RepoHandle, rev: str, path: str, file_class: FileClass
-) -> list[NormalizedLine]:
-    try:
-        lines = gitio.read_file_at(repo, rev, path)
-    except gitio.NotFoundError:
-        lines = []
-    return extract_statements(lines, path, file_class)
 
 
 def _fragment_stmts(
@@ -302,80 +258,51 @@ def _fragment_stmts(
     ]
 
 
-def _merge_hunks(
-    hunks: list[_RawHunk], gap_size: Callable[[int, int], int]
-) -> list[list[_RawHunk]]:
-    """Group adjacent hunks whose unchanged gap (gap_size between the old
-    spans) is under 2 * CONTEXT_LINES."""
-    groups: list[list[_RawHunk]] = []
-    for h in hunks:
+def _merge_runs(fd: _FileDiff, old_stmts: list[NormalizedLine]) -> list[list[_Run]]:
+    """The file's change runs, grouped in order.
+
+    A run joins the group before it when fewer than 2 * CONTEXT_LINES old
+    lines lie strictly between them, not counting a line the diff shows
+    that is not a statement: a whole-file diff so counts statements, and a
+    line between git hunks that the diff omits counts one.
+    """
+    shown = {ln for gh in fd.hunks for ln, _ in gh.old_lines}
+    non_stmt = shown - {s.line_no for s in old_stmts}
+    groups: list[list[_Run]] = []
+    for run in (run for gh in fd.hunks for run in gh.runs):
         if groups:
-            prev = groups[-1][-1]
-            gap = gap_size(prev.old_span[1], h.old_span[0])
+            prev_end = groups[-1][-1].old_span[1]
+            gap = sum(1 for ln in range(prev_end + 1, run.old_span[0])
+                      if ln not in non_stmt)
             if gap < 2 * CONTEXT_LINES:
-                groups[-1].append(h)
+                groups[-1].append(run)
                 continue
-        groups.append([h])
+        groups.append([run])
     return groups
 
 
 def load_patch(repo: RepoHandle, sha: str) -> Patch:
-    """The patch of commit sha in repo.
-
-    A side's statements are those of the whole file at sha^ (old) or sha
-    (new); the gap between raw hunks counts the old side's statements.
-    """
-    diff_text = _diff_text_for_commit(repo, sha)
-    committed_at = gitio.commit_time(repo, sha)
-
-    def groups(fd: _FileDiff, file_class: FileClass) -> list[_Group]:
-        old: list[NormalizedLine] = []
-        new: list[NormalizedLine] = []
-        if fd.old_path != "/dev/null":
-            old = _statements_at(repo, f"{sha}^", fd.old_path, file_class)
-        if fd.new_path != "/dev/null":
-            new = _statements_at(repo, sha, fd.new_path, file_class)
-
-        def gap(prev_end: int, next_start: int) -> int:
-            return sum(1 for s in old if prev_end < s.line_no < next_start)
-
-        return [(g, old, new) for g in _merge_hunks(fd.hunks, gap)]
-
-    return Patch(sha, _build_hunks(diff_text, groups), committed_at, sha)
+    """The patch of commit sha in repo, read from its whole-file diff."""
+    diff_text = gitio.commit_diff(repo, sha)
+    return Patch(sha, _build_hunks(diff_text), gitio.commit_time(repo, sha), sha)
 
 
 def parse_patch(diff_text: str) -> Patch:
-    """The patch of unified diff text.
-
-    The diff's own lines stand in for the file: a group's statements on each
-    side are those of its raw hunks (leading context, changed lines, trailing
-    context), and the gap between raw hunks counts raw lines.
-    """
-
-    def groups(fd: _FileDiff, file_class: FileClass) -> list[_Group]:
-        def gap(prev_end: int, next_start: int) -> int:
-            return max(0, next_start - prev_end - 1)
-
-        def side(group: list[_RawHunk], old: bool) -> list[NormalizedLine]:
-            return [s for rh in group
-                    for s in _fragment_stmts(rh.side_lines(old), fd.path, file_class)]
-
-        return [(g, side(g, True), side(g, False))
-                for g in _merge_hunks(fd.hunks, gap)]
-
-    return Patch(None, _build_hunks(diff_text, groups), None, "diff")
+    """The patch of unified diff text."""
+    return Patch(None, _build_hunks(diff_text), None, "diff")
 
 
-def _build_hunks(
-    diff_text: str, groups: Callable[[_FileDiff, FileClass], list[_Group]]
-) -> list[PatchHunk]:
-    """The hunks of every file in diff_text, one per group of raw hunks.
+def _build_hunks(diff_text: str) -> list[PatchHunk]:
+    """The hunks of every file in diff_text, one per group of change runs.
 
-    dp are the old side's statements at the removed lines, ap the new side's
-    at the added lines; changed lines that normalize to nothing (comments,
-    blanks, lone brackets) so drop out, and groups left empty are discarded
-    with a warning. UP and DOWN are up to CONTEXT_LINES statements above and
-    below the span on the side the hunk changes: the old side if it has dp.
+    A side's statements are those of each git hunk's lines on that side,
+    extracted as one fragment per git hunk. dp are the old side's statements
+    at the removed lines, ap the new side's at the added lines; changed
+    lines that normalize to nothing (comments, blanks, lone brackets) so
+    drop out, and groups left empty are discarded with a warning. UP and
+    DOWN are up to CONTEXT_LINES statements of the group's git hunks above
+    and below the span on the side the hunk changes: the old side if it
+    has dp.
     """
     files = parse_unified_diff(diff_text)
     if not files:
@@ -385,22 +312,25 @@ def _build_hunks(
     for fd in files:
         path = fd.path
         file_class = classify_file(path)
-        for group, old_stmts, new_stmts in groups(fd, file_class):
-            removed = {ln for rh in group for ln, _ in rh.removed}
-            added = {ln for rh in group for ln, _ in rh.added}
+        old_frags = [_fragment_stmts(gh.old_lines, path, file_class) for gh in fd.hunks]
+        new_frags = [_fragment_stmts(gh.new_lines, path, file_class) for gh in fd.hunks]
+        for runs in _merge_runs(fd, [s for frag in old_frags for s in frag]):
+            first, last = runs[0].hunk, runs[-1].hunk + 1
+            old_stmts = [s for frag in old_frags[first:last] for s in frag]
+            new_stmts = [s for frag in new_frags[first:last] for s in frag]
+            removed = {ln for r in runs for ln in range(r.old_span[0], r.old_span[1] + 1)}
+            added = {ln for r in runs for ln in range(r.new_span[0], r.new_span[1] + 1)}
             dp = [s for s in old_stmts if s.line_no in removed]
             ap = [s for s in new_stmts if s.line_no in added]
+            old_span = (runs[0].old_span[0], runs[-1].old_span[1])
+            new_span = (runs[0].new_span[0], runs[-1].new_span[1])
             if not dp and not ap:
                 log.warning(
                     "%s: hunk at -%d/+%d empty after normalization; skipped",
-                    path, group[0].old_start, group[0].new_start,
+                    path, old_span[0], new_span[0],
                 )
                 continue
 
-            old_span = (min(h.old_span[0] for h in group),
-                        max(h.old_span[1] for h in group))
-            new_span = (min(h.new_span[0] for h in group),
-                        max(h.new_span[1] for h in group))
             stmts, (lo, hi) = (old_stmts, old_span) if dp else (new_stmts, new_span)
             up_ctx, down_ctx = build_patch_context(
                 [s for s in stmts if s.line_no < lo],
@@ -418,7 +348,6 @@ def _build_hunks(
                     ptype=_ptype(dp, ap),
                     up_ctx=up_ctx,
                     down_ctx=down_ctx,
-                    old_path=fd.old_path if fd.old_path != "/dev/null" else path,
                     old_span=old_span,
                     new_span=new_span,
                 )

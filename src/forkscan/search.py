@@ -11,7 +11,7 @@ the statements between (or adjacent to) them become candidate code.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import gitio
 from .gitio import RepoHandle
@@ -267,8 +267,6 @@ class SearchOutcome:
     """Everything the searcher found for one hunk in one target."""
 
     candidates: list[CandidateCode]
-    up_contexts: list[CandidateContext] = field(default_factory=list)
-    down_contexts: list[CandidateContext] = field(default_factory=list)
 
 
 def _gap_statements(cache: StatementCache, path: str, lo: int, hi: int) -> int:
@@ -345,4 +343,4 @@ def collect_candidates(
     for cand in candidates:
         unique.setdefault((cand.path, *cand.span), cand)
     ordered = sorted(unique.values(), key=lambda c: (c.path, c.span))
-    return SearchOutcome(candidates=ordered, up_contexts=ups, down_contexts=downs)
+    return SearchOutcome(candidates=ordered)

@@ -857,11 +857,14 @@ class TestSweepR:
 
     def test_missing_counterpart_exits_2(self, pairs_dir, tmp_path, capsys):
         (pairs_dir / "case1.b.txt").unlink()
-        code = main(
-            ["sweep-r", "--pairs", str(pairs_dir), "--r", "0.9", "--out", str(tmp_path / "c.csv")]
-        )
-        assert code == 2
-        assert "counterpart" in capsys.readouterr().err
+        (pairs_dir / "case2.a.txt").unlink()
+        for orphan in ("case1.a.txt", "case2.b.txt"):
+            code = main(
+                ["sweep-r", "--pairs", str(pairs_dir), "--r", "0.9", "--out", str(tmp_path / "c.csv")]
+            )
+            assert code == 2
+            assert f"missing counterpart for {orphan}" in capsys.readouterr().err
+            (pairs_dir / orphan).unlink()
 
     def test_no_pairs_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "pairs"

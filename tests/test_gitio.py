@@ -1,4 +1,4 @@
-"""Git plumbing: grep, file reads, blame, timestamps, releases."""
+"""Git plumbing: grep, file reads, blame, commit diffs, timestamps, releases."""
 
 from datetime import datetime, timedelta, timezone
 
@@ -18,6 +18,7 @@ from forkscan.gitio import (
     NotFoundError,
     RepoHandle,
     blame_lines,
+    commit_diff,
     commit_time,
     grep_repo,
     read_file_at,
@@ -225,6 +226,20 @@ class TestBlame:
         repo = RepoHandle(table_repo[0])
         with pytest.raises(NotFoundError):
             blame_lines(repo, "HEAD", "src/qt/absent.cpp", 1, 2)
+
+
+class TestCommitDiff:
+    def test_shows_both_whole_files(self, table_repo):
+        repo_path, c_rewrite, _ = table_repo
+        repo = RepoHandle(repo_path)
+        old = read_file_at(repo, f"{c_rewrite}^", TABLE_FILE)
+        new = read_file_at(repo, c_rewrite, TABLE_FILE)
+        lines = commit_diff(repo, c_rewrite).split("\n")
+        header = f"@@ -1,{len(old)} +1,{len(new)} @@"
+        assert [line for line in lines if line.startswith("@@")] == [header]
+        body = lines[lines.index(header) + 1:]
+        assert [line[1:] for line in body if line[:1] in (" ", "-")] == old
+        assert [line[1:] for line in body if line[:1] in (" ", "+")] == new
 
 
 class TestCommitTime:

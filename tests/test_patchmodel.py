@@ -93,6 +93,10 @@ def _expected_context(content: str, span: tuple[int, int]):
     return above[-5:], below[:5]
 
 
+def _runs(gh) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    return [(r.old_span, r.new_span) for r in gh.runs]
+
+
 class TestParseUnifiedDiff:
     def test_basic_change_with_context(self):
         text = (
@@ -109,13 +113,37 @@ class TestParseUnifiedDiff:
         files = parse_unified_diff(text)
         assert len(files) == 1
         fd = files[0]
-        assert fd.path == "src/x.cpp" and fd.old_path == "src/x.cpp"
+        assert fd.path == "src/x.cpp"
         (h,) = fd.hunks
-        assert h.removed == [(3, "old_call(a);")]
-        assert h.added == [(3, "new_call(a);")]
-        assert h.ctx_before == [(2, 2, "int before = 1;")]
-        assert h.ctx_after == [(4, 4, "int after = 2;"), (5, 5, "int tail = 3;")]
-        assert h.old_span == (3, 3) and h.new_span == (3, 3)
+        assert h.old_lines == [
+            (2, "int before = 1;"), (3, "old_call(a);"),
+            (4, "int after = 2;"), (5, "int tail = 3;"),
+        ]
+        assert h.new_lines == [
+            (2, "int before = 1;"), (3, "new_call(a);"),
+            (4, "int after = 2;"), (5, "int tail = 3;"),
+        ]
+        assert _runs(h) == [((3, 3), (3, 3))]
+
+    def test_hunk_splits_into_change_runs(self):
+        text = (
+            "--- a/f.c\n"
+            "+++ b/f.c\n"
+            "@@ -1,7 +1,6 @@\n"
+            " int a = 1;\n"
+            "-int b = 2;\n"
+            "-int c = 3;\n"
+            "+int bc = 23;\n"
+            " int d = 4;\n"
+            "+int e = 5;\n"
+            " int f = 6;\n"
+            "-int g = 7;\n"
+            " int h = 8;\n"
+        )
+        (h,) = parse_unified_diff(text)[0].hunks
+        assert _runs(h) == [((2, 3), (2, 2)), ((5, 4), (4, 4)), ((6, 6), (6, 5))]
+        assert [ln for ln, _ in h.old_lines] == list(range(1, 8))
+        assert [ln for ln, _ in h.new_lines] == list(range(1, 7))
 
     def test_empty_side_anchors_after_leading_context(self):
         text = (
@@ -134,9 +162,9 @@ class TestParseUnifiedDiff:
             " int f = 15;\n"
         )
         rem, add = parse_unified_diff(text)[0].hunks
-        assert rem.old_span == (1, 1) and rem.new_span == (1, 0)
+        assert _runs(rem) == [((1, 1), (1, 0))]
         # -U0 would say "@@ -12,0 +12 @@": the same (13, 12) old span.
-        assert add.old_span == (13, 12) and add.new_span == (12, 12)
+        assert _runs(add) == [((13, 12), (12, 12))]
 
     def test_zero_count_spans_anchor_above(self):
         text = (
@@ -149,13 +177,15 @@ class TestParseUnifiedDiff:
             "-dropped_two();\n"
         )
         add, rem = parse_unified_diff(text)[0].hunks
-        assert add.old_span == (9, 8) and add.new_span == (9, 9)
-        assert rem.old_span == (5, 6) and rem.new_span == (5, 4)
+        assert _runs(add) == [((9, 8), (9, 9))] and add.old_lines == []
+        assert _runs(rem) == [((5, 6), (5, 4))] and rem.new_lines == []
 
     def test_omitted_count_defaults_to_one(self):
-        text = "--- a/f.c\n+++ b/f.c\n@@ -3 +3 @@\n-x();\n+y();\n"
+        text = "--- a/f.c\n+++ b/f.c\n@@ -3 +3 @@\n-x();\n+y();\n int z;\n"
         (h,) = parse_unified_diff(text)[0].hunks
-        assert (h.old_start, h.old_count, h.new_start, h.new_count) == (3, 1, 3, 1)
+        # Each side holds one line, so the context line after is not read.
+        assert h.old_lines == [(3, "x();")] and h.new_lines == [(3, "y();")]
+        assert _runs(h) == [((3, 3), (3, 3))]
 
     def test_counts_win_over_header_looking_content(self):
         text = (
@@ -168,13 +198,16 @@ class TestParseUnifiedDiff:
             "-+++ another trap\n"
             "+int y = 2;\n"
         )
-        (h,) = parse_unified_diff(text)[0].hunks
-        assert [t for _, t in h.removed] == [
+        (fd,) = parse_unified_diff(text)
+        (h,) = fd.hunks
+        assert fd.path == "a.c"
+        assert [t for _, t in h.old_lines] == [
             "int x = 1;",
             "-- content line that looks like a header",
             "+++ another trap",
         ]
-        assert [t for _, t in h.added] == ["int y = 2;"]
+        assert [t for _, t in h.new_lines] == ["int y = 2;"]
+        assert _runs(h) == [((1, 3), (1, 1))]
 
     def test_no_newline_marker_ignored(self):
         text = (
@@ -183,7 +216,8 @@ class TestParseUnifiedDiff:
             "+new();\n\\ No newline at end of file\n"
         )
         (h,) = parse_unified_diff(text)[0].hunks
-        assert h.removed == [(1, "old();")] and h.added == [(1, "new();")]
+        assert h.old_lines == [(1, "old();")] and h.new_lines == [(1, "new();")]
+        assert _runs(h) == [((1, 1), (1, 1))]
 
     def test_new_and_deleted_files(self):
         text = (
@@ -201,10 +235,11 @@ class TestParseUnifiedDiff:
             "-int d = 4;\n"
         )
         born, gone = parse_unified_diff(text)
-        assert born.old_path == "/dev/null" and born.path == "born.c"
-        assert born.hunks[0].added == [(1, "int a = 1;"), (2, "int b = 2;")]
-        assert gone.new_path == "/dev/null" and gone.path == "gone.c"
-        assert gone.hunks[0].old_span == (1, 2)
+        assert born.path == "born.c" and born.hunks[0].old_lines == []
+        assert born.hunks[0].new_lines == [(1, "int a = 1;"), (2, "int b = 2;")]
+        assert _runs(born.hunks[0]) == [((1, 0), (1, 2))]
+        assert gone.path == "gone.c" and gone.hunks[0].new_lines == []
+        assert _runs(gone.hunks[0]) == [((1, 2), (1, 0))]
 
     def test_binary_sections_skipped(self):
         text = (
@@ -250,7 +285,7 @@ class TestParsePatchFromRepo:
         assert _norms(h.dp) == ['if (fHavePruned) return error("pruned");']
         assert _norms(h.ap) == [CHA_NEW_LINE]
         assert h.old_span == (9, 9) and h.new_span == (9, 9)
-        assert h.path == GUARD and h.old_path == GUARD
+        assert h.path == GUARD
         assert h.file_class == classify_file(GUARD)
         assert h.code_len == 1
 
@@ -347,7 +382,7 @@ class TestParsePatchFromRepo:
         sha = commit_all(root, "add fresh", datetime(2021, 1, 2, tzinfo=UTC))
         (h,) = load_patch(RepoHandle(root), sha).hunks
         assert h.ptype == PatchType.ADD
-        assert h.path == "fresh.c" and h.old_path == "fresh.c"
+        assert h.path == "fresh.c"
         assert _norms(h.ap) == ["int shiny = 1;", "int thing = 2;"]
 
     def test_deleted_file_commit(self, tmp_path):
@@ -365,27 +400,54 @@ def _numbered(prefix: str, n: int) -> list[str]:
     return [f"int {prefix}{k} = {k};" for k in range(n)]
 
 
-class TestHunkMerging:
-    @staticmethod
-    def _gap_repo(tmp_path, gap: int):
-        """Two changed lines separated by `gap` meaningful statements."""
-        lines = (["head_call(a);"] + _numbered("mid", gap) + ["tail_call(b);"])
-        root = init_repo(tmp_path / "far")
-        write_files(root, {"far.c": "\n".join(lines) + "\n"})
-        commit_all(root, "base", datetime(2021, 1, 1, tzinfo=UTC))
-        lines[0] = "head_call(a, extra);"
-        lines[-1] = "tail_call(b, extra);"
-        write_files(root, {"far.c": "\n".join(lines) + "\n"})
-        sha = commit_all(root, "extend calls", datetime(2021, 1, 2, tzinfo=UTC))
-        return RepoHandle(root), sha
+def _gap_commit(tmp_path, gap: int):
+    """Two changed lines separated by `gap` meaningful statements."""
+    lines = (["head_call(a);"] + _numbered("mid", gap) + ["tail_call(b);"])
+    root = init_repo(tmp_path / "far")
+    write_files(root, {"far.c": "\n".join(lines) + "\n"})
+    commit_all(root, "base", datetime(2021, 1, 1, tzinfo=UTC))
+    lines[0] = "head_call(a, extra);"
+    lines[-1] = "tail_call(b, extra);"
+    write_files(root, {"far.c": "\n".join(lines) + "\n"})
+    sha = commit_all(root, "extend calls", datetime(2021, 1, 2, tzinfo=UTC))
+    return RepoHandle(root), sha
 
+
+def _insertions_commit(tmp_path):
+    """Two single-line insertions 45 statements apart in a 60-line file."""
+    lines = _numbered("v", 60)
+    root = init_repo(tmp_path / "inserts")
+    write_files(root, {"ins.c": "\n".join(lines) + "\n"})
+    commit_all(root, "base", datetime(2021, 1, 1, tzinfo=UTC))
+    lines.insert(50, "int late = 1;")  # after raw line 50
+    lines.insert(5, "int early = 1;")  # after raw line 5
+    write_files(root, {"ins.c": "\n".join(lines) + "\n"})
+    sha = commit_all(root, "insert two lines", datetime(2021, 1, 2, tzinfo=UTC))
+    return RepoHandle(root), sha
+
+
+def _width_commit(tmp_path):
+    """An insertion after line 5, a change at line 15, a deletion at line 30."""
+    lines = _numbered("v", 40)
+    root = init_repo(tmp_path / "width")
+    write_files(root, {"w.c": "\n".join(lines) + "\n"})
+    commit_all(root, "base", datetime(2021, 1, 1, tzinfo=UTC))
+    lines[14] = "int v14 = 99;"  # raw line 15 changes
+    del lines[29]  # raw line 30 goes
+    lines.insert(5, "int inserted = 1;")  # a line after raw line 5
+    write_files(root, {"w.c": "\n".join(lines) + "\n"})
+    sha = commit_all(root, "edit", datetime(2021, 1, 2, tzinfo=UTC))
+    return RepoHandle(root), sha
+
+
+class TestHunkMerging:
     def test_gap_at_least_twice_context_stays_split(self, tmp_path):
-        patch = load_patch(*self._gap_repo(tmp_path, 10))  # 10 >= 2 * 5
+        patch = load_patch(*_gap_commit(tmp_path, 10))  # 10 >= 2 * 5
         assert len(patch.hunks) == 2
         assert [h.old_span for h in patch.hunks] == [(1, 1), (12, 12)]
 
     def test_gap_under_twice_context_merges(self, tmp_path):
-        (h,) = load_patch(*self._gap_repo(tmp_path, 9)).hunks  # 9 < 2 * 5
+        (h,) = load_patch(*_gap_commit(tmp_path, 9)).hunks  # 9 < 2 * 5
         assert _norms(h.dp) == ["head_call(a);", "tail_call(b);"]
         assert _norms(h.ap) == ["head_call(a, extra);", "tail_call(b, extra);"]
         assert h.old_span == (1, 11) and h.ptype == PatchType.CHA
@@ -405,42 +467,48 @@ class TestHunkMerging:
 
         # Statement gap is 3 (< 10): one merged hunk.
         assert len(load_patch(repo, sha).hunks) == 1
-        # The same change as bare diff text: raw-line gap is 23 (>= 10).
+        # The same change as a -U0 diff, which omits the 23 lines between
+        # the changes, so each counts (>= 10).
         diff = run_git(root, "diff", "-U0", f"{sha}^", sha)
         assert len(parse_patch(diff).hunks) == 2
 
-    def test_add_only_file_splits_distant_insertions(self, tmp_path):
-        lines = _numbered("v", 60)
-        root = init_repo(tmp_path / "inserts")
-        write_files(root, {"ins.c": "\n".join(lines) + "\n"})
+    def test_shown_comment_lines_do_not_count_between_git_hunks(self, tmp_path):
+        # Changes at lines 1 and 14; lines 2-13 hold 10 comments, then
+        # 2 statements. A -U0 diff counts all 12 lines (>= 10); a -U5 diff
+        # shows lines 2-6 and 9-13, of which only the 2 statements count,
+        # plus the 2 omitted lines 7-8: 4 (< 10).
+        lines = (["first_call(a);"] + [f"// note {k}" for k in range(10)]
+                 + _numbered("mid", 2) + ["second_call(b);"])
+        root = init_repo(tmp_path / "shown")
+        write_files(root, {"s.c": "\n".join(lines) + "\n"})
         commit_all(root, "base", datetime(2021, 1, 1, tzinfo=UTC))
-        lines.insert(50, "int late = 1;")  # after raw line 50
-        lines.insert(5, "int early = 1;")  # after raw line 5
-        write_files(root, {"ins.c": "\n".join(lines) + "\n"})
-        sha = commit_all(root, "insert two lines", datetime(2021, 1, 2, tzinfo=UTC))
+        lines[0] = "first_call(a, x);"
+        lines[-1] = "second_call(b, x);"
+        write_files(root, {"s.c": "\n".join(lines) + "\n"})
+        sha = commit_all(root, "extend", datetime(2021, 1, 2, tzinfo=UTC))
+        assert len(parse_patch(run_git(root, "diff", "-U0", f"{sha}^", sha)).hunks) == 2
+        diff = run_git(root, "diff", "-U5", f"{sha}^", sha)
+        assert diff.count("@@ -") == 2
+        (h,) = parse_patch(diff).hunks
+        assert h.old_span == (1, 14)
+        assert len(load_patch(RepoHandle(root), sha).hunks) == 1
 
+    def test_add_only_file_splits_distant_insertions(self, tmp_path):
+        repo, sha = _insertions_commit(tmp_path)
         # 45 old statements separate the insertions (>= 10): two ADD hunks,
         # from the commit as from its -U0 diff.
-        diff = run_git(root, "diff", "-U0", f"{sha}^", sha)
-        for patch in (load_patch(RepoHandle(root), sha), parse_patch(diff)):
+        diff = run_git(repo.root, "diff", "-U0", f"{sha}^", sha)
+        for patch in (load_patch(repo, sha), parse_patch(diff)):
             assert [(h.ptype, h.new_span, _norms(h.ap)) for h in patch.hunks] == [
                 (PatchType.ADD, (6, 6), ["int early = 1;"]),
                 (PatchType.ADD, (52, 52), ["int late = 1;"]),
             ]
 
     def test_context_width_does_not_change_hunks(self, tmp_path):
-        lines = _numbered("v", 40)
-        root = init_repo(tmp_path / "width")
-        write_files(root, {"w.c": "\n".join(lines) + "\n"})
-        commit_all(root, "base", datetime(2021, 1, 1, tzinfo=UTC))
-        lines[14] = "int v14 = 99;"  # raw line 15 changes
-        del lines[29]  # raw line 30 goes
-        lines.insert(5, "int inserted = 1;")  # a line after raw line 5
-        write_files(root, {"w.c": "\n".join(lines) + "\n"})
-        sha = commit_all(root, "edit", datetime(2021, 1, 2, tzinfo=UTC))
+        repo, sha = _width_commit(tmp_path)
 
         def shape(width: str):
-            diff = run_git(root, "diff", width, f"{sha}^", sha)
+            diff = run_git(repo.root, "diff", width, f"{sha}^", sha)
             return [
                 (h.ptype, [(s.line_no, s.norm) for s in h.dp],
                  [(s.line_no, s.norm) for s in h.ap], h.old_span, h.new_span)
@@ -551,8 +619,9 @@ class TestDiffTextContexts:
         assert [s.line_no for s in h.up_ctx.statements] == [7, 8, 9]
 
     def test_merged_group_contexts_come_from_outer_raw_hunks(self, tmp_path):
-        # Changes at lines 10 and 18 give two -U3 raw hunks whose raw gap (7)
-        # is under 2 * 5, so they merge; lines 11-17 lie between the changes.
+        # Changes at lines 10 and 18 give two -U3 git hunks; the 7 lines
+        # between them are statements or omitted, so the gap (7) is under
+        # 2 * 5 and they merge.
         lines = [f"int v{k} = {k};" for k in range(1, 31)]
         root = init_repo(tmp_path / "merged")
         write_files(root, {"m.c": "\n".join(lines) + "\n"})
@@ -610,16 +679,28 @@ class TestCommitAndDiffTextAgree:
             for h in patch.hunks
         ]
 
-    @pytest.mark.parametrize("case", ["cha", "del", "add", "block_comment"])
-    def test_whole_file_diff_matches_commit(self, case, guard_repo, comment_repo):
-        repo, sha = comment_repo if case == "block_comment" else (
-            guard_repo[0], guard_repo[1][case])
+    @pytest.mark.parametrize("case", [
+        "cha", "del", "add", "block_comment", "gap_9", "gap_10", "insertions",
+        "width",
+    ])
+    def test_whole_file_diff_matches_commit(
+        self, case, guard_repo, comment_repo, tmp_path
+    ):
+        repo, sha = {
+            "block_comment": lambda: comment_repo,
+            "gap_9": lambda: _gap_commit(tmp_path, 9),
+            "gap_10": lambda: _gap_commit(tmp_path, 10),
+            "insertions": lambda: _insertions_commit(tmp_path),
+            "width": lambda: _width_commit(tmp_path),
+        }.get(case, lambda: (guard_repo[0], guard_repo[1][case]))()
         diff = run_git(repo.root, "diff", "-U100000", f"{sha}^", sha)
         want = self._shape(load_patch(repo, sha))
         assert self._shape(parse_patch(diff)) == want
         if case == "block_comment":
             # Comment text below the change is not code on either path.
             assert want[0][-1] == [(7, "int b1 = 1;")]
+        if case in ("gap_10", "insertions", "width"):
+            assert len(want) == 2
 
 
 class TestClassifyAndModel:

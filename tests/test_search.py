@@ -436,16 +436,11 @@ class TestFetchCandidateCode:
 class TestCollectCandidates:
     def test_end_to_end_single_clone(self, fig_repo):
         out = collect_candidates(_cache(fig_repo), make_hunk(UP_NORMS, DOWN_NORMS), PARAMS)
-        assert [(c.path, c.ss_line, c.es_line) for c in out.up_contexts] == [
-            ("src/init.cpp", 3, 5)
-        ]
-        assert [(c.path, c.ss_line, c.es_line) for c in out.down_contexts] == [
-            ("src/init.cpp", 7, 11)
-        ]
         (cand,) = out.candidates
         assert cand.span == (6, 6) and cand.norms == [DP_LINE]
-        assert cand.paired_up is not None and cand.paired_down is not None
-        up = out.up_contexts[0]
+        up, down = cand.paired_up, cand.paired_down
+        assert (up.path, up.ss_line, up.es_line) == ("src/init.cpp", 3, 5)
+        assert (down.path, down.ss_line, down.es_line) == ("src/init.cpp", 7, 11)
         up_stmts = _cache(fig_repo).between(up.path, up.ss_line, up.es_line)
         assert up.ctx_sim == pytest.approx(
             oracle_fragment_similarity(UP_NORMS, [s.norm for s in up_stmts], PARAMS.r),
@@ -467,7 +462,6 @@ class TestCollectCandidates:
         (cand,) = out.candidates
         assert cand.span == (6, 6) and cand.norms == [DP_LINE]
         assert cand.paired_up is not None and cand.paired_down is None
-        assert out.down_contexts == []
 
     def test_down_context_only(self, fig_repo):
         out = collect_candidates(_cache(fig_repo), make_hunk(None, DOWN_NORMS), PARAMS)
@@ -480,14 +474,11 @@ class TestCollectCandidates:
             "src/clone.cpp": "\n".join(UP_NORMS + [DP_LINE] + DOWN_NORMS) + "\n",
         })
         out = collect_candidates(_cache(repo), make_hunk(UP_NORMS, DOWN_NORMS), PARAMS)
-        assert [(c.ss_line, c.es_line, c.ctx_sim) for c in out.up_contexts] == [
-            (1, 5, 1.0)
-        ]
-        assert [(c.ss_line, c.es_line, c.ctx_sim) for c in out.down_contexts] == [
-            (7, 11, 1.0)
-        ]
         (cand,) = out.candidates
         assert cand.span == (6, 6) and cand.norms == [DP_LINE]
+        up, down = cand.paired_up, cand.paired_down
+        assert (up.ss_line, up.es_line, up.ctx_sim) == (1, 5, 1.0)
+        assert (down.ss_line, down.es_line, down.ctx_sim) == (7, 11, 1.0)
 
     def test_absent_region_finds_nothing(self, tmp_path):
         repo = _repo(tmp_path / "empty", {
@@ -495,4 +486,3 @@ class TestCollectCandidates:
         })
         out = collect_candidates(_cache(repo), make_hunk(UP_NORMS, DOWN_NORMS), PARAMS)
         assert out.candidates == []
-        assert out.up_contexts == [] and out.down_contexts == []
