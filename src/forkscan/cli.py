@@ -392,6 +392,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep-r":
             return run_sweep(args.pairs, args.r, args.out)
         if args.command == "gen-fixtures":
+            out = Path(args.out)
+            if out.exists() and (out.is_file() or any(out.iterdir())):
+                raise ConfigError(f"output directory not empty: {args.out}")
             corpus = fixturegen.gen_fixtures(fixturegen.default_cases(), args.out)
             print(f"built {len(corpus['cases'])} cases under {args.out}")
             return 0

@@ -3,14 +3,14 @@
 Builds one source repository whose commits are security patches, and per
 case two target repositories: one still carrying the vulnerable clone and
 one where the clone was fixed and the fix released via an annotated tag.
-All dates, authors, and messages are pinned so repeated generation yields
-identical history.
+`Repo` writes each history, given as data, with one `git fast-import`: the
+repositories hold history only, no checked-out files. Dates, authors and
+messages are pinned, so repeated generation yields identical object ids.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
 import subprocess
 from dataclasses import dataclass
@@ -22,44 +22,6 @@ EPOCH_FORK = datetime(2019, 2, 1, tzinfo=timezone.utc)  # target forks
 EPOCH_PATCH = datetime(2019, 6, 1, tzinfo=timezone.utc)  # first source fix
 EPOCH_BACKPORT = datetime(2019, 9, 1, tzinfo=timezone.utc)  # first target fix
 EPOCH_RELEASE = datetime(2019, 12, 1, tzinfo=timezone.utc)  # target release tag
-
-_IDENT = "Fixture Bot <fixtures@example.invalid>"
-
-
-def _git(cwd: Path, *args: str, date: datetime | None = None) -> str:
-    env = dict(os.environ)
-    env.update(
-        GIT_AUTHOR_NAME="Fixture Bot",
-        GIT_AUTHOR_EMAIL="fixtures@example.invalid",
-        GIT_COMMITTER_NAME="Fixture Bot",
-        GIT_COMMITTER_EMAIL="fixtures@example.invalid",
-    )
-    if date is not None:
-        stamp = date.isoformat()
-        env["GIT_AUTHOR_DATE"] = stamp
-        env["GIT_COMMITTER_DATE"] = stamp
-    proc = subprocess.run(
-        ["git", "-C", str(cwd), "-c", "commit.gpgsign=false", *args],
-        capture_output=True,
-        env=env,
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"git {' '.join(args)} failed in {cwd}: "
-            f"{proc.stderr.decode('utf-8', 'replace').strip()}"
-        )
-    return proc.stdout.decode("utf-8", errors="replace").strip()
-
-
-def _init_repo(path: Path) -> None:
-    path.mkdir(parents=True, exist_ok=True)
-    _git(path, "init", "-q", "-b", "main")
-
-
-def _commit_all(path: Path, message: str, date: datetime) -> str:
-    _git(path, "add", "-A")
-    _git(path, "commit", "-q", "-m", message, date=date)
-    return _git(path, "rev-parse", "HEAD")
 
 
 @dataclass(frozen=True)
@@ -128,53 +90,47 @@ def _post_lines(i: int) -> list[str]:
     ]
 
 
-def _vuln_lines(case: CloneCase) -> list[str]:
-    if case.ptype == "ADD":
-        return []
-    if case.ptype == "DEL":
-        return [
+# The lines a patch changes, as (vulnerable, fixed): a DEL patch removes two
+# lines, an ADD patch inserts one, and CHA cases cycle through three flavors.
+_CHANGED: dict[str | int, tuple[list[str], list[str]]] = {
+    "DEL": (
+        [
             '    LogPrintf("legacy fee estimation path taken\\n");',
             "    nFeeEstimateMode = FEE_MODE_LEGACY;",
-        ]
-    flavor = case.index % 3
-    if flavor == 0:
-        return [
-            '    if (pindexState == nullptr || fHavePruned) return error("scan aborted: missing index");',
-        ]
-    if flavor == 1:
-        return [
+        ],
+        [],
+    ),
+    "ADD": (
+        [],
+        ['    if (nCheckDepth > params.HardLimit()) return error("depth exceeds hard limit");'],
+    ),
+    0: (
+        ['    if (pindexState == nullptr || fHavePruned) return error("scan aborted: missing index");'],
+        ['    if (pindexState == nullptr || fHavePruned) return AbortNode(state, "scan aborted: block index missing, please reindex");'],
+    ),
+    1: (
+        [
             "    if (!CheckDiskSpace(nCheckDepth * MIN_BLOCK_SPACE)) {",
             '        return error("insufficient disk space for scan");',
             "    }",
-        ]
-    return [
-        "    uint256 hashCheckpoint = params.Checkpoint(nCheckDepth);",
-        "    if (hashCheckpoint.IsNull()) return false;",
-    ]
-
-
-def _fixed_lines(case: CloneCase) -> list[str]:
-    if case.ptype == "DEL":
-        return []
-    if case.ptype == "ADD":
-        return [
-            '    if (nCheckDepth > params.HardLimit()) return error("depth exceeds hard limit");',
-        ]
-    flavor = case.index % 3
-    if flavor == 0:
-        return [
-            '    if (pindexState == nullptr || fHavePruned) return AbortNode(state, "scan aborted: block index missing, please reindex");',
-        ]
-    if flavor == 1:
-        return [
+        ],
+        [
             "    if (!CheckDiskSpace(nCheckDepth * MIN_BLOCK_SPACE, true)) {",
             '        return AbortNode(state, "insufficient disk space, cannot continue");',
             "    }",
-        ]
-    return [
-        "    uint256 hashCheckpoint = params.StrongCheckpoint(nCheckDepth, true);",
-        '    if (hashCheckpoint.IsNull()) return AbortNode(state, "checkpoint lookup failed");',
-    ]
+        ],
+    ),
+    2: (
+        [
+            "    uint256 hashCheckpoint = params.Checkpoint(nCheckDepth);",
+            "    if (hashCheckpoint.IsNull()) return false;",
+        ],
+        [
+            "    uint256 hashCheckpoint = params.StrongCheckpoint(nCheckDepth, true);",
+            '    if (hashCheckpoint.IsNull()) return AbortNode(state, "checkpoint lookup failed");',
+        ],
+    ),
+}
 
 
 def case_file(case: CloneCase) -> str:
@@ -182,8 +138,8 @@ def case_file(case: CloneCase) -> str:
 
 
 def case_content(case: CloneCase, fixed: bool) -> str:
-    middle = _fixed_lines(case) if fixed else _vuln_lines(case)
-    lines = _pre_lines(case.index) + middle + _post_lines(case.index)
+    changed = _CHANGED[case.index % 3 if case.ptype == "CHA" else case.ptype][fixed]
+    lines = _pre_lines(case.index) + changed + _post_lines(case.index)
     return "\n".join(lines) + "\n"
 
 
@@ -229,73 +185,113 @@ def clone_transform(case: CloneCase, text: str) -> str:
 # Corpus assembly
 
 
+class Repo:
+    """History of one repository on branch main, stored by `write` with one
+    `git fast-import` object for object as `git commit -m`/`git tag -a -m`."""
+
+    # Author, committer and tagger of every object, at a time in epoch seconds.
+    _BOT = b"Fixture Bot <fixtures@example.invalid> %d +0000\n"
+
+    def __init__(self) -> None:
+        self._stream: list[bytes] = []
+        self._marks = 0
+        self.shas: dict[int, str] = {}
+
+    def commit(self, when: datetime, message: str, files: dict[str, str]) -> int:
+        """Add a commit on main that writes `files`; returns its mark."""
+        self._marks += 1
+        who = self._BOT % int(when.timestamp())
+        self._stream.append(
+            b"commit refs/heads/main\nmark :%d\nauthor %scommitter %s%s"
+            % (self._marks, who, who, _data(f"{message}\n"))
+        )
+        self._stream += [
+            b"M 100644 inline %s\n%s" % (p.encode(), _data(files[p])) for p in sorted(files)
+        ]
+        return self._marks
+
+    def tag(self, name: str, mark: int, when: datetime) -> None:
+        """Add the annotated tag `name` on commit `mark`."""
+        who = self._BOT % int(when.timestamp())
+        self._stream.append(
+            b"tag %s\nfrom :%d\ntagger %s%s"
+            % (name.encode(), mark, who, _data(f"release {name}\n"))
+        )
+
+    def write(self, path: Path) -> None:
+        """Create the repository in the new directory `path`; fills `shas`."""
+        path.mkdir(parents=True)
+        marks = (path / ".git" / "fast-import.marks").resolve()
+        init = ["init", "-q", "-b", "main"]
+        load = ["fast-import", "--quiet", f"--export-marks={marks}"]
+        for args, stdin in ((init, None), (load, b"".join(self._stream))):
+            proc = subprocess.run(
+                ["git", "-C", str(path), *args], input=stdin, capture_output=True
+            )
+            if proc.returncode != 0:
+                err = proc.stderr.decode("utf-8", "replace").strip()
+                raise RuntimeError(f"git {args[0]} failed in {path}: {err}")
+        pairs = map(str.split, marks.read_text().splitlines())
+        self.shas = {int(mark[1:]): sha for mark, sha in pairs}
+        marks.unlink()
+
+
+def _data(text: str) -> bytes:
+    payload = text.encode()
+    return b"data %d\n%s\n" % (len(payload), payload)
+
+
 def gen_fixtures(cases: list[CloneCase], out_dir: str | Path) -> dict:
     """Build the corpus of cases under out_dir; returns the corpus index (also
     on disk). A case's index sets its dates and, for CHA cases, its flavor.
 
     Layout: out_dir/source (patch source repo), out_dir/targets/tgt_<case>_vuln
-    and ..._fixed, plus corpus.json describing every case.
+    and ..._fixed, plus corpus.json describing every case; none may exist yet.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    source = out / "source"
-    _init_repo(source)
-    for case in cases:
-        path = source / case_file(case)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(case_content(case, fixed=False), encoding="utf-8")
-    _commit_all(source, "import ledger verification code", EPOCH_IMPORT)
+    source = Repo()
+    source.commit(
+        EPOCH_IMPORT, "import ledger verification code",
+        {case_file(c): case_content(c, fixed=False) for c in cases},
+    )
+    patches = [
+        source.commit(
+            EPOCH_PATCH + timedelta(days=c.index),
+            f"fix: harden ledger verification ({c.name})",
+            {case_file(c): case_content(c, fixed=True)},
+        )
+        for c in cases
+    ]
+    source.write(out / "source")
 
     index: list[dict] = []
-    for case in cases:
-        (source / case_file(case)).write_text(
-            case_content(case, fixed=True), encoding="utf-8"
+    for case, patch in zip(cases, patches):
+        path, target = case_file(case), f"targets/tgt_{case.name}"
+        # The fixed fork is the vulnerable one plus a backport and a release.
+        fork = Repo()
+        fork.commit(
+            EPOCH_FORK, "fork ledger verification",
+            {path: clone_transform(case, case_content(case, fixed=False))},
         )
-        patch_date = EPOCH_PATCH + timedelta(days=case.index)
-        patch_sha = _commit_all(
-            source, f"fix: harden ledger verification ({case.name})", patch_date
+        fork.write(out / f"{target}_vuln")
+        backport = fork.commit(
+            EPOCH_BACKPORT + timedelta(days=case.index),
+            "backport upstream hardening fix",
+            {path: clone_transform(case, case_content(case, fixed=True))},
         )
-
-        vuln_repo = out / "targets" / f"tgt_{case.name}_vuln"
-        _init_repo(vuln_repo)
-        tgt_path = vuln_repo / case_file(case)
-        tgt_path.parent.mkdir(parents=True, exist_ok=True)
-        tgt_path.write_text(
-            clone_transform(case, case_content(case, fixed=False)), encoding="utf-8"
-        )
-        _commit_all(vuln_repo, "fork ledger verification", EPOCH_FORK)
-
-        fixed_repo = out / "targets" / f"tgt_{case.name}_fixed"
-        _init_repo(fixed_repo)
-        tgt_path = fixed_repo / case_file(case)
-        tgt_path.parent.mkdir(parents=True, exist_ok=True)
-        tgt_path.write_text(
-            clone_transform(case, case_content(case, fixed=False)), encoding="utf-8"
-        )
-        _commit_all(fixed_repo, "fork ledger verification", EPOCH_FORK)
-        tgt_path.write_text(
-            clone_transform(case, case_content(case, fixed=True)), encoding="utf-8"
-        )
-        backport_date = EPOCH_BACKPORT + timedelta(days=case.index)
-        _commit_all(fixed_repo, "backport upstream hardening fix", backport_date)
-        _git(
-            fixed_repo, "tag", "-a", "v1.0.0", "-m", "release v1.0.0",
-            date=EPOCH_RELEASE,
-        )
+        fork.tag("v1.0.0", backport, EPOCH_RELEASE)
+        fork.write(out / f"{target}_fixed")
 
         index.append(
             {
                 "name": case.name,
                 "clone_type": case.clone_type,
                 "ptype": case.ptype,
-                "file": case_file(case),
-                "patch_sha": patch_sha,
-                "vuln_target": f"targets/tgt_{case.name}_vuln",
-                "fixed_target": f"targets/tgt_{case.name}_fixed",
-                "expect_delay_days": (
-                    EPOCH_RELEASE - (EPOCH_PATCH + timedelta(days=case.index))
-                ).days,
+                "file": path,
+                "patch_sha": source.shas[patch],
+                "vuln_target": f"{target}_vuln",
+                "fixed_target": f"{target}_fixed",
+                "expect_delay_days": (EPOCH_RELEASE - EPOCH_PATCH).days - case.index,
             }
         )
 
@@ -309,48 +305,48 @@ def gen_fixtures(cases: list[CloneCase], out_dir: str | Path) -> dict:
 # ---------------------------------------------------------------------------
 # Large synthetic target for throughput checks
 
+# The bulk target: BULK_FILES files of BULK_LINES lines, 100 kLOC in all.
+BULK_FILES = 200
+BULK_LINES = 500
 
-def build_throughput_fixture(
-    out_dir: str | Path, files: int = 200, lines_per_file: int = 500
-) -> dict:
-    """One source repo with a single-hunk patch and a ~(files * lines_per_file)
+
+def build_throughput_fixture(out_dir: str | Path) -> dict:
+    """One source repo with a single-hunk patch and a BULK_FILES * BULK_LINES
     LOC target containing a verbatim vulnerable clone in one file."""
     out = Path(out_dir)
     case = CloneCase(name="bulk", clone_type=1, ptype="CHA", index=0)
+    path = case_file(case)
+    source = Repo()
+    for when, message, fixed in (
+        (EPOCH_IMPORT, "import ledger verification code", False),
+        (EPOCH_PATCH, "fix: harden ledger verification", True),
+    ):
+        patch = source.commit(when, message, {path: case_content(case, fixed)})
+    source.write(out / "bulk_source")
 
-    source = out / "bulk_source"
-    _init_repo(source)
-    src_file = source / case_file(case)
-    src_file.parent.mkdir(parents=True, exist_ok=True)
-    src_file.write_text(case_content(case, fixed=False), encoding="utf-8")
-    _commit_all(source, "import ledger verification code", EPOCH_IMPORT)
-    src_file.write_text(case_content(case, fixed=True), encoding="utf-8")
-    patch_sha = _commit_all(source, "fix: harden ledger verification", EPOCH_PATCH)
-
-    target = out / "bulk_target"
-    _init_repo(target)
-    planted_at = files // 2
-    for k in range(files):
-        body: list[str] = [f'#include "module_{k:03d}.h"', ""]
-        j = 0
-        while len(body) < lines_per_file:
-            body.append(f"static int ComputeChunk_{k:03d}_{j}(int nInput)")
-            body.append("{")
-            body.append(f"    int nLocal = nInput * {j % 97} + {k};")
-            body.append(f"    nLocal ^= RotateBits(nLocal, {j % 31});")
-            body.append("    return nLocal;")
-            body.append("}")
-            j += 1
+    planted_at = BULK_FILES // 2
+    files: dict[str, str] = {}
+    for k in range(BULK_FILES):
+        body = [f'#include "module_{k:03d}.h"', ""]
+        for j in range((BULK_LINES - len(body)) // 6):  # six-line functions
+            body += [
+                f"static int ComputeChunk_{k:03d}_{j}(int nInput)",
+                "{",
+                f"    int nLocal = nInput * {j % 97} + {k};",
+                f"    nLocal ^= RotateBits(nLocal, {j % 31});",
+                "    return nLocal;",
+                "}",
+            ]
         if k == planted_at:
             body.extend(case_content(case, fixed=False).split("\n"))
-        path = target / f"src/module_{k:03d}.cpp"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(body) + "\n", encoding="utf-8")
-    _commit_all(target, "bulk import", EPOCH_FORK)
+        files[f"src/module_{k:03d}.cpp"] = "\n".join(body) + "\n"
+    target = Repo()
+    target.commit(EPOCH_FORK, "bulk import", files)
+    target.write(out / "bulk_target")
 
     return {
-        "source": str(source),
-        "target": str(target),
-        "patch_sha": patch_sha,
+        "source": str(out / "bulk_source"),
+        "target": str(out / "bulk_target"),
+        "patch_sha": source.shas[patch],
         "planted_file": f"src/module_{planted_at:03d}.cpp",
     }

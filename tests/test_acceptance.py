@@ -99,14 +99,15 @@ def corpus_env(tmp_path_factory):
     corpus_dir = base / "corpus"
     started = time.monotonic()
     index = fixturegen.gen_fixtures(fixturegen.default_cases(), corpus_dir)
+    built = time.monotonic()
     reports = _scan_corpus(corpus_dir, index, base / "reports_a")
-    elapsed = time.monotonic() - started
     return SimpleNamespace(
         base=base,
         corpus_dir=corpus_dir,
         index=index,
         reports=reports,
-        elapsed=elapsed,
+        build_s=built - started,
+        scan_s=time.monotonic() - built,
     )
 
 
@@ -247,7 +248,7 @@ def test_criterion_4_planted_clone_corpus(corpus_env):
         and hits[3][0] >= 8
         and hits[3][1] >= 8
         and type1_fixed_vulnerable == 0
-        and corpus_env.elapsed < 60.0
+        and corpus_env.build_s + corpus_env.scan_s < 60.0
     )
     _criterion(
         4,
@@ -256,7 +257,8 @@ def test_criterion_4_planted_clone_corpus(corpus_env):
         f"type2 {hits[2][0]}/10+{hits[2][1]}/10, "
         f"type3 {hits[3][0]}/10+{hits[3][1]}/10, "
         f"{type1_fixed_vulnerable} false alarms on patched type1, "
-        f"{corpus_env.elapsed:.1f}s (< 60s)",
+        f"built in {corpus_env.build_s:.1f}s, "
+        f"scanned in {corpus_env.scan_s:.1f}s (< 60s)",
     )
 
 
@@ -322,7 +324,7 @@ def test_criterion_6_release_delay_fixture(table_repo):
 
 
 def test_criterion_7_throughput_on_bulk_target(tmp_path):
-    bulk = fixturegen.build_throughput_fixture(tmp_path, files=200, lines_per_file=500)
+    bulk = fixturegen.build_throughput_fixture(tmp_path)
     out = tmp_path / "bulk_report.json"
 
     started = time.monotonic()

@@ -923,6 +923,12 @@ class TestGenFixtures:
         out_dir = tmp_path / "corpus"
         corpus = fixturegen.gen_fixtures([CloneCase("smoke", 1, "CHA", 0)], out_dir)
         case = corpus["cases"][0]
+        # Pinned dates, authors and messages give the same ids on every run.
+        assert case["patch_sha"] == "4f6a42f1e620a3c4719478c1db38d799f3eac70d"
+        assert (
+            run_git(out_dir / case["fixed_target"], "rev-parse", "refs/tags/v1.0.0")
+            == "5e14b36897665a422297d89818c6d0ac7bd414a3"
+        )
 
         out = tmp_path / "report.json"
         code = main(
@@ -948,6 +954,30 @@ class TestGenFixtures:
         assert fixed_row["status"] == "Fixed"
         assert fixed_row["delay"]["release_tag"] == "v1.0.0"
         assert fixed_row["delay"]["delay_days"] == case["expect_delay_days"] == 183
+
+    def test_second_run_into_same_out_exits_2(self, tmp_path, capsys, monkeypatch):
+        cases = [CloneCase("one", 1, "CHA", 0)]
+        monkeypatch.setattr(fixturegen, "default_cases", lambda: cases)
+        out_dir = tmp_path / "corpus"
+        assert main(["gen-fixtures", "--out", str(out_dir)]) == 0
+        before = {
+            p: p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()
+        }
+        capsys.readouterr()
+
+        assert main(["gen-fixtures", "--out", str(out_dir)]) == 2
+        assert f"output directory not empty: {out_dir}" in capsys.readouterr().err
+        after = {p: p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()}
+        assert after == before
+
+    def test_existing_empty_out_is_used(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            fixturegen, "default_cases", lambda: [CloneCase("one", 1, "CHA", 0)]
+        )
+        out_dir = tmp_path / "corpus"
+        out_dir.mkdir()
+        assert main(["gen-fixtures", "--out", str(out_dir)]) == 0
+        assert (out_dir / "corpus.json").exists()
 
     def test_default_cases_follow_the_spec(self):
         spec = fixturegen.default_corpus_spec()["cases"]
