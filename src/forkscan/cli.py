@@ -72,6 +72,14 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("at least one --target is required")
     targets = [_parse_target_token(tok) for tok in args.target]
 
+    # A report row is keyed by (patch label, target name).
+    labels = patch_shas + [Path(f).name for f in args.patch_file]
+    for what, names in (("patches are labelled", labels),
+                        ("targets are named", _unique_names(targets))):
+        repeated = [n for i, n in enumerate(names) if n in names[:i]]
+        if repeated:
+            raise ConfigError(f"two {what} {repeated[0]}")
+
     try:
         params = SimilarityParams(r=args.r, t=args.t)
     except ValueError as exc:
@@ -244,20 +252,23 @@ def _round(v: float | None) -> float | None:
 
 def _write_outputs(scan: ScanReport, out: str) -> None:
     out_path = Path(out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(report.emit_report(scan, "json"), encoding="utf-8")
-    csv_path = out_path.with_suffix(".csv")
-    csv_path.write_text(report.emit_report(scan, "csv"), encoding="utf-8")
     delays = [
         float(r.delay.delay_days)
         for r in scan.results
         if r.delay is not None and r.delay.delay_days is not None
     ]
     cdf_path = out_path.parent / "delay_cdf.csv"
-    if delays:
-        report.write_cdf_csv(report.emit_cdf(delays), str(cdf_path))
-    else:
-        cdf_path.unlink(missing_ok=True)  # a CDF left by an earlier scan
+    try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        out_path.write_text(report.emit_report(scan, "json"), encoding="utf-8")
+        csv_path = out_path.with_suffix(".csv")
+        csv_path.write_text(report.emit_report(scan, "csv"), encoding="utf-8")
+        if delays:
+            report.write_cdf_csv(report.emit_cdf(delays), str(cdf_path))
+        else:
+            cdf_path.unlink(missing_ok=True)  # a CDF left by an earlier scan
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +309,10 @@ def run_sweep(pairs_dir: str, r_values: list[float], out: str) -> int:
         swept = reward_sweep(pairs, r_values)
     except ValueError as exc:
         raise ConfigError(f"bad parameter: {exc}") from exc
-    report.write_rsweep_csv([(r, report.emit_cdf(scores)) for r, scores in swept], out)
+    try:
+        report.write_rsweep_csv([(r, report.emit_cdf(scores)) for r, scores in swept], out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
     print(f"swept {len(pairs)} pairs over r={r_values} -> {out}")
     return 0
 
@@ -391,14 +405,13 @@ def main(argv: list[str] | None = None) -> int:
             return code
         if args.command == "sweep-r":
             return run_sweep(args.pairs, args.r, args.out)
-        if args.command == "gen-fixtures":
-            out = Path(args.out)
-            if out.exists() and (out.is_file() or any(out.iterdir())):
-                raise ConfigError(f"output directory not empty: {args.out}")
-            corpus = fixturegen.gen_fixtures(fixturegen.default_cases(), args.out)
-            print(f"built {len(corpus['cases'])} cases under {args.out}")
-            return 0
-        raise ConfigError(f"unknown command {args.command!r}")
+        # gen-fixtures: the parser accepts no other command.
+        out = Path(args.out)
+        if out.exists() and (out.is_file() or any(out.iterdir())):
+            raise ConfigError(f"output directory not empty: {args.out}")
+        corpus = fixturegen.gen_fixtures(fixturegen.default_cases(), args.out)
+        print(f"built {len(corpus['cases'])} cases under {args.out}")
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

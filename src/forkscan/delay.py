@@ -34,12 +34,10 @@ def find_fix_commit(
     """
     start, end = span
     try:
-        entries = gitio.blame_lines(target, rev, path, start, end)
+        times = gitio.blame_lines(target, rev, path, start, end)
     except (gitio.GitError, ValueError) as exc:
         raise AttributionFailed(f"blame {path}:{start}-{end} failed: {exc}") from exc
-    if not entries:
-        raise AttributionFailed(f"blame {path}:{start}-{end} returned nothing")
-    return min((e.committed_at, e.commit_sha) for e in entries)[1]
+    return min((when, sha) for sha, when in times.items())[1]
 
 
 def earliest_release(target: RepoHandle, sha: str) -> tuple[str, datetime] | None:

@@ -31,13 +31,6 @@ class GrepHit:
     raw_line: str
 
 
-@dataclass(frozen=True)
-class BlameEntry:
-    commit_sha: str
-    line_no: int  # 1-based
-    committed_at: datetime  # committer time of commit_sha, UTC
-
-
 class RepoHandle:
     """Handle over a local git repository, read-only."""
 
@@ -117,14 +110,14 @@ def read_file_at(repo: RepoHandle, rev: str, path: str) -> list[str]:
     return _split_lines(_decode(proc.stdout))
 
 
-_BLAME_HEADER_RE = re.compile(r"^([0-9a-f]{40}) (\d+) (\d+)")
+_BLAME_HEADER_RE = re.compile(r"^([0-9a-f]{40}) \d+ \d+")
 
 
 def blame_lines(
     repo: RepoHandle, rev: str, path: str, start: int, end: int
-) -> list[BlameEntry]:
-    """Attribute each line in [start, end] to the last commit touching it,
-    with that commit's committer time."""
+) -> dict[str, datetime]:
+    """The commits that last touched a line in [start, end], each with its
+    committer time in UTC."""
     if start < 1 or end < start:
         raise ValueError(f"invalid blame range {start}..{end}")
     proc = repo._run(["blame", "--porcelain", "-L", f"{start},{end}", rev, "--", path])
@@ -137,18 +130,16 @@ def blame_lines(
         raise GitError(f"git blame failed: {err.strip()}")
     # Porcelain prints a commit's headers (committer-time among them) only
     # at the first line it owns; content lines start with a tab.
-    owners: list[tuple[str, int]] = []
     times: dict[str, datetime] = {}
+    sha = ""
     for line in _split_lines(_decode(proc.stdout)):
         m = _BLAME_HEADER_RE.match(line)
         if m:
-            owners.append((m.group(1), int(m.group(3))))
+            sha = m.group(1)
         elif line.startswith("committer-time "):
             stamp = int(line[len("committer-time "):])
-            times[owners[-1][0]] = datetime.fromtimestamp(stamp, timezone.utc)
-    entries = [BlameEntry(sha, line_no, times[sha]) for sha, line_no in owners]
-    entries.sort(key=lambda e: e.line_no)
-    return entries
+            times[sha] = datetime.fromtimestamp(stamp, timezone.utc)
+    return times
 
 
 def commit_diff(repo: RepoHandle, sha: str) -> str:

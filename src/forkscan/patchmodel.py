@@ -12,7 +12,9 @@ only if it is a statement. A hunk's deleted statements (dp) are the old
 side's statements at its removed lines, its added statements (ap) the new
 side's at its added lines, and its contexts are read from the side it
 changes (the old side for dp-bearing hunks, the new side for pure
-additions).
+additions). A hunk keeps only its file class, dp, ap, type and the two
+contexts, each its statements and their keywords; every statement carries
+its own path and line number.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from . import gitio
 from .gitio import RepoHandle
 from .preprocess import (
     ContextKeyword,
-    FileClass,
     NormalizedLine,
     classify_file,
     extract_keyword,
@@ -50,48 +51,26 @@ class PatchType(Enum):
     CHA = "CHA"
 
 
-class Side(Enum):
-    UP = "up"
-    DOWN = "down"
-
-
 @dataclass
 class PatchContext:
-    """Ordered (keyword, statement) entries above or below a hunk."""
+    """The statements above or below a hunk, in order, and the keywords of
+    those that have one."""
 
-    entries: list[tuple[ContextKeyword | None, NormalizedLine]]
-    side: Side
-
-    @property
-    def statements(self) -> list[NormalizedLine]:
-        return [stmt for _, stmt in self.entries]
-
-    @property
-    def keywords(self) -> list[ContextKeyword]:
-        return [kw for kw, _ in self.entries if kw is not None]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
+    statements: list[NormalizedLine]
+    keywords: list[ContextKeyword]
 
 
 @dataclass
 class PatchHunk:
-    """One unit of change: deleted statements, added statements, contexts."""
+    """One unit of change: deleted statements, added statements, contexts.
+    Every statement carries its file's path."""
 
-    path: str
-    file_class: FileClass
+    file_class: str
     dp: list[NormalizedLine]
     ap: list[NormalizedLine]
     ptype: PatchType
     up_ctx: PatchContext
     down_ctx: PatchContext
-    # Inclusive raw-line spans of the changed region; an empty side is
-    # encoded as (anchor + 1, anchor) so "above" and "below" stay correct.
-    old_span: tuple[int, int] = (1, 0)
-    new_span: tuple[int, int] = (1, 0)
 
     @property
     def code_len(self) -> int:
@@ -105,16 +84,6 @@ class Patch:
     hunks: list[PatchHunk]
     committed_at: datetime | None
     label: str
-
-
-def _ptype(dp: list, ap: list) -> PatchType:
-    if dp and ap:
-        return PatchType.CHA
-    if dp:
-        return PatchType.DEL
-    if ap:
-        return PatchType.ADD
-    raise PatchError("hunk has neither deleted nor added statements")
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +214,7 @@ def parse_unified_diff(text: str) -> list[_FileDiff]:
 
 
 def _fragment_stmts(
-    entries: list[tuple[int, str]], path: str, file_class: FileClass
+    entries: list[tuple[int, str]], path: str, file_class: str
 ) -> list[NormalizedLine]:
     """Extract statements from a contiguous run of (line number, text) pairs."""
     if not entries:
@@ -336,22 +305,11 @@ def _build_hunks(diff_text: str) -> list[PatchHunk]:
                 [s for s in stmts if s.line_no < lo],
                 [s for s in stmts if s.line_no > hi],
             )
-            if not up_ctx and not down_ctx:
+            if not up_ctx.statements and not down_ctx.statements:
                 log.warning("%s: no meaningful context around hunk at %s", path, (lo, hi))
 
-            hunks.append(
-                PatchHunk(
-                    path=path,
-                    file_class=file_class,
-                    dp=dp,
-                    ap=ap,
-                    ptype=_ptype(dp, ap),
-                    up_ctx=up_ctx,
-                    down_ctx=down_ctx,
-                    old_span=old_span,
-                    new_span=new_span,
-                )
-            )
+            ptype = PatchType.CHA if dp and ap else PatchType.DEL if dp else PatchType.ADD
+            hunks.append(PatchHunk(file_class, dp, ap, ptype, up_ctx, down_ctx))
     if not hunks:
         raise PatchError("patch contains no meaningful statements after filtering")
     return hunks
@@ -362,12 +320,11 @@ def build_patch_context(
 ) -> tuple[PatchContext, PatchContext]:
     """UP and DOWN contexts: the CONTEXT_LINES statements nearest the hunk on
     each side, truncated at file (or diff) boundaries."""
-    up = above[-CONTEXT_LINES:]
-    down = below[:CONTEXT_LINES]
-    return (
-        PatchContext([(extract_keyword(s), s) for s in up], Side.UP),
-        PatchContext([(extract_keyword(s), s) for s in down], Side.DOWN),
-    )
+    def context(stmts: list[NormalizedLine]) -> PatchContext:
+        keywords = [extract_keyword(s) for s in stmts]
+        return PatchContext(stmts, [kw for kw in keywords if kw is not None])
+
+    return context(above[-CONTEXT_LINES:]), context(below[:CONTEXT_LINES])
 
 
 _MANIFEST_RE = re.compile(r"^([0-9A-Za-z_.\-/^~]+)(?::.*)?$")

@@ -36,23 +36,6 @@ class StatementKind(Enum):
 
 
 @dataclass(frozen=True)
-class FileClass:
-    """Coarse file type derived from the path extension."""
-
-    kind: str  # "c-source" | "c-header" | "go" | "other"
-    ext: str = ""
-
-    @property
-    def is_c_family(self) -> bool:
-        return self.kind in ("c-source", "c-header")
-
-
-C_SOURCE = FileClass("c-source")
-C_HEADER = FileClass("c-header")
-GO = FileClass("go")
-
-
-@dataclass(frozen=True)
 class NormalizedLine:
     """One meaningful source statement."""
 
@@ -71,16 +54,19 @@ class ContextKeyword:
     source_line: NormalizedLine
 
 
-def classify_file(path: str) -> FileClass:
-    dot = path.rfind(".")
-    ext = path[dot:].lower() if dot >= 0 else ""
+def classify_file(path: str) -> str:
+    """Coarse file type: "c-source", "c-header", "go", or else the file
+    name's lower-cased extension ("" for none)."""
+    name = path.rsplit("/", 1)[-1]
+    dot = name.rfind(".")
+    ext = name[dot:].lower() if dot >= 0 else ""
     if ext in _C_SOURCE_EXTS:
-        return C_SOURCE
+        return "c-source"
     if ext in _C_HEADER_EXTS:
-        return C_HEADER
+        return "c-header"
     if ext == ".go":
-        return GO
-    return FileClass("other", ext)
+        return "go"
+    return ext
 
 
 def _strip_comments(line: str, in_block: bool, hash_comments: bool) -> tuple[str, bool]:
@@ -143,7 +129,7 @@ def _is_bracket_only(norm: str) -> bool:
 
 
 def extract_statements(
-    lines: list[str], path: str, file_class: FileClass
+    lines: list[str], path: str, file_class: str
 ) -> list[NormalizedLine]:
     """Filter raw lines down to meaningful statements.
 
@@ -154,7 +140,7 @@ def extract_statements(
     """
     # '#' introduces comments only outside the C family (where it starts
     # preprocessor directives) and Go (no hash comments at all).
-    hash_comments = not (file_class.is_c_family or file_class == GO)
+    hash_comments = file_class not in ("c-source", "c-header", "go")
     result: list[NormalizedLine] = []
     in_block = False
     for line_no, raw in enumerate(lines, 1):

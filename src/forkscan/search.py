@@ -2,10 +2,11 @@
 
 Keywords extracted from the patch context are grepped in the target; hits
 that survive the comment/test/file-class/statement-kind filters become key
-statements. Each key statement expands to a boundary-delimited candidate
-context, contexts are kept when their fragment similarity to the patch
-context passes the decision threshold, UP and DOWN contexts are paired, and
-the statements between (or adjacent to) them become candidate code.
+statements (the file class compared is the hunk's). Each key statement
+expands to a boundary-delimited candidate context, contexts are kept when
+their fragment similarity to the patch context passes the decision
+threshold, UP and DOWN contexts are paired, and the statements between (or
+adjacent to) them become candidate code.
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ from dataclasses import dataclass
 from . import gitio
 from .gitio import RepoHandle
 from .patchmodel import CONTEXT_LINES, PatchContext, PatchHunk
-from .preprocess import (
-    FileClass,
-    NormalizedLine,
-    StatementKind,
-    classify_file,
-    extract_statements,
-)
+from .preprocess import NormalizedLine, StatementKind, classify_file, extract_statements
 from .simcore import KS_THRESHOLD, SimilarityParams, fragment_similarity, strsim
 
 log = logging.getLogger(__name__)
@@ -91,8 +86,8 @@ class CandidateCode:
     path: str
     stmts: list[NormalizedLine]
     span: tuple[int, int]
-    paired_up: CandidateContext | None = None
-    paired_down: CandidateContext | None = None
+    paired_up: CandidateContext | None
+    paired_down: CandidateContext | None
 
     @property
     def norms(self) -> list[str]:
@@ -104,7 +99,7 @@ def is_test_path(path: str) -> bool:
 
 
 def find_key_statements(
-    cache: StatementCache, ctx: PatchContext, patch_file_class: FileClass
+    cache: StatementCache, ctx: PatchContext, patch_file_class: str
 ) -> list[KeyStatementMatch]:
     """Grep the context keywords in the target and keep plausible hits.
 
@@ -118,7 +113,7 @@ def find_key_statements(
     """
     keywords = ctx.keywords
     if not keywords:
-        log.info("no keywords in %s context; nothing to search", ctx.side.value)
+        log.info("no keywords in context; nothing to search")
         return []
     hits = gitio.grep_repo(cache.repo, [kw.keyword for kw in keywords], cache.rev)
     best: dict[tuple[str, int], KeyStatementMatch] = {}
@@ -198,7 +193,8 @@ def finalize_contexts(
     """Score boundary regions against the patch context and keep the best.
 
     ctx_sim is the fragment similarity of the patch context against the
-    candidate's statements; regions under the decision threshold are dropped,
+    candidate's statements, of which there is at least one: a boundary holds
+    its key statement. Regions under the decision threshold are dropped,
     overlapping regions in the same file keep only the higher-scoring one,
     and the survivors are capped at MAX_CANDIDATES by descending ctx_sim.
     """
@@ -210,8 +206,6 @@ def finalize_contexts(
             continue
         seen_spans.add((path, ss_line, es_line))
         stmts = cache.between(path, ss_line, es_line)
-        if not stmts:
-            continue
         sim = fragment_similarity(patch_norms, [s.norm for s in stmts], params)
         if sim < params.t:
             continue
@@ -242,7 +236,7 @@ def fetch_candidate_code(
     With both contexts (same file, DOWN below UP, as _pair_contexts pairs
     them) the candidate is everything strictly between them, possibly
     empty. With one context it is the patch_code_len statements directly
-    below (UP) or above (DOWN).
+    below (UP) or above (DOWN). At least one context is given.
     """
     if up is not None and down is not None:
         stmts = cache.between(up.path, up.es_line + 1, down.ss_line - 1)
@@ -251,12 +245,10 @@ def fetch_candidate_code(
         after = [s for s in cache.statements(up.path) if s.line_no > up.es_line]
         stmts = after[:patch_code_len]
         empty_at = up.es_line + 1
-    elif down is not None:
+    else:
         before = [s for s in cache.statements(down.path) if s.line_no < down.ss_line]
         stmts = before[-patch_code_len:]
         empty_at = down.ss_line
-    else:
-        raise ValueError("at least one context is required")
     span = (stmts[0].line_no, stmts[-1].line_no) if stmts else (empty_at, empty_at - 1)
     path = up.path if up is not None else down.path
     return CandidateCode(path, stmts, span, paired_up=up, paired_down=down)
@@ -267,11 +259,6 @@ class SearchOutcome:
     """Everything the searcher found for one hunk in one target."""
 
     candidates: list[CandidateCode]
-
-
-def _gap_statements(cache: StatementCache, path: str, lo: int, hi: int) -> int:
-    """Meaningful statements strictly between line lo and line hi."""
-    return len(cache.between(path, lo + 1, hi - 1))
 
 
 def _pair_contexts(
@@ -286,7 +273,7 @@ def _pair_contexts(
         for down in downs:
             if down.path != up.path or down.ss_line <= up.es_line:
                 continue
-            gap = _gap_statements(cache, up.path, up.es_line, down.ss_line)
+            gap = len(cache.between(up.path, up.es_line + 1, down.ss_line - 1))
             if gap > max_gap:
                 continue
             compat.append((gap, up.path, up.es_line, down.ss_line, up, down))
@@ -309,7 +296,7 @@ def collect_candidates(
     """Run the full search pipeline for one hunk against one target."""
 
     def located(ctx: PatchContext) -> list[CandidateContext]:
-        if not ctx:
+        if not ctx.statements:
             return []
         seeds = find_key_statements(cache, ctx, hunk.file_class)
         boundaries: list[tuple[str, tuple[int, int]]] = []

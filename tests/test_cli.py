@@ -439,11 +439,14 @@ class TestDetectEndToEnd:
         )
 
     def test_duplicate_targets_named_by_path(self, world, tmp_path):
+        # Two repositories that share a directory name.
+        twin = tmp_path / "mirror" / world.vuln.name
+        run_git(tmp_path, "clone", "-q", str(world.vuln), str(twin))
         out = tmp_path / "report.json"
-        assert _detect(world, [world.vuln, world.vuln], out) == 1
+        assert _detect(world, [world.vuln, twin], out) == 1
 
         rows = _rows(out)
-        assert [r["target"] for r in rows] == [str(world.vuln)] * 2
+        assert sorted(r["target"] for r in rows) == sorted([str(world.vuln), str(twin)])
         assert {r["status"] for r in rows} == {"Vulnerable"}
 
     def test_one_repo_at_two_revisions_gets_two_names(self, world, tmp_path, capsys):
@@ -768,6 +771,43 @@ class TestDetectErrors:
         assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    def test_repeated_target_exits_2(self, world, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert _detect(world, [world.vuln, world.vuln], out) == 2
+        assert f"two targets are named {world.vuln}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_patch_exits_2(self, world, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert _detect(world, [world.vuln], out, ["--patch", world.patch_sha]) == 2
+        assert f"two patches are labelled {world.patch_sha}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_patch_files_sharing_a_name_exit_2(self, world, tmp_path, capsys):
+        diff_text = run_git(
+            world.src, "diff", "-U5", f"{world.patch_sha}^", world.patch_sha
+        )
+        files = [tmp_path / d / "fix.diff" for d in ("one", "two")]
+        for f in files:
+            f.parent.mkdir()
+            f.write_text(diff_text + "\n", encoding="utf-8")
+        out = tmp_path / "r.json"
+        argv = ["detect", "--source", str(world.src), "--target", str(world.vuln),
+                "--patch-file", str(files[0]), "--patch-file", str(files[1]),
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert "two patches are labelled fix.diff" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_is_a_directory_exits_2(self, world, tmp_path, capsys):
+        # A scan whose only row is Fixed would exit 0; the write fails.
+        out = tmp_path / "taken"
+        out.mkdir()
+        assert _detect(world, [world.fixed], out) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out}:" in err
+        assert "Traceback" not in err
+
     def test_jobs_other_than_one_exits_2(self, world, tmp_path, capsys):
         # Scans run on one thread; `--jobs 1` is still accepted.
         assert _detect(world, [world.vuln], tmp_path / "one.json", ["--jobs", "1"]) == 1
@@ -865,6 +905,13 @@ class TestSweepR:
             assert code == 2
             assert f"missing counterpart for {orphan}" in capsys.readouterr().err
             (pairs_dir / orphan).unlink()
+
+    def test_out_is_a_directory_exits_2(self, pairs_dir, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.mkdir()
+        code = main(["sweep-r", "--pairs", str(pairs_dir), "--r", "0.9", "--out", str(out)])
+        assert code == 2
+        assert f"error: cannot write {out}:" in capsys.readouterr().err
 
     def test_no_pairs_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "pairs"

@@ -21,7 +21,7 @@ UTC = timezone.utc
 
 def _owners(repo: RepoHandle, rev: str, path: str, span) -> set[str]:
     """Commits that blame names for the region."""
-    return {e.commit_sha for e in blame_lines(repo, rev, path, *span)}
+    return set(blame_lines(repo, rev, path, *span))
 
 
 class TestFindFixCommit:
@@ -117,7 +117,8 @@ class TestFixDelay:
     PATCH_DATE = datetime(2019, 8, 10, tzinfo=UTC)
 
     def _candidate(self, span) -> CandidateCode:
-        return CandidateCode(path=TABLE_FILE, stmts=[], span=span)
+        return CandidateCode(path=TABLE_FILE, stmts=[], span=span,
+                             paired_up=None, paired_down=None)
 
     def test_full_attribution(self, table_repo):
         repo_path, c_rewrite, _ = table_repo
@@ -157,7 +158,7 @@ class TestFixDelay:
         repo_path, _, c_tweak = table_repo
         up = CandidateContext(path=TABLE_FILE, ss_line=205, es_line=205, ctx_sim=0.9)
         cand = CandidateCode(path=TABLE_FILE, stmts=[], span=(206, 205),
-                             paired_up=up)
+                             paired_up=up, paired_down=None)
         record = fix_delay(
             RepoHandle(repo_path), "HEAD", self.PATCH_DATE,
             cand,
@@ -180,7 +181,8 @@ class TestFixDelay:
         sha = run_git(root, "rev-parse", "HEAD")
         record = fix_delay(
             RepoHandle(root), "HEAD", self.PATCH_DATE,
-            CandidateCode(path="f.c", stmts=[], span=(1, 1)),
+            CandidateCode(path="f.c", stmts=[], span=(1, 1),
+                          paired_up=None, paired_down=None),
         )
         assert record.true_fix == sha
         assert record.release is None and record.delay_days is None

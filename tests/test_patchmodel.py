@@ -8,12 +8,10 @@ from conftest import commit_all, init_repo, run_git, write_files
 from forkscan.gitio import NotFoundError, RepoHandle
 from forkscan.patchmodel import (
     Patch,
-    PatchContext,
     PatchError,
     PatchHunk,
     PatchType,
-    Side,
-    _ptype,
+    build_patch_context,
     load_patch,
     parse_manifest,
     parse_patch,
@@ -91,6 +89,10 @@ def _expected_context(content: str, span: tuple[int, int]):
     above = [s.norm for s in stmts if s.line_no < span[0]]
     below = [s.norm for s in stmts if s.line_no > span[1]]
     return above[-5:], below[:5]
+
+
+def _lines(stmts) -> list[int]:
+    return [s.line_no for s in stmts]
 
 
 def _runs(gh) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -284,8 +286,8 @@ class TestParsePatchFromRepo:
         assert h.ptype == PatchType.CHA
         assert _norms(h.dp) == ['if (fHavePruned) return error("pruned");']
         assert _norms(h.ap) == [CHA_NEW_LINE]
-        assert h.old_span == (9, 9) and h.new_span == (9, 9)
-        assert h.path == GUARD
+        assert _lines(h.dp) == [9] and _lines(h.ap) == [9]
+        assert {s.path for s in h.dp + h.ap} == {GUARD}
         assert h.file_class == classify_file(GUARD)
         assert h.code_len == 1
 
@@ -295,8 +297,10 @@ class TestParsePatchFromRepo:
         assert h.ptype == PatchType.DEL
         assert _norms(h.dp) == ["if (nDepth <= 0)", "nDepth = DEFAULT_DEPTH;"]
         assert h.ap == []
-        assert h.old_span == (5, 6)
-        assert h.new_span == (5, 4)  # empty side anchors above the cut
+        assert _lines(h.dp) == [5, 6]
+        # Contexts come from the old side, around the cut lines.
+        assert h.up_ctx.statements[-1].line_no == 4
+        assert h.down_ctx.statements[0].line_no == 7
         assert h.code_len == 2
 
     def test_add_commit(self, guard_repo):
@@ -304,7 +308,10 @@ class TestParsePatchFromRepo:
         (h,) = load_patch(repo, shas["add"]).hunks
         assert h.ptype == PatchType.ADD
         assert h.dp == [] and _norms(h.ap) == [ADD_LINE]
-        assert h.new_span == (9, 9) and h.old_span == (9, 8)
+        assert _lines(h.ap) == [9]
+        # Contexts come from the new side, around the added line.
+        assert h.up_ctx.statements[-1].line_no == 8
+        assert h.down_ctx.statements[0].line_no == 10
         assert h.code_len == 1
 
     def test_root_commit_is_pure_addition(self, guard_repo):
@@ -345,8 +352,8 @@ class TestParsePatchFromRepo:
         sha = run_git(root, "rev-parse", "HEAD")
         assert run_git(root, "rev-list", "--parents", "-n1", sha).count(" ") == 2
         patch = load_patch(RepoHandle(root), sha)
-        assert [h.path for h in patch.hunks] == ["m.c"]
         (h,) = patch.hunks
+        assert {s.path for s in h.dp + h.ap} == {"m.c"}
         assert _norms(h.dp) == ["legacy_call(b);"]
         assert _norms(h.ap) == ["modern_call(b);"]
 
@@ -371,8 +378,8 @@ class TestParsePatchFromRepo:
             "code.c": "int new_value = 2;\n",
         })
         sha = commit_all(root, "update", datetime(2021, 1, 2, tzinfo=UTC))
-        patch = load_patch(RepoHandle(root), sha)
-        assert [h.path for h in patch.hunks] == ["code.c"]
+        (h,) = load_patch(RepoHandle(root), sha).hunks
+        assert {s.path for s in h.dp + h.ap} == {"code.c"}
 
     def test_new_file_commit(self, tmp_path):
         root = init_repo(tmp_path / "newfile")
@@ -382,7 +389,7 @@ class TestParsePatchFromRepo:
         sha = commit_all(root, "add fresh", datetime(2021, 1, 2, tzinfo=UTC))
         (h,) = load_patch(RepoHandle(root), sha).hunks
         assert h.ptype == PatchType.ADD
-        assert h.path == "fresh.c"
+        assert {s.path for s in h.ap} == {"fresh.c"}
         assert _norms(h.ap) == ["int shiny = 1;", "int thing = 2;"]
 
     def test_deleted_file_commit(self, tmp_path):
@@ -392,7 +399,7 @@ class TestParsePatchFromRepo:
         (root / "doomed.c").unlink()
         sha = commit_all(root, "remove doomed", datetime(2021, 1, 2, tzinfo=UTC))
         (h,) = load_patch(RepoHandle(root), sha).hunks
-        assert h.ptype == PatchType.DEL and h.path == "doomed.c"
+        assert h.ptype == PatchType.DEL and {s.path for s in h.dp} == {"doomed.c"}
         assert _norms(h.dp) == ["int gone = 9;"]
 
 
@@ -444,13 +451,13 @@ class TestHunkMerging:
     def test_gap_at_least_twice_context_stays_split(self, tmp_path):
         patch = load_patch(*_gap_commit(tmp_path, 10))  # 10 >= 2 * 5
         assert len(patch.hunks) == 2
-        assert [h.old_span for h in patch.hunks] == [(1, 1), (12, 12)]
+        assert [_lines(h.dp) for h in patch.hunks] == [[1], [12]]
 
     def test_gap_under_twice_context_merges(self, tmp_path):
         (h,) = load_patch(*_gap_commit(tmp_path, 9)).hunks  # 9 < 2 * 5
         assert _norms(h.dp) == ["head_call(a);", "tail_call(b);"]
         assert _norms(h.ap) == ["head_call(a, extra);", "tail_call(b, extra);"]
-        assert h.old_span == (1, 11) and h.ptype == PatchType.CHA
+        assert _lines(h.dp) == [1, 11] and h.ptype == PatchType.CHA
 
     def test_comment_lines_do_not_count_toward_gap(self, tmp_path):
         comments = [f"// filler {k}" for k in range(20)]
@@ -490,7 +497,7 @@ class TestHunkMerging:
         diff = run_git(root, "diff", "-U5", f"{sha}^", sha)
         assert diff.count("@@ -") == 2
         (h,) = parse_patch(diff).hunks
-        assert h.old_span == (1, 14)
+        assert _lines(h.dp) == [1, 14]
         assert len(load_patch(RepoHandle(root), sha).hunks) == 1
 
     def test_add_only_file_splits_distant_insertions(self, tmp_path):
@@ -499,9 +506,9 @@ class TestHunkMerging:
         # from the commit as from its -U0 diff.
         diff = run_git(repo.root, "diff", "-U0", f"{sha}^", sha)
         for patch in (load_patch(repo, sha), parse_patch(diff)):
-            assert [(h.ptype, h.new_span, _norms(h.ap)) for h in patch.hunks] == [
-                (PatchType.ADD, (6, 6), ["int early = 1;"]),
-                (PatchType.ADD, (52, 52), ["int late = 1;"]),
+            assert [(h.ptype, _lines(h.ap), _norms(h.ap)) for h in patch.hunks] == [
+                (PatchType.ADD, [6], ["int early = 1;"]),
+                (PatchType.ADD, [52], ["int late = 1;"]),
             ]
 
     def test_context_width_does_not_change_hunks(self, tmp_path):
@@ -511,16 +518,17 @@ class TestHunkMerging:
             diff = run_git(repo.root, "diff", width, f"{sha}^", sha)
             return [
                 (h.ptype, [(s.line_no, s.norm) for s in h.dp],
-                 [(s.line_no, s.norm) for s in h.ap], h.old_span, h.new_span)
+                 [(s.line_no, s.norm) for s in h.ap])
                 for h in parse_patch(diff).hunks
             ]
 
         # Empty sides anchor after the last line before the change, so the
         # insertion stays 9 raw lines from the change and merges with it.
         assert shape("-U3") == shape("-U0")
-        assert [(t, o, n) for t, _, _, o, n in shape("-U0")] == [
-            (PatchType.CHA, (6, 15), (6, 16)),
-            (PatchType.DEL, (30, 30), (31, 30)),
+        assert [(t, [ln for ln, _ in d], [ln for ln, _ in a])
+                for t, d, a in shape("-U0")] == [
+            (PatchType.CHA, [15], [6, 16]),
+            (PatchType.DEL, [30], []),
         ]
 
 
@@ -529,27 +537,26 @@ class TestBuildPatchContext:
         repo, shas = guard_repo
         patch = load_patch(repo, shas["cha"])
         (h,) = patch.hunks
-        up, down = _expected_context(GUARD_V0, h.old_span)
+        up, down = _expected_context(GUARD_V0, (9, 9))
         assert _norms(h.up_ctx.statements) == up
         assert _norms(h.down_ctx.statements) == down
-        assert h.up_ctx.side == Side.UP and h.down_ctx.side == Side.DOWN
-        assert len(h.up_ctx) == 5 and len(h.down_ctx) == 5
+        assert len(h.up_ctx.statements) == 5 and len(h.down_ctx.statements) == 5
 
     def test_del_contexts_truncate_at_file_start(self, guard_repo):
         repo, shas = guard_repo
         (h,) = load_patch(repo, shas["del"]).hunks
-        up, down = _expected_context(GUARD_V1, h.old_span)
+        up, down = _expected_context(GUARD_V1, (5, 6))
         assert _norms(h.up_ctx.statements) == up
-        assert len(h.up_ctx) == 2  # only two meaningful statements above
+        assert len(h.up_ctx.statements) == 2  # only two meaningful statements above
         assert _norms(h.down_ctx.statements) == down
 
     def test_add_contexts_from_patch_revision(self, guard_repo):
         repo, shas = guard_repo
         (h,) = load_patch(repo, shas["add"]).hunks
-        up, down = _expected_context(GUARD_V3, h.new_span)
+        up, down = _expected_context(GUARD_V3, (9, 9))
         assert _norms(h.up_ctx.statements) == up
         assert _norms(h.down_ctx.statements) == down
-        assert len(h.down_ctx) == 4  # file ends before a full window
+        assert len(h.down_ctx.statements) == 4  # file ends before a full window
 
     def test_keywords_follow_statement_extraction(self, guard_repo):
         repo, shas = guard_repo
@@ -565,7 +572,7 @@ class TestBuildPatchContext:
         (root / "b.c").unlink()
         sha = commit_all(root, "drop b", datetime(2021, 1, 2, tzinfo=UTC))
         (h,) = load_patch(RepoHandle(root), sha).hunks
-        assert not h.up_ctx and not h.down_ctx
+        assert h.up_ctx.statements == [] and h.down_ctx.statements == []
 
 
 class TestDiffTextContexts:
@@ -586,7 +593,7 @@ class TestDiffTextContexts:
         repo, shas = guard_repo
         diff = run_git(repo.root, "diff", "-U0", f"{shas['cha']}^", shas["cha"])
         (h,) = parse_patch(diff).hunks
-        assert not h.up_ctx and not h.down_ctx
+        assert h.up_ctx.statements == [] and h.down_ctx.statements == []
 
     def test_add_hunk_contexts_use_new_numbering(self, guard_repo):
         repo, shas = guard_repo
@@ -594,7 +601,7 @@ class TestDiffTextContexts:
         (h,) = parse_patch(diff).hunks
         assert h.ptype == PatchType.ADD
         assert _norms(h.ap) == [ADD_LINE]
-        up, down = _expected_context(GUARD_V3, h.new_span)
+        up, down = _expected_context(GUARD_V3, (9, 9))
         assert _norms(h.up_ctx.statements) == up[-3:]
         assert [s.line_no for s in h.up_ctx.statements] == [6, 7, 8]
 
@@ -612,7 +619,7 @@ class TestDiffTextContexts:
         diff = run_git(root, "diff", "-U3", f"{sha}^", sha)
         assert diff.count("@@ -") == 1
         (h,) = parse_patch(diff).hunks
-        assert h.old_span == (10, 13)
+        assert _lines(h.dp) == [10, 13]
         assert [(s.line_no, s.norm) for s in h.down_ctx.statements] == [
             (14, "int v14 = 14;"), (15, "int v15 = 15;"), (16, "int v16 = 16;"),
         ]
@@ -633,7 +640,7 @@ class TestDiffTextContexts:
         diff = run_git(root, "diff", "-U3", f"{sha}^", sha)
         assert diff.count("@@ -") == 2
         (h,) = parse_patch(diff).hunks
-        assert h.old_span == (10, 18) and h.ptype == PatchType.CHA
+        assert h.ptype == PatchType.CHA
         assert [(s.line_no, s.norm) for s in h.dp] == [
             (10, "int v10 = 10;"), (18, "int v18 = 18;"),
         ]
@@ -674,7 +681,7 @@ class TestCommitAndDiffTextAgree:
             return [(s.line_no, s.norm) for s in seq]
 
         return [
-            (h.ptype, stmts(h.dp), stmts(h.ap), h.old_span, h.new_span,
+            (h.ptype, stmts(h.dp), stmts(h.ap),
              stmts(h.up_ctx.statements), stmts(h.down_ctx.statements))
             for h in patch.hunks
         ]
@@ -704,15 +711,11 @@ class TestCommitAndDiffTextAgree:
 
 
 class TestClassifyAndModel:
-    def test_empty_hunk_rejected(self):
-        with pytest.raises(PatchError):
-            _ptype([], [])
-
     def test_code_len_floor_is_one(self):
+        up, down = build_patch_context([], [])
         hunk = PatchHunk(
-            path="x.c", file_class=classify_file("x.c"), dp=[], ap=[],
-            ptype=PatchType.DEL, up_ctx=PatchContext([], Side.UP),
-            down_ctx=PatchContext([], Side.DOWN),
+            file_class=classify_file("x.c"), dp=[], ap=[],
+            ptype=PatchType.DEL, up_ctx=up, down_ctx=down,
         )
         assert hunk.code_len == 1
 

@@ -5,10 +5,6 @@ import logging
 import pytest
 
 from forkscan.preprocess import (
-    C_HEADER,
-    C_SOURCE,
-    GO,
-    FileClass,
     NormalizedLine,
     StatementKind,
     classify_file,
@@ -255,31 +251,42 @@ class TestClassify:
         assert classify_norm("call(a = 1);") == StatementKind.CALL_OR_EXPR
 
 
+FILE_CLASSES = [
+    ("src/main.c", "c-source"),
+    ("src/main.cc", "c-source"),
+    ("src/main.cpp", "c-source"),
+    ("src/main.cxx", "c-source"),
+    ("include/api.h", "c-header"),
+    ("include/api.hpp", "c-header"),
+    ("include/api.hh", "c-header"),
+    ("pkg/util.go", "go"),
+    # The extension is read from the file name, not from a dotted directory.
+    ("contrib.d/Makefile", ""),
+    ("v0.9/configure", ""),
+    ("v0.9/src/main.c", "c-source"),
+    ("debian.d/rules.mk", ".mk"),
+]
+
+
 class TestClassifyFile:
-    @pytest.mark.parametrize("path,expected", [
-        ("src/main.c", C_SOURCE),
-        ("src/main.cc", C_SOURCE),
-        ("src/main.cpp", C_SOURCE),
-        ("src/main.cxx", C_SOURCE),
-        ("include/api.h", C_HEADER),
-        ("include/api.hpp", C_HEADER),
-        ("include/api.hh", C_HEADER),
-        ("pkg/util.go", GO),
-    ])
+    # Each case is named by its path and its position in the table.
+    @pytest.mark.parametrize(
+        "path,expected", FILE_CLASSES,
+        ids=[f"{path}-expected{i}" for i, (path, _) in enumerate(FILE_CLASSES)],
+    )
     def test_known_extensions(self, path, expected):
         assert classify_file(path) == expected
 
     def test_case_insensitive(self):
-        assert classify_file("A/B.CPP") == C_SOURCE
+        assert classify_file("A/B.CPP") == "c-source"
 
     def test_other_keeps_extension(self):
-        fc = classify_file("script.py")
-        assert fc == FileClass("other", ".py")
+        assert classify_file("script.py") == ".py"
         assert classify_file("script.py") == classify_file("other.py")
         assert classify_file("script.py") != classify_file("script.rs")
 
     def test_no_extension(self):
-        assert classify_file("Makefile").kind == "other"
+        assert classify_file("Makefile") == ""
 
     def test_source_vs_header_differ(self):
         assert classify_file("a.cpp") != classify_file("a.h")

@@ -9,13 +9,8 @@ from conftest import (
 )
 from forkscan import search
 from forkscan.gitio import RepoHandle, read_file_at
-from forkscan.patchmodel import PatchContext, PatchHunk, PatchType, Side
-from forkscan.preprocess import (
-    StatementKind,
-    classify_file,
-    extract_keyword,
-    extract_statements,
-)
+from forkscan.patchmodel import PatchContext, PatchHunk, PatchType, build_patch_context
+from forkscan.preprocess import StatementKind, classify_file, extract_statements
 from forkscan.search import (
     CandidateContext,
     StatementCache,
@@ -90,25 +85,21 @@ ROUTING_NORMS = [
 PARAMS = SimilarityParams()
 
 
-def make_ctx(norms: list[str], side: Side) -> PatchContext:
-    stmts = extract_statements(norms, PATCH_PATH, PATCH_FC)
-    return PatchContext(entries=[(extract_keyword(s), s) for s in stmts], side=side)
-
-
 def make_stmts(norms: list[str]):
     return extract_statements(norms, PATCH_PATH, PATCH_FC)
 
 
+def make_ctx(norms: list[str]) -> PatchContext:
+    """A patch context of up to five statements: the UP context of a hunk
+    right below them."""
+    return build_patch_context(make_stmts(norms), [])[0]
+
+
 def make_hunk(up_norms=None, down_norms=None) -> PatchHunk:
-    up = make_ctx(up_norms, Side.UP) if up_norms is not None else PatchContext([], Side.UP)
-    down = (
-        make_ctx(down_norms, Side.DOWN)
-        if down_norms is not None
-        else PatchContext([], Side.DOWN)
-    )
     return PatchHunk(
-        path=PATCH_PATH, file_class=PATCH_FC, dp=make_stmts([DP_LINE]),
-        ap=make_stmts([AP_LINE]), ptype=PatchType.CHA, up_ctx=up, down_ctx=down,
+        file_class=PATCH_FC, dp=make_stmts([DP_LINE]), ap=make_stmts([AP_LINE]),
+        ptype=PatchType.CHA, up_ctx=make_ctx(up_norms or []),
+        down_ctx=make_ctx(down_norms or []),
     )
 
 
@@ -225,7 +216,7 @@ def _brute_force_keys(repo: RepoHandle, ctx: PatchContext) -> dict:
 
 class TestFindKeyStatements:
     def test_up_context_survivors(self, fig_repo):
-        ks = find_key_statements(_cache(fig_repo), make_ctx(UP_NORMS, Side.UP), PATCH_FC)
+        ks = find_key_statements(_cache(fig_repo), make_ctx(UP_NORMS), PATCH_FC)
         assert {(m.stmt.path, m.stmt.line_no) for m in ks} == {
             ("src/init.cpp", 3),
             ("src/init.cpp", 4),
@@ -239,68 +230,65 @@ class TestFindKeyStatements:
 
     def test_down_context_survivors(self, fig_repo):
         ks = find_key_statements(
-            _cache(fig_repo), make_ctx(DOWN_NORMS, Side.DOWN), PATCH_FC
+            _cache(fig_repo), make_ctx(DOWN_NORMS), PATCH_FC
         )
         assert [(m.stmt.line_no, m.sim) for m in ks][0] == (9, 1.0)
         assert {m.stmt.line_no for m in ks} == {7, 9}
 
     def test_filters_block_traps(self, fig_repo):
-        ks = find_key_statements(_cache(fig_repo), make_ctx(UP_NORMS, Side.UP), PATCH_FC)
+        ks = find_key_statements(_cache(fig_repo), make_ctx(UP_NORMS), PATCH_FC)
         hit_keys = {(m.stmt.path, m.stmt.line_no) for m in ks}
         assert ("src/tests/util_tests.cpp", 1) not in hit_keys  # test path
         assert ("src/validation.h", 1) not in hit_keys  # different file class
         assert ("src/init.cpp", 12) not in hit_keys  # RETURN vs ASSIGNMENT
         assert ("src/init.cpp", 13) not in hit_keys  # comment line
 
-    @pytest.mark.parametrize("norms,side", [
-        (UP_NORMS, Side.UP),
-        (DOWN_NORMS, Side.DOWN),
-        (ROUTING_NORMS, Side.UP),
-    ])
-    def test_matches_brute_force_scan(self, fig_repo, norms, side):
-        ctx = make_ctx(norms, side)
+    @pytest.mark.parametrize("norms", [UP_NORMS, DOWN_NORMS, ROUTING_NORMS],
+                             ids=["up", "down", "routing"])
+    def test_matches_brute_force_scan(self, fig_repo, norms):
+        ctx = make_ctx(norms)
         got = {(m.stmt.path, m.stmt.line_no): m.sim
                for m in find_key_statements(_cache(fig_repo), ctx, PATCH_FC)}
         assert got == _brute_force_keys(fig_repo, ctx)
 
     def test_all_sims_pass_gate(self, fig_repo):
         for m in find_key_statements(
-            _cache(fig_repo), make_ctx(UP_NORMS, Side.UP), PATCH_FC
+            _cache(fig_repo), make_ctx(UP_NORMS), PATCH_FC
         ):
             assert KS_THRESHOLD <= m.sim <= 1.0
 
     def test_empty_context_finds_nothing(self, fig_repo):
         assert find_key_statements(
-            _cache(fig_repo), PatchContext([], Side.UP), PATCH_FC
+            _cache(fig_repo), make_ctx([]), PATCH_FC
         ) == []
 
 
 class TestExpandBoundary:
-    def _seed(self, repo, norms, side, line):
-        ks = find_key_statements(_cache(repo), make_ctx(norms, side), PATCH_FC)
+    def _seed(self, repo, norms, line):
+        ks = find_key_statements(_cache(repo), make_ctx(norms), PATCH_FC)
         return next(m for m in ks if m.stmt.line_no == line)
 
     @pytest.mark.parametrize("line", [3, 4, 5])
     def test_up_seeds_converge(self, fig_repo, line):
-        ctx = make_ctx(UP_NORMS, Side.UP)
-        ks = self._seed(fig_repo, UP_NORMS, Side.UP, line)
+        ctx = make_ctx(UP_NORMS)
+        ks = self._seed(fig_repo, UP_NORMS, line)
         assert expand_boundary(_cache(fig_repo), ks, ctx) == (3, 5)
 
     @pytest.mark.parametrize("line", [7, 9])
     def test_down_seeds_converge(self, fig_repo, line):
-        ctx = make_ctx(DOWN_NORMS, Side.DOWN)
-        ks = self._seed(fig_repo, DOWN_NORMS, Side.DOWN, line)
+        ctx = make_ctx(DOWN_NORMS)
+        ks = self._seed(fig_repo, DOWN_NORMS, line)
         assert expand_boundary(_cache(fig_repo), ks, ctx) == (7, 11)
 
     def test_far_seed_expands_wide(self, fig_repo):
         # The line-8 seed still anchors its start at line 3; its end drifts
         # to the keyword-sharing return at line 12.
-        ctx = make_ctx(UP_NORMS, Side.UP)
-        ks = self._seed(fig_repo, UP_NORMS, Side.UP, 8)
+        ctx = make_ctx(UP_NORMS)
+        ks = self._seed(fig_repo, UP_NORMS, 8)
         assert expand_boundary(_cache(fig_repo), ks, ctx) == (3, 12)
 
     def test_single_statement_context_collapses_to_seed(self, fig_repo):
-        ctx = make_ctx(["pindexState = chainActive.Tip();"], Side.UP)
+        ctx = make_ctx(["pindexState = chainActive.Tip();"])
         ks = find_key_statements(_cache(fig_repo), ctx, PATCH_FC)[0]
         assert ks.stmt.line_no == 9
         assert expand_boundary(_cache(fig_repo), ks, ctx) == (9, 9)
@@ -313,7 +301,7 @@ class TestExpandBoundary:
             "AlphaBetaGammaDeltaKappa();",
             "nCheckValue = ComputeValue(x);",
             "OmegaEpsilonZetaTheta();",
-        ], Side.UP)
+        ])
         ks = find_key_statements(_cache(repo), ctx, PATCH_FC)
         assert [(m.stmt.line_no, m.sim) for m in ks] == [(2, 1.0)]
         assert expand_boundary(_cache(repo), ks[0], ctx) is None
@@ -325,7 +313,7 @@ class TestExpandBoundary:
                 "junk_one(b);\nMarkerEnd();\n"
             ),
         })
-        ctx = make_ctx(["BeginMarker(y);", "filler_stmt;", "MarkerEnd();"], Side.UP)
+        ctx = make_ctx(["BeginMarker(y);", "filler_stmt;", "MarkerEnd();"])
         ks = find_key_statements(_cache(repo), ctx, PATCH_FC)
         seed2 = next(m for m in ks if m.stmt.line_no == 2)
         # MarkerEnd() appears at lines 3 and 5 with equal similarity; the
@@ -335,7 +323,7 @@ class TestExpandBoundary:
 
 class TestFinalizeContexts:
     def test_keeps_passing_region_with_oracle_score(self, fig_repo):
-        ctx = make_ctx(UP_NORMS, Side.UP)
+        ctx = make_ctx(UP_NORMS)
         kept = finalize_contexts(
             _cache(fig_repo), [("src/init.cpp", (3, 5))], ctx, PARAMS
         )
@@ -351,7 +339,7 @@ class TestFinalizeContexts:
         assert c.ctx_sim >= PARAMS.t
 
     def test_drops_region_below_threshold(self, fig_repo):
-        ctx = make_ctx(UP_NORMS, Side.UP)
+        ctx = make_ctx(UP_NORMS)
         kept = finalize_contexts(
             _cache(fig_repo), [("src/init.cpp", (8, 12))], ctx, PARAMS
         )
@@ -362,7 +350,7 @@ class TestFinalizeContexts:
         ) < PARAMS.t
 
     def test_overlapping_regions_keep_best(self, fig_repo):
-        ctx = make_ctx(UP_NORMS, Side.UP)
+        ctx = make_ctx(UP_NORMS)
         kept = finalize_contexts(
             _cache(fig_repo),
             [("src/init.cpp", (3, 5)), ("src/init.cpp", (3, 12))],
@@ -371,7 +359,7 @@ class TestFinalizeContexts:
         assert [(c.ss_line, c.es_line) for c in kept] == [(3, 5)]
 
     def test_cap_keeps_best_contexts(self, twin_repo, monkeypatch):
-        ctx = make_ctx(UP_NORMS, Side.UP)
+        ctx = make_ctx(UP_NORMS)
         spans = [("src/init.cpp", (3, 5)), ("src/wallet.cpp", (3, 5))]
         under_cap = finalize_contexts(_cache(twin_repo), spans, ctx, PARAMS)
         assert [c.path for c in under_cap] == ["src/init.cpp", "src/wallet.cpp"]
@@ -379,11 +367,6 @@ class TestFinalizeContexts:
         capped = finalize_contexts(_cache(twin_repo), spans, ctx, PARAMS)
         assert [(c.path, c.ss_line) for c in capped] == [("src/init.cpp", 3)]
 
-    def test_statementless_span_skipped(self, fig_repo):
-        ctx = make_ctx(UP_NORMS, Side.UP)
-        assert finalize_contexts(
-            _cache(fig_repo), [("src/init.cpp", (100, 120))], ctx, PARAMS
-        ) == []
 
 
 def _ctx(path: str, ss: int, es: int) -> CandidateContext:
@@ -427,10 +410,6 @@ class TestFetchCandidateCode:
         down = _ctx("src/init.cpp", 1, 5)
         cand = fetch_candidate_code(_cache(fig_repo), None, down, 3)
         assert cand.stmts == [] and cand.span == (1, 0)
-
-    def test_requires_a_context(self, fig_repo):
-        with pytest.raises(ValueError):
-            fetch_candidate_code(_cache(fig_repo), None, None, 1)
 
 
 class TestCollectCandidates:

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import oracle_fragment_similarity, oracle_strsim
-from forkscan.patchmodel import PatchContext, PatchHunk, PatchType, Side
+from forkscan.patchmodel import PatchHunk, PatchType, build_patch_context
 from forkscan.search import CandidateCode
 from forkscan.simcore import SimilarityParams
 from forkscan.verdict import (
@@ -13,7 +13,7 @@ from forkscan.verdict import (
     decide,
     judge_candidate,
 )
-from test_search import AP_LINE, DP_LINE, PATCH_FC, PATCH_PATH, make_stmts
+from test_search import AP_LINE, DP_LINE, PATCH_FC, make_stmts
 
 PARAMS = SimilarityParams()
 T = PARAMS.t
@@ -28,15 +28,16 @@ def make_hunk(dp_norms: list[str], ap_norms: list[str]) -> PatchHunk:
         ptype = PatchType.DEL
     else:
         ptype = PatchType.ADD
+    up, down = build_patch_context([], [])
     return PatchHunk(
-        path=PATCH_PATH, file_class=PATCH_FC, dp=dp, ap=ap, ptype=ptype,
-        up_ctx=PatchContext([], Side.UP), down_ctx=PatchContext([], Side.DOWN),
+        file_class=PATCH_FC, dp=dp, ap=ap, ptype=ptype, up_ctx=up, down_ctx=down,
     )
 
 
 def make_candidate(norms: list[str], path: str = "src/init.cpp",
                    span: tuple[int, int] = (6, 6)) -> CandidateCode:
-    return CandidateCode(path=path, stmts=make_stmts(norms), span=span)
+    return CandidateCode(path=path, stmts=make_stmts(norms), span=span,
+                         paired_up=None, paired_down=None)
 
 
 class TestDecide:
@@ -160,7 +161,8 @@ class TestJudgeCandidate:
 
 def _judgment(fv, conf, path="src/a.cpp", span=(10, 10)) -> CandidateJudgment:
     return CandidateJudgment(
-        candidate=CandidateCode(path=path, stmts=[], span=span),
+        candidate=CandidateCode(path=path, stmts=[], span=span,
+                                paired_up=None, paired_down=None),
         s_del=None, s_add=None, fv=fv, conf=conf,
     )
 
