@@ -88,6 +88,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     for p in [args.source, *args.patch_file, *(t[0] for t in targets)]:
         if not Path(p).exists():
             raise ConfigError(f"path does not exist: {p}")
+    if Path(args.out).is_dir():
+        raise ConfigError(f"cannot write {args.out}: it is a directory")
 
     return RunConfig(
         source=args.source,
@@ -136,7 +138,10 @@ def _load_patches(config: RunConfig) -> list[Patch]:
     source = RepoHandle(config.source)
     patches: list[Patch] = []
     for sha in config.patch_shas:
-        patches.append(patchmodel.load_patch(source, sha))
+        patch = patchmodel.load_patch(source, sha)
+        if any(p.source_sha == patch.source_sha for p in patches):
+            raise ConfigError(f"two patches are commit {patch.source_sha}")
+        patches.append(patch)
     for file in config.patch_files:
         try:
             text = Path(file).read_text(encoding="utf-8")

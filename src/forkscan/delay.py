@@ -9,19 +9,12 @@ date, gives the fix delay in whole days.
 
 from __future__ import annotations
 
-import logging
 from datetime import datetime
 
 from . import gitio
 from .gitio import RepoHandle
 from .report import DelayRecord
 from .search import CandidateCode
-
-log = logging.getLogger(__name__)
-
-
-class AttributionFailed(Exception):
-    """blame could not attribute the fixed region to any commit."""
 
 
 def find_fix_commit(
@@ -32,11 +25,7 @@ def find_fix_commit(
 
     Ties on the committer timestamp go to the lexicographically smaller sha.
     """
-    start, end = span
-    try:
-        times = gitio.blame_lines(target, rev, path, start, end)
-    except (gitio.GitError, ValueError) as exc:
-        raise AttributionFailed(f"blame {path}:{start}-{end} failed: {exc}") from exc
+    times = gitio.blame_lines(target, rev, path, *span)
     return min((when, sha) for sha, when in times.items())[1]
 
 
@@ -77,14 +66,9 @@ def fix_delay(
 ) -> DelayRecord:
     """The DelayRecord of the winning candidate of a Fixed verdict at rev.
 
-    Attribution failures degrade to a record with None fields rather than
-    aborting the scan.
+    A failed git query raises GitError.
     """
-    try:
-        true_fix = find_fix_commit(target, cand.path, _blame_span(cand), rev)
-    except AttributionFailed as exc:
-        log.warning("%s: %s", target.name, exc)
-        return DelayRecord(None, None, None)
+    true_fix = find_fix_commit(target, cand.path, _blame_span(cand), rev)
     release = earliest_release(target, true_fix)
     delay = None
     if release is not None and patch_committed_at is not None:

@@ -124,7 +124,7 @@ def blame_lines(
     if proc.returncode != 0:
         err = _decode(proc.stderr)
         if "has only" in err:
-            raise ValueError(f"blame range {start}..{end} out of bounds: {err.strip()}")
+            raise GitError(f"blame range {start}..{end} out of bounds: {err.strip()}")
         if "no such path" in err:
             raise NotFoundError(f"{path} absent at {rev} in {repo.root}")
         raise GitError(f"git blame failed: {err.strip()}")
@@ -143,11 +143,12 @@ def blame_lines(
 
 
 def commit_diff(repo: RepoHandle, sha: str) -> str:
-    """The commit's diff with whole-file context; a merge commit is diffed
-    against its first parent, a root commit against the empty tree."""
+    """The commit's full id on the first line, then a blank line and its
+    diff with whole-file context; a merge commit is diffed against its first
+    parent, a root commit against the empty tree."""
     proc = repo._run(
         ["diff-tree", "--root", "-r", "-p", "-U2147483647", "--no-color",
-         "--format=", "--diff-merges=first-parent", sha]
+         "--format=%H", "--diff-merges=first-parent", sha]
     )
     if proc.returncode != 0:
         raise NotFoundError(

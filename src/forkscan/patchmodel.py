@@ -251,9 +251,11 @@ def _merge_runs(fd: _FileDiff, old_stmts: list[NormalizedLine]) -> list[list[_Ru
 
 
 def load_patch(repo: RepoHandle, sha: str) -> Patch:
-    """The patch of commit sha in repo, read from its whole-file diff."""
+    """The patch of commit sha in repo, read from its whole-file diff: its
+    source_sha is the full commit id, its label sha as given."""
     diff_text = gitio.commit_diff(repo, sha)
-    return Patch(sha, _build_hunks(diff_text), gitio.commit_time(repo, sha), sha)
+    full_sha = diff_text.split("\n", 1)[0]
+    return Patch(full_sha, _build_hunks(diff_text), gitio.commit_time(repo, sha), sha)
 
 
 def parse_patch(diff_text: str) -> Patch:

@@ -55,10 +55,6 @@ class StatementCache:
     def index_by_line(self, path: str) -> dict[int, int]:
         return self._entry(path)[1]
 
-    def between(self, path: str, lo: int, hi: int) -> list[NormalizedLine]:
-        """Meaningful statements with lo <= line_no <= hi."""
-        return [s for s in self.statements(path) if lo <= s.line_no <= hi]
-
 
 @dataclass(frozen=True)
 class KeyStatementMatch:
@@ -103,47 +99,36 @@ def find_key_statements(
 ) -> list[KeyStatementMatch]:
     """Grep the context keywords in the target and keep plausible hits.
 
-    One grep covers every keyword; each hit is then weighed against every
-    keyword it contains, in keyword order. A hit survives when it is a
-    meaningful statement (not a comment), not in test code, in a file of the
-    same class as the patched file, and of the same statement kind as the
-    keyword's source statement (OTHER never filters); survivors need
-    strsim >= KS_THRESHOLD against that source statement. Sorted by
-    descending similarity.
+    One grep covers every keyword. A hit is kept when it is a meaningful
+    statement (not a comment), not in test code, and in a file of the same
+    class as the patched file. Its similarity is the best strsim against the
+    source statements of the keywords its line contains and whose kind
+    agrees with its own (OTHER agrees with every kind); it must reach
+    KS_THRESHOLD. Sorted by descending similarity.
     """
     keywords = ctx.keywords
     if not keywords:
         log.info("no keywords in context; nothing to search")
         return []
     hits = gitio.grep_repo(cache.repo, [kw.keyword for kw in keywords], cache.rev)
-    best: dict[tuple[str, int], KeyStatementMatch] = {}
-    for kw in keywords:
-        for hit in hits:
-            if kw.keyword not in hit.raw_line:
-                continue
-            if is_test_path(hit.path):
-                continue
-            if classify_file(hit.path) != patch_file_class:
-                continue
-            stmt_idx = cache.index_by_line(hit.path).get(hit.line_no)
-            if stmt_idx is None:
-                continue  # comment, bracket-only or blank line
-            stmt = cache.statements(hit.path)[stmt_idx]
-            src_kind = kw.source_line.kind
-            if (
-                src_kind is not StatementKind.OTHER
-                and stmt.kind is not StatementKind.OTHER
-                and stmt.kind is not src_kind
-            ):
-                continue
-            sim = strsim(kw.source_line.norm, stmt.norm)
-            if sim < KS_THRESHOLD:
-                continue
-            key = (hit.path, hit.line_no)
-            prev = best.get(key)
-            if prev is None or sim > prev.sim:
-                best[key] = KeyStatementMatch(stmt=stmt, sim=sim)
-    return sorted(best.values(), key=lambda m: (-m.sim, m.stmt.path, m.stmt.line_no))
+    found: list[KeyStatementMatch] = []
+    for hit in hits:
+        if is_test_path(hit.path) or classify_file(hit.path) != patch_file_class:
+            continue
+        stmt_idx = cache.index_by_line(hit.path).get(hit.line_no)
+        if stmt_idx is None:
+            continue  # comment, bracket-only or blank line
+        stmt = cache.statements(hit.path)[stmt_idx]
+        kinds = (stmt.kind, StatementKind.OTHER)
+        sim = max(
+            (strsim(kw.source_line.norm, stmt.norm) for kw in keywords
+             if kw.keyword in hit.raw_line
+             and (kw.source_line.kind in kinds or stmt.kind is StatementKind.OTHER)),
+            default=0.0,
+        )
+        if sim >= KS_THRESHOLD:
+            found.append(KeyStatementMatch(stmt=stmt, sim=sim))
+    return sorted(found, key=lambda m: (-m.sim, m.stmt.path, m.stmt.line_no))
 
 
 def expand_boundary(
@@ -205,8 +190,9 @@ def finalize_contexts(
         if (path, ss_line, es_line) in seen_spans:
             continue
         seen_spans.add((path, ss_line, es_line))
-        stmts = cache.between(path, ss_line, es_line)
-        sim = fragment_similarity(patch_norms, [s.norm for s in stmts], params)
+        stmts, idx = cache.statements(path), cache.index_by_line(path)
+        region = stmts[idx[ss_line]:idx[es_line] + 1]
+        sim = fragment_similarity(patch_norms, [s.norm for s in region], params)
         if sim < params.t:
             continue
         scored.append(CandidateContext(path, ss_line, es_line, sim))
@@ -238,19 +224,16 @@ def fetch_candidate_code(
     empty. With one context it is the patch_code_len statements directly
     below (UP) or above (DOWN). At least one context is given.
     """
-    if up is not None and down is not None:
-        stmts = cache.between(up.path, up.es_line + 1, down.ss_line - 1)
-        empty_at = up.es_line + 1
-    elif up is not None:
-        after = [s for s in cache.statements(up.path) if s.line_no > up.es_line]
-        stmts = after[:patch_code_len]
-        empty_at = up.es_line + 1
-    else:
-        before = [s for s in cache.statements(down.path) if s.line_no < down.ss_line]
-        stmts = before[-patch_code_len:]
-        empty_at = down.ss_line
-    span = (stmts[0].line_no, stmts[-1].line_no) if stmts else (empty_at, empty_at - 1)
     path = up.path if up is not None else down.path
+    all_stmts, idx = cache.statements(path), cache.index_by_line(path)
+    if up is not None:
+        lo, empty_at = idx[up.es_line] + 1, up.es_line + 1
+        hi = idx[down.ss_line] if down is not None else lo + patch_code_len
+    else:
+        hi, empty_at = idx[down.ss_line], down.ss_line
+        lo = max(0, hi - patch_code_len)
+    stmts = all_stmts[lo:hi]
+    span = (stmts[0].line_no, stmts[-1].line_no) if stmts else (empty_at, empty_at - 1)
     return CandidateCode(path, stmts, span, paired_up=up, paired_down=down)
 
 
@@ -262,32 +245,37 @@ class SearchOutcome:
 
 
 def _pair_contexts(
+    cache: StatementCache,
     ups: list[CandidateContext],
     downs: list[CandidateContext],
     max_gap: int,
-    cache: StatementCache,
-) -> list[tuple[CandidateContext, CandidateContext]]:
-    """Greedy smallest-gap pairing of UP and DOWN contexts per file."""
-    compat: list[tuple[int, str, int, int, CandidateContext, CandidateContext]] = []
-    for up in ups:
-        for down in downs:
+) -> list[tuple[CandidateContext | None, CandidateContext | None]]:
+    """The (UP, DOWN) contexts of every candidate, in candidate order.
+
+    Pairs come first: per file, greedily by smallest gap (the statements
+    strictly between UP and a DOWN below it, at most max_gap), ties broken
+    by (path, UP end, DOWN start) and then input order. Each unpaired UP
+    follows as (up, None) in input order, then each unpaired DOWN as
+    (None, down).
+    """
+    compat: list[tuple[int, str, int, int, int, int]] = []
+    for i, up in enumerate(ups):
+        idx = cache.index_by_line(up.path)
+        for j, down in enumerate(downs):
             if down.path != up.path or down.ss_line <= up.es_line:
                 continue
-            gap = len(cache.between(up.path, up.es_line + 1, down.ss_line - 1))
-            if gap > max_gap:
-                continue
-            compat.append((gap, up.path, up.es_line, down.ss_line, up, down))
-    compat.sort(key=lambda x: x[:4])
-    pairs: list[tuple[CandidateContext, CandidateContext]] = []
-    used_up: set[int] = set()
-    used_down: set[int] = set()
-    for gap, _, _, _, up, down in compat:
-        if id(up) in used_up or id(down) in used_down:
-            continue
-        pairs.append((up, down))
-        used_up.add(id(up))
-        used_down.add(id(down))
-    return pairs
+            gap = idx[down.ss_line] - idx[up.es_line] - 1
+            if gap <= max_gap:
+                compat.append((gap, up.path, up.es_line, down.ss_line, i, j))
+    free_ups, free_downs = set(range(len(ups))), set(range(len(downs)))
+    pairs: list[tuple[CandidateContext | None, CandidateContext | None]] = []
+    for *_, i, j in sorted(compat):
+        if i in free_ups and j in free_downs:
+            pairs.append((ups[i], downs[j]))
+            free_ups.remove(i)
+            free_downs.remove(j)
+    pairs += [(ups[i], None) for i in sorted(free_ups)]
+    return pairs + [(None, downs[j]) for j in sorted(free_downs)]
 
 
 def collect_candidates(
@@ -306,28 +294,14 @@ def collect_candidates(
                 boundaries.append((ks.stmt.path, span))
         return finalize_contexts(cache, boundaries, ctx, params)
 
-    ups = located(hunk.up_ctx)
-    downs = located(hunk.down_ctx)
     max_gap = max(3 * hunk.code_len, 20)
-    pairs = _pair_contexts(ups, downs, max_gap, cache)
-    paired_up = {id(u) for u, _ in pairs}
-    paired_down = {id(d) for _, d in pairs}
-
-    candidates = [
-        fetch_candidate_code(cache, up, down, hunk.code_len) for up, down in pairs
-    ]
-    candidates += [
-        fetch_candidate_code(cache, up, None, hunk.code_len)
-        for up in ups if id(up) not in paired_up
-    ]
-    candidates += [
-        fetch_candidate_code(cache, None, down, hunk.code_len)
-        for down in downs if id(down) not in paired_down
-    ]
-
+    contexts = _pair_contexts(
+        cache, located(hunk.up_ctx), located(hunk.down_ctx), max_gap
+    )
     # Paired candidates come first, so the first at a span has the most contexts.
     unique: dict[tuple[str, int, int], CandidateCode] = {}
-    for cand in candidates:
+    for up, down in contexts:
+        cand = fetch_candidate_code(cache, up, down, hunk.code_len)
         unique.setdefault((cand.path, *cand.span), cand)
     ordered = sorted(unique.values(), key=lambda c: (c.path, c.span))
     return SearchOutcome(candidates=ordered)

@@ -549,6 +549,17 @@ class TestScanFailureNotes:
         assert rows["cleanfork"]["note"] == ""
         assert not (tmp_path / "delay_cdf.csv").exists()
 
+    def test_blame_failure_notes_fixed_row(self, world, tmp_path, monkeypatch):
+        # git blame itself fails: the region lies past the file's end.
+        monkeypatch.setattr(forkscan.delay, "_blame_span", lambda cand: (9000, 9001))
+        out = tmp_path / "report.json"
+        assert _detect(world, [world.fixed], out) == 0
+
+        (fixed,) = _rows(out)
+        assert fixed["status"] == "Fixed"
+        assert fixed["note"].startswith("delay: blame range 9000..9001 out of bounds")
+        assert fixed["delay"] is None
+
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -783,6 +794,13 @@ class TestDetectErrors:
         assert f"two patches are labelled {world.patch_sha}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_one_commit_given_twice_exits_2(self, world, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        short = world.patch_sha[:10]
+        assert _detect(world, [world.vuln], out, ["--patch", short]) == 2
+        assert f"two patches are commit {world.patch_sha}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_patch_files_sharing_a_name_exit_2(self, world, tmp_path, capsys):
         diff_text = run_git(
             world.src, "diff", "-U5", f"{world.patch_sha}^", world.patch_sha
@@ -799,14 +817,18 @@ class TestDetectErrors:
         assert "two patches are labelled fix.diff" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_out_is_a_directory_exits_2(self, world, tmp_path, capsys):
-        # A scan whose only row is Fixed would exit 0; the write fails.
+    def test_out_is_a_directory_exits_2(self, world, tmp_path, capsys, monkeypatch):
+        # A scan whose only row is Fixed would exit 0; no patch is even loaded.
+        loaded = []
+        monkeypatch.setattr(forkscan.patchmodel, "load_patch",
+                            lambda repo, sha: loaded.append(sha))
         out = tmp_path / "taken"
         out.mkdir()
         assert _detect(world, [world.fixed], out) == 2
         err = capsys.readouterr().err
         assert f"error: cannot write {out}:" in err
         assert "Traceback" not in err
+        assert loaded == []
 
     def test_jobs_other_than_one_exits_2(self, world, tmp_path, capsys):
         # Scans run on one thread; `--jobs 1` is still accepted.

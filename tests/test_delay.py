@@ -6,13 +6,12 @@ import pytest
 
 from conftest import TABLE_FILE, commit_all, init_repo, run_git, write_files
 from forkscan.delay import (
-    AttributionFailed,
     earliest_release,
     find_fix_commit,
     fix_delay,
     patch_delay,
 )
-from forkscan.gitio import RepoHandle, blame_lines
+from forkscan.gitio import GitError, NotFoundError, RepoHandle, blame_lines
 from forkscan.report import DelayRecord
 from forkscan.search import CandidateCode, CandidateContext
 
@@ -38,11 +37,11 @@ class TestFindFixCommit:
         assert find_fix_commit(repo, TABLE_FILE, (205, 205), "HEAD") == c_tweak
 
     def test_missing_path_raises(self, table_repo):
-        with pytest.raises(AttributionFailed):
+        with pytest.raises(NotFoundError):
             find_fix_commit(RepoHandle(table_repo[0]), "src/nope.cpp", (1, 2), "HEAD")
 
     def test_out_of_range_raises(self, table_repo):
-        with pytest.raises(AttributionFailed):
+        with pytest.raises(GitError, match="out of bounds"):
             find_fix_commit(
                 RepoHandle(table_repo[0]), TABLE_FILE, (5000, 5001), "HEAD"
             )
@@ -165,14 +164,13 @@ class TestFixDelay:
         )
         assert record.true_fix == c_tweak
 
-    def test_attribution_failure_degrades(self, table_repo):
-        record = fix_delay(
-            RepoHandle(table_repo[0]), "HEAD", self.PATCH_DATE,
-            self._candidate((9000, 9001)),
-        )
-        assert record is not None
-        assert record.true_fix is None
-        assert record.release is None and record.delay_days is None
+    def test_blame_failure_raises_git_error(self, table_repo):
+        # The scan notes the error in the row (test_cli TestScanFailureNotes).
+        with pytest.raises(GitError, match="out of bounds"):
+            fix_delay(
+                RepoHandle(table_repo[0]), "HEAD", self.PATCH_DATE,
+                self._candidate((9000, 9001)),
+            )
 
     def test_unreleased_fix_has_no_delay(self, tmp_path):
         root = init_repo(tmp_path / "nofix")

@@ -212,7 +212,7 @@ class TestBlame:
 
     def test_out_of_bounds_range(self, table_repo):
         repo = RepoHandle(table_repo[0])
-        with pytest.raises(ValueError):
+        with pytest.raises(GitError, match="out of bounds"):
             blame_lines(repo, "HEAD", TABLE_FILE, 5000, 5004)
 
     def test_missing_path(self, table_repo):
@@ -228,6 +228,7 @@ class TestCommitDiff:
         old = read_file_at(repo, f"{c_rewrite}^", TABLE_FILE)
         new = read_file_at(repo, c_rewrite, TABLE_FILE)
         lines = commit_diff(repo, c_rewrite).split("\n")
+        assert lines[:2] == [c_rewrite, ""]
         header = f"@@ -1,{len(old)} +1,{len(new)} @@"
         assert [line for line in lines if line.startswith("@@")] == [header]
         body = lines[lines.index(header) + 1:]

@@ -276,6 +276,13 @@ class TestParseUnifiedDiff:
 
 
 class TestParsePatchFromRepo:
+    def test_short_sha_resolves_to_full_id(self, guard_repo):
+        repo, shas = guard_repo
+        patch = load_patch(repo, shas["cha"][:10])
+        assert patch.source_sha == shas["cha"]
+        assert patch.label == shas["cha"][:10]
+        assert [h.ptype for h in patch.hunks] == [PatchType.CHA]
+
     def test_cha_commit(self, guard_repo):
         repo, shas = guard_repo
         patch = load_patch(repo, shas["cha"])

@@ -163,16 +163,16 @@ class TestStatementCache:
             s.line_no: i for i, s in enumerate(direct)
         }
 
-    def test_between_is_inclusive(self, fig_repo):
+    def test_index_slices_statement_lines(self, fig_repo):
         cache = _cache(fig_repo)
-        got = cache.between("src/init.cpp", 3, 5)
-        assert [s.line_no for s in got] == [3, 4, 5]
-        assert cache.between("src/init.cpp", 13, 13) == []  # comment line
+        stmts, idx = cache.statements("src/init.cpp"), cache.index_by_line("src/init.cpp")
+        assert [s.line_no for s in stmts[idx[3]:idx[5] + 1]] == [3, 4, 5]
+        assert 13 not in idx  # comment line
 
     def test_missing_file_is_empty(self, fig_repo):
         cache = _cache(fig_repo)
         assert cache.statements("src/absent.cpp") == []
-        assert cache.between("src/absent.cpp", 1, 10) == []
+        assert cache.index_by_line("src/absent.cpp") == {}
 
     def test_revision_pinning(self, tmp_path):
         root = init_repo(tmp_path / "pin")
@@ -183,6 +183,11 @@ class TestStatementCache:
         repo = RepoHandle(root)
         assert StatementCache(repo, rev=old).statements("a.cpp")[0].norm == "int a = 1;"
         assert _cache(repo).statements("a.cpp")[0].norm == "int a = 2;"
+
+
+def _stmts_in(repo: RepoHandle, path: str, lo: int, hi: int) -> list:
+    """The file's statements with lo <= line_no <= hi, by direct scan."""
+    return [s for s in _cache(repo).statements(path) if lo <= s.line_no <= hi]
 
 
 def _brute_force_keys(repo: RepoHandle, ctx: PatchContext) -> dict:
@@ -330,7 +335,7 @@ class TestFinalizeContexts:
         assert len(kept) == 1
         c = kept[0]
         assert (c.path, c.ss_line, c.es_line) == ("src/init.cpp", 3, 5)
-        stmts = _cache(fig_repo).between(c.path, c.ss_line, c.es_line)
+        stmts = _stmts_in(fig_repo, c.path, c.ss_line, c.es_line)
         assert [s.line_no for s in stmts] == [3, 4, 5]
         expected = oracle_fragment_similarity(
             UP_NORMS, [s.norm for s in stmts], PARAMS.r
@@ -344,7 +349,7 @@ class TestFinalizeContexts:
             _cache(fig_repo), [("src/init.cpp", (8, 12))], ctx, PARAMS
         )
         assert kept == []
-        stmts = _cache(fig_repo).between("src/init.cpp", 8, 12)
+        stmts = _stmts_in(fig_repo, "src/init.cpp", 8, 12)
         assert oracle_fragment_similarity(
             UP_NORMS, [s.norm for s in stmts], PARAMS.r
         ) < PARAMS.t
@@ -412,6 +417,26 @@ class TestFetchCandidateCode:
         assert cand.stmts == [] and cand.span == (1, 0)
 
 
+class TestPairContexts:
+    def test_candidate_order(self, fig_repo):
+        # gap(UP ending at e, DOWN starting at s) = s - e - 1: every line of
+        # src/init.cpp up to 12 is a statement.
+        u0, u1 = _ctx("src/init.cpp", 8, 8), _ctx("src/init.cpp", 1, 4)
+        u2, u3 = _ctx("src/init.cpp", 3, 5), _ctx("src/init.cpp", 4, 5)
+        d0, d1 = _ctx("src/init.cpp", 12, 12), _ctx("src/init.cpp", 10, 11)
+        d2, d3 = _ctx("src/init.cpp", 7, 9), _ctx("src/other.cpp", 1, 2)
+        got = search._pair_contexts(
+            _cache(fig_repo), [u0, u1, u2, u3], [d0, d1, d2, d3], 5
+        )
+        # u2-d2 and u0-d1 tie at gap 1, and u2 ends first. u2 and u3 tie on
+        # (gap, path, end, start) for d2, and u2 comes first in the input.
+        # u1 loses d2 to u2 and is over max_gap to d0 (gap 7); u3 loses d1
+        # to u0 and is over max_gap to d0 (gap 6). d3 is in another file.
+        assert got == [
+            (u2, d2), (u0, d1), (u1, None), (u3, None), (None, d0), (None, d3),
+        ]
+
+
 class TestCollectCandidates:
     def test_end_to_end_single_clone(self, fig_repo):
         out = collect_candidates(_cache(fig_repo), make_hunk(UP_NORMS, DOWN_NORMS), PARAMS)
@@ -420,7 +445,7 @@ class TestCollectCandidates:
         up, down = cand.paired_up, cand.paired_down
         assert (up.path, up.ss_line, up.es_line) == ("src/init.cpp", 3, 5)
         assert (down.path, down.ss_line, down.es_line) == ("src/init.cpp", 7, 11)
-        up_stmts = _cache(fig_repo).between(up.path, up.ss_line, up.es_line)
+        up_stmts = _stmts_in(fig_repo, up.path, up.ss_line, up.es_line)
         assert up.ctx_sim == pytest.approx(
             oracle_fragment_similarity(UP_NORMS, [s.norm for s in up_stmts], PARAMS.r),
             abs=1e-12,
