@@ -88,8 +88,12 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     for p in [args.source, *args.patch_file, *(t[0] for t in targets)]:
         if not Path(p).exists():
             raise ConfigError(f"path does not exist: {p}")
-    if Path(args.out).is_dir():
+    out = Path(args.out)
+    if out.is_dir():
         raise ConfigError(f"cannot write {args.out}: it is a directory")
+    ancestor = next(p for p in out.parents if p.exists())
+    if not ancestor.is_dir():
+        raise ConfigError(f"cannot write {args.out}: {ancestor} is not a directory")
 
     return RunConfig(
         source=args.source,

@@ -38,7 +38,13 @@ class SimilarityParams:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Character-level edit distance (insert/delete/substitute, unit cost)."""
+    """Character-level edit distance (insert/delete/substitute, unit cost).
+
+    Exact, by the bit-parallel algorithm of Myers (J. ACM 46(3), 1999) in
+    Hyyrö's edit-distance form (2003): the vertical deltas of one DP column
+    over the shorter string are two Python ints, updated once per character
+    of the longer string.
+    """
     if a == b:
         return 0
     # Trim common prefix/suffix; cheap and frequent on near-identical lines.
@@ -50,32 +56,48 @@ def levenshtein(a: str, b: str) -> int:
         hi_a -= 1
         hi_b -= 1
     a, b = a[lo:hi_a], b[lo:hi_b]
+    if len(a) > len(b):
+        a, b = b, a
     if not a:
         return len(b)
-    if not b:
-        return len(a)
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        append = cur.append
-        left = i
-        for j, cb in enumerate(b, 1):
-            if ca == cb:
-                left = prev[j - 1]
-            else:
-                left = min(prev[j - 1], prev[j], left) + 1
-            append(left)
-        prev = cur
-    return prev[-1]
+    # peq[c]: bit i set where a[i] == c.
+    peq: dict[str, int] = {}
+    bit = 1
+    for c in a:
+        peq[c] = peq.get(c, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    pv, mv = mask, 0  # +1 / -1 vertical deltas; column 0 is 0..len(a)
+    dist = len(a)
+    for c in b:
+        # d0: zero diagonal deltas; ph / mh: +1 / -1 horizontal deltas.
+        eq = peq.get(c, 0)
+        d0 = (((eq & pv) + pv) ^ pv) | eq | mv
+        ph = mv | ~(d0 | pv)
+        mh = pv & d0
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        ph = (ph << 1) | 1  # row 0 grows by one per column
+        pv = ((mh << 1) | ~(d0 | ph)) & mask
+        mv = ph & d0
+    return dist
+
+
+# Per-run memo of strsim: each scan is its own process, and near-clone
+# targets ask for the same line pairs many times.
+_STRSIM_MEMO: dict[tuple[str, str], float] = {}
 
 
 def strsim(a: str, b: str) -> float:
     """Normalized edit similarity: 1 - distance / max length, in [0, 1]."""
-    if not a and not b:
-        return 1.0
-    return 1.0 - levenshtein(a, b) / max(len(a), len(b))
+    sim = _STRSIM_MEMO.get((a, b))
+    if sim is None:
+        sim = 1.0 - levenshtein(a, b) / max(len(a), len(b)) if a or b else 1.0
+        _STRSIM_MEMO[a, b] = sim
+    return sim
 
 
 def fragment_similarity(

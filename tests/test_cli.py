@@ -830,6 +830,23 @@ class TestDetectErrors:
         assert "Traceback" not in err
         assert loaded == []
 
+    @pytest.mark.parametrize("below", ["report.json", "sub/dir/report.json"])
+    def test_out_below_a_file_exits_2(self, world, tmp_path, capsys, monkeypatch, below):
+        # The nearest existing ancestor of --out is a regular file: no
+        # directory can be made there, so the scan is refused before it starts.
+        loaded = []
+        monkeypatch.setattr(forkscan.patchmodel, "load_patch",
+                            lambda repo, sha: loaded.append(sha))
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n", encoding="utf-8")
+        out = afile / below
+        assert _detect(world, [world.fixed], out) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out}: {afile} is not a directory" in err
+        assert "Traceback" not in err
+        assert loaded == []
+        assert afile.read_text(encoding="utf-8") == "keep\n"
+
     def test_jobs_other_than_one_exits_2(self, world, tmp_path, capsys):
         # Scans run on one thread; `--jobs 1` is still accepted.
         assert _detect(world, [world.vuln], tmp_path / "one.json", ["--jobs", "1"]) == 1

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from forkscan import simcore
 from forkscan.simcore import (
     KS_THRESHOLD,
     EmptyFragmentError,
@@ -18,10 +19,35 @@ from forkscan.simcore import (
 from conftest import oracle_fragment_similarity, oracle_levenshtein, oracle_strsim
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789(){};=_ ."
+# Small alphabets make long runs of matches, so carries ripple far through
+# the bit vectors; the last one holds non-ASCII and astral characters.
+NARROW_ALPHABETS = ["ab", "abc", "abcd", "aé中😀"]
+# Lengths either side of one and two 64-bit words.
+WORD_EDGES = [0, 1, 2, 62, 63, 64, 65, 66, 126, 127, 128, 129, 130, 200]
+
+
+def text(rng: random.Random, alphabet: str, length: int) -> str:
+    return "".join(rng.choice(alphabet) for _ in range(length))
 
 
 def rand_string(rng: random.Random, max_len: int) -> str:
-    return "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, max_len)))
+    return text(rng, ALPHABET, rng.randint(0, max_len))
+
+
+def mutate(rng: random.Random, s: str, alphabet: str, edits: int) -> str:
+    """s after `edits` random single-character insertions, deletions or
+    substitutions."""
+    chars = list(s)
+    for _ in range(edits):
+        op = rng.choice("ids") if chars else "i"
+        pos = rng.randrange(len(chars) + (op == "i"))
+        if op == "i":
+            chars.insert(pos, rng.choice(alphabet))
+        elif op == "d":
+            del chars[pos]
+        else:
+            chars[pos] = rng.choice(alphabet)
+    return "".join(chars)
 
 
 def rand_fragment(rng: random.Random, max_lines: int = 8, max_len: int = 40) -> list[str]:
@@ -43,6 +69,50 @@ class TestLevenshtein:
             a = rand_string(rng, 60)
             b = rand_string(rng, 60)
             assert levenshtein(a, b) == oracle_levenshtein(a, b)
+
+    @pytest.mark.parametrize("alphabet", NARROW_ALPHABETS)
+    def test_narrow_alphabets_match_oracle(self, alphabet):
+        rng = random.Random(1011)
+        for _ in range(30):
+            a = text(rng, alphabet, rng.randint(0, 150))
+            b = text(rng, alphabet, rng.randint(0, 150))
+            expected = oracle_levenshtein(a, b)
+            assert levenshtein(a, b) == expected
+            assert levenshtein(b, a) == expected
+
+    def test_word_edge_lengths_match_oracle(self):
+        # The bit vectors span the shorter string, so its length is the one
+        # that straddles the word edges.
+        rng = random.Random(1012)
+        for alphabet in NARROW_ALPHABETS:
+            for len_a in WORD_EDGES:
+                for len_b in (len_a, len_a + rng.randint(1, 3)):
+                    a = text(rng, alphabet, len_a)
+                    b = text(rng, alphabet, len_b)
+                    expected = oracle_levenshtein(a, b)
+                    assert levenshtein(a, b) == expected, (alphabet, len_a, len_b)
+                    assert levenshtein(b, a) == expected, (alphabet, len_a, len_b)
+
+    def test_near_identical_pairs_match_oracle(self):
+        # One string and a copy with 1-5 edits: most of it is trimmed or
+        # matched, and the distance is small.
+        rng = random.Random(1013)
+        for alphabet in [*NARROW_ALPHABETS, ALPHABET]:
+            for length in WORD_EDGES:
+                a = text(rng, alphabet, length)
+                edits = rng.randint(1, 5)
+                b = mutate(rng, a, alphabet, edits)
+                expected = oracle_levenshtein(a, b)
+                assert expected <= edits
+                assert levenshtein(a, b) == expected
+                assert levenshtein(b, a) == expected
+
+    def test_non_ascii_known_distances(self):
+        assert levenshtein("é", "e") == 1
+        assert levenshtein("中文", "文中") == 2
+        assert levenshtein("a😀b", "ab") == 1
+        # No common prefix or suffix to trim, and longer than one 64-bit word.
+        assert levenshtein("é" + "😀中" * 40, "😀中" * 40 + "é") == 2
 
     def test_symmetry_and_triangle(self):
         rng = random.Random(1002)
@@ -69,6 +139,24 @@ class TestStrsim:
             a = rand_string(rng, 50)
             b = rand_string(rng, 50)
             assert strsim(a, b) == pytest.approx(oracle_strsim(a, b), abs=0)
+
+    def test_repeated_call_is_memoized_and_exact(self):
+        rng = random.Random(1014)
+        for _ in range(100):
+            a = rand_string(rng, 80)
+            b = mutate(rng, a, ALPHABET, rng.randint(0, 5))
+            first = strsim(a, b)
+            assert first == oracle_strsim(a, b)
+            assert strsim(a, b) == first
+            assert simcore._STRSIM_MEMO[(a, b)] == first
+
+    def test_argument_order_does_not_matter(self):
+        rng = random.Random(1015)
+        for alphabet in [*NARROW_ALPHABETS, ALPHABET]:
+            for _ in range(20):
+                a = text(rng, alphabet, rng.randint(0, 130))
+                b = text(rng, alphabet, rng.randint(0, 130))
+                assert strsim(a, b) == strsim(b, a) == oracle_strsim(a, b)
 
     def test_bounds(self):
         rng = random.Random(1004)
@@ -140,6 +228,21 @@ class TestFragmentSimilarity:
         for _ in range(100):
             src = rand_fragment(rng)
             tgt = rand_fragment(rng)
+            assert fragment_similarity(src, tgt, params) == pytest.approx(
+                oracle_fragment_similarity(src, tgt, params.r), abs=1e-12
+            )
+
+    def test_warm_memo_matches_oracle(self):
+        rng = random.Random(1016)
+        params = SimilarityParams()
+        for _ in range(30):
+            src = rand_fragment(rng)
+            tgt = [mutate(rng, line, ALPHABET, rng.randint(0, 3)) for line in src]
+            rng.shuffle(tgt)
+            for s_line in src:
+                for t_line in tgt:
+                    strsim(s_line, t_line)
+            assert all((s_line, tgt[0]) in simcore._STRSIM_MEMO for s_line in src)
             assert fragment_similarity(src, tgt, params) == pytest.approx(
                 oracle_fragment_similarity(src, tgt, params.r), abs=1e-12
             )
