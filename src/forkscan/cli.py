@@ -125,12 +125,13 @@ def _unique_names(targets: list[tuple[str, str]]) -> list[str]:
     ]
 
 
-def _open_targets(config: RunConfig) -> list[_TargetCtx]:
+def _open_targets(config: RunConfig, keywords: frozenset[str]) -> list[_TargetCtx]:
+    """One context per target; its cache greps keywords in one go."""
     ctxs: list[_TargetCtx] = []
     for name, (path, rev) in zip(_unique_names(config.targets), config.targets):
         ctx = _TargetCtx(name=name, path=path, rev=rev)
         try:
-            ctx.cache = search.StatementCache(RepoHandle(path), rev)
+            ctx.cache = search.StatementCache(RepoHandle(path), rev, keywords)
         except gitio.GitError as exc:
             ctx.error = str(exc)
             log.warning("target %s unusable: %s", path, exc)
@@ -168,7 +169,12 @@ def _scan_one_hunk(ctx: _TargetCtx, hunk, config: RunConfig):
 def run_detect(config: RunConfig) -> tuple[int, ScanReport]:
     """Execute the full pipeline and write the report files."""
     patches = _load_patches(config)
-    targets = _open_targets(config)
+    keywords = frozenset(
+        kw.keyword
+        for patch in patches for hunk in patch.hunks
+        for ctx in (hunk.up_ctx, hunk.down_ctx) for kw in ctx.keywords
+    )
+    targets = _open_targets(config, keywords)
 
     rows: list[ResultRow] = []
     for patch in patches:

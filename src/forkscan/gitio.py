@@ -1,9 +1,10 @@
 """Thin adapter over local git repositories.
 
 Exactly the queries the scan pipeline needs, one git call each: a grep for
-any of several substrings, file content, and line blame with commit times at
-a revision, a commit's diff, commit timestamps, and the dated tags that
-contain a commit.
+any of several substrings (a scan greps each target once, for every
+patch's context keywords), file content, and line blame with commit times
+at a revision, a commit's diff headed by its id and committer time, commit
+timestamps, and the dated tags that contain a commit.
 Every query takes the revision or commit it reads; a handle holds none.
 """
 
@@ -143,12 +144,13 @@ def blame_lines(
 
 
 def commit_diff(repo: RepoHandle, sha: str) -> str:
-    """The commit's full id on the first line, then a blank line and its
-    diff with whole-file context; a merge commit is diffed against its first
-    parent, a root commit against the empty tree."""
+    """The commit's full id and committer time (strict ISO 8601) on the
+    first line, then a blank line and its diff with whole-file context; a
+    merge commit is diffed against its first parent, a root commit against
+    the empty tree."""
     proc = repo._run(
         ["diff-tree", "--root", "-r", "-p", "-U2147483647", "--no-color",
-         "--format=%H", "--diff-merges=first-parent", sha]
+         "--format=%H %cI", "--diff-merges=first-parent", sha]
     )
     if proc.returncode != 0:
         raise NotFoundError(

@@ -2,8 +2,9 @@
 plus the surrounding UP/DOWN contexts that drive the candidate search.
 
 Every patch is read as diff text: a commit (`load_patch`) as its diff with
-whole-file context, a `--patch-file` (`parse_patch`) as given. The diff's
-own lines are the only statement source: each git hunk's old-side and
+whole-file context, in one git call whose header line carries the commit's
+id and committer time, and a `--patch-file` (`parse_patch`) as given. The
+diff's own lines are the only statement source: each git hunk's old-side and
 new-side lines are extracted as one fragment each, so a commit's fragments
 are its whole files. Each git hunk splits into change runs (maximal
 stretches of -/+ lines), and adjacent runs merge when fewer than
@@ -22,7 +23,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timezone
 from enum import Enum
 
 from . import gitio
@@ -252,10 +253,13 @@ def _merge_runs(fd: _FileDiff, old_stmts: list[NormalizedLine]) -> list[list[_Ru
 
 def load_patch(repo: RepoHandle, sha: str) -> Patch:
     """The patch of commit sha in repo, read from its whole-file diff: its
-    source_sha is the full commit id, its label sha as given."""
+    source_sha is the full commit id and committed_at the committer time in
+    UTC, both from the diff's header line; its label is sha as given."""
     diff_text = gitio.commit_diff(repo, sha)
-    full_sha = diff_text.split("\n", 1)[0]
-    return Patch(full_sha, _build_hunks(diff_text), gitio.commit_time(repo, sha), sha)
+    hunks = _build_hunks(diff_text)  # a commit without a diff has no header
+    full_sha, _, stamp = diff_text.split("\n", 1)[0].partition(" ")
+    committed_at = datetime.fromisoformat(stamp).astimezone(timezone.utc)
+    return Patch(full_sha, hunks, committed_at, sha)
 
 
 def parse_patch(diff_text: str) -> Patch:

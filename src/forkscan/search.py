@@ -1,12 +1,14 @@
 """Locate candidate clones of a patch region inside a target repository.
 
-Keywords extracted from the patch context are grepped in the target; hits
-that survive the comment/test/file-class/statement-kind filters become key
-statements (the file class compared is the hunk's). Each key statement
-expands to a boundary-delimited candidate context, contexts are kept when
-their fragment similarity to the patch context passes the decision
-threshold, UP and DOWN contexts are paired, and the statements between (or
-adjacent to) them become candidate code.
+Keywords extracted from the patch context are grepped in the target, in
+one git grep per target over every patch's context keywords, and each
+context reads the hits of its own keywords. Hits that survive the
+comment/test/file-class/statement-kind filters become key statements (the
+file class compared is the hunk's). Each key statement expands to a
+boundary-delimited candidate context, contexts are kept when their
+fragment similarity to the patch context passes the decision threshold, UP
+and DOWN contexts are paired, and the statements between (or adjacent to)
+them become candidate code.
 """
 
 from __future__ import annotations
@@ -30,12 +32,38 @@ MAX_CANDIDATES = 10
 
 
 class StatementCache:
-    """Memoized per-file statement extraction for one (repository, revision)."""
+    """Memoized keyword grep and per-file statement extraction for one
+    (repository, revision).
 
-    def __init__(self, repo: RepoHandle, rev: str):
+    keywords are grepped together by the first grep the cache runs, so a
+    scan that seeds the cache with every context keyword of its patches
+    greps the target once.
+    """
+
+    def __init__(
+        self, repo: RepoHandle, rev: str, keywords: frozenset[str] = frozenset()
+    ):
         self.repo = repo
         self.rev = rev
+        self._keywords = keywords
+        self._hits: dict[str, list[gitio.GrepHit]] = {}
         self._entries: dict[str, tuple[list[NormalizedLine], dict[int, int]]] = {}
+
+    def grep(self, keywords: list[str]) -> list[gitio.GrepHit]:
+        """Every line at the revision containing any of keywords, ordered by
+        (path, line).
+
+        A keyword not grepped yet is grepped together with every seeded
+        keyword not grepped yet, in one git call whose hits are filed under
+        each keyword their line contains; a failed grep files nothing.
+        """
+        if any(kw not in self._hits for kw in keywords):
+            todo = sorted(self._keywords.union(keywords) - self._hits.keys())
+            hits = gitio.grep_repo(self.repo, todo, self.rev)
+            for kw in todo:
+                self._hits[kw] = [h for h in hits if kw in h.raw_line]
+        merged = {(h.path, h.line_no): h for kw in keywords for h in self._hits[kw]}
+        return [merged[key] for key in sorted(merged)]
 
     def _entry(self, path: str) -> tuple[list[NormalizedLine], dict[int, int]]:
         entry = self._entries.get(path)
@@ -99,9 +127,10 @@ def find_key_statements(
 ) -> list[KeyStatementMatch]:
     """Grep the context keywords in the target and keep plausible hits.
 
-    One grep covers every keyword. A hit is kept when it is a meaningful
-    statement (not a comment), not in test code, and in a file of the same
-    class as the patched file. Its similarity is the best strsim against the
+    The hits are the lines holding any of the keywords, read from the
+    cache's grep. A hit is kept when it is a meaningful statement (not a
+    comment), not in test code, and in a file of the same class as the
+    patched file. Its similarity is the best strsim against the
     source statements of the keywords its line contains and whose kind
     agrees with its own (OTHER agrees with every kind); it must reach
     KS_THRESHOLD. Sorted by descending similarity.
@@ -110,7 +139,7 @@ def find_key_statements(
     if not keywords:
         log.info("no keywords in context; nothing to search")
         return []
-    hits = gitio.grep_repo(cache.repo, [kw.keyword for kw in keywords], cache.rev)
+    hits = cache.grep([kw.keyword for kw in keywords])
     found: list[KeyStatementMatch] = []
     for hit in hits:
         if is_test_path(hit.path) or classify_file(hit.path) != patch_file_class:

@@ -561,6 +561,133 @@ class TestScanFailureNotes:
         assert fixed["delay"] is None
 
 
+def _net_cpp(middle: str) -> str:
+    lines = [
+        '#include "net.h"',
+        "",
+        "void CConnman::ThreadSocketHandler()",
+        "{",
+        "    int nInbound = CountInboundPeers();",
+        "    std::vector<CNode*> vNodesCopy = GetNodesCopy();",
+        "    LOCK(cs_vNodesDisconnected);",
+        "    " + middle,
+        "    size_t nSendSize = pnode->nSendSize;",
+        '    LogPrint(BCLog::NET, "socket handler done\\n");',
+        "    ReleaseNodeVector(vNodesCopy);",
+        "}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _wallet_cpp(middle: str) -> str:
+    lines = [
+        '#include "wallet.h"',
+        "",
+        "bool CWallet::CommitTransaction(CTransactionRef tx)",
+        "{",
+        "    LOCK2(cs_main, cs_wallet);",
+        '    WalletLogPrintf("CommitTransaction:\\n%s", tx->ToString());',
+        "    CWalletTx wtxNew(this, std::move(tx));",
+        "    " + middle,
+        "    AddToWallet(wtxNew);",
+        "    NotifyTransactionChanged(this, wtxNew.GetHash(), CT_NEW);",
+        "    return true;",
+        "}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+THREE_FIXES = [
+    ("src/validation.cpp", _validation_cpp, VULN_LINE, FIXED_LINE),
+    ("src/net.cpp", _net_cpp,
+     "if (nInbound > nMaxInbound) return;",
+     "if (nInbound >= nMaxInbound) { DisconnectExcessInbound(); return; }"),
+    ("src/wallet.cpp", _wallet_cpp,
+     "wtxNew.fTimeReceivedIsTxTime = true;",
+     "if (!wtxNew.IsTrusted()) return false; wtxNew.fTimeReceivedIsTxTime = true;"),
+]
+
+
+@pytest.fixture(scope="module")
+def three_world(tmp_path_factory):
+    """Three one-line fixes in three files of one upstream; one fork holds
+    all three vulnerable, the other all three fixed."""
+    base = tmp_path_factory.mktemp("threeworld")
+    vulnerable = {path: make(old) for path, make, old, _ in THREE_FIXES}
+
+    src = init_repo(base / "upstream")
+    write_files(src, vulnerable)
+    commit_all(src, "import", datetime(2021, 1, 1, tzinfo=UTC))
+    shas = []
+    for month, (path, make, _, new) in enumerate(THREE_FIXES, 2):
+        write_files(src, {path: make(new)})
+        when = datetime(2021, month, 1, tzinfo=UTC)
+        shas.append(commit_all(src, f"fix {path}", when))
+
+    vuln = init_repo(base / "vulnfork")
+    write_files(vuln, vulnerable)
+    commit_all(vuln, "fork", datetime(2021, 6, 1, tzinfo=UTC))
+    fixed = init_repo(base / "fixedfork")
+    write_files(fixed, {path: make(new) for path, make, _, new in THREE_FIXES})
+    commit_all(fixed, "fork with fixes", datetime(2021, 6, 1, tzinfo=UTC))
+    return SimpleNamespace(src=src, shas=shas, vuln=vuln, fixed=fixed)
+
+
+def _detect_three(world, targets, out) -> int:
+    argv = ["detect", "--source", str(world.src)]
+    for sha in world.shas:
+        argv += ["--patch", sha]
+    for t in targets:
+        argv += ["--target", str(t)]
+    return main([*argv, "--out", str(out)])
+
+
+class TestGitProcesses:
+    """A scan greps each target once, for every patch's context keywords,
+    and reads each patch with one git call."""
+
+    def test_one_grep_per_target_and_no_commit_lookup(self, three_world, tmp_path,
+                                                     monkeypatch):
+        calls: list[tuple[Path, list[str]]] = []
+        real = forkscan.gitio.RepoHandle._run
+
+        def run(self, args):
+            calls.append((self.root, list(args)))
+            return real(self, args)
+
+        monkeypatch.setattr(forkscan.gitio.RepoHandle, "_run", run)
+        out = tmp_path / "report.json"
+        targets = [three_world.vuln, three_world.fixed]
+        assert _detect_three(three_world, targets, out) == 1
+
+        assert [(r["target"], r["status"]) for r in _rows(out)] == [
+            ("fixedfork", "Fixed"), ("vulnfork", "Vulnerable"),
+        ] * 3
+        greps = [root for root, args in calls if args[0] == "grep"]
+        assert sorted(greps) == sorted([three_world.fixed, three_world.vuln])
+        assert [args for _, args in calls if args[:2] == ["show", "-s"]] == []
+        diffs = [root for root, args in calls if args[0] == "diff-tree"]
+        assert diffs == [three_world.src] * 3
+
+    def test_unknown_revision_notes_every_row(self, three_world, tmp_path):
+        plain = tmp_path / "plain" / "report.json"
+        _detect_three(three_world, [three_world.fixed], plain)
+        want = _rows(plain)
+
+        bad = f"{three_world.vuln},no-such-rev"
+        out = tmp_path / "report.json"
+        assert _detect_three(three_world, [bad, three_world.fixed], out) == 0
+
+        rows = _rows(out)
+        assert [r for r in rows if r["target"] == "fixedfork"] == want
+        broken = [r for r in rows if r["target"] == "vulnfork"]
+        assert len(broken) == 3
+        for row in broken:
+            assert row["status"] == "ContextNotFound"
+            assert row["note"].startswith("hunk 0: git grep failed")
+            assert "no-such-rev" in row["note"]
+
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 

@@ -228,7 +228,7 @@ class TestCommitDiff:
         old = read_file_at(repo, f"{c_rewrite}^", TABLE_FILE)
         new = read_file_at(repo, c_rewrite, TABLE_FILE)
         lines = commit_diff(repo, c_rewrite).split("\n")
-        assert lines[:2] == [c_rewrite, ""]
+        assert lines[:2] == [f"{c_rewrite} 2019-08-10T00:00:00+00:00", ""]
         header = f"@@ -1,{len(old)} +1,{len(new)} @@"
         assert [line for line in lines if line.startswith("@@")] == [header]
         body = lines[lines.index(header) + 1:]

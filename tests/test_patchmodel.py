@@ -1,11 +1,11 @@
 """Patch parsing: unified diffs, hunk assembly, contexts, manifests."""
 
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
 from conftest import commit_all, init_repo, run_git, write_files
-from forkscan.gitio import NotFoundError, RepoHandle
+from forkscan.gitio import NotFoundError, RepoHandle, commit_diff, commit_time
 from forkscan.patchmodel import (
     Patch,
     PatchError,
@@ -275,6 +275,28 @@ class TestParseUnifiedDiff:
         assert parse_unified_diff(text) == []
 
 
+def _merge_commit(tmp_path) -> tuple:
+    """A repo whose HEAD merges branch `feat` (which rewrites m.c) into a
+    main that changed other.c; the merge is committed on 2021-01-04."""
+    root = init_repo(tmp_path / "merged")
+    write_files(root, {
+        "m.c": "int alpha = 1;\nlegacy_call(b);\nint gamma = 3;\n",
+        "other.c": "int keep = 0;\n",
+    })
+    commit_all(root, "base", datetime(2021, 1, 1, tzinfo=UTC))
+    run_git(root, "checkout", "-q", "-b", "feat")
+    write_files(root, {"m.c": "int alpha = 1;\nmodern_call(b);\nint gamma = 3;\n"})
+    commit_all(root, "modernize call", datetime(2021, 1, 2, tzinfo=UTC))
+    run_git(root, "checkout", "-q", "main")
+    write_files(root, {"other.c": "int keep = 1;\n"})
+    commit_all(root, "tweak other", datetime(2021, 1, 3, tzinfo=UTC))
+    run_git(root, "merge", "-q", "--no-ff", "-m", "merge feat", "feat",
+            date=datetime(2021, 1, 4, tzinfo=UTC))
+    sha = run_git(root, "rev-parse", "HEAD")
+    assert run_git(root, "rev-list", "--parents", "-n1", sha).count(" ") == 2
+    return root, sha
+
+
 class TestParsePatchFromRepo:
     def test_short_sha_resolves_to_full_id(self, guard_repo):
         repo, shas = guard_repo
@@ -342,22 +364,7 @@ class TestParsePatchFromRepo:
             load_patch(guard_repo[0], "f" * 40)
 
     def test_merge_commit_uses_first_parent(self, tmp_path):
-        root = init_repo(tmp_path / "merged")
-        write_files(root, {
-            "m.c": "int alpha = 1;\nlegacy_call(b);\nint gamma = 3;\n",
-            "other.c": "int keep = 0;\n",
-        })
-        commit_all(root, "base", datetime(2021, 1, 1, tzinfo=UTC))
-        run_git(root, "checkout", "-q", "-b", "feat")
-        write_files(root, {"m.c": "int alpha = 1;\nmodern_call(b);\nint gamma = 3;\n"})
-        commit_all(root, "modernize call", datetime(2021, 1, 2, tzinfo=UTC))
-        run_git(root, "checkout", "-q", "main")
-        write_files(root, {"other.c": "int keep = 1;\n"})
-        commit_all(root, "tweak other", datetime(2021, 1, 3, tzinfo=UTC))
-        run_git(root, "merge", "-q", "--no-ff", "-m", "merge feat", "feat",
-                date=datetime(2021, 1, 4, tzinfo=UTC))
-        sha = run_git(root, "rev-parse", "HEAD")
-        assert run_git(root, "rev-list", "--parents", "-n1", sha).count(" ") == 2
+        root, sha = _merge_commit(tmp_path)
         patch = load_patch(RepoHandle(root), sha)
         (h,) = patch.hunks
         assert {s.path for s in h.dp + h.ap} == {"m.c"}
@@ -408,6 +415,44 @@ class TestParsePatchFromRepo:
         (h,) = load_patch(RepoHandle(root), sha).hunks
         assert h.ptype == PatchType.DEL and {s.path for s in h.dp} == {"doomed.c"}
         assert _norms(h.dp) == ["int gone = 9;"]
+
+
+class TestPatchTime:
+    """committed_at is read from the diff's header line and must agree with
+    a separate committer-time lookup."""
+
+    def test_root_commit(self, guard_repo):
+        repo, shas = guard_repo
+        patch = load_patch(repo, shas["import"])
+        assert patch.committed_at == commit_time(repo, shas["import"])
+        assert patch.committed_at == datetime(2020, 1, 1, tzinfo=UTC)
+
+    def test_merge_commit(self, tmp_path):
+        root, sha = _merge_commit(tmp_path)
+        repo = RepoHandle(root)
+        patch = load_patch(repo, sha)
+        assert patch.committed_at == commit_time(repo, sha)
+        assert patch.committed_at == datetime(2021, 1, 4, tzinfo=UTC)
+
+    def test_committer_offset_is_normalized_to_utc(self, tmp_path):
+        root = init_repo(tmp_path / "offset")
+        write_files(root, {"t.c": "int a = 1;\nint b = 2;\nint c = 3;\n"})
+        commit_all(root, "base", datetime(2021, 1, 1, tzinfo=UTC))
+        write_files(root, {"t.c": "int a = 1;\nint b = 20;\nint c = 3;\n"})
+        east = timezone(timedelta(hours=5, minutes=30))
+        committed = datetime(2022, 7, 1, 1, 15, tzinfo=east)
+        run_git(root, "add", "-A")
+        run_git(root, "commit", "-q", "-m", "edit",
+                f"--date={(committed - timedelta(days=40)).isoformat()}",
+                date=committed)
+        sha = run_git(root, "rev-parse", "HEAD")
+        repo = RepoHandle(root)
+        header = commit_diff(repo, sha).split("\n", 1)[0]
+        assert header == f"{sha} 2022-07-01T01:15:00+05:30"
+        patch = load_patch(repo, sha)
+        assert patch.committed_at == commit_time(repo, sha)
+        assert patch.committed_at == datetime(2022, 6, 30, 19, 45, tzinfo=UTC)
+        assert patch.committed_at.tzinfo == UTC
 
 
 def _numbered(prefix: str, n: int) -> list[str]:

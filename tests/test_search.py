@@ -8,7 +8,7 @@ from conftest import (
     run_git,
 )
 from forkscan import search
-from forkscan.gitio import RepoHandle, read_file_at
+from forkscan.gitio import GitError, RepoHandle, grep_repo, read_file_at
 from forkscan.patchmodel import PatchContext, PatchHunk, PatchType, build_patch_context
 from forkscan.preprocess import StatementKind, classify_file, extract_statements
 from forkscan.search import (
@@ -266,6 +266,122 @@ class TestFindKeyStatements:
         assert find_key_statements(
             _cache(fig_repo), make_ctx([]), PATCH_FC
         ) == []
+
+
+# Contexts of several patches whose keywords overlap: `Tip` lies inside
+# `chainstate.Tip`, and line 4 of src/chain.cpp holds `fPruneMode` of one
+# context and `LogPrintf` of another. src/net.cpp has CRLF line ends and
+# src/raw.cpp a byte that is not UTF-8.
+OVERLAP_CONTEXTS = [
+    ["pindex = chainstate.Tip();", "nHeight = pindex->nHeight;"],
+    ["return Tip();"],
+    ["if (fPruneMode) return false;", "nHeight = pindex->nHeight;"],
+    ['LogPrintf("tip %s\\n", strTip);'],
+    ["CBlockIndex* pindexPrev = chainstate.Tip();", "return Tip();"],
+]
+OVERLAP_FILES = {
+    "src/chain.cpp": (
+        "CBlockIndex* pindex = chainstate.Tip();\n"
+        "if (!Tip()) return false;\n"
+        "int nHeight = pindex->nHeight;\n"
+        'if (fPruneMode) LogPrintf("prune %d\\n", nHeight);\n'
+        'LogPrintf("tip %s\\n", chainstate.Tip()->ToString());\n'
+        "return Tip();\n"
+    ),
+    "src/net.cpp": (
+        "CBlockIndex* pindex = chainstate.Tip();\r\n"
+        'LogPrintf("net tip\\n");\r\n'
+        "return Tip();\r\n"
+    ),
+}
+OVERLAP_BYTES = {
+    "src/raw.cpp": (
+        b"int nHeight = chainstate.Tip()->nHeight; // caf\xe9\n"
+        b"return Tip(); /* \xff */\n"
+        b"if (fPruneMode) return false;\n"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def overlap_repo(tmp_path_factory):
+    root = init_repo(tmp_path_factory.mktemp("overlap") / "fork")
+    write_files(root, OVERLAP_FILES)
+    for name, data in OVERLAP_BYTES.items():
+        (root / name).write_bytes(data)
+    commit_all(root, "import", datetime(2020, 1, 1, tzinfo=UTC))
+    return RepoHandle(root)
+
+
+class TestUnionGrepRouting:
+    """A cache seeded with every context's keywords greps once and hands
+    each context the hits of its own keywords."""
+
+    @pytest.fixture
+    def contexts(self):
+        ctxs = [make_ctx(norms) for norms in OVERLAP_CONTEXTS]
+        keywords = {kw.keyword for ctx in ctxs for kw in ctx.keywords}
+        assert {"Tip", "chainstate.Tip", "fPruneMode", "LogPrintf"} <= keywords
+        return ctxs
+
+    @pytest.fixture
+    def greps(self, monkeypatch):
+        """The keyword lists of every gitio.grep_repo call."""
+        calls = []
+        real = search.gitio.grep_repo
+        monkeypatch.setattr(
+            search.gitio, "grep_repo",
+            lambda repo, kws, rev: calls.append(kws) or real(repo, kws, rev),
+        )
+        return calls
+
+    @staticmethod
+    def _own_cache(repo, ctx):
+        keywords = frozenset(kw.keyword for kw in ctx.keywords)
+        return StatementCache(repo, "HEAD", keywords)
+
+    def test_union_matches_per_context_cache(self, overlap_repo, contexts, greps):
+        wanted = [
+            find_key_statements(self._own_cache(overlap_repo, ctx), ctx, PATCH_FC)
+            for ctx in contexts
+        ]
+        union = frozenset(kw.keyword for ctx in contexts for kw in ctx.keywords)
+        seeded = StatementCache(overlap_repo, "HEAD", union)
+        greps.clear()
+        got = [find_key_statements(seeded, ctx, PATCH_FC) for ctx in contexts]
+        assert got == wanted
+        assert greps == [sorted(union)]
+        # The `Tip` context keeps its return statements, the CRLF and the
+        # non-UTF-8 line among them; line 1 holds `Tip` in a declaration.
+        tip = {(m.stmt.path, m.stmt.line_no) for m in got[1]}
+        assert ("src/chain.cpp", 1) not in tip
+        assert {("src/chain.cpp", 6), ("src/net.cpp", 3), ("src/raw.cpp", 2)} <= tip
+
+    def test_union_hits_equal_per_context_grep(self, overlap_repo, contexts):
+        union = frozenset(kw.keyword for ctx in contexts for kw in ctx.keywords)
+        seeded = StatementCache(overlap_repo, "HEAD", union)
+        for ctx in contexts:
+            keywords = [kw.keyword for kw in ctx.keywords]
+            assert seeded.grep(keywords) == grep_repo(overlap_repo, keywords, "HEAD")
+        chain_tip = {(h.path, h.line_no) for h in seeded.grep(["Tip"])}
+        assert {("src/chain.cpp", n) for n in (1, 2, 5, 6)} <= chain_tip
+        for kw in ("fPruneMode", "LogPrintf"):
+            lines = {(h.path, h.line_no) for h in seeded.grep([kw])}
+            assert ("src/chain.cpp", 4) in lines
+        crlf = seeded.grep(["LogPrintf"])
+        assert [h.raw_line for h in crlf if h.path == "src/net.cpp"] == [
+            'LogPrintf("net tip\\n");\r'
+        ]
+
+    def test_failed_grep_is_not_stored(self, overlap_repo, contexts, greps):
+        cache = StatementCache(overlap_repo, "no-such-rev", frozenset({"Tip"}))
+        for ctx in contexts[:2]:
+            with pytest.raises(GitError, match="git grep failed"):
+                find_key_statements(cache, ctx, PATCH_FC)
+        assert greps == [
+            sorted({"Tip"} | {kw.keyword for kw in ctx.keywords})
+            for ctx in contexts[:2]
+        ]
 
 
 class TestExpandBoundary:
