@@ -1,11 +1,12 @@
 """Thin adapter over local git repositories.
 
-Exactly the queries the scan pipeline needs, one git call each: a grep for
-any of several substrings (a scan greps each target once, for every
-patch's context keywords), file content, and line blame with commit times
-at a revision, a commit's diff headed by its id and committer time, commit
-timestamps, and the dated tags that contain a commit.
-Every query takes the revision or commit it reads; a handle holds none.
+One git call per query: a grep for any of several substrings (a scan greps
+each target once, for every patch's context keywords), file content, and
+line blame with commit times at a revision, a commit's diff headed by its
+id and committer time, and the dated tags that contain a commit. Every
+query takes the revision or commit it reads; a handle holds none.
+commit_time has no caller in forkscan; it stays only because the
+benchmark's tracer (perfbench/tracer.py) wraps it by name.
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ class RepoHandle:
     def __repr__(self) -> str:
         return f"RepoHandle({str(self.root)!r})"
 
-    @property
-    def name(self) -> str:
-        return self.root.name
-
     def _run(self, args: list[str]) -> subprocess.CompletedProcess:
         """Run git in the repository; the caller reads the exit status."""
         cmd = ["git", "-C", str(self.root), "-c", "core.quotepath=false"] + args
@@ -68,9 +65,6 @@ def _split_lines(text: str) -> list[str]:
     return lines
 
 
-_GREP_LINE_RE = re.compile(r"^(.*?):(\d+):(.*)$", re.DOTALL)
-
-
 def grep_repo(repo: RepoHandle, keywords: list[str], rev: str) -> list[GrepHit]:
     """Every line at rev containing any of keywords as a fixed substring.
 
@@ -80,22 +74,24 @@ def grep_repo(repo: RepoHandle, keywords: list[str], rev: str) -> list[GrepHit]:
     if not keywords or not all(keywords):
         raise ValueError("keywords must be non-empty strings")
     patterns = [arg for kw in keywords for arg in ("-e", kw)]
-    proc = repo._run(["grep", "-I", "-n", "-F", *patterns, rev])
+    proc = repo._run(["grep", "-I", "-n", "-z", "-F", *patterns, rev])
     if proc.returncode == 1 and not proc.stderr:
         return []
     if proc.returncode != 0:
         raise GitError(
             f"git grep failed in {repo.root}: {_decode(proc.stderr).strip()}"
         )
+    # -z ends the path and the line number with NUL and leaves the path
+    # unquoted, so a path may hold ":" or a newline; the text holds neither
+    # NUL nor newline, and the newline after it starts the next path.
     prefix = rev + ":"
+    fields = _decode(proc.stdout).split("\0")
+    path = fields[0]
     hits: list[GrepHit] = []
-    for line in _split_lines(_decode(proc.stdout)):
-        if line.startswith(prefix):
-            line = line[len(prefix):]
-        m = _GREP_LINE_RE.match(line)
-        if not m:
-            continue
-        hits.append(GrepHit(path=m.group(1), line_no=int(m.group(2)), raw_line=m.group(3)))
+    for line_no, rest in zip(fields[1::2], fields[2::2]):
+        text, _, next_path = rest.partition("\n")
+        hits.append(GrepHit(path.removeprefix(prefix), int(line_no), text))
+        path = next_path
     hits.sort(key=lambda h: (h.path, h.line_no))
     return hits
 

@@ -121,18 +121,10 @@ def emit_report(report: ScanReport, format: str = "json") -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
         for row in sorted_rows(report.results):
-            # The delay's to_dict keys are the CSV's four delay columns, in order.
-            d = (row.delay or DelayRecord(None, None, None)).to_dict()
-            writer.writerow([
-                row.patch, row.target, row.status, row.conf,
-                _blank(row.path),
-                _blank(row.span[0] if row.span else None),
-                _blank(row.span[1] if row.span else None),
-                _blank(row.ctx_sim_up), _blank(row.ctx_sim_down),
-                _blank(row.s_del), _blank(row.s_add),
-                *(_blank(v) for v in d.values()),
-                row.note,
-            ])
+            d = row.to_dict()
+            d["span_start"], d["span_end"] = d.pop("span") or (None, None)
+            d.update(d.pop("delay") or DelayRecord(None, None, None).to_dict())
+            writer.writerow([_blank(d[c]) for c in _CSV_COLUMNS])
         return buf.getvalue()
     raise ValueError(f"unknown report format: {format}")
 

@@ -35,35 +35,26 @@ class StatementCache:
     """Memoized keyword grep and per-file statement extraction for one
     (repository, revision).
 
-    keywords are grepped together by the first grep the cache runs, so a
-    scan that seeds the cache with every context keyword of its patches
-    greps the target once.
+    keywords are every keyword a context may ask for; the first grep greps
+    them all in one git call.
     """
 
-    def __init__(
-        self, repo: RepoHandle, rev: str, keywords: frozenset[str] = frozenset()
-    ):
+    def __init__(self, repo: RepoHandle, rev: str, keywords: frozenset[str]):
         self.repo = repo
         self.rev = rev
         self._keywords = keywords
-        self._hits: dict[str, list[gitio.GrepHit]] = {}
+        self._hits: list[gitio.GrepHit] | None = None
         self._entries: dict[str, tuple[list[NormalizedLine], dict[int, int]]] = {}
 
     def grep(self, keywords: list[str]) -> list[gitio.GrepHit]:
         """Every line at the revision containing any of keywords, ordered by
-        (path, line).
-
-        A keyword not grepped yet is grepped together with every seeded
-        keyword not grepped yet, in one git call whose hits are filed under
-        each keyword their line contains; a failed grep files nothing.
-        """
-        if any(kw not in self._hits for kw in keywords):
-            todo = sorted(self._keywords.union(keywords) - self._hits.keys())
-            hits = gitio.grep_repo(self.repo, todo, self.rev)
-            for kw in todo:
-                self._hits[kw] = [h for h in hits if kw in h.raw_line]
-        merged = {(h.path, h.line_no): h for kw in keywords for h in self._hits[kw]}
-        return [merged[key] for key in sorted(merged)]
+        (path, line); a failed grep stores nothing."""
+        unknown = set(keywords) - self._keywords
+        if unknown:
+            raise ValueError(f"keywords not given to the cache: {sorted(unknown)}")
+        if self._hits is None:
+            self._hits = gitio.grep_repo(self.repo, sorted(self._keywords), self.rev)
+        return [h for h in self._hits if any(kw in h.raw_line for kw in keywords)]
 
     def _entry(self, path: str) -> tuple[list[NormalizedLine], dict[int, int]]:
         entry = self._entries.get(path)
@@ -82,15 +73,6 @@ class StatementCache:
 
     def index_by_line(self, path: str) -> dict[int, int]:
         return self._entry(path)[1]
-
-
-@dataclass(frozen=True)
-class KeyStatementMatch:
-    """The target statement of a grep hit that survived all filters, scored
-    against its patch statement."""
-
-    stmt: NormalizedLine
-    sim: float
 
 
 @dataclass
@@ -124,24 +106,22 @@ def is_test_path(path: str) -> bool:
 
 def find_key_statements(
     cache: StatementCache, ctx: PatchContext, patch_file_class: str
-) -> list[KeyStatementMatch]:
+) -> list[NormalizedLine]:
     """Grep the context keywords in the target and keep plausible hits.
 
     The hits are the lines holding any of the keywords, read from the
-    cache's grep. A hit is kept when it is a meaningful statement (not a
-    comment), not in test code, and in a file of the same class as the
-    patched file. Its similarity is the best strsim against the
-    source statements of the keywords its line contains and whose kind
-    agrees with its own (OTHER agrees with every kind); it must reach
-    KS_THRESHOLD. Sorted by descending similarity.
+    cache's grep in (path, line) order. A hit's statement is kept when it
+    is a meaningful statement (not a comment), not in test code, in a file
+    of the same class as the patched file, and reaches KS_THRESHOLD in
+    strsim against the source statement of a keyword its line contains
+    and whose kind agrees with its own (OTHER agrees with every kind).
     """
     keywords = ctx.keywords
     if not keywords:
         log.info("no keywords in context; nothing to search")
         return []
-    hits = cache.grep([kw.keyword for kw in keywords])
-    found: list[KeyStatementMatch] = []
-    for hit in hits:
+    found: list[NormalizedLine] = []
+    for hit in cache.grep([kw.keyword for kw in keywords]):
         if is_test_path(hit.path) or classify_file(hit.path) != patch_file_class:
             continue
         stmt_idx = cache.index_by_line(hit.path).get(hit.line_no)
@@ -149,19 +129,17 @@ def find_key_statements(
             continue  # comment, bracket-only or blank line
         stmt = cache.statements(hit.path)[stmt_idx]
         kinds = (stmt.kind, StatementKind.OTHER)
-        sim = max(
-            (strsim(kw.source_line.norm, stmt.norm) for kw in keywords
-             if kw.keyword in hit.raw_line
-             and (kw.source_line.kind in kinds or stmt.kind is StatementKind.OTHER)),
-            default=0.0,
-        )
-        if sim >= KS_THRESHOLD:
-            found.append(KeyStatementMatch(stmt=stmt, sim=sim))
-    return sorted(found, key=lambda m: (-m.sim, m.stmt.path, m.stmt.line_no))
+        if any(
+            strsim(kw.source_line.norm, stmt.norm) >= KS_THRESHOLD for kw in keywords
+            if kw.keyword in hit.raw_line
+            and (kw.source_line.kind in kinds or stmt.kind is StatementKind.OTHER)
+        ):
+            found.append(stmt)
+    return found
 
 
 def expand_boundary(
-    cache: StatementCache, ks: KeyStatementMatch, patch_ctx: PatchContext
+    cache: StatementCache, ks: NormalizedLine, patch_ctx: PatchContext
 ) -> tuple[int, int] | None:
     """Grow a key statement into a (start line, end line) context boundary.
 
@@ -172,12 +150,12 @@ def expand_boundary(
     KS_THRESHOLD.
     """
     ctx_stmts = patch_ctx.statements
-    stmts = cache.statements(ks.stmt.path)
-    idx = cache.index_by_line(ks.stmt.path)[ks.stmt.line_no]
+    stmts = cache.statements(ks.path)
+    idx = cache.index_by_line(ks.path)[ks.line_no]
     up_window = stmts[max(0, idx - CONTEXT_LINES): idx + 1]
     down_window = stmts[idx: idx + CONTEXT_LINES + 1]
-    ss = _best_in_window(up_window, ctx_stmts[0].norm, ks.stmt.line_no)
-    es = _best_in_window(down_window, ctx_stmts[-1].norm, ks.stmt.line_no)
+    ss = _best_in_window(up_window, ctx_stmts[0].norm, ks.line_no)
+    es = _best_in_window(down_window, ctx_stmts[-1].norm, ks.line_no)
     if ss[0] < KS_THRESHOLD or es[0] < KS_THRESHOLD:
         return None
     return (ss[1], es[1])
@@ -211,6 +189,7 @@ def finalize_contexts(
     its key statement. Regions under the decision threshold are dropped,
     overlapping regions in the same file keep only the higher-scoring one,
     and the survivors are capped at MAX_CANDIDATES by descending ctx_sim.
+    Ties fall to (path, start, end), so the order of boundaries is moot.
     """
     patch_norms = [s.norm for s in patch_ctx.statements]
     scored: list[CandidateContext] = []
@@ -320,7 +299,7 @@ def collect_candidates(
         for ks in seeds:
             span = expand_boundary(cache, ks, ctx)
             if span is not None:
-                boundaries.append((ks.stmt.path, span))
+                boundaries.append((ks.path, span))
         return finalize_contexts(cache, boundaries, ctx, params)
 
     max_gap = max(3 * hunk.code_len, 20)

@@ -8,6 +8,7 @@ stays fast enough to run on every change.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import string
@@ -372,4 +373,24 @@ def test_criterion_8_deterministic_reports(corpus_env):
         f"{len(second)} reports byte-identical"
         if not differing
         else f"reports differ: {differing}",
+    )
+
+
+# sha256 over every corpus report (report JSON and CSV, in case order, with
+# the corpus directory written as "."), taken before the search stage
+# dropped its key-statement ranking.
+CORPUS_REPORTS_SHA256 = "3dc165546d58f3fa8b9f16d8d724ee09886f08036bb5d7604687887f5e94673b"
+
+
+def test_corpus_reports_match_pinned_digest(corpus_env):
+    corpus = str(corpus_env.corpus_dir)
+    digest = hashlib.sha256()
+    for name in sorted(corpus_env.reports):
+        report = corpus_env.reports[name]
+        for path in (report, report.with_suffix(".csv")):
+            text = path.read_text(encoding="utf-8").replace(corpus, ".")
+            digest.update(path.name.encode() + b"\0" + text.encode())
+    assert digest.hexdigest() == CORPUS_REPORTS_SHA256, (
+        "the corpus reports changed. Update CORPUS_REPORTS_SHA256 only for an "
+        "intended report change, and record that change in CHANGES.md"
     )

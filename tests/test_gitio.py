@@ -94,6 +94,20 @@ class TestGrep:
         assert [(h.path, h.line_no) for h in hits] == [("readme.txt", 1)]
         assert [(h.path, h.line_no) for h in hits] == oracle_grep(root, "needleToken")
 
+    @pytest.mark.parametrize("path", ["src/v:12:w.cpp", "src/a\nb.cpp"],
+                             ids=["colon-number-colon", "newline"])
+    def test_path_is_read_verbatim(self, make_repo, path):
+        # Neither ":12:" nor a newline inside a path may split the hit.
+        root = make_repo({
+            path: 'int x = 0;\nLogPrintf("v");\n',
+            "src/z.cpp": 'LogPrintf("z");\n',
+        })
+        hits = grep_repo(RepoHandle(root), ["LogPrintf"], "HEAD")
+        assert [(h.path, h.line_no, h.raw_line) for h in hits] == [
+            (path, 2, 'LogPrintf("v");'), ("src/z.cpp", 1, 'LogPrintf("z");'),
+        ]
+        assert read_file_at(RepoHandle(root), "HEAD", path)[1] == 'LogPrintf("v");'
+
     def test_table_layout_hits(self, table_repo):
         repo_path, c_rewrite, _ = table_repo
         repo = RepoHandle(repo_path)
@@ -120,10 +134,6 @@ class TestRepoHandle:
     def test_rejects_missing_dir(self, tmp_path):
         with pytest.raises(GitError):
             RepoHandle(tmp_path / "absent")
-
-    def test_name_is_basename(self, make_repo):
-        root = make_repo({"a.txt": "x\n"})
-        assert RepoHandle(root).name == root.name
 
 
 class TestReadFileAt:

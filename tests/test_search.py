@@ -1,5 +1,7 @@
 """Candidate clone location: key statements, boundaries, contexts, code."""
 
+from itertools import permutations
+
 import pytest
 
 from conftest import (
@@ -110,8 +112,14 @@ def _repo(tmp, files: dict[str, str]) -> RepoHandle:
     return RepoHandle(root)
 
 
-def _cache(repo: RepoHandle) -> StatementCache:
-    return StatementCache(repo, "HEAD")
+def _cache(repo: RepoHandle, *ctxs: PatchContext) -> StatementCache:
+    """A cache at HEAD given the keywords of ctxs."""
+    keywords = frozenset(kw.keyword for ctx in ctxs for kw in ctx.keywords)
+    return StatementCache(repo, "HEAD", keywords)
+
+
+def _collect(repo: RepoHandle, hunk: PatchHunk):
+    return collect_candidates(_cache(repo, hunk.up_ctx, hunk.down_ctx), hunk, PARAMS)
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +189,8 @@ class TestStatementCache:
         write_files(root, {"a.cpp": "int a = 2;\n"})
         commit_all(root, "v2", datetime(2020, 1, 2, tzinfo=UTC))
         repo = RepoHandle(root)
-        assert StatementCache(repo, rev=old).statements("a.cpp")[0].norm == "int a = 1;"
+        old_cache = StatementCache(repo, old, frozenset())
+        assert old_cache.statements("a.cpp")[0].norm == "int a = 1;"
         assert _cache(repo).statements("a.cpp")[0].norm == "int a = 2;"
 
 
@@ -190,9 +199,10 @@ def _stmts_in(repo: RepoHandle, path: str, lo: int, hi: int) -> list:
     return [s for s in _cache(repo).statements(path) if lo <= s.line_no <= hi]
 
 
-def _brute_force_keys(repo: RepoHandle, ctx: PatchContext) -> dict:
-    """All (path, line) -> best sim per the search contract, by direct scan."""
-    expected: dict[tuple[str, int], float] = {}
+def _brute_force_keys(repo: RepoHandle, ctx: PatchContext) -> set:
+    """Every (path, line) of a key statement per the search contract, by
+    direct scan."""
+    expected: set[tuple[str, int]] = set()
     paths = run_git(repo.root, "ls-tree", "-r", "--name-only", "HEAD").split("\n")
     for path in paths:
         if is_test_path(path) or classify_file(path) != PATCH_FC:
@@ -211,38 +221,32 @@ def _brute_force_keys(repo: RepoHandle, ctx: PatchContext) -> dict:
                     and s.kind is not src_kind
                 ):
                     continue
-                sim = oracle_strsim(kw.source_line.norm, s.norm)
-                if sim < KS_THRESHOLD:
-                    continue
-                key = (path, s.line_no)
-                expected[key] = max(expected.get(key, 0.0), sim)
+                if oracle_strsim(kw.source_line.norm, s.norm) >= KS_THRESHOLD:
+                    expected.add((path, s.line_no))
     return expected
+
+
+def _find(repo: RepoHandle, norms: list[str]):
+    ctx = make_ctx(norms)
+    return find_key_statements(_cache(repo, ctx), ctx, PATCH_FC)
 
 
 class TestFindKeyStatements:
     def test_up_context_survivors(self, fig_repo):
-        ks = find_key_statements(_cache(fig_repo), make_ctx(UP_NORMS), PATCH_FC)
-        assert {(m.stmt.path, m.stmt.line_no) for m in ks} == {
+        ks = _find(fig_repo, UP_NORMS)
+        # In grep order, (path, line).
+        assert [(s.path, s.line_no) for s in ks] == [
             ("src/init.cpp", 3),
             ("src/init.cpp", 4),
             ("src/init.cpp", 5),
             ("src/init.cpp", 8),
-        }
-        head = ks[0]
-        assert (head.stmt.line_no, head.sim) == (5, 1.0)
-        sims = [m.sim for m in ks]
-        assert sims == sorted(sims, reverse=True)
+        ]
 
     def test_down_context_survivors(self, fig_repo):
-        ks = find_key_statements(
-            _cache(fig_repo), make_ctx(DOWN_NORMS), PATCH_FC
-        )
-        assert [(m.stmt.line_no, m.sim) for m in ks][0] == (9, 1.0)
-        assert {m.stmt.line_no for m in ks} == {7, 9}
+        assert [s.line_no for s in _find(fig_repo, DOWN_NORMS)] == [7, 9]
 
     def test_filters_block_traps(self, fig_repo):
-        ks = find_key_statements(_cache(fig_repo), make_ctx(UP_NORMS), PATCH_FC)
-        hit_keys = {(m.stmt.path, m.stmt.line_no) for m in ks}
+        hit_keys = {(s.path, s.line_no) for s in _find(fig_repo, UP_NORMS)}
         assert ("src/tests/util_tests.cpp", 1) not in hit_keys  # test path
         assert ("src/validation.h", 1) not in hit_keys  # different file class
         assert ("src/init.cpp", 12) not in hit_keys  # RETURN vs ASSIGNMENT
@@ -251,21 +255,19 @@ class TestFindKeyStatements:
     @pytest.mark.parametrize("norms", [UP_NORMS, DOWN_NORMS, ROUTING_NORMS],
                              ids=["up", "down", "routing"])
     def test_matches_brute_force_scan(self, fig_repo, norms):
-        ctx = make_ctx(norms)
-        got = {(m.stmt.path, m.stmt.line_no): m.sim
-               for m in find_key_statements(_cache(fig_repo), ctx, PATCH_FC)}
-        assert got == _brute_force_keys(fig_repo, ctx)
+        got = {(s.path, s.line_no) for s in _find(fig_repo, norms)}
+        assert got == _brute_force_keys(fig_repo, make_ctx(norms))
 
     def test_all_sims_pass_gate(self, fig_repo):
-        for m in find_key_statements(
-            _cache(fig_repo), make_ctx(UP_NORMS), PATCH_FC
-        ):
-            assert KS_THRESHOLD <= m.sim <= 1.0
+        ctx = make_ctx(UP_NORMS)
+        for s in _find(fig_repo, UP_NORMS):
+            assert max(
+                oracle_strsim(kw.source_line.norm, s.norm)
+                for kw in ctx.keywords if kw.keyword in s.raw
+            ) >= KS_THRESHOLD
 
     def test_empty_context_finds_nothing(self, fig_repo):
-        assert find_key_statements(
-            _cache(fig_repo), make_ctx([]), PATCH_FC
-        ) == []
+        assert _find(fig_repo, []) == []
 
 
 # Contexts of several patches whose keywords overlap: `Tip` lies inside
@@ -353,7 +355,7 @@ class TestUnionGrepRouting:
         assert greps == [sorted(union)]
         # The `Tip` context keeps its return statements, the CRLF and the
         # non-UTF-8 line among them; line 1 holds `Tip` in a declaration.
-        tip = {(m.stmt.path, m.stmt.line_no) for m in got[1]}
+        tip = {(s.path, s.line_no) for s in got[1]}
         assert ("src/chain.cpp", 1) not in tip
         assert {("src/chain.cpp", 6), ("src/net.cpp", 3), ("src/raw.cpp", 2)} <= tip
 
@@ -374,20 +376,28 @@ class TestUnionGrepRouting:
         ]
 
     def test_failed_grep_is_not_stored(self, overlap_repo, contexts, greps):
-        cache = StatementCache(overlap_repo, "no-such-rev", frozenset({"Tip"}))
+        keywords = frozenset(kw.keyword for ctx in contexts[:2] for kw in ctx.keywords)
+        cache = StatementCache(overlap_repo, "no-such-rev", keywords)
         for ctx in contexts[:2]:
             with pytest.raises(GitError, match="git grep failed"):
                 find_key_statements(cache, ctx, PATCH_FC)
-        assert greps == [
-            sorted({"Tip"} | {kw.keyword for kw in ctx.keywords})
-            for ctx in contexts[:2]
-        ]
+        assert greps == [sorted(keywords)] * 2
+
+    def test_greps_once(self, overlap_repo, greps):
+        cache = StatementCache(overlap_repo, "HEAD", frozenset({"Tip", "LogPrintf"}))
+        assert cache.grep(["Tip"]) and cache.grep(["LogPrintf"]) and cache.grep(["Tip"])
+        assert greps == [["LogPrintf", "Tip"]]
+
+    def test_keyword_not_given_is_rejected(self, overlap_repo, greps):
+        cache = StatementCache(overlap_repo, "HEAD", frozenset({"Tip"}))
+        with pytest.raises(ValueError, match="fPruneMode"):
+            cache.grep(["Tip", "fPruneMode"])
+        assert greps == []
 
 
 class TestExpandBoundary:
     def _seed(self, repo, norms, line):
-        ks = find_key_statements(_cache(repo), make_ctx(norms), PATCH_FC)
-        return next(m for m in ks if m.stmt.line_no == line)
+        return next(s for s in _find(repo, norms) if s.line_no == line)
 
     @pytest.mark.parametrize("line", [3, 4, 5])
     def test_up_seeds_converge(self, fig_repo, line):
@@ -410,8 +420,8 @@ class TestExpandBoundary:
 
     def test_single_statement_context_collapses_to_seed(self, fig_repo):
         ctx = make_ctx(["pindexState = chainActive.Tip();"])
-        ks = find_key_statements(_cache(fig_repo), ctx, PATCH_FC)[0]
-        assert ks.stmt.line_no == 9
+        ks = find_key_statements(_cache(fig_repo, ctx), ctx, PATCH_FC)[0]
+        assert ks.line_no == 9
         assert expand_boundary(_cache(fig_repo), ks, ctx) == (9, 9)
 
     def test_gate_failure_returns_none(self, tmp_path):
@@ -423,8 +433,8 @@ class TestExpandBoundary:
             "nCheckValue = ComputeValue(x);",
             "OmegaEpsilonZetaTheta();",
         ])
-        ks = find_key_statements(_cache(repo), ctx, PATCH_FC)
-        assert [(m.stmt.line_no, m.sim) for m in ks] == [(2, 1.0)]
+        ks = find_key_statements(_cache(repo, ctx), ctx, PATCH_FC)
+        assert [s.line_no for s in ks] == [2]
         assert expand_boundary(_cache(repo), ks[0], ctx) is None
 
     def test_equal_matches_prefer_closest(self, tmp_path):
@@ -435,8 +445,8 @@ class TestExpandBoundary:
             ),
         })
         ctx = make_ctx(["BeginMarker(y);", "filler_stmt;", "MarkerEnd();"])
-        ks = find_key_statements(_cache(repo), ctx, PATCH_FC)
-        seed2 = next(m for m in ks if m.stmt.line_no == 2)
+        ks = find_key_statements(_cache(repo, ctx), ctx, PATCH_FC)
+        seed2 = next(s for s in ks if s.line_no == 2)
         # MarkerEnd() appears at lines 3 and 5 with equal similarity; the
         # boundary ends at the one nearer the seed.
         assert expand_boundary(_cache(repo), seed2, ctx) == (2, 3)
@@ -488,6 +498,22 @@ class TestFinalizeContexts:
         capped = finalize_contexts(_cache(twin_repo), spans, ctx, PARAMS)
         assert [(c.path, c.ss_line) for c in capped] == [("src/init.cpp", 3)]
 
+    @pytest.mark.parametrize("cap", [search.MAX_CANDIDATES, 2])
+    def test_boundary_order_does_not_matter(self, twin_repo, monkeypatch, cap):
+        # Key statements come in grep order, so finalize must not depend on
+        # the order of its boundaries: equal-score spans in two files, an
+        # overlap, a span below t and a repeated span.
+        monkeypatch.setattr(search, "MAX_CANDIDATES", cap)
+        ctx, cache = make_ctx(UP_NORMS), _cache(twin_repo)
+        spans = [
+            ("src/wallet.cpp", (3, 5)), ("src/init.cpp", (3, 5)),
+            ("src/init.cpp", (3, 12)), ("src/init.cpp", (4, 5)),
+            ("src/init.cpp", (8, 12)), ("src/wallet.cpp", (3, 5)),
+        ]
+        want = finalize_contexts(cache, spans, ctx, PARAMS)
+        assert len(want) == min(cap, 2)
+        for order in permutations(spans):
+            assert finalize_contexts(cache, list(order), ctx, PARAMS) == want
 
 
 def _ctx(path: str, ss: int, es: int) -> CandidateContext:
@@ -555,7 +581,7 @@ class TestPairContexts:
 
 class TestCollectCandidates:
     def test_end_to_end_single_clone(self, fig_repo):
-        out = collect_candidates(_cache(fig_repo), make_hunk(UP_NORMS, DOWN_NORMS), PARAMS)
+        out = _collect(fig_repo, make_hunk(UP_NORMS, DOWN_NORMS))
         (cand,) = out.candidates
         assert cand.span == (6, 6) and cand.norms == [DP_LINE]
         up, down = cand.paired_up, cand.paired_down
@@ -568,7 +594,7 @@ class TestCollectCandidates:
         )
 
     def test_two_files_two_candidates(self, twin_repo):
-        out = collect_candidates(_cache(twin_repo), make_hunk(UP_NORMS, DOWN_NORMS), PARAMS)
+        out = _collect(twin_repo, make_hunk(UP_NORMS, DOWN_NORMS))
         assert [(c.path, c.span) for c in out.candidates] == [
             ("src/init.cpp", (6, 6)),
             ("src/wallet.cpp", (6, 6)),
@@ -578,13 +604,13 @@ class TestCollectCandidates:
             assert cand.paired_up is not None and cand.paired_down is not None
 
     def test_up_context_only(self, fig_repo):
-        out = collect_candidates(_cache(fig_repo), make_hunk(UP_NORMS, None), PARAMS)
+        out = _collect(fig_repo, make_hunk(UP_NORMS, None))
         (cand,) = out.candidates
         assert cand.span == (6, 6) and cand.norms == [DP_LINE]
         assert cand.paired_up is not None and cand.paired_down is None
 
     def test_down_context_only(self, fig_repo):
-        out = collect_candidates(_cache(fig_repo), make_hunk(None, DOWN_NORMS), PARAMS)
+        out = _collect(fig_repo, make_hunk(None, DOWN_NORMS))
         (cand,) = out.candidates
         assert cand.span == (6, 6) and cand.norms == [DP_LINE]
         assert cand.paired_up is None and cand.paired_down is not None
@@ -593,7 +619,7 @@ class TestCollectCandidates:
         repo = _repo(tmp_path / "plant", {
             "src/clone.cpp": "\n".join(UP_NORMS + [DP_LINE] + DOWN_NORMS) + "\n",
         })
-        out = collect_candidates(_cache(repo), make_hunk(UP_NORMS, DOWN_NORMS), PARAMS)
+        out = _collect(repo, make_hunk(UP_NORMS, DOWN_NORMS))
         (cand,) = out.candidates
         assert cand.span == (6, 6) and cand.norms == [DP_LINE]
         up, down = cand.paired_up, cand.paired_down
@@ -604,5 +630,5 @@ class TestCollectCandidates:
         repo = _repo(tmp_path / "empty", {
             "src/unrelated.cpp": "int completely = 0;\ndifferent_code(here);\n",
         })
-        out = collect_candidates(_cache(repo), make_hunk(UP_NORMS, DOWN_NORMS), PARAMS)
+        out = _collect(repo, make_hunk(UP_NORMS, DOWN_NORMS))
         assert out.candidates == []
