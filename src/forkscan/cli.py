@@ -140,13 +140,11 @@ def _open_targets(config: RunConfig, keywords: frozenset[str]) -> list[_TargetCt
 
 
 def _load_patches(config: RunConfig) -> list[Patch]:
-    source = RepoHandle(config.source)
-    patches: list[Patch] = []
-    for sha in config.patch_shas:
-        patch = patchmodel.load_patch(source, sha)
-        if any(p.source_sha == patch.source_sha for p in patches):
-            raise ConfigError(f"two patches are commit {patch.source_sha}")
-        patches.append(patch)
+    try:
+        diffs = gitio.commit_diffs(RepoHandle(config.source), config.patch_shas)
+    except gitio.SameCommitError as exc:
+        raise ConfigError(f"two patches are commit {exc.commit}") from exc
+    patches = [patchmodel.load_patch(d, sha) for d, sha in zip(diffs, config.patch_shas)]
     for file in config.patch_files:
         try:
             text = Path(file).read_text(encoding="utf-8")
@@ -252,9 +250,7 @@ def _row_for(
             row.ctx_sim_down = _round(cand.paired_down.ctx_sim)
     if v.status is Status.FIXED:
         try:
-            row.delay = delay.fix_delay(
-                ctx.cache.repo, ctx.cache.rev, patch.committed_at, v.winning.candidate
-            )
+            row.delay = delay.fix_delay(ctx.cache, patch.committed_at, v.winning.candidate)
         except gitio.GitError as exc:
             log.warning("delay lookup failed for %s: %s", ctx.name, exc)
             row.note = "; ".join(filter(None, [row.note, f"delay: {exc}"]))

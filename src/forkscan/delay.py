@@ -4,7 +4,9 @@ git blame over the winning candidate region at the scanned revision names
 the commits that shaped it, with their commit times; the earliest of them is
 taken as the true fix commit (later commits are refactors of already-fixed
 code). Its first containing release, compared to the source patch's commit
-date, gives the fix delay in whole days.
+date, gives the fix delay in whole days. A target's fix commit and release
+are looked up once per blamed region, on its StatementCache; the delay is
+each row's own.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from datetime import datetime
 from . import gitio
 from .gitio import RepoHandle
 from .report import DelayRecord
-from .search import CandidateCode
+from .search import CandidateCode, StatementCache
 
 
 def find_fix_commit(
@@ -59,17 +61,19 @@ def _blame_span(cand: CandidateCode) -> tuple[int, int]:
 
 
 def fix_delay(
-    target: RepoHandle,
-    rev: str,
-    patch_committed_at: datetime | None,
-    cand: CandidateCode,
+    cache: StatementCache, patch_committed_at: datetime | None, cand: CandidateCode
 ) -> DelayRecord:
-    """The DelayRecord of the winning candidate of a Fixed verdict at rev.
+    """The DelayRecord of the winning candidate of a Fixed verdict at the
+    cache's revision.
 
-    A failed git query raises GitError.
+    A failed git query raises GitError and stores nothing.
     """
-    true_fix = find_fix_commit(target, cand.path, _blame_span(cand), rev)
-    release = earliest_release(target, true_fix)
+    region = (cand.path, _blame_span(cand))
+    facts = cache.fixes.get(region)
+    if facts is None:
+        true_fix = find_fix_commit(cache.repo, cand.path, region[1], cache.rev)
+        facts = cache.fixes[region] = (true_fix, earliest_release(cache.repo, true_fix))
+    true_fix, release = facts
     delay = None
     if release is not None and patch_committed_at is not None:
         delay = patch_delay(patch_committed_at, release[1])

@@ -2,11 +2,13 @@
 
 One git call per query: a grep for any of several substrings (a scan greps
 each target once, for every patch's context keywords), file content, and
-line blame with commit times at a revision, a commit's diff headed by its
-id and committer time, and the dated tags that contain a commit. Every
-query takes the revision or commit it reads; a handle holds none.
-commit_time has no caller in forkscan; it stays only because the
-benchmark's tracer (perfbench/tracer.py) wraps it by name.
+line blame with commit times at a revision, and the dated tags that contain
+a commit. Every patch commit of a scan is read with two: one `cat-file`
+resolves each revision to its full commit id, one `diff-tree --stdin` diffs
+them all, each diff headed by its id and committer time. Every query takes
+the revision or commit it reads; a handle holds none. commit_time has no
+caller in forkscan; it stays only because the benchmark's tracer
+(perfbench/tracer.py) wraps it by name.
 """
 
 from __future__ import annotations
@@ -47,10 +49,13 @@ class RepoHandle:
     def __repr__(self) -> str:
         return f"RepoHandle({str(self.root)!r})"
 
-    def _run(self, args: list[str]) -> subprocess.CompletedProcess:
-        """Run git in the repository; the caller reads the exit status."""
+    def _run(
+        self, args: list[str], input: bytes | None = None
+    ) -> subprocess.CompletedProcess:
+        """Run git in the repository with input on its stdin; the caller
+        reads the exit status."""
         cmd = ["git", "-C", str(self.root), "-c", "core.quotepath=false"] + args
-        return subprocess.run(cmd, capture_output=True)
+        return subprocess.run(cmd, input=input, capture_output=True)
 
 
 def _decode(data: bytes) -> str:
@@ -139,20 +144,58 @@ def blame_lines(
     return times
 
 
-def commit_diff(repo: RepoHandle, sha: str) -> str:
-    """The commit's full id and committer time (strict ISO 8601) on the
+class SameCommitError(ValueError):
+    """Two revisions given to commit_diffs name one commit."""
+
+    def __init__(self, commit: str):
+        super().__init__(f"two revisions are commit {commit}")
+        self.commit = commit
+
+
+def commit_diffs(repo: RepoHandle, shas: list[str]) -> list[str]:
+    """Each commit's full id and committer time (strict ISO 8601) on its
     first line, then a blank line and its diff with whole-file context; a
     merge commit is diffed against its first parent, a root commit against
-    the empty tree."""
+    the empty tree, and an empty commit is its first line alone.
+
+    Two git calls for all shas: one resolves each to its full commit id
+    (an unknown sha raises NotFoundError, two shas naming one commit raise
+    SameCommitError, both before any diff), one diffs them all.
+    """
+    if not shas:
+        return []
+    for sha in shas:
+        if "\n" in sha:  # would read as two names
+            raise NotFoundError(f"unknown commit {sha!r} in {repo.root}")
     proc = repo._run(
-        ["diff-tree", "--root", "-r", "-p", "-U2147483647", "--no-color",
-         "--format=%H %cI", "--diff-merges=first-parent", sha]
+        ["cat-file", "--batch-check=%(objectname) %(objecttype)"],
+        input="".join(f"{sha}^{{commit}}\n" for sha in shas).encode(),
     )
     if proc.returncode != 0:
-        raise NotFoundError(
-            f"cannot diff commit {sha} in {repo.root}: {_decode(proc.stderr).strip()}"
-        )
-    return _decode(proc.stdout)
+        raise GitError(f"git cat-file failed: {_decode(proc.stderr).strip()}")
+    full_ids: list[str] = []
+    for sha, line in zip(shas, _split_lines(_decode(proc.stdout))):
+        full_id, _, kind = line.rpartition(" ")  # kind: missing, ambiguous
+        if kind != "commit":
+            raise NotFoundError(f"unknown commit {sha} in {repo.root} ({kind})")
+        if full_id in full_ids:
+            raise SameCommitError(full_id)
+        full_ids.append(full_id)
+    proc = repo._run(
+        ["diff-tree", "--stdin", "--always", "--root", "-r", "-p", "-U2147483647",
+         "--no-color", "--format=%H %cI", "--diff-merges=first-parent"],
+        input="".join(f"{full_id}\n" for full_id in full_ids).encode(),
+    )
+    if proc.returncode != 0:
+        raise GitError(f"git diff-tree failed: {_decode(proc.stderr).strip()}")
+    # Each commit's output starts with a line "<full id> <time>"; a diff
+    # line starts with " ", "+", "-", "@", "\\" or a header word, so no
+    # line inside a diff can look like the next commit's first line.
+    out = _decode(proc.stdout)
+    starts = [0]
+    for full_id in full_ids[1:]:
+        starts.append(out.index(f"\n{full_id} ", starts[-1]) + 1)
+    return [out[a:b] for a, b in zip(starts, starts[1:] + [len(out)])]
 
 
 def commit_time(repo: RepoHandle, sha: str) -> datetime:

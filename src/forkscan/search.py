@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from datetime import datetime
 
 from . import gitio
 from .gitio import RepoHandle
@@ -32,11 +33,12 @@ MAX_CANDIDATES = 10
 
 
 class StatementCache:
-    """Memoized keyword grep and per-file statement extraction for one
-    (repository, revision).
+    """Memoized keyword grep, per-file statement extraction and per-region
+    fix facts for one (repository, revision).
 
     keywords are every keyword a context may ask for; the first grep greps
-    them all in one git call.
+    them all in one git call. fixes maps a blamed (path, span) to its fix
+    commit and first release, as `delay.fix_delay` found them.
     """
 
     def __init__(self, repo: RepoHandle, rev: str, keywords: frozenset[str]):
@@ -45,6 +47,9 @@ class StatementCache:
         self._keywords = keywords
         self._hits: list[gitio.GrepHit] | None = None
         self._entries: dict[str, tuple[list[NormalizedLine], dict[int, int]]] = {}
+        self.fixes: dict[
+            tuple[str, tuple[int, int]], tuple[str, tuple[str, datetime] | None]
+        ] = {}
 
     def grep(self, keywords: list[str]) -> list[gitio.GrepHit]:
         """Every line at the revision containing any of keywords, ordered by

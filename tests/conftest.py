@@ -67,6 +67,18 @@ def tag_annotated(repo: Path, name: str, date: datetime) -> None:
     run_git(repo, "tag", "-a", name, "-m", f"release {name}", date=date)
 
 
+def record_git(handle) -> list[str]:
+    """The subcommand of every later git call a repository handle makes."""
+    calls, real = [], handle._run
+
+    def run(args, input=None):
+        calls.append(args[0])
+        return real(args, input)
+
+    handle._run = run
+    return calls
+
+
 @pytest.fixture
 def make_repo(tmp_path):
     """Factory: build a repo from {path: content} with one pinned commit."""

@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from datetime import datetime
 from pathlib import Path
 from types import SimpleNamespace
@@ -480,6 +481,18 @@ class TestDetectEndToEnd:
         _detect(world, [world.vuln, world.fixed, world.clean], second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_short_sha_labels_its_rows(self, world, tmp_path):
+        short = world.patch_sha[:10]
+        out = tmp_path / "report.json"
+        argv = ["detect", "--source", str(world.src), "--patch", short,
+                "--target", str(world.fixed), "--out", str(out)]
+        assert main(argv) == 0
+        data = json.loads(out.read_text(encoding="utf-8"))
+        assert [(p["label"], p["sha"]) for p in data["patches"]] == [
+            (short, world.patch_sha)
+        ]
+        assert [r["patch"] for r in data["results"]] == [short]
+
     def test_report_metadata(self, world, tmp_path):
         out = tmp_path / "report.json"
         _detect(world, [world.fixed], out)
@@ -548,6 +561,45 @@ class TestScanFailureNotes:
         assert rows["cleanfork"]["status"] == "ContextNotFound"
         assert rows["cleanfork"]["note"] == ""
         assert not (tmp_path / "delay_cdf.csv").exists()
+
+    def _two_patches_one_region(self, world, tmp_path) -> list[str]:
+        """detect argv: the fix as a commit and as a diff file, so two
+        Fixed rows of the fixed fork land on one region."""
+        diff_text = run_git(
+            world.src, "diff", "-U5", f"{world.patch_sha}^", world.patch_sha
+        )
+        diff_file = tmp_path / "fix.diff"
+        diff_file.write_text(diff_text + "\n", encoding="utf-8")
+        return ["detect", "--source", str(world.src), "--patch", world.patch_sha,
+                "--patch-file", str(diff_file), "--target", str(world.fixed),
+                "--out", str(tmp_path / "out" / "report.json")]
+
+    def test_one_delay_lookup_per_region(self, world, tmp_path, monkeypatch):
+        calls = _record_git(monkeypatch)
+        assert main(self._two_patches_one_region(world, tmp_path)) == 0
+
+        commit_row, file_row = _rows(tmp_path / "out" / "report.json")
+        assert commit_row["status"] == file_row["status"] == "Fixed"
+        assert (commit_row["path"], commit_row["span"]) == (
+            file_row["path"], file_row["span"]
+        )
+        lookups = [args[0] for root, args in calls if args[0] in ("blame", "tag")]
+        assert lookups == ["blame", "tag"]
+        # Each row's delay comes from its own patch date; a diff file has none.
+        assert commit_row["delay"]["delay_days"] is not None
+        assert file_row["delay"] == {**commit_row["delay"], "delay_days": None}
+
+    def test_delay_failure_notes_every_row_of_the_region(self, world, tmp_path,
+                                                          monkeypatch):
+        def releases(repo, sha):
+            raise forkscan.gitio.GitError("tags unreadable")
+
+        monkeypatch.setattr(forkscan.gitio, "releases_containing", releases)
+        assert main(self._two_patches_one_region(world, tmp_path)) == 0
+        for row in _rows(tmp_path / "out" / "report.json"):
+            assert row["status"] == "Fixed"
+            assert row["note"] == "delay: tags unreadable"
+            assert row["delay"] is None
 
     def test_blame_failure_notes_fixed_row(self, world, tmp_path, monkeypatch):
         # git blame itself fails: the region lies past the file's end.
@@ -642,32 +694,56 @@ def _detect_three(world, targets, out) -> int:
     return main([*argv, "--out", str(out)])
 
 
+def _record_git(monkeypatch) -> list[tuple[Path, list[str]]]:
+    """(repository, args) of every git call forkscan makes from now on."""
+    calls: list[tuple[Path, list[str]]] = []
+    real = forkscan.gitio.RepoHandle._run
+
+    def run(self, args, input=None):
+        calls.append((self.root, list(args)))
+        return real(self, args, input)
+
+    monkeypatch.setattr(forkscan.gitio.RepoHandle, "_run", run)
+    return calls
+
+
 class TestGitProcesses:
     """A scan greps each target once, for every patch's context keywords,
-    and reads each patch with one git call."""
+    reads all patches with two git calls, and looks up each Fixed region's
+    delay facts once."""
 
     def test_one_grep_per_target_and_no_commit_lookup(self, three_world, tmp_path,
                                                      monkeypatch):
-        calls: list[tuple[Path, list[str]]] = []
-        real = forkscan.gitio.RepoHandle._run
-
-        def run(self, args):
-            calls.append((self.root, list(args)))
-            return real(self, args)
-
-        monkeypatch.setattr(forkscan.gitio.RepoHandle, "_run", run)
+        calls = _record_git(monkeypatch)
         out = tmp_path / "report.json"
         targets = [three_world.vuln, three_world.fixed]
         assert _detect_three(three_world, targets, out) == 1
 
-        assert [(r["target"], r["status"]) for r in _rows(out)] == [
+        rows = _rows(out)
+        assert [(r["target"], r["status"]) for r in rows] == [
             ("fixedfork", "Fixed"), ("vulnfork", "Vulnerable"),
         ] * 3
         greps = [root for root, args in calls if args[0] == "grep"]
         assert sorted(greps) == sorted([three_world.fixed, three_world.vuln])
         assert [args for _, args in calls if args[:2] == ["show", "-s"]] == []
-        diffs = [root for root, args in calls if args[0] == "diff-tree"]
-        assert diffs == [three_world.src] * 3
+        patch_reads = [(root, args[0]) for root, args in calls
+                       if args[0] in ("cat-file", "diff-tree")]
+        assert patch_reads == [(three_world.src, "cat-file"),
+                               (three_world.src, "diff-tree")]
+        # The whole budget: one rev-parse per repository, two calls for all
+        # patches, one grep per target, one read per (target, file with a
+        # hit), and one blame and one tag --contains per distinct Fixed
+        # region. Without the six file reads that is within the target of
+        # at most 10 plus 2 per Fixed region; with them it is 19 > 16.
+        regions = {(r["target"], r["path"], tuple(r["span"]))
+                   for r in rows if r["status"] == "Fixed"}
+        assert len(regions) == 3
+        assert Counter(args[0] for _, args in calls) == {
+            "rev-parse": 3, "cat-file": 1, "diff-tree": 1, "grep": 2,
+            "show": 2 * len(THREE_FIXES), "blame": 3, "tag": 3,
+        }
+        reads = [args for _, args in calls if args[0] == "show"]
+        assert len(calls) - len(reads) <= 10 + 2 * len(regions)
 
     def test_unknown_revision_notes_every_row(self, three_world, tmp_path):
         plain = tmp_path / "plain" / "report.json"
@@ -928,6 +1004,30 @@ class TestDetectErrors:
         assert f"two patches are commit {world.patch_sha}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_one_commit_given_twice_fails_before_any_diff(self, world, tmp_path,
+                                                          capsys, monkeypatch):
+        calls = _record_git(monkeypatch)
+        out = tmp_path / "r.json"
+        argv = ["detect", "--source", str(world.src), "--target", str(world.vuln),
+                "--patch", world.patch_sha[:7], "--patch", world.patch_sha,
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert f"two patches are commit {world.patch_sha}" in capsys.readouterr().err
+        assert [args[0] for root, args in calls if root == world.src] == [
+            "rev-parse", "cat-file",
+        ]
+        assert not out.exists()
+
+    def test_empty_commit_exits_3(self, world, tmp_path, capsys):
+        root = init_repo(tmp_path / "emptysrc")
+        run_git(root, "commit", "-q", "--allow-empty", "-m", "nothing",
+                date=datetime(2021, 1, 1, tzinfo=UTC))
+        sha = run_git(root, "rev-parse", "HEAD")
+        argv = ["detect", "--source", str(root), "--patch", sha,
+                "--target", str(world.vuln), "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 3
+        assert "no file hunks found" in capsys.readouterr().err
+
     def test_patch_files_sharing_a_name_exit_2(self, world, tmp_path, capsys):
         diff_text = run_git(
             world.src, "diff", "-U5", f"{world.patch_sha}^", world.patch_sha
@@ -948,7 +1048,7 @@ class TestDetectErrors:
         # A scan whose only row is Fixed would exit 0; no patch is even loaded.
         loaded = []
         monkeypatch.setattr(forkscan.patchmodel, "load_patch",
-                            lambda repo, sha: loaded.append(sha))
+                            lambda diff_text, label: loaded.append(label))
         out = tmp_path / "taken"
         out.mkdir()
         assert _detect(world, [world.fixed], out) == 2
@@ -963,7 +1063,7 @@ class TestDetectErrors:
         # directory can be made there, so the scan is refused before it starts.
         loaded = []
         monkeypatch.setattr(forkscan.patchmodel, "load_patch",
-                            lambda repo, sha: loaded.append(sha))
+                            lambda diff_text, label: loaded.append(label))
         afile = tmp_path / "afile"
         afile.write_text("keep\n", encoding="utf-8")
         out = afile / below

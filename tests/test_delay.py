@@ -4,7 +4,14 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from conftest import TABLE_FILE, commit_all, init_repo, run_git, write_files
+from conftest import (
+    TABLE_FILE,
+    commit_all,
+    init_repo,
+    record_git,
+    run_git,
+    write_files,
+)
 from forkscan.delay import (
     earliest_release,
     find_fix_commit,
@@ -13,9 +20,13 @@ from forkscan.delay import (
 )
 from forkscan.gitio import GitError, NotFoundError, RepoHandle, blame_lines
 from forkscan.report import DelayRecord
-from forkscan.search import CandidateCode, CandidateContext
+from forkscan.search import CandidateCode, CandidateContext, StatementCache
 
 UTC = timezone.utc
+
+
+def _cache(root, rev: str) -> StatementCache:
+    return StatementCache(RepoHandle(root), rev, frozenset())
 
 
 def _owners(repo: RepoHandle, rev: str, path: str, span) -> set[str]:
@@ -122,8 +133,7 @@ class TestFixDelay:
     def test_full_attribution(self, table_repo):
         repo_path, c_rewrite, _ = table_repo
         record = fix_delay(
-            RepoHandle(repo_path), "HEAD", self.PATCH_DATE,
-            self._candidate((204, 208)),
+            _cache(repo_path, "HEAD"), self.PATCH_DATE, self._candidate((204, 208))
         )
         assert record == DelayRecord(
             true_fix=c_rewrite,
@@ -134,10 +144,10 @@ class TestFixDelay:
     def test_blames_at_given_rev(self, table_repo):
         # Line 205 is owned by the tweak at HEAD and by the rewrite before it.
         repo_path, c_rewrite, c_tweak = table_repo
-        repo = RepoHandle(repo_path)
         cand = self._candidate((205, 205))
-        assert fix_delay(repo, "HEAD", self.PATCH_DATE, cand).true_fix == c_tweak
-        assert fix_delay(repo, c_rewrite, self.PATCH_DATE, cand).true_fix == c_rewrite
+        head, old = _cache(repo_path, "HEAD"), _cache(repo_path, c_rewrite)
+        assert fix_delay(head, self.PATCH_DATE, cand).true_fix == c_tweak
+        assert fix_delay(old, self.PATCH_DATE, cand).true_fix == c_rewrite
 
     def test_empty_candidate_blames_context_gap(self, table_repo):
         repo_path, c_rewrite, _ = table_repo
@@ -145,10 +155,7 @@ class TestFixDelay:
         down = CandidateContext(path=TABLE_FILE, ss_line=207, es_line=211, ctx_sim=0.9)
         cand = CandidateCode(path=TABLE_FILE, stmts=[], span=(205, 204),
                              paired_up=up, paired_down=down)
-        record = fix_delay(
-            RepoHandle(repo_path), "HEAD", self.PATCH_DATE,
-            cand,
-        )
+        record = fix_delay(_cache(repo_path, "HEAD"), self.PATCH_DATE, cand)
         # Fallback region (204, 207) includes the rewrite-owned lines.
         assert record.true_fix == c_rewrite
         assert record.delay_days == 196
@@ -158,17 +165,14 @@ class TestFixDelay:
         up = CandidateContext(path=TABLE_FILE, ss_line=205, es_line=205, ctx_sim=0.9)
         cand = CandidateCode(path=TABLE_FILE, stmts=[], span=(206, 205),
                              paired_up=up, paired_down=None)
-        record = fix_delay(
-            RepoHandle(repo_path), "HEAD", self.PATCH_DATE,
-            cand,
-        )
+        record = fix_delay(_cache(repo_path, "HEAD"), self.PATCH_DATE, cand)
         assert record.true_fix == c_tweak
 
     def test_blame_failure_raises_git_error(self, table_repo):
         # The scan notes the error in the row (test_cli TestScanFailureNotes).
         with pytest.raises(GitError, match="out of bounds"):
             fix_delay(
-                RepoHandle(table_repo[0]), "HEAD", self.PATCH_DATE,
+                _cache(table_repo[0], "HEAD"), self.PATCH_DATE,
                 self._candidate((9000, 9001)),
             )
 
@@ -178,7 +182,7 @@ class TestFixDelay:
         commit_all(root, "fix", datetime(2022, 1, 1, tzinfo=UTC))
         sha = run_git(root, "rev-parse", "HEAD")
         record = fix_delay(
-            RepoHandle(root), "HEAD", self.PATCH_DATE,
+            _cache(root, "HEAD"), self.PATCH_DATE,
             CandidateCode(path="f.c", stmts=[], span=(1, 1),
                           paired_up=None, paired_down=None),
         )
@@ -187,9 +191,44 @@ class TestFixDelay:
 
     def test_unknown_patch_date_has_no_delay(self, table_repo):
         record = fix_delay(
-            RepoHandle(table_repo[0]), "HEAD", None,
-            self._candidate((204, 208)),
+            _cache(table_repo[0], "HEAD"), None, self._candidate((204, 208))
         )
         assert record.true_fix is not None
         assert record.release is not None
         assert record.delay_days is None
+
+    def test_one_lookup_per_region(self, table_repo):
+        # Fix commit and release are looked up once per blamed region;
+        # each row's delay comes from its own patch date.
+        repo_path, c_rewrite, _ = table_repo
+        cache = _cache(repo_path, "HEAD")
+        calls = record_git(cache.repo)
+        first = fix_delay(cache, datetime(2019, 8, 10, tzinfo=UTC),
+                          self._candidate((204, 208)))
+        second = fix_delay(cache, datetime(2020, 1, 1, tzinfo=UTC),
+                           self._candidate((204, 208)))
+        assert calls == ["blame", "tag"]
+        release = ("mainnet-ignition-v0.19.0", datetime(2020, 2, 22, tzinfo=UTC))
+        assert first == DelayRecord(true_fix=c_rewrite, release=release, delay_days=196)
+        assert second == DelayRecord(true_fix=c_rewrite, release=release, delay_days=52)
+        assert fix_delay(cache, None, self._candidate((204, 208))).delay_days is None
+        assert calls == ["blame", "tag"]
+
+    def test_each_region_is_looked_up(self, table_repo):
+        repo_path, c_rewrite, c_tweak = table_repo
+        cache = _cache(repo_path, "HEAD")
+        calls = record_git(cache.repo)
+        date = datetime(2019, 8, 10, tzinfo=UTC)
+        assert fix_delay(cache, date, self._candidate((204, 208))).true_fix == c_rewrite
+        assert fix_delay(cache, date, self._candidate((205, 205))).true_fix == c_tweak
+        assert calls == ["blame", "tag"] * 2
+
+    def test_failed_lookup_raises_every_time(self, table_repo):
+        # Nothing is stored, so each affected row gets its own `delay:` note.
+        cache = _cache(table_repo[0], "HEAD")
+        calls = record_git(cache.repo)
+        for _ in range(2):
+            with pytest.raises(GitError, match="out of bounds"):
+                fix_delay(cache, None, self._candidate((9000, 9001)))
+        assert calls == ["blame", "blame"]
+        assert cache.fixes == {}

@@ -1,5 +1,6 @@
 """Git plumbing: grep, file reads, blame, commit diffs, timestamps, releases."""
 
+import subprocess
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -9,20 +10,24 @@ from conftest import (
     commit_all,
     init_repo,
     oracle_grep,
+    record_git,
     run_git,
+    tag_annotated,
     write_files,
 )
 from forkscan.gitio import (
     GitError,
     NotFoundError,
     RepoHandle,
+    SameCommitError,
     blame_lines,
-    commit_diff,
+    commit_diffs,
     commit_time,
     grep_repo,
     read_file_at,
     releases_containing,
 )
+from forkscan.patchmodel import PatchError, load_patch
 
 UTC = timezone.utc
 
@@ -231,19 +236,114 @@ class TestBlame:
             blame_lines(repo, "HEAD", "src/qt/absent.cpp", 1, 2)
 
 
-class TestCommitDiff:
+DIFF_TREE = ["diff-tree", "--root", "-r", "-p", "-U2147483647", "--no-color",
+             "--format=%H %cI", "--diff-merges=first-parent"]
+
+
+def _single_diff(root, sha: str) -> str:
+    """One commit's diff from its own diff-tree call, bytes as printed."""
+    proc = subprocess.run(["git", "-C", str(root), *DIFF_TREE, sha],
+                          capture_output=True, check=True)
+    return proc.stdout.decode("utf-8", errors="replace")
+
+
+@pytest.fixture(scope="module")
+def history_repo(tmp_path_factory):
+    """A root commit, an edit tagged v1 (annotated), an empty commit, and a
+    merge of a side branch; returns (path, {name: full id})."""
+    root = init_repo(tmp_path_factory.mktemp("history") / "repo")
+    shas = {}
+    write_files(root, {"a.c": "int a = 1;\nint b = 2;\n"})
+    shas["root"] = commit_all(root, "root", datetime(2021, 1, 1, tzinfo=UTC))
+    write_files(root, {"a.c": "int a = 1;\nint b = 3;\n"})
+    shas["edit"] = commit_all(root, "edit", datetime(2021, 1, 2, tzinfo=UTC))
+    tag_annotated(root, "v1", datetime(2021, 1, 3, tzinfo=UTC))
+    run_git(root, "commit", "-q", "--allow-empty", "-m", "empty",
+            date=datetime(2021, 1, 4, tzinfo=UTC))
+    shas["empty"] = run_git(root, "rev-parse", "HEAD")
+    run_git(root, "checkout", "-q", "-b", "side")
+    write_files(root, {"s.c": "int side = 1;\n"})
+    commit_all(root, "side", datetime(2021, 1, 5, tzinfo=UTC))
+    run_git(root, "checkout", "-q", "main")
+    write_files(root, {"a.c": "int a = 2;\nint b = 3;\n"})
+    commit_all(root, "main edit", datetime(2021, 1, 6, tzinfo=UTC))
+    run_git(root, "merge", "-q", "--no-ff", "-m", "merge side", "side",
+            date=datetime(2021, 1, 7, tzinfo=UTC))
+    shas["merge"] = run_git(root, "rev-parse", "HEAD")
+    return root, shas
+
+
+class TestCommitDiffs:
     def test_shows_both_whole_files(self, table_repo):
         repo_path, c_rewrite, _ = table_repo
         repo = RepoHandle(repo_path)
         old = read_file_at(repo, f"{c_rewrite}^", TABLE_FILE)
         new = read_file_at(repo, c_rewrite, TABLE_FILE)
-        lines = commit_diff(repo, c_rewrite).split("\n")
+        (diff,) = commit_diffs(repo, [c_rewrite])
+        lines = diff.split("\n")
         assert lines[:2] == [f"{c_rewrite} 2019-08-10T00:00:00+00:00", ""]
         header = f"@@ -1,{len(old)} +1,{len(new)} @@"
         assert [line for line in lines if line.startswith("@@")] == [header]
         body = lines[lines.index(header) + 1:]
         assert [line[1:] for line in body if line[:1] in (" ", "-")] == old
         assert [line[1:] for line in body if line[:1] in (" ", "+")] == new
+
+    def test_batch_equals_single_diffs(self, history_repo):
+        # A short id, an annotated tag, a root commit and a merge commit.
+        root, shas = history_repo
+        repo = RepoHandle(root)
+        calls = record_git(repo)
+        diffs = commit_diffs(repo, [shas["merge"][:10], "v1", shas["root"]])
+        want = [shas["merge"], shas["edit"], shas["root"]]
+        assert diffs == [_single_diff(root, sha) for sha in want]
+        assert calls == ["cat-file", "diff-tree"]
+
+    def test_empty_commit_is_its_header_and_no_patch(self, history_repo):
+        root, shas = history_repo
+        assert _single_diff(root, shas["empty"]) == ""
+        diffs = commit_diffs(RepoHandle(root), [shas["empty"], shas["root"]])
+        assert diffs == [f"{shas['empty']} 2021-01-04T00:00:00+00:00\n",
+                         _single_diff(root, shas["root"])]
+        with pytest.raises(PatchError, match="no file hunks found"):
+            load_patch(diffs[0], shas["empty"])
+
+    def test_unknown_sha_is_named(self, history_repo):
+        root, shas = history_repo
+        repo = RepoHandle(root)
+        calls = record_git(repo)
+        with pytest.raises(NotFoundError, match="unknown commit f{40} "):
+            commit_diffs(repo, [shas["root"], "f" * 40])
+        with pytest.raises(NotFoundError, match="unknown commit v1:a.c "):
+            commit_diffs(repo, ["v1:a.c"])  # a blob is no commit
+        with pytest.raises(NotFoundError):
+            commit_diffs(repo, [f"{shas['root']}\n{shas['edit']}"])
+        assert calls == ["cat-file", "cat-file"]
+
+    def test_same_commit_twice_is_refused_before_any_diff(self, history_repo):
+        root, shas = history_repo
+        repo = RepoHandle(root)
+        calls = record_git(repo)
+        with pytest.raises(SameCommitError) as exc:
+            commit_diffs(repo, [shas["edit"][:7], "v1"])
+        assert exc.value.commit == shas["edit"]
+        assert calls == ["cat-file"]
+
+    def test_file_line_holding_another_id_does_not_split(self, tmp_path):
+        root = init_repo(tmp_path / "ids")
+        write_files(root, {"a.c": "int a = 1;\n"})
+        first = commit_all(root, "first", datetime(2021, 1, 1, tzinfo=UTC))
+        # A whole line that reads like the first commit's header.
+        write_files(root, {"ids.txt": f"{first} 2021-01-01T00:00:00+00:00\n"})
+        second = commit_all(root, "second", datetime(2021, 1, 2, tzinfo=UTC))
+        repo = RepoHandle(root)
+        for order in ([second, first], [first, second]):
+            assert commit_diffs(repo, order) == [_single_diff(root, s) for s in order]
+
+    def test_no_shas_runs_no_git(self, history_repo):
+        repo = RepoHandle(history_repo[0])
+        calls = record_git(repo)
+        assert commit_diffs(repo, []) == []
+        assert calls == []
 
 
 class TestCommitTime:

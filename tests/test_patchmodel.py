@@ -5,7 +5,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from conftest import commit_all, init_repo, run_git, write_files
-from forkscan.gitio import NotFoundError, RepoHandle, commit_diff, commit_time
+from forkscan.gitio import NotFoundError, RepoHandle, commit_diffs, commit_time
 from forkscan.patchmodel import (
     Patch,
     PatchError,
@@ -74,6 +74,12 @@ def guard_repo(tmp_path_factory):
     shas["add"] = commit_all(root, "count orphans",
                              datetime(2020, 4, 1, tzinfo=UTC))
     return RepoHandle(root), shas
+
+
+def _commit_patch(repo: RepoHandle, sha: str) -> Patch:
+    """The patch of one commit, read as a scan reads it."""
+    (diff_text,) = commit_diffs(repo, [sha])
+    return load_patch(diff_text, sha)
 
 
 def _norms(stmts) -> list[str]:
@@ -300,14 +306,14 @@ def _merge_commit(tmp_path) -> tuple:
 class TestParsePatchFromRepo:
     def test_short_sha_resolves_to_full_id(self, guard_repo):
         repo, shas = guard_repo
-        patch = load_patch(repo, shas["cha"][:10])
+        patch = _commit_patch(repo, shas["cha"][:10])
         assert patch.source_sha == shas["cha"]
         assert patch.label == shas["cha"][:10]
         assert [h.ptype for h in patch.hunks] == [PatchType.CHA]
 
     def test_cha_commit(self, guard_repo):
         repo, shas = guard_repo
-        patch = load_patch(repo, shas["cha"])
+        patch = _commit_patch(repo, shas["cha"])
         assert patch.source_sha == shas["cha"]
         assert patch.committed_at == datetime(2020, 2, 1, tzinfo=UTC)
         assert patch.label == shas["cha"]
@@ -322,7 +328,7 @@ class TestParsePatchFromRepo:
 
     def test_del_commit(self, guard_repo):
         repo, shas = guard_repo
-        (h,) = load_patch(repo, shas["del"]).hunks
+        (h,) = _commit_patch(repo, shas["del"]).hunks
         assert h.ptype == PatchType.DEL
         assert _norms(h.dp) == ["if (nDepth <= 0)", "nDepth = DEFAULT_DEPTH;"]
         assert h.ap == []
@@ -334,7 +340,7 @@ class TestParsePatchFromRepo:
 
     def test_add_commit(self, guard_repo):
         repo, shas = guard_repo
-        (h,) = load_patch(repo, shas["add"]).hunks
+        (h,) = _commit_patch(repo, shas["add"]).hunks
         assert h.ptype == PatchType.ADD
         assert h.dp == [] and _norms(h.ap) == [ADD_LINE]
         assert _lines(h.ap) == [9]
@@ -345,7 +351,7 @@ class TestParsePatchFromRepo:
 
     def test_root_commit_is_pure_addition(self, guard_repo):
         repo, shas = guard_repo
-        patch = load_patch(repo, shas["import"])
+        patch = _commit_patch(repo, shas["import"])
         (h,) = patch.hunks
         assert h.ptype == PatchType.ADD and h.dp == []
         assert _norms(h.ap) == _norms(
@@ -356,16 +362,16 @@ class TestParsePatchFromRepo:
 
     def test_dp_ap_line_numbers_are_file_positions(self, guard_repo):
         repo, shas = guard_repo
-        (h,) = load_patch(repo, shas["del"]).hunks
+        (h,) = _commit_patch(repo, shas["del"]).hunks
         assert [s.line_no for s in h.dp] == [5, 6]
 
     def test_unknown_sha(self, guard_repo):
         with pytest.raises(NotFoundError):
-            load_patch(guard_repo[0], "f" * 40)
+            _commit_patch(guard_repo[0], "f" * 40)
 
     def test_merge_commit_uses_first_parent(self, tmp_path):
         root, sha = _merge_commit(tmp_path)
-        patch = load_patch(RepoHandle(root), sha)
+        patch = _commit_patch(RepoHandle(root), sha)
         (h,) = patch.hunks
         assert {s.path for s in h.dp + h.ap} == {"m.c"}
         assert _norms(h.dp) == ["legacy_call(b);"]
@@ -378,7 +384,7 @@ class TestParsePatchFromRepo:
         write_files(root, {"c.c": "int a = 1;\n// new note\nint b = 2;\n"})
         sha = commit_all(root, "reword", datetime(2021, 1, 2, tzinfo=UTC))
         with pytest.raises(PatchError, match="no meaningful"):
-            load_patch(RepoHandle(root), sha)
+            _commit_patch(RepoHandle(root), sha)
 
     def test_comment_hunk_skipped_but_real_hunk_kept(self, tmp_path):
         root = init_repo(tmp_path / "mixed")
@@ -392,7 +398,7 @@ class TestParsePatchFromRepo:
             "code.c": "int new_value = 2;\n",
         })
         sha = commit_all(root, "update", datetime(2021, 1, 2, tzinfo=UTC))
-        (h,) = load_patch(RepoHandle(root), sha).hunks
+        (h,) = _commit_patch(RepoHandle(root), sha).hunks
         assert {s.path for s in h.dp + h.ap} == {"code.c"}
 
     def test_new_file_commit(self, tmp_path):
@@ -401,7 +407,7 @@ class TestParsePatchFromRepo:
         commit_all(root, "base", datetime(2021, 1, 1, tzinfo=UTC))
         write_files(root, {"fresh.c": "int shiny = 1;\nint thing = 2;\n"})
         sha = commit_all(root, "add fresh", datetime(2021, 1, 2, tzinfo=UTC))
-        (h,) = load_patch(RepoHandle(root), sha).hunks
+        (h,) = _commit_patch(RepoHandle(root), sha).hunks
         assert h.ptype == PatchType.ADD
         assert {s.path for s in h.ap} == {"fresh.c"}
         assert _norms(h.ap) == ["int shiny = 1;", "int thing = 2;"]
@@ -412,7 +418,7 @@ class TestParsePatchFromRepo:
         commit_all(root, "base", datetime(2021, 1, 1, tzinfo=UTC))
         (root / "doomed.c").unlink()
         sha = commit_all(root, "remove doomed", datetime(2021, 1, 2, tzinfo=UTC))
-        (h,) = load_patch(RepoHandle(root), sha).hunks
+        (h,) = _commit_patch(RepoHandle(root), sha).hunks
         assert h.ptype == PatchType.DEL and {s.path for s in h.dp} == {"doomed.c"}
         assert _norms(h.dp) == ["int gone = 9;"]
 
@@ -423,14 +429,14 @@ class TestPatchTime:
 
     def test_root_commit(self, guard_repo):
         repo, shas = guard_repo
-        patch = load_patch(repo, shas["import"])
+        patch = _commit_patch(repo, shas["import"])
         assert patch.committed_at == commit_time(repo, shas["import"])
         assert patch.committed_at == datetime(2020, 1, 1, tzinfo=UTC)
 
     def test_merge_commit(self, tmp_path):
         root, sha = _merge_commit(tmp_path)
         repo = RepoHandle(root)
-        patch = load_patch(repo, sha)
+        patch = _commit_patch(repo, sha)
         assert patch.committed_at == commit_time(repo, sha)
         assert patch.committed_at == datetime(2021, 1, 4, tzinfo=UTC)
 
@@ -447,9 +453,9 @@ class TestPatchTime:
                 date=committed)
         sha = run_git(root, "rev-parse", "HEAD")
         repo = RepoHandle(root)
-        header = commit_diff(repo, sha).split("\n", 1)[0]
+        header = commit_diffs(repo, [sha])[0].split("\n", 1)[0]
         assert header == f"{sha} 2022-07-01T01:15:00+05:30"
-        patch = load_patch(repo, sha)
+        patch = _commit_patch(repo, sha)
         assert patch.committed_at == commit_time(repo, sha)
         assert patch.committed_at == datetime(2022, 6, 30, 19, 45, tzinfo=UTC)
         assert patch.committed_at.tzinfo == UTC
@@ -501,12 +507,12 @@ def _width_commit(tmp_path):
 
 class TestHunkMerging:
     def test_gap_at_least_twice_context_stays_split(self, tmp_path):
-        patch = load_patch(*_gap_commit(tmp_path, 10))  # 10 >= 2 * 5
+        patch = _commit_patch(*_gap_commit(tmp_path, 10))  # 10 >= 2 * 5
         assert len(patch.hunks) == 2
         assert [_lines(h.dp) for h in patch.hunks] == [[1], [12]]
 
     def test_gap_under_twice_context_merges(self, tmp_path):
-        (h,) = load_patch(*_gap_commit(tmp_path, 9)).hunks  # 9 < 2 * 5
+        (h,) = _commit_patch(*_gap_commit(tmp_path, 9)).hunks  # 9 < 2 * 5
         assert _norms(h.dp) == ["head_call(a);", "tail_call(b);"]
         assert _norms(h.ap) == ["head_call(a, extra);", "tail_call(b, extra);"]
         assert _lines(h.dp) == [1, 11] and h.ptype == PatchType.CHA
@@ -525,7 +531,7 @@ class TestHunkMerging:
         repo = RepoHandle(root)
 
         # Statement gap is 3 (< 10): one merged hunk.
-        assert len(load_patch(repo, sha).hunks) == 1
+        assert len(_commit_patch(repo, sha).hunks) == 1
         # The same change as a -U0 diff, which omits the 23 lines between
         # the changes, so each counts (>= 10).
         diff = run_git(root, "diff", "-U0", f"{sha}^", sha)
@@ -550,14 +556,14 @@ class TestHunkMerging:
         assert diff.count("@@ -") == 2
         (h,) = parse_patch(diff).hunks
         assert _lines(h.dp) == [1, 14]
-        assert len(load_patch(RepoHandle(root), sha).hunks) == 1
+        assert len(_commit_patch(RepoHandle(root), sha).hunks) == 1
 
     def test_add_only_file_splits_distant_insertions(self, tmp_path):
         repo, sha = _insertions_commit(tmp_path)
         # 45 old statements separate the insertions (>= 10): two ADD hunks,
         # from the commit as from its -U0 diff.
         diff = run_git(repo.root, "diff", "-U0", f"{sha}^", sha)
-        for patch in (load_patch(repo, sha), parse_patch(diff)):
+        for patch in (_commit_patch(repo, sha), parse_patch(diff)):
             assert [(h.ptype, _lines(h.ap), _norms(h.ap)) for h in patch.hunks] == [
                 (PatchType.ADD, [6], ["int early = 1;"]),
                 (PatchType.ADD, [52], ["int late = 1;"]),
@@ -587,7 +593,7 @@ class TestHunkMerging:
 class TestBuildPatchContext:
     def test_cha_contexts_from_parent(self, guard_repo):
         repo, shas = guard_repo
-        patch = load_patch(repo, shas["cha"])
+        patch = _commit_patch(repo, shas["cha"])
         (h,) = patch.hunks
         up, down = _expected_context(GUARD_V0, (9, 9))
         assert _norms(h.up_ctx.statements) == up
@@ -596,7 +602,7 @@ class TestBuildPatchContext:
 
     def test_del_contexts_truncate_at_file_start(self, guard_repo):
         repo, shas = guard_repo
-        (h,) = load_patch(repo, shas["del"]).hunks
+        (h,) = _commit_patch(repo, shas["del"]).hunks
         up, down = _expected_context(GUARD_V1, (5, 6))
         assert _norms(h.up_ctx.statements) == up
         assert len(h.up_ctx.statements) == 2  # only two meaningful statements above
@@ -604,7 +610,7 @@ class TestBuildPatchContext:
 
     def test_add_contexts_from_patch_revision(self, guard_repo):
         repo, shas = guard_repo
-        (h,) = load_patch(repo, shas["add"]).hunks
+        (h,) = _commit_patch(repo, shas["add"]).hunks
         up, down = _expected_context(GUARD_V3, (9, 9))
         assert _norms(h.up_ctx.statements) == up
         assert _norms(h.down_ctx.statements) == down
@@ -612,7 +618,7 @@ class TestBuildPatchContext:
 
     def test_keywords_follow_statement_extraction(self, guard_repo):
         repo, shas = guard_repo
-        (h,) = load_patch(repo, shas["cha"]).hunks
+        (h,) = _commit_patch(repo, shas["cha"]).hunks
         for kw in h.up_ctx.keywords + h.down_ctx.keywords:
             assert kw.source_line in (h.up_ctx.statements + h.down_ctx.statements)
             assert kw.keyword in kw.source_line.norm
@@ -623,7 +629,7 @@ class TestBuildPatchContext:
         commit_all(root, "base", datetime(2021, 1, 1, tzinfo=UTC))
         (root / "b.c").unlink()
         sha = commit_all(root, "drop b", datetime(2021, 1, 2, tzinfo=UTC))
-        (h,) = load_patch(RepoHandle(root), sha).hunks
+        (h,) = _commit_patch(RepoHandle(root), sha).hunks
         assert h.up_ctx.statements == [] and h.down_ctx.statements == []
 
 
@@ -753,7 +759,7 @@ class TestCommitAndDiffTextAgree:
             "width": lambda: _width_commit(tmp_path),
         }.get(case, lambda: (guard_repo[0], guard_repo[1][case]))()
         diff = run_git(repo.root, "diff", "-U100000", f"{sha}^", sha)
-        want = self._shape(load_patch(repo, sha))
+        want = self._shape(_commit_patch(repo, sha))
         assert self._shape(parse_patch(diff)) == want
         if case == "block_comment":
             # Comment text below the change is not code on either path.
