@@ -144,7 +144,13 @@ def extract_statements(
     result: list[NormalizedLine] = []
     in_block = False
     for line_no, raw in enumerate(lines, 1):
-        code, in_block = _strip_comments(raw, in_block, hash_comments)
+        # Outside a block comment, a line that holds no character able to
+        # start a comment is its own code text (string literals only guard
+        # comment markers, and no string spans lines).
+        if in_block or "/" in raw or (hash_comments and "#" in raw):
+            code, in_block = _strip_comments(raw, in_block, hash_comments)
+        else:
+            code = raw
         norm = _normalize_ws(code)
         if not norm or _is_bracket_only(norm):
             continue

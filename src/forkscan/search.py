@@ -21,7 +21,13 @@ from . import gitio
 from .gitio import RepoHandle
 from .patchmodel import CONTEXT_LINES, PatchContext, PatchHunk
 from .preprocess import NormalizedLine, StatementKind, classify_file, extract_statements
-from .simcore import KS_THRESHOLD, SimilarityParams, fragment_similarity, strsim
+from .simcore import (
+    KS_THRESHOLD,
+    SimilarityParams,
+    fragment_similarity,
+    strsim,
+    strsim_many,
+)
 
 log = logging.getLogger(__name__)
 
@@ -155,15 +161,22 @@ def expand_boundary(
     KS_THRESHOLD.
     """
     ctx_stmts = patch_ctx.statements
-    stmts = cache.statements(ks.path)
-    idx = cache.index_by_line(ks.path)[ks.line_no]
-    up_window = stmts[max(0, idx - CONTEXT_LINES): idx + 1]
-    down_window = stmts[idx: idx + CONTEXT_LINES + 1]
+    up_window, down_window = _windows(cache, ks)
     ss = _best_in_window(up_window, ctx_stmts[0].norm, ks.line_no)
     es = _best_in_window(down_window, ctx_stmts[-1].norm, ks.line_no)
     if ss[0] < KS_THRESHOLD or es[0] < KS_THRESHOLD:
         return None
     return (ss[1], es[1])
+
+
+def _windows(
+    cache: StatementCache, ks: NormalizedLine
+) -> tuple[list[NormalizedLine], list[NormalizedLine]]:
+    """The statements expand_boundary searches for a key statement's start
+    (CONTEXT_LINES above it, inclusive) and end (CONTEXT_LINES below)."""
+    stmts = cache.statements(ks.path)
+    idx = cache.index_by_line(ks.path)[ks.line_no]
+    return stmts[max(0, idx - CONTEXT_LINES): idx + 1], stmts[idx: idx + CONTEXT_LINES + 1]
 
 
 def _best_in_window(
@@ -300,6 +313,16 @@ def collect_candidates(
         if not ctx.statements:
             return []
         seeds = find_key_statements(cache, ctx, hunk.file_class)
+        # Score every seed's windows in one kernel pass per context end, so
+        # expand_boundary reads its strsim values from the memo.
+        ups: list[str] = []
+        downs: list[str] = []
+        for ks in seeds:
+            up_window, down_window = _windows(cache, ks)
+            ups += [s.norm for s in up_window]
+            downs += [s.norm for s in down_window]
+        strsim_many(ctx.statements[0].norm, ups)
+        strsim_many(ctx.statements[-1].norm, downs)
         boundaries: list[tuple[str, tuple[int, int]]] = []
         for ks in seeds:
             span = expand_boundary(cache, ks, ctx)

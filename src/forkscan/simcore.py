@@ -40,10 +40,8 @@ class SimilarityParams:
 def levenshtein(a: str, b: str) -> int:
     """Character-level edit distance (insert/delete/substitute, unit cost).
 
-    Exact, by the bit-parallel algorithm of Myers (J. ACM 46(3), 1999) in
-    Hyyrö's edit-distance form (2003): the vertical deltas of one DP column
-    over the shorter string are two Python ints, updated once per character
-    of the longer string.
+    Exact: the common prefix and suffix are trimmed, and the rest is one
+    levenshtein_many pass over the shorter string with the longer as pattern.
     """
     if a == b:
         return 0
@@ -60,30 +58,67 @@ def levenshtein(a: str, b: str) -> int:
         a, b = b, a
     if not a:
         return len(b)
-    # peq[c]: bit i set where a[i] == c.
-    peq: dict[str, int] = {}
-    bit = 1
+    return levenshtein_many(a, [b])[0]
+
+
+# Per-run memo of each pattern's masks (peq[c]: bit i set where s[i] == c):
+# target statements recur as patterns across every patch of a scan.
+_PEQ_MEMO: dict[str, dict[str, int]] = {}
+
+
+def _peq(s: str) -> dict[str, int]:
+    peq = _PEQ_MEMO.get(s)
+    if peq is None:
+        peq = {}
+        bit = 1
+        for c in s:
+            peq[c] = peq.get(c, 0) | bit
+            bit <<= 1
+        _PEQ_MEMO[s] = peq
+    return peq
+
+
+def levenshtein_many(a: str, bs: list[str]) -> list[int]:
+    """Edit distance of a to each of bs, in input order.
+
+    Exact, by the bit-parallel algorithm of Myers (J. ACM 46(3), 1999) in
+    Hyyrö's edit-distance form, with all of bs packed into one Python int
+    (Hyyrö, Fredriksson & Navarro, ACM JEA 10, 2005): pattern i has len(bs[i])
+    bits followed by one zero guard bit, where the carry of the addition
+    stops. pv / mv hold the +1 / -1 vertical deltas of one DP column over
+    every pattern and are updated once per character of a; the last column
+    gives distance i as len(a) + (+1 deltas) - (-1 deltas) of segment i.
+    """
+    eqs: dict[str, int] = {}
+    offsets: list[int] = []
+    first = mask = off = 0
+    for b in bs:
+        offsets.append(off)
+        if not b:
+            continue
+        for c, bits in _peq(b).items():
+            eqs[c] = eqs.get(c, 0) | bits << off
+        first |= 1 << off
+        mask |= ((1 << len(b)) - 1) << off
+        off += len(b) + 1
+    pv, mv = mask, 0  # column 0 is 0..len(b) in every segment
     for c in a:
-        peq[c] = peq.get(c, 0) | bit
-        bit <<= 1
-    mask = bit - 1
-    last = bit >> 1
-    pv, mv = mask, 0  # +1 / -1 vertical deltas; column 0 is 0..len(a)
-    dist = len(a)
-    for c in b:
         # d0: zero diagonal deltas; ph / mh: +1 / -1 horizontal deltas.
-        eq = peq.get(c, 0)
+        eq = eqs.get(c, 0)
         d0 = (((eq & pv) + pv) ^ pv) | eq | mv
         ph = mv | ~(d0 | pv)
         mh = pv & d0
-        if ph & last:
-            dist += 1
-        elif mh & last:
-            dist -= 1
-        ph = (ph << 1) | 1  # row 0 grows by one per column
+        ph = (ph << 1) | first  # row 0 grows by one per column
         pv = ((mh << 1) | ~(d0 | ph)) & mask
+        # May set guard bits: they stay there, as the shift of ph carries
+        # them only into first bits, which are set anyway.
         mv = ph & d0
-    return dist
+    n = len(a)
+    out: list[int] = []
+    for b, off in zip(bs, offsets):
+        seg = (1 << len(b)) - 1
+        out.append(n + (pv >> off & seg).bit_count() - (mv >> off & seg).bit_count())
+    return out
 
 
 # Per-run memo of strsim: each scan is its own process, and near-clone
@@ -91,13 +126,27 @@ def levenshtein(a: str, b: str) -> int:
 _STRSIM_MEMO: dict[tuple[str, str], float] = {}
 
 
+def _sim(a: str, b: str, dist: int) -> float:
+    return 1.0 - dist / max(len(a), len(b)) if a or b else 1.0
+
+
 def strsim(a: str, b: str) -> float:
     """Normalized edit similarity: 1 - distance / max length, in [0, 1]."""
     sim = _STRSIM_MEMO.get((a, b))
     if sim is None:
-        sim = 1.0 - levenshtein(a, b) / max(len(a), len(b)) if a or b else 1.0
-        _STRSIM_MEMO[a, b] = sim
+        sim = _STRSIM_MEMO[a, b] = _sim(a, b, levenshtein(a, b))
     return sim
+
+
+def strsim_many(a: str, bs: list[str]) -> list[float]:
+    """[strsim(a, b) for b in bs], with the distinct pairs missing from the
+    memo computed in one levenshtein_many pass."""
+    memo = _STRSIM_MEMO
+    misses = list(dict.fromkeys(b for b in bs if (a, b) not in memo))
+    if misses:
+        for b, dist in zip(misses, levenshtein_many(a, misses)):
+            memo[a, b] = _sim(a, b, dist)
+    return [memo[a, b] for b in bs]
 
 
 def fragment_similarity(
@@ -118,10 +167,11 @@ def fragment_similarity(
     r = params.r
     total = 0.0
     for i, s_line in enumerate(source):
-        best_sim = strsim(s_line, target[0])
+        sims = strsim_many(s_line, target)
+        best_sim = sims[0]
         best_off = i
         for j in range(1, len(target)):
-            sim = strsim(s_line, target[j])
+            sim = sims[j]
             off = abs(i - j)
             if sim > best_sim or (sim == best_sim and off < best_off):
                 best_sim, best_off = sim, off

@@ -95,6 +95,24 @@ def make_repo(tmp_path):
     return _make
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The patterns of every simcore.levenshtein_many call, made against an
+    empty strsim memo."""
+    from forkscan import simcore
+
+    monkeypatch.setattr(simcore, "_STRSIM_MEMO", {})
+    calls: list[list[str]] = []
+    kernel = simcore.levenshtein_many
+
+    def counting(a, bs):
+        calls.append(list(bs))
+        return kernel(a, bs)
+
+    monkeypatch.setattr(simcore, "levenshtein_many", counting)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # independent oracles
 

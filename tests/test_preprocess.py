@@ -1,12 +1,15 @@
 """Statement extraction, keyword picking, and classification."""
 
 import logging
+import random
 
 import pytest
 
 from forkscan.preprocess import (
     NormalizedLine,
     StatementKind,
+    _is_bracket_only,
+    _strip_comments,
     classify_file,
     classify_norm,
     extract_keyword,
@@ -109,6 +112,12 @@ if (nValue > 0) {
 """
 
 
+# Random lines for the comment-scan property: mostly plain code characters,
+# with comment, string and escape characters mixed in.
+PLAIN_CHARS = "ab x=();{},."
+COMMENT_CHARS = "/*\"'\\#"
+
+
 class TestExtractStatements:
     def test_matches_whole_file_oracle_on_c(self):
         got = extract_statements(
@@ -177,6 +186,31 @@ class TestExtractStatements:
         got = extract_statements(["   int  a = 1;   // c"], "f.c", classify_file("f.c"))
         assert got[0].raw == "   int  a = 1;   // c"
         assert got[0].norm == "int a = 1;"
+
+    @pytest.mark.parametrize("path", ["f.c", "f.h", "f.go", "f.py"])
+    def test_lines_without_comment_chars_match_full_scan(self, path):
+        # A line holding no / (nor # where it starts a comment) outside a
+        # block comment skips the comment scan; every result must equal
+        # scanning each line with _strip_comments.
+        rng = random.Random(2001)
+        hash_comments = path == "f.py"
+        for _ in range(300):
+            lines = [
+                "".join(
+                    rng.choice(COMMENT_CHARS if rng.random() < 0.1 else PLAIN_CHARS)
+                    for _ in range(rng.randint(0, 20))
+                )
+                for _ in range(rng.randint(1, 12))
+            ]
+            expect, in_block = [], False
+            for line_no, raw in enumerate(lines, 1):
+                code, in_block = _strip_comments(raw, in_block, hash_comments)
+                norm = " ".join(code.split())
+                if norm and not _is_bracket_only(norm):
+                    expect.append((line_no, norm))
+            got = extract_statements(lines, path, classify_file(path))
+            assert [(s.line_no, s.norm) for s in got] == expect, lines
+            assert expect == oracle_strip_file("\n".join(lines), hash_comments)
 
 
 def _stmt(norm: str) -> NormalizedLine:

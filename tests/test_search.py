@@ -9,7 +9,7 @@ from conftest import (
     oracle_strsim,
     run_git,
 )
-from forkscan import search
+from forkscan import search, simcore
 from forkscan.gitio import GitError, RepoHandle, grep_repo, read_file_at
 from forkscan.patchmodel import PatchContext, PatchHunk, PatchType, build_patch_context
 from forkscan.preprocess import StatementKind, classify_file, extract_statements
@@ -632,3 +632,47 @@ class TestCollectCandidates:
         })
         out = _collect(repo, make_hunk(UP_NORMS, DOWN_NORMS))
         assert out.candidates == []
+
+
+class TestBatchedBoundaries:
+    """collect_candidates scores every seed's boundary windows in one kernel
+    pass per context end, before expand_boundary reads them."""
+
+    @pytest.mark.parametrize("repo_name", ["fig_repo", "twin_repo"])
+    def test_expand_boundary_reads_only_the_memo(
+        self, request, monkeypatch, kernel_calls, repo_name
+    ):
+        repo = request.getfixturevalue(repo_name)
+        expand = search.expand_boundary
+        expanded = []
+
+        def watched(cache, ks, ctx):
+            before = len(kernel_calls)
+            span = expand(cache, ks, ctx)
+            expanded.append((ks, ctx, span, len(kernel_calls) - before))
+            return span
+
+        monkeypatch.setattr(search, "expand_boundary", watched)
+        _collect(repo, make_hunk(UP_NORMS, DOWN_NORMS))
+        assert len(expanded) > 2 and kernel_calls
+        assert [calls for *_, calls in expanded] == [0] * len(expanded)
+        # The same seeds against a cold memo give the same spans.
+        monkeypatch.setattr(simcore, "_STRSIM_MEMO", {})
+        cache = _cache(repo)
+        for ks, ctx, span, _ in expanded:
+            assert expand(cache, ks, ctx) == span
+
+    def test_warm_up_computes_the_pairs_expansion_asks_for(self, fig_repo, kernel_calls):
+        hunk = make_hunk(UP_NORMS, DOWN_NORMS)
+        _collect(fig_repo, hunk)
+        batched = set(simcore._STRSIM_MEMO)
+        simcore._STRSIM_MEMO.clear()
+        cache = _cache(fig_repo, hunk.up_ctx, hunk.down_ctx)
+        for ctx in (hunk.up_ctx, hunk.down_ctx):
+            boundaries = []
+            for ks in find_key_statements(cache, ctx, PATCH_FC):
+                span = expand_boundary(cache, ks, ctx)
+                if span is not None:
+                    boundaries.append((ks.path, span))
+            finalize_contexts(cache, boundaries, ctx, PARAMS)
+        assert batched == set(simcore._STRSIM_MEMO)

@@ -12,8 +12,10 @@ from forkscan.simcore import (
     SimilarityParams,
     fragment_similarity,
     levenshtein,
+    levenshtein_many,
     reward_sweep,
     strsim,
+    strsim_many,
 )
 
 from conftest import oracle_fragment_similarity, oracle_levenshtein, oracle_strsim
@@ -24,6 +26,8 @@ ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789(){};=
 NARROW_ALPHABETS = ["ab", "abc", "abcd", "aé中😀"]
 # Lengths either side of one and two 64-bit words.
 WORD_EDGES = [0, 1, 2, 62, 63, 64, 65, 66, 126, 127, 128, 129, 130, 200]
+# Pattern lengths of the packed kernel: 0-140 with the word edges among them.
+PACKED_LENGTHS = [0, 1, 2, 5, 17, 40, 63, 64, 65, 100, 127, 128, 129, 140]
 
 
 def text(rng: random.Random, alphabet: str, length: int) -> str:
@@ -122,6 +126,60 @@ class TestLevenshtein:
             assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
 
 
+def rand_batch(rng: random.Random, alphabet: str) -> tuple[str, list[str]]:
+    """One string and 0-12 patterns: random lengths and word edges, mutated
+    copies of the string, its prefixes, duplicates and empty patterns."""
+    a = text(rng, alphabet, rng.choice(PACKED_LENGTHS + [rng.randint(0, 140)]))
+    bs: list[str] = []
+    for _ in range(rng.randint(0, 12)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            bs.append(text(rng, alphabet, rng.choice(PACKED_LENGTHS)))
+        elif kind == 1:
+            bs.append(mutate(rng, a, alphabet, rng.randint(0, 4)))
+        elif kind == 2:
+            bs.append(a[:rng.randint(0, len(a))])
+        elif kind == 3 and bs:
+            bs.append(rng.choice(bs))
+        else:
+            bs.append(text(rng, alphabet, rng.randint(0, 140)))
+    return a, bs
+
+
+class TestLevenshteinMany:
+    def test_known_batch(self):
+        assert levenshtein_many("kitten", ["sitting", "", "kitten", "kit", "sitting"]) == [
+            3, 6, 0, 3, 3,
+        ]
+        assert levenshtein_many("abc", []) == []
+        assert levenshtein_many("", ["", "ab", "é😀"]) == [0, 2, 2]
+
+    @pytest.mark.parametrize("alphabet", [*NARROW_ALPHABETS, ALPHABET])
+    def test_random_batches_match_oracle(self, alphabet):
+        rng = random.Random(1021)
+        for _ in range(20):
+            a, bs = rand_batch(rng, alphabet)
+            assert levenshtein_many(a, bs) == [oracle_levenshtein(a, b) for b in bs], (
+                a, bs,
+            )
+
+    def test_word_edge_patterns_match_oracle(self):
+        # Every word-edge length in one batch, so segments start at and
+        # straddle word boundaries of the packed int.
+        rng = random.Random(1022)
+        for alphabet in NARROW_ALPHABETS:
+            bs = [text(rng, alphabet, n) for n in PACKED_LENGTHS]
+            rng.shuffle(bs)
+            for len_a in (0, 1, 64, 129, 140):
+                a = text(rng, alphabet, len_a)
+                assert levenshtein_many(a, bs) == [oracle_levenshtein(a, b) for b in bs]
+
+    def test_prefixes_and_equal_patterns(self):
+        a = "abcab" * 26  # 130 characters
+        bs = [a[:n] for n in PACKED_LENGTHS] + [a, a, ""]
+        assert levenshtein_many(a, bs) == [oracle_levenshtein(a, b) for b in bs]
+
+
 class TestStrsim:
     def test_both_empty_is_identical(self):
         assert strsim("", "") == 1.0
@@ -163,6 +221,40 @@ class TestStrsim:
         for _ in range(200):
             v = strsim(rand_string(rng, 50), rand_string(rng, 50))
             assert 0.0 <= v <= 1.0
+
+
+class TestStrsimMany:
+    def test_values_in_input_order(self, kernel_calls):
+        rng = random.Random(1031)
+        for alphabet in [*NARROW_ALPHABETS, ALPHABET]:
+            for _ in range(6):
+                a, bs = rand_batch(rng, alphabet)
+                assert strsim_many(a, bs) == [oracle_strsim(a, b) for b in bs]
+
+    def test_duplicates_are_computed_once(self, kernel_calls):
+        bs = ["x = 1;", "y = 2;", "x = 1;", "", "y = 2;"]
+        assert strsim_many("x = 2;", bs) == [strsim("x = 2;", b) for b in bs]
+        assert kernel_calls == [["x = 1;", "y = 2;", ""]]
+
+    def test_fills_memo_and_sends_only_misses(self, kernel_calls):
+        strsim("a = b;", "a = c;")
+        kernel_calls.clear()
+        got = strsim_many("a = b;", ["a = c;", "q = r;", "a = c;"])
+        assert kernel_calls == [["q = r;"]]
+        assert simcore._STRSIM_MEMO[("a = b;", "q = r;")] == got[1]
+        assert got == [oracle_strsim("a = b;", b) for b in ["a = c;", "q = r;", "a = c;"]]
+
+    def test_all_hits_make_no_kernel_call(self, kernel_calls):
+        bs = ["alpha();", "beta();", "alpha();"]
+        first = strsim_many("gamma();", bs)
+        kernel_calls.clear()
+        assert strsim_many("gamma();", bs[::-1]) == first[::-1]
+        assert strsim_many("gamma();", []) == []
+        assert [strsim("gamma();", b) for b in bs] == first
+        assert kernel_calls == []
+
+    def test_both_empty_is_identical(self, kernel_calls):
+        assert strsim_many("", ["", "ab"]) == [1.0, 0.0]
 
 
 class TestParams:
