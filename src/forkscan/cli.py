@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import __version__, delay, fixturegen, gitio, patchmodel, report, search, verdict
+from . import __version__, delay, gitio, patchmodel, report, search, verdict
 from .gitio import RepoHandle
 from .patchmodel import Patch, PatchError
 from .report import ResultRow, ScanReport
@@ -416,7 +416,10 @@ def main(argv: list[str] | None = None) -> int:
             return code
         if args.command == "sweep-r":
             return run_sweep(args.pairs, args.r, args.out)
-        # gen-fixtures: the parser accepts no other command.
+        # gen-fixtures: the parser accepts no other command. Only it
+        # imports the corpus writer, so a scan does not load it.
+        from . import fixturegen
+
         out = Path(args.out)
         if out.exists() and (out.is_file() or any(out.iterdir())):
             raise ConfigError(f"output directory not empty: {args.out}")

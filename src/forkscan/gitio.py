@@ -1,18 +1,22 @@
 """Thin adapter over local git repositories.
 
 One git call per query: a grep for any of several substrings (a scan greps
-each target once, for every patch's context keywords), file content, and
-line blame with commit times at a revision, and the dated tags that contain
-a commit. Every patch commit of a scan is read with two: one `cat-file`
-resolves each revision to its full commit id, one `diff-tree --stdin` diffs
-them all, each diff headed by its id and committer time. Every query takes
-the revision or commit it reads; a handle holds none. commit_time has no
-caller in forkscan; it stays only because the benchmark's tracer
+each target once, for every patch's context keywords), the content of one
+file or of many (one `cat-file --batch` reads every file a target's search
+needs), line blame with commit times at a revision, and the dated tags that
+contain a commit. Every patch commit of a scan is read with two: one
+`cat-file` resolves each revision to its full commit id, one `diff-tree
+--stdin` diffs them all, each diff headed by its id and committer time.
+Every query takes the revision or commit it reads; a handle holds none.
+git runs in the C locale, so the English error texts that tell a missing
+path from a failure are what it prints. commit_time has no caller in
+forkscan; it stays only because the benchmark's tracer
 (perfbench/tracer.py) wraps it by name.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import subprocess
 from dataclasses import dataclass
@@ -35,6 +39,11 @@ class GrepHit:
     raw_line: str
 
 
+# The environment of every git process: messages in English whatever the
+# user's locale, since read_file_at and blame_lines read them.
+_GIT_ENV = dict(os.environ, LC_ALL="C")
+
+
 class RepoHandle:
     """Handle over a local git repository, read-only."""
 
@@ -55,7 +64,7 @@ class RepoHandle:
         """Run git in the repository with input on its stdin; the caller
         reads the exit status."""
         cmd = ["git", "-C", str(self.root), "-c", "core.quotepath=false"] + args
-        return subprocess.run(cmd, input=input, capture_output=True)
+        return subprocess.run(cmd, input=input, capture_output=True, env=_GIT_ENV)
 
 
 def _decode(data: bytes) -> str:
@@ -110,6 +119,43 @@ def read_file_at(repo: RepoHandle, rev: str, path: str) -> list[str]:
             raise NotFoundError(f"{path} absent at {rev} in {repo.root}")
         raise GitError(f"git show {rev}:{path} failed: {err.strip()}")
     return _split_lines(_decode(proc.stdout))
+
+
+def read_files_at(repo: RepoHandle, rev: str, paths: list[str]) -> dict[str, list[str]]:
+    """The content of each of paths that is a file at rev, split as
+    read_file_at splits it, in one git call.
+
+    A path absent at rev is left out, and so is one that a batch line
+    cannot name: it holds a newline, or ends in a carriage return, which
+    git strips. read_file_at tells which it is.
+    """
+    if "\n" in rev:
+        return {}
+    names = [p for p in paths if "\n" not in p and not p.endswith("\r")]
+    if not names:
+        return {}
+    proc = repo._run(
+        ["cat-file", "--batch=%(objecttype) %(objectsize)"],
+        input="".join(f"{rev}:{p}\n" for p in names).encode(),
+    )
+    if proc.returncode != 0:
+        raise GitError(f"git cat-file failed: {_decode(proc.stderr).strip()}")
+    # Each object is "<type> <size>\n<size bytes>\n"; a name that is no
+    # object is one line "<name> missing" (or "ambiguous").
+    out = proc.stdout
+    files: dict[str, list[str]] = {}
+    pos = 0
+    for path in names:
+        end = out.index(b"\n", pos)
+        kind, _, size = out[pos:end].rpartition(b" ")
+        pos = end + 1
+        if not size.isdigit():
+            continue
+        data = out[pos:pos + int(size)]
+        pos += int(size) + 1
+        if kind == b"blob":
+            files[path] = _split_lines(_decode(data))
+    return files
 
 
 _BLAME_HEADER_RE = re.compile(r"^([0-9a-f]{40}) \d+ \d+")

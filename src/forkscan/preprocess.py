@@ -7,6 +7,7 @@ original line number preserved.
 
 from __future__ import annotations
 
+import functools
 import logging
 import re
 from dataclasses import dataclass
@@ -211,6 +212,8 @@ def _has_top_level_assign(norm: str) -> bool:
     Compound assignments (+=, :=, ...) count; comparison/arrow forms
     (==, !=, <=, >=, =>) do not.
     """
+    if "=" not in norm:
+        return False
     depth = 0
     quote = ""
     i = 0
@@ -242,8 +245,10 @@ def _has_top_level_assign(norm: str) -> bool:
     return False
 
 
+@functools.cache
 def classify_norm(norm: str) -> StatementKind:
-    """Coarse, language-blind classification of a normalized statement."""
+    """Coarse, language-blind classification of a normalized statement,
+    kept per text for the run: near-clone files repeat most lines."""
     word = _first_word(norm)
     if word in _CONTROL_WORDS:
         return StatementKind.CONTROL_FLOW

@@ -2,7 +2,8 @@
 
 Keywords extracted from the patch context are grepped in the target, in
 one git grep per target over every patch's context keywords, and each
-context reads the hits of its own keywords. Hits that survive the
+context reads the hits of its own keywords. The files holding hits are
+read in one more git call per target. Hits that survive the
 comment/test/file-class/statement-kind filters become key statements (the
 file class compared is the hunk's). Each key statement expands to a
 boundary-delimited candidate context, contexts are kept when their
@@ -43,8 +44,11 @@ class StatementCache:
     fix facts for one (repository, revision).
 
     keywords are every keyword a context may ask for; the first grep greps
-    them all in one git call. fixes maps a blamed (path, span) to its fix
-    commit and first release, as `delay.fix_delay` found them.
+    them all in one git call, then reads every file outside test code that
+    holds a hit in one more. Each distinct keyword tuple is answered once.
+    A file's statements are extracted when first asked for; a file the
+    batch left out is read alone. fixes maps a blamed (path, span) to its
+    fix commit and first release, as `delay.fix_delay` found them.
     """
 
     def __init__(self, repo: RepoHandle, rev: str, keywords: frozenset[str]):
@@ -52,6 +56,8 @@ class StatementCache:
         self.rev = rev
         self._keywords = keywords
         self._hits: list[gitio.GrepHit] | None = None
+        self._grepped: dict[tuple[str, ...], list[gitio.GrepHit]] = {}
+        self._texts: dict[str, list[str]] = {}
         self._entries: dict[str, tuple[list[NormalizedLine], dict[int, int]]] = {}
         self.fixes: dict[
             tuple[str, tuple[int, int]], tuple[str, tuple[str, datetime] | None]
@@ -59,21 +65,34 @@ class StatementCache:
 
     def grep(self, keywords: list[str]) -> list[gitio.GrepHit]:
         """Every line at the revision containing any of keywords, ordered by
-        (path, line); a failed grep stores nothing."""
+        (path, line); a failed grep or read stores nothing."""
+        key = tuple(keywords)
+        hits = self._grepped.get(key)
+        if hits is not None:
+            return hits
         unknown = set(keywords) - self._keywords
         if unknown:
             raise ValueError(f"keywords not given to the cache: {sorted(unknown)}")
         if self._hits is None:
-            self._hits = gitio.grep_repo(self.repo, sorted(self._keywords), self.rev)
-        return [h for h in self._hits if any(kw in h.raw_line for kw in keywords)]
+            all_hits = gitio.grep_repo(self.repo, sorted(self._keywords), self.rev)
+            paths = list(dict.fromkeys(
+                h.path for h in all_hits if not is_test_path(h.path)
+            ))
+            self._texts = gitio.read_files_at(self.repo, self.rev, paths)
+            self._hits = all_hits
+        hits = [h for h in self._hits if any(kw in h.raw_line for kw in keywords)]
+        self._grepped[key] = hits
+        return hits
 
     def _entry(self, path: str) -> tuple[list[NormalizedLine], dict[int, int]]:
         entry = self._entries.get(path)
         if entry is None:
-            try:
-                lines = gitio.read_file_at(self.repo, self.rev, path)
-            except gitio.NotFoundError:
-                lines = []
+            lines = self._texts.pop(path, None)
+            if lines is None:
+                try:
+                    lines = gitio.read_file_at(self.repo, self.rev, path)
+                except gitio.NotFoundError:
+                    lines = []
             stmts = extract_statements(lines, path, classify_file(path))
             entry = (stmts, {s.line_no: i for i, s in enumerate(stmts)})
             self._entries[path] = entry

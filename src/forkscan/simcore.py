@@ -1,5 +1,10 @@
 """Similarity mathematics: per-line normalized edit similarity and the
-order-tolerant fragment similarity with positional reward decay."""
+order-tolerant fragment similarity with positional reward decay.
+
+A scan is one process, and its targets' statements are scored against
+every patch, so the kernel keeps three memos for the run: each pattern's
+character masks, each distinct batch of patterns packed into one int, and
+each line pair's similarity."""
 
 from __future__ import annotations
 
@@ -78,29 +83,50 @@ def _peq(s: str) -> dict[str, int]:
     return peq
 
 
-def levenshtein_many(a: str, bs: list[str]) -> list[int]:
-    """Edit distance of a to each of bs, in input order.
+# A batch of patterns packed into one int: per-character masks, the first
+# bit and the bits of every segment, and each pattern's (offset, bits).
+_Pack = tuple[dict[str, int], int, int, list[tuple[int, int]]]
 
-    Exact, by the bit-parallel algorithm of Myers (J. ACM 46(3), 1999) in
-    Hyyrö's edit-distance form, with all of bs packed into one Python int
-    (Hyyrö, Fredriksson & Navarro, ACM JEA 10, 2005): pattern i has len(bs[i])
-    bits followed by one zero guard bit, where the carry of the addition
-    stops. pv / mv hold the +1 / -1 vertical deltas of one DP column over
-    every pattern and are updated once per character of a; the last column
-    gives distance i as len(a) + (+1 deltas) - (-1 deltas) of segment i.
-    """
+# Per-run memo of packed batches: a target's windows are scored against
+# the statements of every patch of a scan, as the same batch.
+_PACK_MEMO: dict[tuple[str, ...], _Pack] = {}
+
+
+def _pack(bs: tuple[str, ...]) -> _Pack:
+    """Pattern i gets len(bs[i]) bits followed by one zero guard bit, where
+    the carry of the addition stops; an empty pattern gets none."""
     eqs: dict[str, int] = {}
-    offsets: list[int] = []
+    segs: list[tuple[int, int]] = []
     first = mask = off = 0
     for b in bs:
-        offsets.append(off)
+        seg = (1 << len(b)) - 1
+        segs.append((off, seg))
         if not b:
             continue
         for c, bits in _peq(b).items():
             eqs[c] = eqs.get(c, 0) | bits << off
         first |= 1 << off
-        mask |= ((1 << len(b)) - 1) << off
+        mask |= seg << off
         off += len(b) + 1
+    return eqs, first, mask, segs
+
+
+def levenshtein_many(a: str, bs: list[str]) -> list[int]:
+    """Edit distance of a to each of bs, in input order.
+
+    Exact, by the bit-parallel algorithm of Myers (J. ACM 46(3), 1999) in
+    Hyyrö's edit-distance form, with all of bs packed into one Python int
+    (Hyyrö, Fredriksson & Navarro, ACM JEA 10, 2005). pv / mv hold the
+    +1 / -1 vertical deltas of one DP column over every pattern and are
+    updated once per character of a; the last column gives distance i as
+    len(a) + (+1 deltas) - (-1 deltas) of segment i. Each distinct batch
+    (the same strings in the same order) is packed once per run.
+    """
+    key = tuple(bs)
+    pack = _PACK_MEMO.get(key)
+    if pack is None:
+        pack = _PACK_MEMO[key] = _pack(key)
+    eqs, first, mask, segs = pack
     pv, mv = mask, 0  # column 0 is 0..len(b) in every segment
     for c in a:
         # d0: zero diagonal deltas; ph / mh: +1 / -1 horizontal deltas.
@@ -114,11 +140,10 @@ def levenshtein_many(a: str, bs: list[str]) -> list[int]:
         # them only into first bits, which are set anyway.
         mv = ph & d0
     n = len(a)
-    out: list[int] = []
-    for b, off in zip(bs, offsets):
-        seg = (1 << len(b)) - 1
-        out.append(n + (pv >> off & seg).bit_count() - (mv >> off & seg).bit_count())
-    return out
+    return [
+        n + (pv >> off & seg).bit_count() - (mv >> off & seg).bit_count()
+        for off, seg in segs
+    ]
 
 
 # Per-run memo of strsim: each scan is its own process, and near-clone

@@ -382,6 +382,35 @@ def test_criterion_8_deterministic_reports(corpus_env):
 CORPUS_REPORTS_SHA256 = "3dc165546d58f3fa8b9f16d8d724ee09886f08036bb5d7604687887f5e94673b"
 
 
+# sha256 over the report of the north star's cross product: one detect of
+# every corpus patch against every corpus target (30 x 60 pairs; report
+# JSON, CSV and delay CDF, with the corpus directory written as "."), taken
+# before each target's files were read in one batch.
+CROSS_PRODUCT_SHA256 = "e62f3ab99ed4eba2e34b624d592ab77bbf1eb9c77c5df9c258e62ba4bf558b9f"
+
+
+def test_cross_product_report_matches_pinned_digest(corpus_env):
+    corpus_dir = corpus_env.corpus_dir
+    cases = corpus_env.index["cases"]
+    out = corpus_env.base / "cross" / "report.json"
+    argv = ["detect", "--source", str(corpus_dir / "source")]
+    for case in cases:
+        argv += ["--patch", case["patch_sha"]]
+    for case in cases:
+        argv += ["--target", str(corpus_dir / case["vuln_target"]),
+                 "--target", str(corpus_dir / case["fixed_target"])]
+    assert main([*argv, "--out", str(out)]) == 1
+    digest = hashlib.sha256()
+    for name in ("report.json", "report.csv", "delay_cdf.csv"):
+        text = (out.parent / name).read_text(encoding="utf-8")
+        digest.update(name.encode() + b"\0" + text.replace(str(corpus_dir), ".").encode())
+    assert len(json.loads(out.read_text(encoding="utf-8"))["results"]) == 30 * 60
+    assert digest.hexdigest() == CROSS_PRODUCT_SHA256, (
+        "the cross-product report changed. Update CROSS_PRODUCT_SHA256 only for "
+        "an intended report change, and record that change in CHANGES.md"
+    )
+
+
 def test_corpus_reports_match_pinned_digest(corpus_env):
     corpus = str(corpus_env.corpus_dir)
     digest = hashlib.sha256()

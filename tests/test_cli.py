@@ -709,8 +709,9 @@ def _record_git(monkeypatch) -> list[tuple[Path, list[str]]]:
 
 class TestGitProcesses:
     """A scan greps each target once, for every patch's context keywords,
-    reads all patches with two git calls, and looks up each Fixed region's
-    delay facts once."""
+    reads the files holding hits with one more git call per target, reads
+    all patches with two git calls, and looks up each Fixed region's delay
+    facts once."""
 
     def test_one_grep_per_target_and_no_commit_lookup(self, three_world, tmp_path,
                                                      monkeypatch):
@@ -727,23 +728,24 @@ class TestGitProcesses:
         assert sorted(greps) == sorted([three_world.fixed, three_world.vuln])
         assert [args for _, args in calls if args[:2] == ["show", "-s"]] == []
         patch_reads = [(root, args[0]) for root, args in calls
-                       if args[0] in ("cat-file", "diff-tree")]
+                       if root == three_world.src and args[0] != "rev-parse"]
         assert patch_reads == [(three_world.src, "cat-file"),
                                (three_world.src, "diff-tree")]
+        file_reads = [root for root, args in calls
+                      if root != three_world.src and args[0] == "cat-file"]
+        assert sorted(file_reads) == sorted([three_world.fixed, three_world.vuln])
         # The whole budget: one rev-parse per repository, two calls for all
-        # patches, one grep per target, one read per (target, file with a
-        # hit), and one blame and one tag --contains per distinct Fixed
-        # region. Without the six file reads that is within the target of
-        # at most 10 plus 2 per Fixed region; with them it is 19 > 16.
+        # patches, one grep and one file read per target, and one blame and
+        # one tag --contains per distinct Fixed region: 15, within the
+        # target of at most 10 plus 2 per Fixed region.
         regions = {(r["target"], r["path"], tuple(r["span"]))
                    for r in rows if r["status"] == "Fixed"}
         assert len(regions) == 3
         assert Counter(args[0] for _, args in calls) == {
-            "rev-parse": 3, "cat-file": 1, "diff-tree": 1, "grep": 2,
-            "show": 2 * len(THREE_FIXES), "blame": 3, "tag": 3,
+            "rev-parse": 3, "cat-file": 3, "diff-tree": 1, "grep": 2,
+            "blame": 3, "tag": 3,
         }
-        reads = [args for _, args in calls if args[0] == "show"]
-        assert len(calls) - len(reads) <= 10 + 2 * len(regions)
+        assert len(calls) <= 10 + 2 * len(regions)
 
     def test_unknown_revision_notes_every_row(self, three_world, tmp_path):
         plain = tmp_path / "plain" / "report.json"
@@ -1343,3 +1345,14 @@ class TestTopLevel:
         )
         assert code == 0
         assert out.exists()
+
+    def test_scan_does_not_import_the_corpus_writer(self):
+        """Only gen-fixtures needs fixturegen; a scan process, which compiles
+        every module it imports, leaves it out."""
+        src = Path(forkscan.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, forkscan.cli; print('forkscan.fixturegen' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

@@ -1,6 +1,8 @@
 """Git plumbing: grep, file reads, blame, commit diffs, timestamps, releases."""
 
+import os
 import subprocess
+import sys
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -25,8 +27,10 @@ from forkscan.gitio import (
     commit_time,
     grep_repo,
     read_file_at,
+    read_files_at,
     releases_containing,
 )
+import forkscan
 from forkscan.patchmodel import PatchError, load_patch
 
 UTC = timezone.utc
@@ -165,6 +169,109 @@ class TestReadFileAt:
         assert old[203].startswith("BitcoinApplication::BitcoinApplication(int argc")
         new = read_file_at(repo, c_rewrite, TABLE_FILE)
         assert new[203] == "static int qt_argc = 1;"
+
+
+# Files read alone and in one batch; the last two are not UTF-8.
+BATCH_FILES = {
+    "src/with space.cpp": "int a = 1;\nint b = 2;\n",
+    "src/with:colon.cpp": "int c = 3;\n",
+    "src/crlf.cpp": "int d = 4;\r\nint e = 5;\r\n",
+    "src/no_newline.cpp": "int f = 6;",
+    "src/empty.cpp": "",
+    "x.cpp": "int g = 7;\n",
+}
+BATCH_BYTES = {
+    "src/latin1.cpp": b"const char* s = \"caf\xe9\";\n\xff\xfe\nint h;\n",
+    "src/mixed.cpp": b"int i = 8; /* \xff */\r\n\r\nint j = 9;",
+}
+
+
+@pytest.fixture(scope="module")
+def batch_repo(tmp_path_factory):
+    root = init_repo(tmp_path_factory.mktemp("batch") / "repo")
+    write_files(root, BATCH_FILES)
+    for name, data in BATCH_BYTES.items():
+        (root / name).write_bytes(data)
+    old = commit_all(root, "v1", datetime(2020, 1, 1, tzinfo=UTC))
+    # Names a batch line cannot hold: git would read "x.cpp" for the second.
+    write_files(root, {"src/new\nline.cpp": "int k;\n", "x.cpp\r": "int l;\n",
+                       "src/with space.cpp": "int m = 10;\n"})
+    commit_all(root, "v2", datetime(2020, 1, 2, tzinfo=UTC))
+    return RepoHandle(root), old
+
+
+class TestReadFilesAt:
+    """One `cat-file --batch` reads many files, each as read_file_at reads
+    it; what a batch line cannot name, or what is no file, is left out."""
+
+    def test_same_lines_as_read_file_at_in_one_call(self, batch_repo):
+        repo, _ = batch_repo
+        paths = [*BATCH_FILES, *BATCH_BYTES]
+        calls = record_git(repo)
+        got = read_files_at(repo, "HEAD", paths)
+        assert calls == ["cat-file"]
+        assert got == {p: read_file_at(repo, "HEAD", p) for p in paths}
+        assert got["src/crlf.cpp"] == ["int d = 4;\r", "int e = 5;\r"]
+        assert got["src/empty.cpp"] == []
+        assert got["src/latin1.cpp"][1] == "\ufffd\ufffd"
+
+    def test_reads_at_the_given_revision(self, batch_repo):
+        repo, old = batch_repo
+        assert read_files_at(repo, old, ["src/with space.cpp"]) == {
+            "src/with space.cpp": ["int a = 1;", "int b = 2;"]
+        }
+        assert read_files_at(repo, "HEAD", ["src/with space.cpp"]) == {
+            "src/with space.cpp": ["int m = 10;"]
+        }
+
+    def test_unnamable_absent_and_non_file_paths_are_left_out(self, batch_repo):
+        repo, old = batch_repo
+        paths = ["src/new\nline.cpp", "x.cpp\r", "src/absent.cpp", "src",
+                 "src/with:colon.cpp", "x.cpp"]
+        got = read_files_at(repo, "HEAD", paths)
+        assert got == {"src/with:colon.cpp": ["int c = 3;"], "x.cpp": ["int g = 7;"]}
+        assert read_file_at(repo, "HEAD", "src/new\nline.cpp") == ["int k;"]
+        assert read_file_at(repo, "HEAD", "x.cpp\r") == ["int l;"]
+        assert read_files_at(repo, old, ["x.cpp\r", "src/absent.cpp"]) == {}
+
+    def test_nothing_to_read_makes_no_call(self, batch_repo):
+        repo, _ = batch_repo
+        calls = record_git(repo)
+        assert read_files_at(repo, "HEAD", []) == {}
+        assert read_files_at(repo, "HEAD", ["a\nb.cpp"]) == {}
+        assert read_files_at(repo, "HEAD\n", ["x.cpp"]) == {}
+        assert calls == []
+
+    def test_unknown_revision_reads_nothing(self, batch_repo):
+        repo, _ = batch_repo
+        assert read_files_at(repo, "no-such-rev", ["x.cpp"]) == {}
+
+
+class TestGitLocale:
+    def test_missing_path_is_not_found_in_any_locale(self, make_repo):
+        """git runs in the C locale: under a German one its messages, which
+        tell a missing path from a failure, would be translated."""
+        root = make_repo({"a.txt": "x\n"})
+        code = (
+            "import sys\n"
+            "from forkscan.gitio import NotFoundError, RepoHandle, blame_lines, "
+            "read_file_at\n"
+            "repo = RepoHandle(sys.argv[1])\n"
+            "for read in (lambda: read_file_at(repo, 'HEAD', 'nope'),\n"
+            "             lambda: blame_lines(repo, 'HEAD', 'nope', 1, 1)):\n"
+            "    try:\n"
+            "        read()\n"
+            "    except NotFoundError:\n"
+            "        continue\n"
+            "    sys.exit('no NotFoundError')\n"
+        )
+        src = os.path.dirname(os.path.dirname(forkscan.__file__))
+        env = dict(os.environ, LANGUAGE="de", LC_ALL="C.UTF-8", PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(root)], env=env, capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestBlame:

@@ -388,11 +388,104 @@ class TestUnionGrepRouting:
         assert cache.grep(["Tip"]) and cache.grep(["LogPrintf"]) and cache.grep(["Tip"])
         assert greps == [["LogPrintf", "Tip"]]
 
+    def test_each_keyword_tuple_is_answered_once(self, overlap_repo, greps):
+        cache = StatementCache(overlap_repo, "HEAD", frozenset({"Tip", "LogPrintf"}))
+        first = cache.grep(["Tip", "LogPrintf"])
+        assert cache.grep(["Tip", "LogPrintf"]) is first
+        assert cache.grep(["LogPrintf", "Tip"]) == first
+        assert greps == [["LogPrintf", "Tip"]]
+
     def test_keyword_not_given_is_rejected(self, overlap_repo, greps):
         cache = StatementCache(overlap_repo, "HEAD", frozenset({"Tip"}))
         with pytest.raises(ValueError, match="fPruneMode"):
             cache.grep(["Tip", "fPruneMode"])
         assert greps == []
+
+
+# Every file holds the keyword `Tip`; the newline path cannot be named on a
+# `cat-file --batch` line, and test code is never searched.
+BATCH_FILES = {
+    "src/with space.cpp": "CBlockIndex* pindex = chainstate.Tip();\n",
+    "src/with:colon.cpp": "int n = 0;\nreturn Tip();\n",
+    "src/new\nline.cpp": "return Tip(); // newline in the name\n",
+    "src/crlf.cpp": "int n = 0;\r\nif (!Tip()) return false;\r\n",
+    "src/test/decoy.cpp": "return Tip();\n",
+}
+BATCH_BYTES = {"src/raw.cpp": b"int h = Tip()->nHeight; // caf\xe9\n/* \xff */ x = Tip();\n"}
+
+
+@pytest.fixture(scope="module")
+def batch_repo(tmp_path_factory):
+    root = init_repo(tmp_path_factory.mktemp("batch") / "fork")
+    write_files(root, BATCH_FILES)
+    for name, data in BATCH_BYTES.items():
+        (root / name).write_bytes(data)
+    commit_all(root, "import", datetime(2020, 1, 1, tzinfo=UTC))
+    return RepoHandle(root)
+
+
+class TestBatchedFileReads:
+    """After its one grep, the cache reads every hit file outside test code
+    in one `cat-file --batch`; a file the batch leaves out is read alone."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """("batch", paths) or ("alone", path) of every file read."""
+        calls = []
+        many, one = search.gitio.read_files_at, search.gitio.read_file_at
+
+        def batch(repo, rev, paths):
+            calls.append(("batch", list(paths)))
+            return many(repo, rev, paths)
+
+        def alone(repo, rev, path):
+            calls.append(("alone", path))
+            return one(repo, rev, path)
+
+        monkeypatch.setattr(search.gitio, "read_files_at", batch)
+        monkeypatch.setattr(search.gitio, "read_file_at", alone)
+        return calls
+
+    def test_one_batch_then_only_the_unnamable_path_alone(self, batch_repo, reads):
+        cache = StatementCache(batch_repo, "HEAD", frozenset({"Tip"}))
+        hits = cache.grep(["Tip"])
+        files = [*BATCH_FILES, *BATCH_BYTES]
+        assert {h.path for h in hits} == set(files)
+        searched = sorted(p for p in files if not is_test_path(p))
+        assert reads == [("batch", searched)]
+        reads.clear()
+        got = {p: cache.statements(p) for p in searched}
+        assert reads == [("alone", "src/new\nline.cpp")]
+        for path in searched:
+            direct = extract_statements(
+                read_file_at(batch_repo, "HEAD", path), path, classify_file(path)
+            )
+            assert got[path] == direct, path
+        assert [s.raw for s in got["src/crlf.cpp"]] == [
+            "int n = 0;\r", "if (!Tip()) return false;\r",
+        ]
+        assert got["src/raw.cpp"][0].norm == "int h = Tip()->nHeight;"
+
+    def test_hit_under_test_code_is_not_read(self, batch_repo, reads):
+        ctx = make_ctx(["return Tip();"])
+        assert [kw.keyword for kw in ctx.keywords] == ["Tip"]
+        found = find_key_statements(_cache(batch_repo, ctx), ctx, PATCH_FC)
+        assert "src/test/decoy.cpp" not in {s.path for s in found}
+        assert {s.path for s in found} >= {"src/with:colon.cpp", "src/new\nline.cpp"}
+        read = [p for kind, paths in reads
+                for p in (paths if kind == "batch" else [paths])]
+        assert "src/test/decoy.cpp" not in read
+
+    def test_failed_read_stores_no_hits(self, batch_repo, reads, monkeypatch):
+        def broken(repo, rev, paths):
+            raise GitError("git cat-file failed: boom")
+
+        monkeypatch.setattr(search.gitio, "read_files_at", broken)
+        cache = StatementCache(batch_repo, "HEAD", frozenset({"Tip"}))
+        with pytest.raises(GitError, match="boom"):
+            cache.grep(["Tip"])
+        monkeypatch.undo()
+        assert {h.path for h in cache.grep(["Tip"])} >= {"src/crlf.cpp"}
 
 
 class TestExpandBoundary:

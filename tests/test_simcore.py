@@ -180,6 +180,56 @@ class TestLevenshteinMany:
         assert levenshtein_many(a, bs) == [oracle_levenshtein(a, b) for b in bs]
 
 
+class TestPackMemo:
+    """Each distinct batch is packed once per run and then scored against
+    any a, exactly."""
+
+    @pytest.fixture(autouse=True)
+    def packs(self, monkeypatch):
+        """The batches packed, against an empty pack memo."""
+        monkeypatch.setattr(simcore, "_PACK_MEMO", {})
+        packed, real = [], simcore._pack
+
+        def counting(bs):
+            packed.append(bs)
+            return real(bs)
+
+        monkeypatch.setattr(simcore, "_pack", counting)
+        return packed
+
+    def test_one_batch_against_several_a(self, packs):
+        rng = random.Random(1041)
+        batches = []
+        for alphabet in [*NARROW_ALPHABETS, ALPHABET]:
+            _, bs = rand_batch(rng, alphabet)
+            batches.append(tuple(bs))
+            for _ in range(8):
+                a = text(rng, alphabet, rng.randint(0, 140))
+                assert levenshtein_many(a, bs) == [oracle_levenshtein(a, b) for b in bs]
+        assert packs == batches
+
+    def test_batches_with_empty_and_repeated_patterns(self, packs):
+        rng = random.Random(1042)
+        for bs in (["", "", ""], ["ab", "", "ab", "", "abc"], ["", "x" * 130, ""],
+                   ["a\u00e9\u4e2d", "a\u00e9\u4e2d", "\U0001f600"]):
+            for a in ("", "ab", text(rng, "abcx\u00e9", 70), "x" * 129):
+                assert levenshtein_many(a, bs) == [oracle_levenshtein(a, b) for b in bs]
+        assert len(packs) == 4
+
+    def test_reordered_strings_are_another_batch(self, packs):
+        rng = random.Random(1043)
+        bs = [text(rng, "abc", n) for n in (3, 0, 64, 17, 65)]
+        a = text(rng, "abc", 90)
+        want = [oracle_levenshtein(a, b) for b in bs]
+        assert levenshtein_many(a, bs) == want
+        for order in (bs[::-1], bs[1:] + bs[:1]):
+            assert levenshtein_many(a, order) == [
+                oracle_levenshtein(a, b) for b in order
+            ]
+        assert levenshtein_many(a, bs) == want
+        assert packs == [tuple(bs), tuple(bs[::-1]), tuple(bs[1:] + bs[:1])]
+
+
 class TestStrsim:
     def test_both_empty_is_identical(self):
         assert strsim("", "") == 1.0
