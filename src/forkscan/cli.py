@@ -26,7 +26,7 @@ from . import __version__, delay, gitio, patchmodel, report, search, verdict
 from .gitio import RepoHandle
 from .patchmodel import Patch, PatchError
 from .report import ResultRow, ScanReport
-from .simcore import KS_THRESHOLD, SimilarityParams, reward_sweep
+from .simcore import KS_THRESHOLD, R, T, reward_sweep
 from .verdict import Status
 
 log = logging.getLogger(__name__)
@@ -42,7 +42,6 @@ class RunConfig:
     patch_shas: list[str]
     patch_files: list[str]
     targets: list[tuple[str, str]]  # (path, rev)
-    params: SimilarityParams
     out: str
 
 
@@ -80,11 +79,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         if repeated:
             raise ConfigError(f"two {what} {repeated[0]}")
 
-    try:
-        params = SimilarityParams(r=args.r, t=args.t)
-    except ValueError as exc:
-        raise ConfigError(f"bad parameter: {exc}") from exc
-
     for p in [args.source, *args.patch_file, *(t[0] for t in targets)]:
         if not Path(p).exists():
             raise ConfigError(f"path does not exist: {p}")
@@ -94,13 +88,17 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     ancestor = next(p for p in out.parents if p.exists())
     if not ancestor.is_dir():
         raise ConfigError(f"cannot write {args.out}: {ancestor} is not a directory")
+    if len(set(_output_paths(args.out))) < 3:
+        raise ConfigError(
+            f"cannot write {args.out}: the report, its .csv and delay_cdf.csv "
+            "need three distinct paths"
+        )
 
     return RunConfig(
         source=args.source,
         patch_shas=patch_shas,
         patch_files=args.patch_file,
         targets=targets,
-        params=params,
         out=args.out,
     )
 
@@ -159,9 +157,9 @@ def _load_patches(config: RunConfig) -> list[Patch]:
     return patches
 
 
-def _scan_one_hunk(ctx: _TargetCtx, hunk, config: RunConfig):
-    outcome = search.collect_candidates(ctx.cache, hunk, config.params)
-    return [verdict.judge_candidate(c, hunk, config.params) for c in outcome.candidates]
+def _scan_one_hunk(ctx: _TargetCtx, hunk):
+    outcome = search.collect_candidates(ctx.cache, hunk)
+    return [verdict.judge_candidate(c, hunk) for c in outcome.candidates]
 
 
 def run_detect(config: RunConfig) -> tuple[int, ScanReport]:
@@ -190,7 +188,7 @@ def run_detect(config: RunConfig) -> tuple[int, ScanReport]:
             hunk_judgments = []
             for hi, hunk in enumerate(patch.hunks):
                 try:
-                    hunk_judgments.append(_scan_one_hunk(ctx, hunk, config))
+                    hunk_judgments.append(_scan_one_hunk(ctx, hunk))
                 except Exception as exc:
                     log.warning(
                         "scan failed for %s hunk %d in %s: %s",
@@ -205,8 +203,8 @@ def run_detect(config: RunConfig) -> tuple[int, ScanReport]:
     scan = ScanReport(
         tool_version=__version__,
         params={
-            "r": config.params.r,
-            "t": config.params.t,
+            "r": R,
+            "t": T,
             "ks_threshold": KS_THRESHOLD,
             "context_lines": patchmodel.CONTEXT_LINES,
             "max_candidates": search.MAX_CANDIDATES,
@@ -261,18 +259,22 @@ def _round(v: float | None) -> float | None:
     return round(v, 6) if v is not None else None
 
 
-def _write_outputs(scan: ScanReport, out: str) -> None:
+def _output_paths(out: str) -> tuple[Path, Path, Path]:
+    """The JSON report, the flat CSV beside it and the delay CDF."""
     out_path = Path(out)
+    return out_path, out_path.with_suffix(".csv"), out_path.parent / "delay_cdf.csv"
+
+
+def _write_outputs(scan: ScanReport, out: str) -> None:
+    out_path, csv_path, cdf_path = _output_paths(out)
     delays = [
         float(r.delay.delay_days)
         for r in scan.results
         if r.delay is not None and r.delay.delay_days is not None
     ]
-    cdf_path = out_path.parent / "delay_cdf.csv"
     try:
         out_path.parent.mkdir(parents=True, exist_ok=True)
         out_path.write_text(report.emit_report(scan, "json"), encoding="utf-8")
-        csv_path = out_path.with_suffix(".csv")
         csv_path.write_text(report.emit_report(scan, "csv"), encoding="utf-8")
         if delays:
             report.write_cdf_csv(report.emit_cdf(delays), str(cdf_path))
@@ -347,14 +349,6 @@ def _add_detect_flags(p: argparse.ArgumentParser) -> None:
         help="target repo as path[,rev] (repeatable)",
     )
     p.add_argument(
-        "--r", type=float, default=SimilarityParams.r,
-        help="positional reward factor (default %(default)s)",
-    )
-    p.add_argument(
-        "--t", type=float, default=SimilarityParams.t,
-        help="decision threshold (default %(default)s)",
-    )
-    p.add_argument(
         "--jobs", type=int, choices=(1,), default=1,
         help="scans run on one thread; only 1 is accepted",
     )
@@ -379,7 +373,11 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    detect = sub.add_parser("detect", help="scan targets for patch presence")
+    # No abbreviations: a dropped flag must not read as another (`--t` as
+    # `--target`).
+    detect = sub.add_parser(
+        "detect", help="scan targets for patch presence", allow_abbrev=False
+    )
     _add_detect_flags(detect)
 
     sweep = sub.add_parser("sweep-r", help="score fragment pairs across reward factors")

@@ -22,13 +22,7 @@ from . import gitio
 from .gitio import RepoHandle
 from .patchmodel import CONTEXT_LINES, PatchContext, PatchHunk
 from .preprocess import NormalizedLine, StatementKind, classify_file, extract_statements
-from .simcore import (
-    KS_THRESHOLD,
-    SimilarityParams,
-    fragment_similarity,
-    strsim,
-    strsim_many,
-)
+from .simcore import KS_THRESHOLD, R, T, fragment_similarity, strsim, strsim_many
 
 log = logging.getLogger(__name__)
 
@@ -44,8 +38,9 @@ class StatementCache:
     fix facts for one (repository, revision).
 
     keywords are every keyword a context may ask for; the first grep greps
-    them all in one git call, then reads every file outside test code that
-    holds a hit in one more. Each distinct keyword tuple is answered once.
+    them all in one git call, drops the hits in test code and reads every
+    file that holds one of the rest in one more. Each distinct keyword
+    tuple is answered once.
     A file's statements are extracted when first asked for; a file the
     batch left out is read alone. fixes maps a blamed (path, span) to its
     fix commit and first release, as `delay.fix_delay` found them.
@@ -64,8 +59,9 @@ class StatementCache:
         ] = {}
 
     def grep(self, keywords: list[str]) -> list[gitio.GrepHit]:
-        """Every line at the revision containing any of keywords, ordered by
-        (path, line); a failed grep or read stores nothing."""
+        """Every line outside test code at the revision containing any of
+        keywords, ordered by (path, line); a failed grep or read stores
+        nothing."""
         key = tuple(keywords)
         hits = self._grepped.get(key)
         if hits is not None:
@@ -74,10 +70,11 @@ class StatementCache:
         if unknown:
             raise ValueError(f"keywords not given to the cache: {sorted(unknown)}")
         if self._hits is None:
-            all_hits = gitio.grep_repo(self.repo, sorted(self._keywords), self.rev)
-            paths = list(dict.fromkeys(
-                h.path for h in all_hits if not is_test_path(h.path)
-            ))
+            all_hits = [
+                h for h in gitio.grep_repo(self.repo, sorted(self._keywords), self.rev)
+                if not is_test_path(h.path)
+            ]
+            paths = list(dict.fromkeys(h.path for h in all_hits))
             self._texts = gitio.read_files_at(self.repo, self.rev, paths)
             self._hits = all_hits
         hits = [h for h in self._hits if any(kw in h.raw_line for kw in keywords)]
@@ -139,10 +136,10 @@ def find_key_statements(
 ) -> list[NormalizedLine]:
     """Grep the context keywords in the target and keep plausible hits.
 
-    The hits are the lines holding any of the keywords, read from the
-    cache's grep in (path, line) order. A hit's statement is kept when it
-    is a meaningful statement (not a comment), not in test code, in a file
-    of the same class as the patched file, and reaches KS_THRESHOLD in
+    The hits are the lines outside test code holding any of the keywords,
+    read from the cache's grep in (path, line) order. A hit's statement is
+    kept when it is a meaningful statement (not a comment), in a file of
+    the same class as the patched file, and reaches KS_THRESHOLD in
     strsim against the source statement of a keyword its line contains
     and whose kind agrees with its own (OTHER agrees with every kind).
     """
@@ -152,7 +149,7 @@ def find_key_statements(
         return []
     found: list[NormalizedLine] = []
     for hit in cache.grep([kw.keyword for kw in keywords]):
-        if is_test_path(hit.path) or classify_file(hit.path) != patch_file_class:
+        if classify_file(hit.path) != patch_file_class:
             continue
         stmt_idx = cache.index_by_line(hit.path).get(hit.line_no)
         if stmt_idx is None:
@@ -217,13 +214,12 @@ def finalize_contexts(
     cache: StatementCache,
     boundaries: list[tuple[str, tuple[int, int]]],
     patch_ctx: PatchContext,
-    params: SimilarityParams,
 ) -> list[CandidateContext]:
     """Score boundary regions against the patch context and keep the best.
 
     ctx_sim is the fragment similarity of the patch context against the
     candidate's statements, of which there is at least one: a boundary holds
-    its key statement. Regions under the decision threshold are dropped,
+    its key statement. Regions under the decision threshold T are dropped,
     overlapping regions in the same file keep only the higher-scoring one,
     and the survivors are capped at MAX_CANDIDATES by descending ctx_sim.
     Ties fall to (path, start, end), so the order of boundaries is moot.
@@ -237,8 +233,8 @@ def finalize_contexts(
         seen_spans.add((path, ss_line, es_line))
         stmts, idx = cache.statements(path), cache.index_by_line(path)
         region = stmts[idx[ss_line]:idx[es_line] + 1]
-        sim = fragment_similarity(patch_norms, [s.norm for s in region], params)
-        if sim < params.t:
+        sim = fragment_similarity(patch_norms, [s.norm for s in region], R)
+        if sim < T:
             continue
         scored.append(CandidateContext(path, ss_line, es_line, sim))
     scored.sort(key=lambda c: (-c.ctx_sim, c.path, c.ss_line, c.es_line))
@@ -323,9 +319,7 @@ def _pair_contexts(
     return pairs + [(None, downs[j]) for j in sorted(free_downs)]
 
 
-def collect_candidates(
-    cache: StatementCache, hunk: PatchHunk, params: SimilarityParams
-) -> SearchOutcome:
+def collect_candidates(cache: StatementCache, hunk: PatchHunk) -> SearchOutcome:
     """Run the full search pipeline for one hunk against one target."""
 
     def located(ctx: PatchContext) -> list[CandidateContext]:
@@ -347,7 +341,7 @@ def collect_candidates(
             span = expand_boundary(cache, ks, ctx)
             if span is not None:
                 boundaries.append((ks.path, span))
-        return finalize_contexts(cache, boundaries, ctx, params)
+        return finalize_contexts(cache, boundaries, ctx)
 
     max_gap = max(3 * hunk.code_len, 20)
     contexts = _pair_contexts(

@@ -8,38 +8,21 @@ each line pair's similarity."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class EmptyFragmentError(ValueError):
     """Raised when fragment similarity is asked about an empty fragment."""
 
 
 # Low-recall gate used while searching key statements and expanding context
-# boundaries; the decision threshold t may not be set below it.
+# boundaries; the decision threshold T is not below it.
 KS_THRESHOLD = 0.25
 
+# Positional reward factor: a statement matched at offset d from its
+# expected position contributes sim * R**d.
+R = 0.95
 
-@dataclass(frozen=True)
-class SimilarityParams:
-    """Tunable knobs of the similarity pipeline.
-
-    r -- positional reward factor: a statement matched at offset d from its
-         expected position contributes sim * r**d.
-    t -- decision threshold for patch-applied similarity tests.
-    """
-
-    r: float = 0.95
-    t: float = 0.40
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.r <= 1.0:
-            raise ValueError(f"r must be in [0, 1], got {self.r}")
-        if not KS_THRESHOLD <= self.t < 1.0:
-            raise ValueError(
-                f"t must be in [{KS_THRESHOLD}, 1) (the key-statement gate is "
-                f"{KS_THRESHOLD}), got {self.t}"
-            )
+# Decision threshold for patch-applied similarity tests.
+T = 0.40
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -174,9 +157,7 @@ def strsim_many(a: str, bs: list[str]) -> list[float]:
     return [memo[a, b] for b in bs]
 
 
-def fragment_similarity(
-    source: list[str], target: list[str], params: SimilarityParams
-) -> float:
+def fragment_similarity(source: list[str], target: list[str], r: float) -> float:
     """Order-tolerant similarity score of two code fragments, in [0, 1].
 
     Every source statement is matched to its most similar target statement
@@ -189,7 +170,6 @@ def fragment_similarity(
         raise EmptyFragmentError("source fragment is empty")
     if not target:
         raise EmptyFragmentError("target fragment is empty")
-    r = params.r
     total = 0.0
     for i, s_line in enumerate(source):
         sims = strsim_many(s_line, target)
@@ -211,13 +191,13 @@ def reward_sweep(
     """Score every fragment pair under each reward factor.
 
     Returns one (r, scores) row per r value, scores sorted ascending so they
-    can be turned into a CDF directly.
+    can be turned into a CDF directly. Every r must lie in [0, 1].
     """
     if not pairs:
         raise ValueError("no fragment pairs given")
     table: list[tuple[float, list[float]]] = []
     for r in r_values:
-        swept = SimilarityParams(r=r)
-        scores = sorted(fragment_similarity(s, t, swept) for s, t in pairs)
-        table.append((r, scores))
+        if not 0.0 <= r <= 1.0:
+            raise ValueError(f"r must be in [0, 1], got {r}")
+        table.append((r, sorted(fragment_similarity(s, t, r) for s, t in pairs)))
     return table

@@ -1,7 +1,7 @@
 """Judge candidate code against a patch and aggregate into one verdict.
 
 A candidate is compared to the deleted statements (dp) and/or the added
-statements (ap) of the hunk; whichever similarity passes the threshold t
+statements (ap) of the hunk; whichever similarity passes the threshold T
 decides whether the patch was applied there. Per hunk the most confident
 decided candidate wins, and across hunks a single Vulnerable hunk makes the
 whole patch verdict Vulnerable.
@@ -14,7 +14,7 @@ from enum import Enum
 
 from .patchmodel import PatchHunk, PatchType
 from .search import CandidateCode
-from .simcore import SimilarityParams, fragment_similarity
+from .simcore import R, T, fragment_similarity
 
 
 class Status(Enum):
@@ -80,9 +80,7 @@ def decide(
     return (None, max(s_del, s_add) - t)
 
 
-def judge_candidate(
-    candidate: CandidateCode, hunk: PatchHunk, params: SimilarityParams
-) -> CandidateJudgment:
+def judge_candidate(candidate: CandidateCode, hunk: PatchHunk) -> CandidateJudgment:
     """Compare one candidate's statements against the hunk's dp/ap.
 
     An empty candidate counts as similarity 0 to everything: the deleted
@@ -94,11 +92,11 @@ def judge_candidate(
     def sim_to(patch_stmts) -> float:
         if not norms:
             return 0.0
-        return fragment_similarity(norms, [s.norm for s in patch_stmts], params)
+        return fragment_similarity(norms, [s.norm for s in patch_stmts], R)
 
     s_del = sim_to(hunk.dp) if hunk.dp else None
     s_add = sim_to(hunk.ap) if hunk.ap else None
-    fv, conf = decide(hunk.ptype, s_del, s_add, params.t)
+    fv, conf = decide(hunk.ptype, s_del, s_add, T)
     return CandidateJudgment(
         candidate=candidate, s_del=s_del, s_add=s_add, fv=fv, conf=conf
     )

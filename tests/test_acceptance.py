@@ -25,7 +25,7 @@ from forkscan.delay import earliest_release, find_fix_commit, patch_delay
 from forkscan.gitio import RepoHandle
 from forkscan.patchmodel import PatchType
 from forkscan.report import emit_cdf
-from forkscan.simcore import SimilarityParams, fragment_similarity, reward_sweep, strsim
+from forkscan.simcore import R, fragment_similarity, reward_sweep, strsim
 from forkscan.verdict import decide
 
 from conftest import TABLE_FILE, UTC, oracle_strsim
@@ -133,17 +133,16 @@ def test_criterion_1_strsim_matches_dp_oracle():
 
 def test_criterion_2_fragment_similarity_exactness():
     rng = random.Random(22)
-    params = SimilarityParams()
     failures: list[str] = []
 
     for _ in range(50):
         frag = _fragment(rng)
-        if fragment_similarity(frag, frag, params) != 1.0:
+        if fragment_similarity(frag, frag, R) != 1.0:
             failures.append("identity != 1.0")
             break
 
     for _ in range(1000):
-        score = fragment_similarity(_fragment(rng), _fragment(rng), params)
+        score = fragment_similarity(_fragment(rng), _fragment(rng), R)
         if not 0.0 <= score <= 1.0:
             failures.append(f"score {score} out of [0, 1]")
             break
@@ -159,9 +158,7 @@ def test_criterion_2_fragment_similarity_exactness():
         perm = list(range(p))
         rng.shuffle(perm)
         r = sweep_rs[k % len(sweep_rs)]
-        got = fragment_similarity(
-            [base[perm[i]] for i in range(p)], base, SimilarityParams(r=r)
-        )
+        got = fragment_similarity([base[perm[i]] for i in range(p)], base, r)
         expected = sum(r ** abs(i - perm[i]) for i in range(p)) / p
         worst = max(worst, abs(got - expected))
     if worst > 1e-12:
@@ -170,7 +167,7 @@ def test_criterion_2_fragment_similarity_exactness():
     swap = fragment_similarity(
         ["second_line(b);", "first_line(a);"],
         ["first_line(a);", "second_line(b);"],
-        SimilarityParams(r=0.95),
+        0.95,
     )
     if swap != 0.95:
         failures.append(f"two-line swap gave {swap}, want 0.95")
@@ -196,7 +193,7 @@ def test_criterion_3_reward_factor_monotonicity():
 
     failures: list[str] = []
     per_pair = [
-        [fragment_similarity(a, b, SimilarityParams(r=r)) for r in rs]
+        [fragment_similarity(a, b, r) for r in rs]
         for a, b in pairs
     ]
     for i, seq in enumerate(per_pair):

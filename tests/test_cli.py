@@ -203,7 +203,6 @@ class TestBuildConfig:
         assert cfg.source == str(dirs.src)
         assert cfg.patch_shas == ["abc123"]
         assert cfg.targets == [(str(dirs.tgt), "HEAD")]
-        assert (cfg.params.r, cfg.params.t) == (0.95, 0.40)
         assert cfg.out == "report.json"
 
     def test_config_file_supplies_everything(self, dirs):
@@ -215,8 +214,6 @@ class TestBuildConfig:
             "--patch=bbb",
             f"--target={dirs.tgt},dev",
             f"--target={dirs.src}",
-            "--r=0.9",
-            "--t=0.5",
             "--out=deep/report.json",
         ]
         conf.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -224,7 +221,6 @@ class TestBuildConfig:
         assert cfg.source == str(dirs.src)
         assert cfg.patch_shas == ["aaa", "bbb"]
         assert cfg.targets == [(str(dirs.tgt), "dev"), (str(dirs.src), "HEAD")]
-        assert (cfg.params.r, cfg.params.t) == (0.9, 0.5)
         assert cfg.out == "deep/report.json"
 
     def test_blank_lines_in_config_file_skipped(self, dirs):
@@ -242,23 +238,23 @@ class TestBuildConfig:
         # repeatable flags from both add up.
         conf = dirs.root / "scan.args"
         conf.write_text(
-            f"--source={dirs.root}\n--r=0.5\n--patch=zzz\n--target={dirs.root}\n",
+            f"--source={dirs.root}\n--out=file.json\n--patch=zzz\n--target={dirs.root}\n",
             encoding="utf-8",
         )
         cfg = _build_config(
             _ns(
                 f"@{conf}",
                 "--source", str(dirs.src),
-                "--r", "0.7",
+                "--out", "flag.json",
                 "--patch", "abc",
                 "--target", str(dirs.tgt),
             )
         )
         assert cfg.source == str(dirs.src)
-        assert cfg.params.r == 0.7
+        assert cfg.out == "flag.json"
         assert cfg.patch_shas == ["zzz", "abc"]
         assert cfg.targets == [(str(dirs.root), "HEAD"), (str(dirs.tgt), "HEAD")]
-        assert _build_config(_ns("--r", "0.7", f"@{conf}")).params.r == 0.5
+        assert _build_config(_ns("--out", "flag.json", f"@{conf}")).out == "file.json"
 
     def test_manifest_extends_patch_list(self, dirs):
         manifest = dirs.root / "patches.txt"
@@ -304,15 +300,9 @@ class TestBuildConfig:
 
     def test_unparsable_number_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            _ns("--r", "fast")
+            _ns("--jobs", "fast")
         assert exc.value.code == 2
-        assert "--r: invalid float value: 'fast'" in capsys.readouterr().err
-
-    def test_t_below_key_statement_gate_rejected(self, dirs):
-        with pytest.raises(ConfigError, match=r"t must be in \[0\.25, 1\).*got 0\.2"):
-            _build_config(
-                _ns(source=str(dirs.src), patch=["abc"], target=[str(dirs.tgt)], t=0.2)
-            )
+        assert "--jobs: invalid int value: 'fast'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ["source", "target", "patch_file"])
     def test_missing_paths_rejected(self, dirs, field):
@@ -962,12 +952,6 @@ class TestDetectErrors:
         assert code == 2
         assert "--target" in capsys.readouterr().err
 
-    def test_bad_config_value_exits_2(self, world, tmp_path, capsys):
-        code = _detect(world, [world.vuln], tmp_path / "r.json", ["--r", "1.5"])
-        assert code == 2
-        assert "bad parameter" in capsys.readouterr().err
-        assert not (tmp_path / "r.json").exists()
-
     def test_config_flag_is_unrecognized(self, world, tmp_path, capsys):
         conf = tmp_path / "scan.cfg"
         conf.write_text("context_lines = 5\n", encoding="utf-8")
@@ -978,7 +962,7 @@ class TestDetectErrors:
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize(
-        "flag", ["--ks-threshold", "--context-lines", "--max-candidates"]
+        "flag", ["--ks-threshold", "--context-lines", "--max-candidates", "--r", "--t"]
     )
     def test_fixed_search_constant_is_unrecognized(self, world, tmp_path, capsys, flag):
         with pytest.raises(SystemExit) as exc:
@@ -1075,6 +1059,26 @@ class TestDetectErrors:
         assert "Traceback" not in err
         assert loaded == []
         assert afile.read_text(encoding="utf-8") == "keep\n"
+
+    @pytest.mark.parametrize(
+        "name", ["r.csv", "delay_cdf.json", "delay_cdf.csv", "delay_cdf"]
+    )
+    def test_out_sharing_a_path_with_its_csv_or_cdf_exits_2(
+        self, world, tmp_path, capsys, monkeypatch, name
+    ):
+        # The CSV is --out with the suffix .csv and the CDF is delay_cdf.csv
+        # beside it; were two of the three one path, a scan would overwrite
+        # one report with another.
+        loaded = []
+        monkeypatch.setattr(forkscan.patchmodel, "load_patch",
+                            lambda diff_text, label: loaded.append(label))
+        out = tmp_path / "o" / name
+        assert _detect(world, [world.fixed], out) == 2
+        err = capsys.readouterr().err
+        assert (f"error: cannot write {out}: the report, its .csv and "
+                "delay_cdf.csv need three distinct paths") in err
+        assert loaded == []
+        assert not out.parent.exists()
 
     def test_jobs_other_than_one_exits_2(self, world, tmp_path, capsys):
         # Scans run on one thread; `--jobs 1` is still accepted.

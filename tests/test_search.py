@@ -23,7 +23,7 @@ from forkscan.search import (
     find_key_statements,
     is_test_path,
 )
-from forkscan.simcore import KS_THRESHOLD, SimilarityParams
+from forkscan.simcore import KS_THRESHOLD, R, T
 from test_patchmodel import init_repo, write_files, commit_all
 from datetime import datetime, timezone
 
@@ -84,8 +84,6 @@ ROUTING_NORMS = [
     "fCheckedBlocks = (nCheckDepth > 0);",
 ]
 
-PARAMS = SimilarityParams()
-
 
 def make_stmts(norms: list[str]):
     return extract_statements(norms, PATCH_PATH, PATCH_FC)
@@ -119,7 +117,7 @@ def _cache(repo: RepoHandle, *ctxs: PatchContext) -> StatementCache:
 
 
 def _collect(repo: RepoHandle, hunk: PatchHunk):
-    return collect_candidates(_cache(repo, hunk.up_ctx, hunk.down_ctx), hunk, PARAMS)
+    return collect_candidates(_cache(repo, hunk.up_ctx, hunk.down_ctx), hunk)
 
 
 @pytest.fixture(scope="module")
@@ -450,8 +448,8 @@ class TestBatchedFileReads:
         cache = StatementCache(batch_repo, "HEAD", frozenset({"Tip"}))
         hits = cache.grep(["Tip"])
         files = [*BATCH_FILES, *BATCH_BYTES]
-        assert {h.path for h in hits} == set(files)
         searched = sorted(p for p in files if not is_test_path(p))
+        assert sorted({h.path for h in hits}) == searched
         assert reads == [("batch", searched)]
         reads.clear()
         got = {p: cache.statements(p) for p in searched}
@@ -548,47 +546,39 @@ class TestExpandBoundary:
 class TestFinalizeContexts:
     def test_keeps_passing_region_with_oracle_score(self, fig_repo):
         ctx = make_ctx(UP_NORMS)
-        kept = finalize_contexts(
-            _cache(fig_repo), [("src/init.cpp", (3, 5))], ctx, PARAMS
-        )
+        kept = finalize_contexts(_cache(fig_repo), [("src/init.cpp", (3, 5))], ctx)
         assert len(kept) == 1
         c = kept[0]
         assert (c.path, c.ss_line, c.es_line) == ("src/init.cpp", 3, 5)
         stmts = _stmts_in(fig_repo, c.path, c.ss_line, c.es_line)
         assert [s.line_no for s in stmts] == [3, 4, 5]
-        expected = oracle_fragment_similarity(
-            UP_NORMS, [s.norm for s in stmts], PARAMS.r
-        )
+        expected = oracle_fragment_similarity(UP_NORMS, [s.norm for s in stmts], R)
         assert c.ctx_sim == pytest.approx(expected, abs=1e-12)
-        assert c.ctx_sim >= PARAMS.t
+        assert c.ctx_sim >= T
 
     def test_drops_region_below_threshold(self, fig_repo):
         ctx = make_ctx(UP_NORMS)
-        kept = finalize_contexts(
-            _cache(fig_repo), [("src/init.cpp", (8, 12))], ctx, PARAMS
-        )
+        kept = finalize_contexts(_cache(fig_repo), [("src/init.cpp", (8, 12))], ctx)
         assert kept == []
         stmts = _stmts_in(fig_repo, "src/init.cpp", 8, 12)
-        assert oracle_fragment_similarity(
-            UP_NORMS, [s.norm for s in stmts], PARAMS.r
-        ) < PARAMS.t
+        assert oracle_fragment_similarity(UP_NORMS, [s.norm for s in stmts], R) < T
 
     def test_overlapping_regions_keep_best(self, fig_repo):
         ctx = make_ctx(UP_NORMS)
         kept = finalize_contexts(
             _cache(fig_repo),
             [("src/init.cpp", (3, 5)), ("src/init.cpp", (3, 12))],
-            ctx, PARAMS,
+            ctx,
         )
         assert [(c.ss_line, c.es_line) for c in kept] == [(3, 5)]
 
     def test_cap_keeps_best_contexts(self, twin_repo, monkeypatch):
         ctx = make_ctx(UP_NORMS)
         spans = [("src/init.cpp", (3, 5)), ("src/wallet.cpp", (3, 5))]
-        under_cap = finalize_contexts(_cache(twin_repo), spans, ctx, PARAMS)
+        under_cap = finalize_contexts(_cache(twin_repo), spans, ctx)
         assert [c.path for c in under_cap] == ["src/init.cpp", "src/wallet.cpp"]
         monkeypatch.setattr(search, "MAX_CANDIDATES", 1)
-        capped = finalize_contexts(_cache(twin_repo), spans, ctx, PARAMS)
+        capped = finalize_contexts(_cache(twin_repo), spans, ctx)
         assert [(c.path, c.ss_line) for c in capped] == [("src/init.cpp", 3)]
 
     @pytest.mark.parametrize("cap", [search.MAX_CANDIDATES, 2])
@@ -603,10 +593,10 @@ class TestFinalizeContexts:
             ("src/init.cpp", (3, 12)), ("src/init.cpp", (4, 5)),
             ("src/init.cpp", (8, 12)), ("src/wallet.cpp", (3, 5)),
         ]
-        want = finalize_contexts(cache, spans, ctx, PARAMS)
+        want = finalize_contexts(cache, spans, ctx)
         assert len(want) == min(cap, 2)
         for order in permutations(spans):
-            assert finalize_contexts(cache, list(order), ctx, PARAMS) == want
+            assert finalize_contexts(cache, list(order), ctx) == want
 
 
 def _ctx(path: str, ss: int, es: int) -> CandidateContext:
@@ -682,7 +672,7 @@ class TestCollectCandidates:
         assert (down.path, down.ss_line, down.es_line) == ("src/init.cpp", 7, 11)
         up_stmts = _stmts_in(fig_repo, up.path, up.ss_line, up.es_line)
         assert up.ctx_sim == pytest.approx(
-            oracle_fragment_similarity(UP_NORMS, [s.norm for s in up_stmts], PARAMS.r),
+            oracle_fragment_similarity(UP_NORMS, [s.norm for s in up_stmts], R),
             abs=1e-12,
         )
 
@@ -767,5 +757,5 @@ class TestBatchedBoundaries:
                 span = expand_boundary(cache, ks, ctx)
                 if span is not None:
                     boundaries.append((ks.path, span))
-            finalize_contexts(cache, boundaries, ctx, PARAMS)
+            finalize_contexts(cache, boundaries, ctx)
         assert batched == set(simcore._STRSIM_MEMO)

@@ -8,8 +8,9 @@ import pytest
 from forkscan import simcore
 from forkscan.simcore import (
     KS_THRESHOLD,
+    R,
+    T,
     EmptyFragmentError,
-    SimilarityParams,
     fragment_similarity,
     levenshtein,
     levenshtein_many,
@@ -309,50 +310,44 @@ class TestStrsimMany:
 
 class TestParams:
     def test_defaults(self):
-        p = SimilarityParams()
-        assert (p.r, p.t, KS_THRESHOLD) == (0.95, 0.40, 0.25)
+        assert (R, T, KS_THRESHOLD) == (0.95, 0.40, 0.25)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"r": -0.1}, {"r": 1.1}, {"t": 0.0}, {"t": 1.0},
-        {"t": 0.2}, {"t": 0.24},  # below the key-statement gate
-    ])
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            SimilarityParams(**kwargs)
+    def test_r_is_a_reward_factor(self):
+        assert 0.0 <= R <= 1.0
+
+    def test_t_is_not_below_the_key_statement_gate(self):
+        assert KS_THRESHOLD <= T < 1.0
 
 
 class TestFragmentSimilarity:
     def test_identity_is_one(self):
         frag = ["int a = 1;", "call(a);", "return a;"]
-        assert fragment_similarity(frag, frag, SimilarityParams()) == 1.0
+        assert fragment_similarity(frag, frag, R) == 1.0
 
     def test_empty_raises(self):
         with pytest.raises(EmptyFragmentError):
-            fragment_similarity([], ["x"], SimilarityParams())
+            fragment_similarity([], ["x"], R)
         with pytest.raises(EmptyFragmentError):
-            fragment_similarity(["x"], [], SimilarityParams())
+            fragment_similarity(["x"], [], R)
 
     def test_two_line_swap_equals_r(self):
         # p=2 and both lines match exactly at offset 1: score = (r + r)/2 = r.
         frag = ["alpha = beta;", "gamma(delta);"]
         swapped = [frag[1], frag[0]]
-        params = SimilarityParams(r=0.95)
-        assert fragment_similarity(frag, swapped, params) == 0.95
+        assert fragment_similarity(frag, swapped, 0.95) == 0.95
 
     def test_adjacent_swap_formula(self):
         # Identical fragments with lines i, i+1 swapped: 1 - (2 - 2r)/p.
         frag = [f"unique_line_{i} = {i * 7};" for i in range(6)]
         swapped = list(frag)
         swapped[2], swapped[3] = swapped[3], swapped[2]
-        params = SimilarityParams()
-        expect = 1 - (2 - 2 * params.r) / len(frag)
-        assert fragment_similarity(frag, swapped, params) == pytest.approx(
+        expect = 1 - (2 - 2 * R) / len(frag)
+        assert fragment_similarity(frag, swapped, R) == pytest.approx(
             expect, abs=1e-12
         )
 
     def test_permutation_law(self):
         rng = random.Random(1005)
-        params = SimilarityParams()
         for _ in range(50):
             p = rng.randint(2, 8)
             frag = [f"line_{i}_{rand_string(rng, 20)}" for i in range(p)]
@@ -360,23 +355,21 @@ class TestFragmentSimilarity:
             rng.shuffle(perm)
             target = [frag[perm[j]] for j in range(p)]
             # source line i sits at target position perm.index(i)
-            expect = sum(params.r ** abs(i - perm.index(i)) for i in range(p)) / p
-            got = fragment_similarity(frag, target, params)
+            expect = sum(R ** abs(i - perm.index(i)) for i in range(p)) / p
+            got = fragment_similarity(frag, target, R)
             assert math.isclose(got, expect, abs_tol=1e-12)
 
     def test_matches_brute_force_oracle(self):
         rng = random.Random(1006)
-        params = SimilarityParams()
         for _ in range(100):
             src = rand_fragment(rng)
             tgt = rand_fragment(rng)
-            assert fragment_similarity(src, tgt, params) == pytest.approx(
-                oracle_fragment_similarity(src, tgt, params.r), abs=1e-12
+            assert fragment_similarity(src, tgt, R) == pytest.approx(
+                oracle_fragment_similarity(src, tgt, R), abs=1e-12
             )
 
     def test_warm_memo_matches_oracle(self):
         rng = random.Random(1016)
-        params = SimilarityParams()
         for _ in range(30):
             src = rand_fragment(rng)
             tgt = [mutate(rng, line, ALPHABET, rng.randint(0, 3)) for line in src]
@@ -385,25 +378,23 @@ class TestFragmentSimilarity:
                 for t_line in tgt:
                     strsim(s_line, t_line)
             assert all((s_line, tgt[0]) in simcore._STRSIM_MEMO for s_line in src)
-            assert fragment_similarity(src, tgt, params) == pytest.approx(
-                oracle_fragment_similarity(src, tgt, params.r), abs=1e-12
+            assert fragment_similarity(src, tgt, R) == pytest.approx(
+                oracle_fragment_similarity(src, tgt, R), abs=1e-12
             )
 
     def test_bounds(self):
         rng = random.Random(1007)
-        params = SimilarityParams()
         for _ in range(100):
             score = fragment_similarity(
-                rand_fragment(rng), rand_fragment(rng), params
+                rand_fragment(rng), rand_fragment(rng), R
             )
             assert 0.0 <= score <= 1.0
 
     def test_asymmetric_by_design(self):
         src = ["aaaa bbbb cccc;"]
         tgt = ["aaaa bbbb cccc;", "zzzz yyyy xxxx;"]
-        params = SimilarityParams()
-        assert fragment_similarity(src, tgt, params) == 1.0
-        assert fragment_similarity(tgt, src, params) < 1.0
+        assert fragment_similarity(src, tgt, R) == 1.0
+        assert fragment_similarity(tgt, src, R) < 1.0
 
     def test_monotone_in_r(self):
         rng = random.Random(1008)
@@ -411,7 +402,7 @@ class TestFragmentSimilarity:
             src = rand_fragment(rng)
             tgt = rand_fragment(rng)
             scores = [
-                fragment_similarity(src, tgt, SimilarityParams(r=r))
+                fragment_similarity(src, tgt, r)
                 for r in (0.15, 0.35, 0.55, 0.75, 0.95)
             ]
             assert scores == sorted(scores)
@@ -433,7 +424,11 @@ class TestRewardSweep:
     def test_scores_match_direct_evaluation(self):
         pairs = [(["x = 1;", "y = 2;"], ["y = 2;", "x = 1;"])]
         swept = reward_sweep(pairs, [0.75])
-        direct = fragment_similarity(
-            pairs[0][0], pairs[0][1], SimilarityParams(r=0.75)
-        )
+        direct = fragment_similarity(pairs[0][0], pairs[0][1], 0.75)
         assert swept[0][1] == [direct]
+
+    @pytest.mark.parametrize("r", [-0.1, 1.1])
+    def test_rejects_r_outside_unit_interval(self, r):
+        pairs = [(["x = 1;"], ["x = 1;"])]
+        with pytest.raises(ValueError, match=rf"r must be in \[0, 1\], got {r}"):
+            reward_sweep(pairs, [0.5, r])

@@ -5,7 +5,7 @@ import pytest
 from conftest import oracle_fragment_similarity, oracle_strsim
 from forkscan.patchmodel import PatchHunk, PatchType, build_patch_context
 from forkscan.search import CandidateCode
-from forkscan.simcore import SimilarityParams
+from forkscan.simcore import R, T
 from forkscan.verdict import (
     CandidateJudgment,
     Status,
@@ -14,9 +14,6 @@ from forkscan.verdict import (
     judge_candidate,
 )
 from test_search import AP_LINE, DP_LINE, PATCH_FC, make_stmts
-
-PARAMS = SimilarityParams()
-T = PARAMS.t
 
 
 def make_hunk(dp_norms: list[str], ap_norms: list[str]) -> PatchHunk:
@@ -93,7 +90,7 @@ class TestDecide:
 class TestJudgeCandidate:
     def test_vulnerable_cha(self):
         hunk = make_hunk([DP_LINE], [AP_LINE])
-        j = judge_candidate(make_candidate([DP_LINE]), hunk, PARAMS)
+        j = judge_candidate(make_candidate([DP_LINE]), hunk)
         assert j.s_del == 1.0
         assert j.s_add == pytest.approx(oracle_strsim(DP_LINE, AP_LINE), abs=1e-12)
         assert j.s_add >= T  # both sides pass; the stronger one decides
@@ -102,48 +99,46 @@ class TestJudgeCandidate:
 
     def test_fixed_cha(self):
         hunk = make_hunk([DP_LINE], [AP_LINE])
-        j = judge_candidate(make_candidate([AP_LINE]), hunk, PARAMS)
+        j = judge_candidate(make_candidate([AP_LINE]), hunk)
         assert j.s_add == 1.0
         assert j.fv == 1
         assert j.conf == pytest.approx(1.0 - T, abs=1e-12)
 
     def test_del_hunk_has_no_add_similarity(self):
         hunk = make_hunk([DP_LINE], [])
-        j = judge_candidate(make_candidate([DP_LINE]), hunk, PARAMS)
+        j = judge_candidate(make_candidate([DP_LINE]), hunk)
         assert j.s_add is None
         assert j.s_del == 1.0 and j.fv == 0
 
     def test_add_hunk_has_no_del_similarity(self):
         hunk = make_hunk([], [AP_LINE])
-        j = judge_candidate(make_candidate([AP_LINE]), hunk, PARAMS)
+        j = judge_candidate(make_candidate([AP_LINE]), hunk)
         assert j.s_del is None
         assert j.s_add == 1.0 and j.fv == 1
 
     def test_empty_candidate_del_means_applied(self):
         hunk = make_hunk([DP_LINE], [])
-        j = judge_candidate(make_candidate([]), hunk, PARAMS)
+        j = judge_candidate(make_candidate([]), hunk)
         assert j.s_del == 0.0
         assert j.fv == 1
         assert j.conf == pytest.approx(T, abs=1e-12)
 
     def test_empty_candidate_add_means_not_applied(self):
         hunk = make_hunk([], [AP_LINE])
-        j = judge_candidate(make_candidate([]), hunk, PARAMS)
+        j = judge_candidate(make_candidate([]), hunk)
         assert j.s_add == 0.0
         assert j.fv == 0
         assert j.conf == pytest.approx(T, abs=1e-12)
 
     def test_empty_candidate_cha_is_undecidable(self):
         hunk = make_hunk([DP_LINE], [AP_LINE])
-        j = judge_candidate(make_candidate([]), hunk, PARAMS)
+        j = judge_candidate(make_candidate([]), hunk)
         assert j.fv is None and not j.decided
         assert j.conf == pytest.approx(-T, abs=1e-12)
 
     def test_unrelated_candidate_cha_is_undecidable(self):
         hunk = make_hunk([DP_LINE], [AP_LINE])
-        j = judge_candidate(
-            make_candidate(["totally_unrelated_code(1, 2, 3);"]), hunk, PARAMS
-        )
+        j = judge_candidate(make_candidate(["totally_unrelated_code(1, 2, 3);"]), hunk)
         assert j.fv is None and j.conf < 0
 
     def test_candidate_is_similarity_source(self):
@@ -152,9 +147,9 @@ class TestJudgeCandidate:
         dp = ["alpha_call(a);", "beta_call(b);", "gamma_call(c);"]
         cand = ["alpha_call(a);", "gamma_call(c);"]
         hunk = make_hunk(dp, [])
-        j = judge_candidate(make_candidate(cand), hunk, PARAMS)
-        expected = oracle_fragment_similarity(cand, dp, PARAMS.r)
-        reverse = oracle_fragment_similarity(dp, cand, PARAMS.r)
+        j = judge_candidate(make_candidate(cand), hunk)
+        expected = oracle_fragment_similarity(cand, dp, R)
+        reverse = oracle_fragment_similarity(dp, cand, R)
         assert j.s_del == pytest.approx(expected, abs=1e-12)
         assert expected != pytest.approx(reverse, abs=1e-12)
 
