@@ -304,6 +304,20 @@ class TestBuildConfig:
         assert exc.value.code == 2
         assert "--jobs: invalid int value: 'fast'" in capsys.readouterr().err
 
+    def test_t_below_key_statement_gate_rejected(self, dirs, capsys):
+        # t is fixed at T, which is not below the key-statement gate; a
+        # config file that still sets t is refused whole, and --t is not
+        # read as an abbreviated --target.
+        conf = dirs.root / "scan.args"
+        conf.write_text(
+            f"--source={dirs.src}\n--patch=abc\n--target={dirs.tgt}\n--t=0.2\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(SystemExit) as exc:
+            _ns(f"@{conf}")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --t=0.2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field", ["source", "target", "patch_file"])
     def test_missing_paths_rejected(self, dirs, field):
         missing = str(dirs.root / "nope")

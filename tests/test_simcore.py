@@ -6,6 +6,7 @@ import random
 import pytest
 
 from forkscan import simcore
+from forkscan.cli import _parser
 from forkscan.simcore import (
     KS_THRESHOLD,
     R,
@@ -317,6 +318,19 @@ class TestParams:
 
     def test_t_is_not_below_the_key_statement_gate(self):
         assert KS_THRESHOLD <= T < 1.0
+
+    @pytest.mark.parametrize("kwargs", [
+        {"r": -0.1}, {"r": 1.1}, {"t": 0.0}, {"t": 1.0},
+        {"t": 0.2}, {"t": 0.24},  # below the key-statement gate
+    ])
+    def test_rejects_bad_values(self, kwargs, capsys):
+        # r and t are fixed, so a scan cannot be given a value outside
+        # their ranges: the detect command line refuses both flags.
+        ((name, value),) = kwargs.items()
+        with pytest.raises(SystemExit) as exc:
+            _parser().parse_args(["detect", f"--{name}", str(value)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --{name} {value}" in capsys.readouterr().err
 
 
 class TestFragmentSimilarity:
