@@ -17,27 +17,23 @@ error, 3 source repository or patch unreadable. Failures scoped to a single
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
-from . import __version__, delay, gitio, patchmodel, report, search, verdict
+from . import __version__, delay, gitio, patchmodel, report, search, verdict, warn
 from .gitio import RepoHandle
 from .patchmodel import Patch, PatchError
 from .report import ResultRow, ScanReport
 from .simcore import KS_THRESHOLD, R, T, reward_sweep
 from .verdict import Status
 
-log = logging.getLogger(__name__)
-
 
 class ConfigError(Exception):
     """Unusable configuration; maps to exit code 2."""
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     source: str
     patch_shas: list[str]
     patch_files: list[str]
@@ -103,13 +99,12 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-@dataclass
-class _TargetCtx:
+class _TargetCtx(NamedTuple):
     name: str
     path: str
     rev: str
-    cache: search.StatementCache | None = None
-    error: str = ""
+    cache: search.StatementCache | None  # None when the target is unusable
+    error: str  # why it is unusable
 
 
 def _unique_names(targets: list[tuple[str, str]]) -> list[str]:
@@ -127,13 +122,12 @@ def _open_targets(config: RunConfig, keywords: frozenset[str]) -> list[_TargetCt
     """One context per target; its cache greps keywords in one go."""
     ctxs: list[_TargetCtx] = []
     for name, (path, rev) in zip(_unique_names(config.targets), config.targets):
-        ctx = _TargetCtx(name=name, path=path, rev=rev)
         try:
-            ctx.cache = search.StatementCache(RepoHandle(path), rev, keywords)
+            cache, error = search.StatementCache(RepoHandle(path), rev, keywords), ""
         except gitio.GitError as exc:
-            ctx.error = str(exc)
-            log.warning("target %s unusable: %s", path, exc)
-        ctxs.append(ctx)
+            cache, error = None, str(exc)
+            warn(__name__, f"target {path} unusable: {exc}")
+        ctxs.append(_TargetCtx(name, path, rev, cache, error))
     return ctxs
 
 
@@ -149,11 +143,9 @@ def _load_patches(config: RunConfig) -> list[Patch]:
         except OSError as exc:
             raise ConfigError(f"cannot read patch file {file}: {exc}") from exc
         try:
-            patch = patchmodel.parse_patch(text)
+            patches.append(patchmodel.parse_patch(text, Path(file).name))
         except PatchError as exc:
             raise ConfigError(f"bad patch file {file}: {exc}") from exc
-        patch.label = Path(file).name
-        patches.append(patch)
     return patches
 
 
@@ -190,9 +182,9 @@ def run_detect(config: RunConfig) -> tuple[int, ScanReport]:
                 try:
                     hunk_judgments.append(_scan_one_hunk(ctx, hunk))
                 except Exception as exc:
-                    log.warning(
-                        "scan failed for %s hunk %d in %s: %s",
-                        patch.label, hi, ctx.name, exc,
+                    warn(
+                        __name__,
+                        f"scan failed for {patch.label} hunk {hi} in {ctx.name}: {exc}",
                     )
                     notes.append(f"hunk {hi}: {exc}")
                     hunk_judgments.append([])
@@ -229,30 +221,37 @@ def run_detect(config: RunConfig) -> tuple[int, ScanReport]:
 def _row_for(
     patch: Patch, ctx: _TargetCtx, v: verdict.Verdict, notes: list[str]
 ) -> ResultRow:
-    row = ResultRow(
+    """The report row of one verdict: the winning candidate's audit trail
+    and, for a Fixed verdict, its delay or a note that the lookup failed."""
+    audit: dict = {}
+    if v.winning is not None:
+        cand = v.winning.candidate
+        audit.update(
+            path=cand.path,
+            span=cand.span,
+            s_del=_round(v.winning.s_del),
+            s_add=_round(v.winning.s_add),
+        )
+        if cand.paired_up is not None:
+            audit["ctx_sim_up"] = _round(cand.paired_up.ctx_sim)
+        if cand.paired_down is not None:
+            audit["ctx_sim_down"] = _round(cand.paired_down.ctx_sim)
+    if v.status is Status.FIXED:
+        try:
+            audit["delay"] = delay.fix_delay(
+                ctx.cache, patch.committed_at, v.winning.candidate
+            )
+        except gitio.GitError as exc:
+            warn(__name__, f"delay lookup failed for {ctx.name}: {exc}")
+            notes = [*notes, f"delay: {exc}"]
+    return ResultRow(
         patch=patch.label,
         target=ctx.name,
         status=v.status.value,
         conf=round(v.conf, 6),
         note="; ".join(notes),
+        **audit,
     )
-    if v.winning is not None:
-        cand = v.winning.candidate
-        row.path = cand.path
-        row.span = cand.span
-        row.s_del = _round(v.winning.s_del)
-        row.s_add = _round(v.winning.s_add)
-        if cand.paired_up is not None:
-            row.ctx_sim_up = _round(cand.paired_up.ctx_sim)
-        if cand.paired_down is not None:
-            row.ctx_sim_down = _round(cand.paired_down.ctx_sim)
-    if v.status is Status.FIXED:
-        try:
-            row.delay = delay.fix_delay(ctx.cache, patch.committed_at, v.winning.candidate)
-        except gitio.GitError as exc:
-            log.warning("delay lookup failed for %s: %s", ctx.name, exc)
-            row.note = "; ".join(filter(None, [row.note, f"delay: {exc}"]))
-    return row
 
 
 def _round(v: float | None) -> float | None:
@@ -369,7 +368,8 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"forkscan {__version__}")
     parser.add_argument(
-        "--verbose", action="store_true", help="log progress to stderr"
+        "--verbose", action="store_true",
+        help="also print INFO lines to stderr (give it before the command)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -394,11 +394,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
+    search.verbose = args.verbose
 
     try:
         if args.command == "detect":

@@ -19,9 +19,9 @@ from __future__ import annotations
 import os
 import re
 import subprocess
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 
 class GitError(Exception):
@@ -32,8 +32,7 @@ class NotFoundError(GitError):
     """The requested object (path, commit) is absent at the revision."""
 
 
-@dataclass(frozen=True)
-class GrepHit:
+class GrepHit(NamedTuple):
     path: str
     line_no: int  # 1-based
     raw_line: str
@@ -158,7 +157,8 @@ def read_files_at(repo: RepoHandle, rev: str, paths: list[str]) -> dict[str, lis
     return files
 
 
-_BLAME_HEADER_RE = re.compile(r"^([0-9a-f]{40}) \d+ \d+")
+# A commit id is 40 hex digits (SHA-1) or 64 (SHA-256).
+_BLAME_HEADER_RE = re.compile(r"^([0-9a-f]{40}(?:[0-9a-f]{24})?) \d+ \d+")
 
 
 def blame_lines(

@@ -21,12 +21,12 @@ its own path and line number.
 
 from __future__ import annotations
 
-import logging
 import re
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
+from typing import NamedTuple
 
+from . import warn
 from .preprocess import (
     ContextKeyword,
     NormalizedLine,
@@ -34,8 +34,6 @@ from .preprocess import (
     extract_keyword,
     extract_statements,
 )
-
-log = logging.getLogger(__name__)
 
 # Statements per context side; change runs closer than twice this merge.
 CONTEXT_LINES = 5
@@ -51,8 +49,7 @@ class PatchType(Enum):
     CHA = "CHA"
 
 
-@dataclass
-class PatchContext:
+class PatchContext(NamedTuple):
     """The statements above or below a hunk, in order, and the keywords of
     those that have one."""
 
@@ -60,8 +57,7 @@ class PatchContext:
     keywords: list[ContextKeyword]
 
 
-@dataclass
-class PatchHunk:
+class PatchHunk(NamedTuple):
     """One unit of change: deleted statements, added statements, contexts.
     Every statement carries its file's path."""
 
@@ -78,8 +74,7 @@ class PatchHunk:
         return max(len(self.dp), len(self.ap), 1)
 
 
-@dataclass
-class Patch:
+class Patch(NamedTuple):
     source_sha: str | None
     hunks: list[PatchHunk]
     committed_at: datetime | None
@@ -90,31 +85,34 @@ class Patch:
 # Unified diff parsing
 
 
-@dataclass
 class _Run:
     """A maximal stretch of -/+ lines in one git hunk, as inclusive spans of
     the lines it removes and adds. A span starts at the side's line counter
-    where the run starts, so an empty side is (ln, ln - 1)."""
+    where the run starts, so an empty side is (ln, ln - 1); the parser
+    widens it line by line."""
 
-    old_span: tuple[int, int]
-    new_span: tuple[int, int]
-    hunk: int  # index of its git hunk in the file
+    __slots__ = ("old_span", "new_span", "hunk")
+
+    def __init__(
+        self, old_span: tuple[int, int], new_span: tuple[int, int], hunk: int
+    ) -> None:
+        self.old_span = old_span
+        self.new_span = new_span
+        self.hunk = hunk  # index of its git hunk in the file
 
 
-@dataclass
-class _GitHunk:
+class _GitHunk(NamedTuple):
     """One @@ hunk: every line it shows on each side, as (line, text) in
-    order, and its change runs."""
+    order, and its change runs; the parser appends to all three."""
 
-    old_lines: list[tuple[int, str]] = field(default_factory=list)
-    new_lines: list[tuple[int, str]] = field(default_factory=list)
-    runs: list[_Run] = field(default_factory=list)
+    old_lines: list[tuple[int, str]]
+    new_lines: list[tuple[int, str]]
+    runs: list[_Run]
 
 
-@dataclass
-class _FileDiff:
+class _FileDiff(NamedTuple):
     path: str
-    hunks: list[_GitHunk] = field(default_factory=list)
+    hunks: list[_GitHunk]  # the parser appends each @@ hunk
 
 
 _HUNK_HEADER_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
@@ -170,7 +168,7 @@ def parse_unified_diff(text: str) -> list[_FileDiff]:
                 raise PatchError(f"truncated hunk at diff line {no}: {line!r}")
             continue
         if line.startswith("Binary files") or line.startswith("GIT binary patch"):
-            log.warning("skipping binary content at diff line %d", no)
+            warn(__name__, f"skipping binary content at diff line {no}")
             current = None
             hunk = None
             continue
@@ -187,7 +185,7 @@ def parse_unified_diff(text: str) -> list[_FileDiff]:
             new_path = _strip_diff_prefix(line[4:].split("\t")[0])
             if new_path == "/dev/null":
                 new_path = old_header or new_path
-            current = _FileDiff(new_path)
+            current = _FileDiff(new_path, [])
             files.append(current)
             old_header = None
             continue
@@ -198,7 +196,7 @@ def parse_unified_diff(text: str) -> list[_FileDiff]:
             old_start, new_start = int(m.group(1)), int(m.group(3))
             old_rem = int(m.group(2)) if m.group(2) is not None else 1
             new_rem = int(m.group(4)) if m.group(4) is not None else 1
-            hunk = _GitHunk()
+            hunk = _GitHunk([], [], [])
             current.hunks.append(hunk)
             # A zero-count range names the line before the change.
             old_ln = old_start if old_rem > 0 else old_start + 1
@@ -260,9 +258,9 @@ def load_patch(diff_text: str, label: str) -> Patch:
     return Patch(full_sha, hunks, committed_at, label)
 
 
-def parse_patch(diff_text: str) -> Patch:
-    """The patch of unified diff text."""
-    return Patch(None, _build_hunks(diff_text), None, "diff")
+def parse_patch(diff_text: str, label: str) -> Patch:
+    """The patch of unified diff text, such as a `--patch-file`."""
+    return Patch(None, _build_hunks(diff_text), None, label)
 
 
 def _build_hunks(diff_text: str) -> list[PatchHunk]:
@@ -298,9 +296,10 @@ def _build_hunks(diff_text: str) -> list[PatchHunk]:
             old_span = (runs[0].old_span[0], runs[-1].old_span[1])
             new_span = (runs[0].new_span[0], runs[-1].new_span[1])
             if not dp and not ap:
-                log.warning(
-                    "%s: hunk at -%d/+%d empty after normalization; skipped",
-                    path, old_span[0], new_span[0],
+                warn(
+                    __name__,
+                    f"{path}: hunk at -{old_span[0]}/+{new_span[0]} "
+                    "empty after normalization; skipped",
                 )
                 continue
 
@@ -310,7 +309,7 @@ def _build_hunks(diff_text: str) -> list[PatchHunk]:
                 [s for s in stmts if s.line_no > hi],
             )
             if not up_ctx.statements and not down_ctx.statements:
-                log.warning("%s: no meaningful context around hunk at %s", path, (lo, hi))
+                warn(__name__, f"{path}: no meaningful context around hunk at {(lo, hi)}")
 
             ptype = PatchType.CHA if dp and ap else PatchType.DEL if dp else PatchType.ADD
             hunks.append(PatchHunk(file_class, dp, ap, ptype, up_ctx, down_ctx))

@@ -8,12 +8,11 @@ original line number preserved.
 from __future__ import annotations
 
 import functools
-import logging
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-log = logging.getLogger(__name__)
+from . import warn
 
 # Characters that may appear in an identifier-ish token. '.' and ':' are
 # included so qualified names (pkg.Func, Class::method) survive as one token.
@@ -36,8 +35,7 @@ class StatementKind(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class NormalizedLine:
+class NormalizedLine(NamedTuple):
     """One meaningful source statement."""
 
     raw: str
@@ -47,8 +45,7 @@ class NormalizedLine:
     kind: StatementKind
 
 
-@dataclass(frozen=True)
-class ContextKeyword:
+class ContextKeyword(NamedTuple):
     """The most discriminative token of a statement, used as a search probe."""
 
     keyword: str
@@ -165,7 +162,7 @@ def extract_statements(
             )
         )
     if in_block:
-        log.warning("%s: unterminated block comment; trailing lines dropped", path)
+        warn(__name__, f"{path}: unterminated block comment; trailing lines dropped")
     return result
 
 

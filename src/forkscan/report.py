@@ -11,14 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 from datetime import datetime
+from typing import NamedTuple
 
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class DelayRecord:
+class DelayRecord(NamedTuple):
     """Fix attribution of a Fixed row: the true fix commit, its first
     release as (tag, date), and the days from the source patch to that
     release. Any field is None when it could not be established."""
@@ -37,8 +36,7 @@ class DelayRecord:
         }
 
 
-@dataclass
-class ResultRow:
+class ResultRow(NamedTuple):
     """One (patch, target) verdict with its audit trail."""
 
     patch: str
@@ -71,13 +69,12 @@ class ResultRow:
         }
 
 
-@dataclass
-class ScanReport:
+class ScanReport(NamedTuple):
     tool_version: str
     params: dict
-    patches: list[dict] = field(default_factory=list)
-    targets: list[dict] = field(default_factory=list)
-    results: list[ResultRow] = field(default_factory=list)
+    patches: list[dict]
+    targets: list[dict]
+    results: list[ResultRow]
 
     def summary(self) -> dict:
         """Per-target verdict counts, recomputed from the rows."""
@@ -133,8 +130,7 @@ def _blank(v) -> object:
     return "" if v is None else v
 
 
-@dataclass
-class CdfSeries:
+class CdfSeries(NamedTuple):
     """Empirical CDF: distinct ascending values with cumulative fractions."""
 
     values: list[float]

@@ -14,9 +14,9 @@ them become candidate code.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
+import sys
 from datetime import datetime
+from typing import NamedTuple
 
 from . import gitio
 from .gitio import RepoHandle
@@ -24,7 +24,9 @@ from .patchmodel import CONTEXT_LINES, PatchContext, PatchHunk
 from .preprocess import NormalizedLine, StatementKind, classify_file, extract_statements
 from .simcore import KS_THRESHOLD, R, T, fragment_similarity, strsim, strsim_many
 
-log = logging.getLogger(__name__)
+# cli.main sets this from `--verbose` on every call: find_key_statements
+# then reports on stderr each context it cannot search.
+verbose = False
 
 # Path segments marking test code, compared case-insensitively.
 TEST_PATH_SEGMENTS = frozenset({"test", "tests", "testing", "testdata", "spec", "bench"})
@@ -102,8 +104,7 @@ class StatementCache:
         return self._entry(path)[1]
 
 
-@dataclass
-class CandidateContext:
+class CandidateContext(NamedTuple):
     """A target-side region judged similar enough to one patch context."""
 
     path: str
@@ -112,8 +113,7 @@ class CandidateContext:
     ctx_sim: float
 
 
-@dataclass
-class CandidateCode:
+class CandidateCode(NamedTuple):
     """Target statements to be judged against the patch's dp/ap."""
 
     path: str
@@ -145,7 +145,9 @@ def find_key_statements(
     """
     keywords = ctx.keywords
     if not keywords:
-        log.info("no keywords in context; nothing to search")
+        if verbose:
+            print(f"INFO {__name__}: no keywords in context; nothing to search",
+                  file=sys.stderr)
         return []
     found: list[NormalizedLine] = []
     for hit in cache.grep([kw.keyword for kw in keywords]):
@@ -278,8 +280,7 @@ def fetch_candidate_code(
     return CandidateCode(path, stmts, span, paired_up=up, paired_down=down)
 
 
-@dataclass
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Everything the searcher found for one hunk in one target."""
 
     candidates: list[CandidateCode]

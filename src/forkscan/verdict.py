@@ -9,8 +9,8 @@ whole patch verdict Vulnerable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .patchmodel import PatchHunk, PatchType
 from .search import CandidateCode
@@ -23,8 +23,7 @@ class Status(Enum):
     CONTEXT_NOT_FOUND = "ContextNotFound"
 
 
-@dataclass
-class CandidateJudgment:
+class CandidateJudgment(NamedTuple):
     """One candidate's comparison result.
 
     fv = 1 means the patch was applied at this location, 0 means the
@@ -43,8 +42,7 @@ class CandidateJudgment:
         return self.fv is not None
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     """The (patch, target) answer and the judgment it rests on, if any."""
 
     status: Status

@@ -549,13 +549,16 @@ class TestScanFailureNotes:
         assert rows["vulnfork"]["note"] == "hunk 0: grep exploded"
         assert rows["fixedfork"] == want["fixedfork"]
 
-    def test_delay_failure_notes_fixed_row(self, world, tmp_path, monkeypatch):
+    def test_delay_failure_notes_fixed_row(self, world, tmp_path, monkeypatch, capsys):
         def releases(repo, sha):
             raise forkscan.gitio.GitError("tags unreadable")
 
         monkeypatch.setattr(forkscan.gitio, "releases_containing", releases)
         out = tmp_path / "report.json"
         assert _detect(world, [world.fixed, world.clean], out) == 0
+        assert capsys.readouterr().err == (
+            "WARNING forkscan.cli: delay lookup failed for fixedfork: tags unreadable\n"
+        )
 
         rows = {r["target"]: r for r in _rows(out)}
         fixed = rows["fixedfork"]
@@ -1345,7 +1348,9 @@ class TestTopLevel:
             main([])
         assert exc.value.code == 2
 
-    def test_verbose_flag_accepted(self, world, tmp_path):
+    def test_verbose_flag_accepted(self, world, tmp_path, capsys, monkeypatch):
+        # main sets search.verbose; restore it for the tests that follow.
+        monkeypatch.setattr(forkscan.search, "verbose", False)
         out = tmp_path / "report.json"
         code = main(
             [
@@ -1364,6 +1369,24 @@ class TestTopLevel:
         assert code == 0
         assert out.exists()
 
+        # No statement around this change holds a mixed-case token, so
+        # neither context has a keyword to grep; only --verbose says so,
+        # once per context.
+        diff_file = tmp_path / "plain.diff"
+        diff_file.write_text(
+            "--- a/x.c\n+++ b/x.c\n@@ -1,3 +1,3 @@\n"
+            " int a = 1;\n-int b = 2;\n+int b = 3;\n int c = 4;\n",
+            encoding="utf-8",
+        )
+        argv = ["detect", "--source", str(world.src), "--patch-file", str(diff_file),
+                "--target", str(world.clean), "--out", str(tmp_path / "plain.json")]
+        info = "INFO forkscan.search: no keywords in context; nothing to search\n"
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["--verbose", *argv]) == 0
+        assert capsys.readouterr().err == info * 2
+
     def test_scan_does_not_import_the_corpus_writer(self):
         """Only gen-fixtures needs fixturegen; a scan process, which compiles
         every module it imports, leaves it out."""
@@ -1374,3 +1397,24 @@ class TestTopLevel:
             env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
         )
         assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+    def test_scan_loads_neither_dataclasses_nor_logging(self, world, tmp_path):
+        """Every scan is a process of its own and pays for each module it
+        imports. Without `site`, which may import more, a whole scan that
+        attributes a delay leaves none of these modules loaded."""
+        src = Path(forkscan.__file__).resolve().parent.parent
+        argv = ["detect", "--source", str(world.src), "--patch", world.patch_sha,
+                "--target", str(world.fixed), "--out", str(tmp_path / "report.json")]
+        script = (
+            "import sys\n"
+            "from forkscan.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, sorted({'dataclasses', 'inspect', 'logging'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []", proc.stdout
+        assert _rows(tmp_path / "report.json")[0]["delay"]["delay_days"] is not None

@@ -10,6 +10,7 @@ from conftest import (
     init_repo,
     record_git,
     run_git,
+    tag_annotated,
     write_files,
 )
 from forkscan.delay import (
@@ -74,6 +75,29 @@ class TestFindFixCommit:
         repo = RepoHandle(repo_path)
         assert c_tweak not in _owners(repo, c_rewrite, TABLE_FILE, (204, 208))
         assert find_fix_commit(repo, TABLE_FILE, (204, 208), c_rewrite) == c_rewrite
+
+
+class TestSha256Repository:
+    """A repository made with `git init --object-format=sha256` names its
+    commits with 64 hex digits."""
+
+    def test_fix_commit_and_delay(self, tmp_path):
+        root = tmp_path / "sha256"
+        root.mkdir()
+        run_git(root, "init", "-q", "--object-format=sha256", "-b", "main")
+        write_files(root, {"f.c": "int a = 1;\nint fixed_code = 2;\n"})
+        fix = commit_all(root, "fix", datetime(2020, 1, 1, tzinfo=UTC))
+        tag_annotated(root, "v1.0", datetime(2020, 3, 1, tzinfo=UTC))
+        assert len(fix) == 64
+
+        assert find_fix_commit(RepoHandle(root), "f.c", (1, 2), "HEAD") == fix
+        cand = CandidateCode(path="f.c", stmts=[], span=(1, 2),
+                             paired_up=None, paired_down=None)
+        record = fix_delay(_cache(root, "HEAD"), datetime(2019, 12, 1, tzinfo=UTC), cand)
+        assert record == DelayRecord(
+            true_fix=fix, release=("v1.0", datetime(2020, 3, 1, tzinfo=UTC)),
+            delay_days=91,
+        )
 
 
 class TestEarliestRelease:

@@ -535,7 +535,7 @@ class TestHunkMerging:
         # The same change as a -U0 diff, which omits the 23 lines between
         # the changes, so each counts (>= 10).
         diff = run_git(root, "diff", "-U0", f"{sha}^", sha)
-        assert len(parse_patch(diff).hunks) == 2
+        assert len(parse_patch(diff, "fix.diff").hunks) == 2
 
     def test_shown_comment_lines_do_not_count_between_git_hunks(self, tmp_path):
         # Changes at lines 1 and 14; lines 2-13 hold 10 comments, then
@@ -551,10 +551,11 @@ class TestHunkMerging:
         lines[-1] = "second_call(b, x);"
         write_files(root, {"s.c": "\n".join(lines) + "\n"})
         sha = commit_all(root, "extend", datetime(2021, 1, 2, tzinfo=UTC))
-        assert len(parse_patch(run_git(root, "diff", "-U0", f"{sha}^", sha)).hunks) == 2
+        zero_context = run_git(root, "diff", "-U0", f"{sha}^", sha)
+        assert len(parse_patch(zero_context, "fix.diff").hunks) == 2
         diff = run_git(root, "diff", "-U5", f"{sha}^", sha)
         assert diff.count("@@ -") == 2
-        (h,) = parse_patch(diff).hunks
+        (h,) = parse_patch(diff, "fix.diff").hunks
         assert _lines(h.dp) == [1, 14]
         assert len(_commit_patch(RepoHandle(root), sha).hunks) == 1
 
@@ -563,7 +564,7 @@ class TestHunkMerging:
         # 45 old statements separate the insertions (>= 10): two ADD hunks,
         # from the commit as from its -U0 diff.
         diff = run_git(repo.root, "diff", "-U0", f"{sha}^", sha)
-        for patch in (_commit_patch(repo, sha), parse_patch(diff)):
+        for patch in (_commit_patch(repo, sha), parse_patch(diff, "fix.diff")):
             assert [(h.ptype, _lines(h.ap), _norms(h.ap)) for h in patch.hunks] == [
                 (PatchType.ADD, [6], ["int early = 1;"]),
                 (PatchType.ADD, [52], ["int late = 1;"]),
@@ -577,7 +578,7 @@ class TestHunkMerging:
             return [
                 (h.ptype, [(s.line_no, s.norm) for s in h.dp],
                  [(s.line_no, s.norm) for s in h.ap])
-                for h in parse_patch(diff).hunks
+                for h in parse_patch(diff, "fix.diff").hunks
             ]
 
         # Empty sides anchor after the last line before the change, so the
@@ -623,7 +624,7 @@ class TestBuildPatchContext:
             assert kw.source_line in (h.up_ctx.statements + h.down_ctx.statements)
             assert kw.keyword in kw.source_line.norm
 
-    def test_whole_file_deletion_has_no_context(self, tmp_path, caplog):
+    def test_whole_file_deletion_has_no_context(self, tmp_path, capsys):
         root = init_repo(tmp_path / "nuke")
         write_files(root, {"a.c": "int a = 1;\n", "b.c": "int b = 2;\n"})
         commit_all(root, "base", datetime(2021, 1, 1, tzinfo=UTC))
@@ -631,14 +632,18 @@ class TestBuildPatchContext:
         sha = commit_all(root, "drop b", datetime(2021, 1, 2, tzinfo=UTC))
         (h,) = _commit_patch(RepoHandle(root), sha).hunks
         assert h.up_ctx.statements == [] and h.down_ctx.statements == []
+        assert capsys.readouterr().err == (
+            "WARNING forkscan.patchmodel: b.c: no meaningful context around hunk "
+            "at (1, 1)\n"
+        )
 
 
 class TestDiffTextContexts:
     def test_contexts_come_from_diff_lines(self, guard_repo):
         repo, shas = guard_repo
         diff = run_git(repo.root, "diff", "-U5", f"{shas['cha']}^", shas["cha"])
-        patch = parse_patch(diff)
-        assert patch.source_sha is None and patch.label == "diff"
+        patch = parse_patch(diff, "fix.diff")
+        assert patch.source_sha is None and patch.label == "fix.diff"
         (h,) = patch.hunks
         assert _norms(h.dp) == ['if (fHavePruned) return error("pruned");']
         up, down = _expected_context(GUARD_V0, (9, 9))
@@ -650,13 +655,13 @@ class TestDiffTextContexts:
     def test_zero_context_diff_gives_empty_contexts(self, guard_repo):
         repo, shas = guard_repo
         diff = run_git(repo.root, "diff", "-U0", f"{shas['cha']}^", shas["cha"])
-        (h,) = parse_patch(diff).hunks
+        (h,) = parse_patch(diff, "fix.diff").hunks
         assert h.up_ctx.statements == [] and h.down_ctx.statements == []
 
     def test_add_hunk_contexts_use_new_numbering(self, guard_repo):
         repo, shas = guard_repo
         diff = run_git(repo.root, "diff", "-U3", f"{shas['add']}^", shas["add"])
-        (h,) = parse_patch(diff).hunks
+        (h,) = parse_patch(diff, "fix.diff").hunks
         assert h.ptype == PatchType.ADD
         assert _norms(h.ap) == [ADD_LINE]
         up, down = _expected_context(GUARD_V3, (9, 9))
@@ -676,7 +681,7 @@ class TestDiffTextContexts:
         sha = commit_all(root, "edit", datetime(2021, 1, 2, tzinfo=UTC))
         diff = run_git(root, "diff", "-U3", f"{sha}^", sha)
         assert diff.count("@@ -") == 1
-        (h,) = parse_patch(diff).hunks
+        (h,) = parse_patch(diff, "fix.diff").hunks
         assert _lines(h.dp) == [10, 13]
         assert [(s.line_no, s.norm) for s in h.down_ctx.statements] == [
             (14, "int v14 = 14;"), (15, "int v15 = 15;"), (16, "int v16 = 16;"),
@@ -697,7 +702,7 @@ class TestDiffTextContexts:
         sha = commit_all(root, "edit", datetime(2021, 1, 2, tzinfo=UTC))
         diff = run_git(root, "diff", "-U3", f"{sha}^", sha)
         assert diff.count("@@ -") == 2
-        (h,) = parse_patch(diff).hunks
+        (h,) = parse_patch(diff, "fix.diff").hunks
         assert h.ptype == PatchType.CHA
         assert [(s.line_no, s.norm) for s in h.dp] == [
             (10, "int v10 = 10;"), (18, "int v18 = 18;"),
@@ -707,7 +712,7 @@ class TestDiffTextContexts:
 
     def test_rejects_non_diff_text(self):
         with pytest.raises(PatchError, match="no file hunks"):
-            parse_patch("just some prose\nwith lines\n")
+            parse_patch("just some prose\nwith lines\n", "prose.txt")
 
 
 @pytest.fixture(scope="module")
@@ -760,7 +765,7 @@ class TestCommitAndDiffTextAgree:
         }.get(case, lambda: (guard_repo[0], guard_repo[1][case]))()
         diff = run_git(repo.root, "diff", "-U100000", f"{sha}^", sha)
         want = self._shape(_commit_patch(repo, sha))
-        assert self._shape(parse_patch(diff)) == want
+        assert self._shape(parse_patch(diff, "fix.diff")) == want
         if case == "block_comment":
             # Comment text below the change is not code on either path.
             assert want[0][-1] == [(7, "int b1 = 1;")]

@@ -105,8 +105,8 @@ class TestRoundTrip:
         a = emit_report(_sample_report(), "json")
         b = emit_report(_sample_report(), "json")
         assert a == b
-        shuffled = _sample_report()
-        shuffled.results = list(reversed(shuffled.results))
+        report = _sample_report()
+        shuffled = report._replace(results=list(reversed(report.results)))
         assert emit_report(shuffled, "json") == a
 
     def test_rows_sorted_by_patch_then_target(self):
@@ -130,8 +130,8 @@ class TestRoundTrip:
 
     def test_unattributed_delay_is_four_nulls(self):
         report = _sample_report()
-        fixed = next(r for r in report.results if r.status == "Fixed")
-        fixed.delay = DelayRecord(None, None, None)
+        i = next(i for i, r in enumerate(report.results) if r.status == "Fixed")
+        report.results[i] = report.results[i]._replace(delay=DelayRecord(None, None, None))
         doc = json.loads(emit_report(report, "json"))
         assert _fixed_row(doc)["delay"] == {
             "true_fix": None, "release_tag": None,
@@ -158,7 +158,9 @@ class TestSummary:
         assert doc["summary"] == _sample_report().summary()
 
     def test_empty_report(self):
-        report = ScanReport(tool_version="0.1.0", params={})
+        report = ScanReport(
+            tool_version="0.1.0", params={}, patches=[], targets=[], results=[]
+        )
         assert report.summary() == {}
         assert json.loads(emit_report(report, "json"))["results"] == []
 
