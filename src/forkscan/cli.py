@@ -119,14 +119,15 @@ def _unique_names(targets: list[tuple[str, str]]) -> list[str]:
 
 
 def _open_targets(config: RunConfig, keywords: frozenset[str]) -> list[_TargetCtx]:
-    """One context per target; its cache greps keywords in one go."""
+    """One context per target, opened with its one grep for keywords and
+    its one file read; a target that cannot be opened keeps the reason."""
     ctxs: list[_TargetCtx] = []
     for name, (path, rev) in zip(_unique_names(config.targets), config.targets):
         try:
             cache, error = search.StatementCache(RepoHandle(path), rev, keywords), ""
         except gitio.GitError as exc:
             cache, error = None, str(exc)
-            warn(__name__, f"target {path} unusable: {exc}")
+            warn(__spec__.name, f"target {path} unusable: {exc}")
         ctxs.append(_TargetCtx(name, path, rev, cache, error))
     return ctxs
 
@@ -167,23 +168,14 @@ def run_detect(config: RunConfig) -> tuple[int, ScanReport]:
     rows: list[ResultRow] = []
     for patch in patches:
         for ctx in targets:
-            if ctx.cache is None:
-                rows.append(
-                    ResultRow(
-                        patch=patch.label, target=ctx.name,
-                        status=Status.CONTEXT_NOT_FOUND.value, conf=0.0,
-                        note=f"target unusable: {ctx.error}",
-                    )
-                )
-                continue
-            notes: list[str] = []
+            notes = [f"target unusable: {ctx.error}"] if ctx.cache is None else []
             hunk_judgments = []
-            for hi, hunk in enumerate(patch.hunks):
+            for hi, hunk in enumerate(patch.hunks if ctx.cache is not None else []):
                 try:
                     hunk_judgments.append(_scan_one_hunk(ctx, hunk))
                 except Exception as exc:
                     warn(
-                        __name__,
+                        __spec__.name,
                         f"scan failed for {patch.label} hunk {hi} in {ctx.name}: {exc}",
                     )
                     notes.append(f"hunk {hi}: {exc}")
@@ -242,7 +234,7 @@ def _row_for(
                 ctx.cache, patch.committed_at, v.winning.candidate
             )
         except gitio.GitError as exc:
-            warn(__name__, f"delay lookup failed for {ctx.name}: {exc}")
+            warn(__spec__.name, f"delay lookup failed for {ctx.name}: {exc}")
             notes = [*notes, f"delay: {exc}"]
     return ResultRow(
         patch=patch.label,

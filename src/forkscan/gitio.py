@@ -70,6 +70,12 @@ def _decode(data: bytes) -> str:
     return data.decode("utf-8", errors="replace")
 
 
+def _stderr_line(proc: subprocess.CompletedProcess) -> str:
+    """git's stderr as one line: each run of whitespace, line breaks
+    included, becomes one space, so a warning or a note is one line."""
+    return " ".join(_decode(proc.stderr).split())
+
+
 def _split_lines(text: str) -> list[str]:
     """Split file content into lines without inventing a trailing empty one."""
     lines = text.split("\n")
@@ -91,9 +97,7 @@ def grep_repo(repo: RepoHandle, keywords: list[str], rev: str) -> list[GrepHit]:
     if proc.returncode == 1 and not proc.stderr:
         return []
     if proc.returncode != 0:
-        raise GitError(
-            f"git grep failed in {repo.root}: {_decode(proc.stderr).strip()}"
-        )
+        raise GitError(f"git grep failed in {repo.root}: {_stderr_line(proc)}")
     # -z ends the path and the line number with NUL and leaves the path
     # unquoted, so a path may hold ":" or a newline; the text holds neither
     # NUL nor newline, and the newline after it starts the next path.
@@ -116,7 +120,7 @@ def read_file_at(repo: RepoHandle, rev: str, path: str) -> list[str]:
         err = _decode(proc.stderr)
         if "does not exist" in err or "exists on disk, but not in" in err:
             raise NotFoundError(f"{path} absent at {rev} in {repo.root}")
-        raise GitError(f"git show {rev}:{path} failed: {err.strip()}")
+        raise GitError(f"git show {rev}:{path} failed: {_stderr_line(proc)}")
     return _split_lines(_decode(proc.stdout))
 
 
@@ -138,7 +142,7 @@ def read_files_at(repo: RepoHandle, rev: str, paths: list[str]) -> dict[str, lis
         input="".join(f"{rev}:{p}\n" for p in names).encode(),
     )
     if proc.returncode != 0:
-        raise GitError(f"git cat-file failed: {_decode(proc.stderr).strip()}")
+        raise GitError(f"git cat-file failed: {_stderr_line(proc)}")
     # Each object is "<type> <size>\n<size bytes>\n"; a name that is no
     # object is one line "<name> missing" (or "ambiguous").
     out = proc.stdout
@@ -172,10 +176,12 @@ def blame_lines(
     if proc.returncode != 0:
         err = _decode(proc.stderr)
         if "has only" in err:
-            raise GitError(f"blame range {start}..{end} out of bounds: {err.strip()}")
+            raise GitError(
+                f"blame range {start}..{end} out of bounds: {_stderr_line(proc)}"
+            )
         if "no such path" in err:
             raise NotFoundError(f"{path} absent at {rev} in {repo.root}")
-        raise GitError(f"git blame failed: {err.strip()}")
+        raise GitError(f"git blame failed: {_stderr_line(proc)}")
     # Porcelain prints a commit's headers (committer-time among them) only
     # at the first line it owns; content lines start with a tab.
     times: dict[str, datetime] = {}
@@ -218,7 +224,7 @@ def commit_diffs(repo: RepoHandle, shas: list[str]) -> list[str]:
         input="".join(f"{sha}^{{commit}}\n" for sha in shas).encode(),
     )
     if proc.returncode != 0:
-        raise GitError(f"git cat-file failed: {_decode(proc.stderr).strip()}")
+        raise GitError(f"git cat-file failed: {_stderr_line(proc)}")
     full_ids: list[str] = []
     for sha, line in zip(shas, _split_lines(_decode(proc.stdout))):
         full_id, _, kind = line.rpartition(" ")  # kind: missing, ambiguous
@@ -233,7 +239,7 @@ def commit_diffs(repo: RepoHandle, shas: list[str]) -> list[str]:
         input="".join(f"{full_id}\n" for full_id in full_ids).encode(),
     )
     if proc.returncode != 0:
-        raise GitError(f"git diff-tree failed: {_decode(proc.stderr).strip()}")
+        raise GitError(f"git diff-tree failed: {_stderr_line(proc)}")
     # Each commit's output starts with a line "<full id> <time>"; a diff
     # line starts with " ", "+", "-", "@", "\\" or a header word, so no
     # line inside a diff can look like the next commit's first line.
@@ -265,7 +271,7 @@ def releases_containing(repo: RepoHandle, sha: str) -> list[tuple[str, datetime]
     )
     if proc.returncode != 0:
         raise NotFoundError(
-            f"unknown commit {sha} in {repo.root}: {_decode(proc.stderr).strip()}"
+            f"unknown commit {sha} in {repo.root}: {_stderr_line(proc)}"
         )
     releases: list[tuple[str, datetime]] = []
     for row in _split_lines(_decode(proc.stdout)):

@@ -219,10 +219,7 @@ def _fragment_stmts(
         return []
     base = entries[0][0]
     stmts = extract_statements([text for _, text in entries], path, file_class)
-    return [
-        NormalizedLine(s.raw, s.norm, path, base + (s.line_no - 1), s.kind)
-        for s in stmts
-    ]
+    return [s._replace(line_no=base + (s.line_no - 1)) for s in stmts]
 
 
 def _merge_runs(fd: _FileDiff, old_stmts: list[NormalizedLine]) -> list[list[_Run]]:

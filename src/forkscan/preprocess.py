@@ -38,7 +38,6 @@ class StatementKind(Enum):
 class NormalizedLine(NamedTuple):
     """One meaningful source statement."""
 
-    raw: str
     norm: str
     path: str
     line_no: int  # 1-based
@@ -154,7 +153,6 @@ def extract_statements(
             continue
         result.append(
             NormalizedLine(
-                raw=raw,
                 norm=norm,
                 path=path,
                 line_no=line_no,

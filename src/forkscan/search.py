@@ -1,9 +1,8 @@
 """Locate candidate clones of a patch region inside a target repository.
 
-Keywords extracted from the patch context are grepped in the target, in
-one git grep per target over every patch's context keywords, and each
-context reads the hits of its own keywords. The files holding hits are
-read in one more git call per target. Hits that survive the
+When a target is opened, one git grep finds every patch's context
+keywords in it and one more git call reads the files holding hits; each
+context then reads the hits of its own keywords. Hits that survive the
 comment/test/file-class/statement-kind filters become key statements (the
 file class compared is the hunk's). Each key statement expands to a
 boundary-delimited candidate context, contexts are kept when their
@@ -36,13 +35,14 @@ MAX_CANDIDATES = 10
 
 
 class StatementCache:
-    """Memoized keyword grep, per-file statement extraction and per-region
-    fix facts for one (repository, revision).
+    """One target at one revision, opened once: memoized keyword grep,
+    per-file statement extraction and per-region fix facts.
 
-    keywords are every keyword a context may ask for; the first grep greps
-    them all in one git call, drops the hits in test code and reads every
-    file that holds one of the rest in one more. Each distinct keyword
-    tuple is answered once.
+    keywords are every keyword a context may ask for. The constructor greps
+    them in one git call (none when there are none), drops the hits in test
+    code and reads every file holding one of the rest in one more; either
+    failing raises GitError. grep then filters those hits, once per
+    distinct keyword tuple, and starts no git process.
     A file's statements are extracted when first asked for; a file the
     batch left out is read alone. fixes maps a blamed (path, span) to its
     fix commit and first release, as `delay.fix_delay` found them.
@@ -52,9 +52,11 @@ class StatementCache:
         self.repo = repo
         self.rev = rev
         self._keywords = keywords
-        self._hits: list[gitio.GrepHit] | None = None
+        hits = gitio.grep_repo(repo, sorted(keywords), rev) if keywords else []
+        self._hits = [h for h in hits if not is_test_path(h.path)]
+        paths = list(dict.fromkeys(h.path for h in self._hits))
+        self._texts = gitio.read_files_at(repo, rev, paths)
         self._grepped: dict[tuple[str, ...], list[gitio.GrepHit]] = {}
-        self._texts: dict[str, list[str]] = {}
         self._entries: dict[str, tuple[list[NormalizedLine], dict[int, int]]] = {}
         self.fixes: dict[
             tuple[str, tuple[int, int]], tuple[str, tuple[str, datetime] | None]
@@ -62,8 +64,7 @@ class StatementCache:
 
     def grep(self, keywords: list[str]) -> list[gitio.GrepHit]:
         """Every line outside test code at the revision containing any of
-        keywords, ordered by (path, line); a failed grep or read stores
-        nothing."""
+        keywords, ordered by (path, line)."""
         key = tuple(keywords)
         hits = self._grepped.get(key)
         if hits is not None:
@@ -71,14 +72,6 @@ class StatementCache:
         unknown = set(keywords) - self._keywords
         if unknown:
             raise ValueError(f"keywords not given to the cache: {sorted(unknown)}")
-        if self._hits is None:
-            all_hits = [
-                h for h in gitio.grep_repo(self.repo, sorted(self._keywords), self.rev)
-                if not is_test_path(h.path)
-            ]
-            paths = list(dict.fromkeys(h.path for h in all_hits))
-            self._texts = gitio.read_files_at(self.repo, self.rev, paths)
-            self._hits = all_hits
         hits = [h for h in self._hits if any(kw in h.raw_line for kw in keywords)]
         self._grepped[key] = hits
         return hits

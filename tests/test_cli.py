@@ -443,6 +443,20 @@ class TestDetectEndToEnd:
             in capsys.readouterr().out
         )
 
+    def test_warning_names_cli_module_when_run_with_dash_m(self, world, tmp_path):
+        src = Path(forkscan.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "forkscan.cli", "detect", "--source", str(world.src),
+             "--patch", world.patch_sha, "--target", str(world.plain),
+             "--out", str(tmp_path / "report.json")],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == (
+            f"WARNING forkscan.cli: target {world.plain} unusable: "
+            f"not a git repository: {world.plain}\n"
+        )
+
     def test_duplicate_targets_named_by_path(self, world, tmp_path):
         # Two repositories that share a directory name.
         twin = tmp_path / "mirror" / world.vuln.name
@@ -754,23 +768,34 @@ class TestGitProcesses:
         }
         assert len(calls) <= 10 + 2 * len(regions)
 
-    def test_unknown_revision_notes_every_row(self, three_world, tmp_path):
+    def test_unknown_revision_notes_every_row(self, three_world, tmp_path,
+                                              monkeypatch, capsys):
         plain = tmp_path / "plain" / "report.json"
         _detect_three(three_world, [three_world.fixed], plain)
         want = _rows(plain)
 
+        calls = _record_git(monkeypatch)
+        capsys.readouterr()
         bad = f"{three_world.vuln},no-such-rev"
         out = tmp_path / "report.json"
         assert _detect_three(three_world, [bad, three_world.fixed], out) == 0
 
+        # Opening the target is its one grep and its one failure: one
+        # warning line, and the same note on each of its rows.
+        assert [args[0] for root, args in calls
+                if root == three_world.vuln and args[0] != "rev-parse"] == ["grep"]
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"WARNING forkscan.cli: target {three_world.vuln} unusable: ")
         rows = _rows(out)
         assert [r for r in rows if r["target"] == "fixedfork"] == want
         broken = [r for r in rows if r["target"] == "vulnfork"]
         assert len(broken) == 3
         for row in broken:
             assert row["status"] == "ContextNotFound"
-            assert row["note"].startswith("hunk 0: git grep failed")
+            assert row["note"].startswith("target unusable: git grep failed")
             assert "no-such-rev" in row["note"]
+            assert "\n" not in row["note"]
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package, and every test file, uses each name it
+imports."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 PACKAGE = Path(__file__).parents[1] / "src" / "forkscan"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,6 +32,11 @@ def test_module_uses_every_import(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
 
 
+@pytest.mark.parametrize("test_file", TEST_FILES, ids=lambda p: p.name)
+def test_test_file_uses_every_import(test_file):
+    assert unused_imports(test_file.read_text(encoding="utf-8")) == []
+
+
 class TestUnusedImports:
     def test_finds_a_name_imported_and_never_read(self):
         source = (
@@ -50,3 +57,4 @@ class TestUnusedImports:
 
     def test_package_has_modules(self):
         assert {p.name for p in MODULES} >= {"cli.py", "search.py", "simcore.py"}
+        assert {p.name for p in TEST_FILES} >= {"conftest.py", "test_imports.py"}

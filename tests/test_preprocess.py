@@ -185,7 +185,6 @@ class TestExtractStatements:
 
     def test_raw_preserved(self):
         got = extract_statements(["   int  a = 1;   // c"], "f.c", classify_file("f.c"))
-        assert got[0].raw == "   int  a = 1;   // c"
         assert got[0].norm == "int a = 1;"
 
     @pytest.mark.parametrize("path", ["f.c", "f.h", "f.go", "f.py"])
@@ -215,8 +214,7 @@ class TestExtractStatements:
 
 
 def _stmt(norm: str) -> NormalizedLine:
-    return NormalizedLine(raw=norm, norm=norm, path="f.c", line_no=1,
-                          kind=classify_norm(norm))
+    return NormalizedLine(norm=norm, path="f.c", line_no=1, kind=classify_norm(norm))
 
 
 class TestExtractKeyword:

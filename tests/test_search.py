@@ -205,12 +205,10 @@ def _brute_force_keys(repo: RepoHandle, ctx: PatchContext) -> set:
     for path in paths:
         if is_test_path(path) or classify_file(path) != PATCH_FC:
             continue
-        stmts = extract_statements(
-            read_file_at(repo, "HEAD", path), path, classify_file(path)
-        )
-        for s in stmts:
+        lines = read_file_at(repo, "HEAD", path)
+        for s in extract_statements(lines, path, classify_file(path)):
             for kw in ctx.keywords:
-                if kw.keyword not in s.raw:
+                if kw.keyword not in lines[s.line_no - 1]:
                     continue
                 src_kind = kw.source_line.kind
                 if (
@@ -259,9 +257,10 @@ class TestFindKeyStatements:
     def test_all_sims_pass_gate(self, fig_repo):
         ctx = make_ctx(UP_NORMS)
         for s in _find(fig_repo, UP_NORMS):
+            raw = read_file_at(fig_repo, "HEAD", s.path)[s.line_no - 1]
             assert max(
                 oracle_strsim(kw.source_line.norm, s.norm)
-                for kw in ctx.keywords if kw.keyword in s.raw
+                for kw in ctx.keywords if kw.keyword in raw
             ) >= KS_THRESHOLD
 
     def test_empty_context_finds_nothing(self, fig_repo):
@@ -346,8 +345,8 @@ class TestUnionGrepRouting:
             for ctx in contexts
         ]
         union = frozenset(kw.keyword for ctx in contexts for kw in ctx.keywords)
-        seeded = StatementCache(overlap_repo, "HEAD", union)
         greps.clear()
+        seeded = StatementCache(overlap_repo, "HEAD", union)
         got = [find_key_statements(seeded, ctx, PATCH_FC) for ctx in contexts]
         assert got == wanted
         assert greps == [sorted(union)]
@@ -375,14 +374,15 @@ class TestUnionGrepRouting:
 
     def test_failed_grep_is_not_stored(self, overlap_repo, contexts, greps):
         keywords = frozenset(kw.keyword for ctx in contexts[:2] for kw in ctx.keywords)
-        cache = StatementCache(overlap_repo, "no-such-rev", keywords)
-        for ctx in contexts[:2]:
-            with pytest.raises(GitError, match="git grep failed"):
-                find_key_statements(cache, ctx, PATCH_FC)
-        assert greps == [sorted(keywords)] * 2
+        with pytest.raises(GitError, match="git grep failed") as exc:
+            StatementCache(overlap_repo, "no-such-rev", keywords)
+        assert "\n" not in str(exc.value)
+        assert greps == [sorted(keywords)]
 
-    def test_greps_once(self, overlap_repo, greps):
+    def test_greps_once(self, overlap_repo, greps, monkeypatch):
         cache = StatementCache(overlap_repo, "HEAD", frozenset({"Tip", "LogPrintf"}))
+        assert greps == [["LogPrintf", "Tip"]]
+        monkeypatch.setattr(RepoHandle, "_run", lambda *args: pytest.fail("git ran"))
         assert cache.grep(["Tip"]) and cache.grep(["LogPrintf"]) and cache.grep(["Tip"])
         assert greps == [["LogPrintf", "Tip"]]
 
@@ -395,9 +395,10 @@ class TestUnionGrepRouting:
 
     def test_keyword_not_given_is_rejected(self, overlap_repo, greps):
         cache = StatementCache(overlap_repo, "HEAD", frozenset({"Tip"}))
+        assert greps == [["Tip"]]
         with pytest.raises(ValueError, match="fPruneMode"):
             cache.grep(["Tip", "fPruneMode"])
-        assert greps == []
+        assert greps == [["Tip"]]
 
 
 # Every file holds the keyword `Tip`; the newline path cannot be named on a
@@ -459,8 +460,8 @@ class TestBatchedFileReads:
                 read_file_at(batch_repo, "HEAD", path), path, classify_file(path)
             )
             assert got[path] == direct, path
-        assert [s.raw for s in got["src/crlf.cpp"]] == [
-            "int n = 0;\r", "if (!Tip()) return false;\r",
+        assert [s.norm for s in got["src/crlf.cpp"]] == [
+            "int n = 0;", "if (!Tip()) return false;",
         ]
         assert got["src/raw.cpp"][0].norm == "int h = Tip()->nHeight;"
 
@@ -479,10 +480,10 @@ class TestBatchedFileReads:
             raise GitError("git cat-file failed: boom")
 
         monkeypatch.setattr(search.gitio, "read_files_at", broken)
-        cache = StatementCache(batch_repo, "HEAD", frozenset({"Tip"}))
         with pytest.raises(GitError, match="boom"):
-            cache.grep(["Tip"])
+            StatementCache(batch_repo, "HEAD", frozenset({"Tip"}))
         monkeypatch.undo()
+        cache = StatementCache(batch_repo, "HEAD", frozenset({"Tip"}))
         assert {h.path for h in cache.grep(["Tip"])} >= {"src/crlf.cpp"}
 
 
