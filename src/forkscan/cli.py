@@ -24,7 +24,7 @@ from typing import NamedTuple
 from . import __version__, delay, gitio, patchmodel, report, search, verdict, warn
 from .gitio import RepoHandle
 from .patchmodel import Patch, PatchError
-from .report import ResultRow, ScanReport
+from .report import DelayRecord, ResultRow, ScanReport
 from .simcore import KS_THRESHOLD, R, T, reward_sweep
 from .verdict import Status
 
@@ -156,7 +156,7 @@ def _scan_one_hunk(ctx: _TargetCtx, hunk):
 
 
 def run_detect(config: RunConfig) -> tuple[int, ScanReport]:
-    """Execute the full pipeline and write the report files."""
+    """Judge every pair, look up each Fixed region, write the report files."""
     patches = _load_patches(config)
     keywords = frozenset(
         kw.keyword
@@ -165,7 +165,7 @@ def run_detect(config: RunConfig) -> tuple[int, ScanReport]:
     )
     targets = _open_targets(config, keywords)
 
-    rows: list[ResultRow] = []
+    judged: list[tuple[Patch, _TargetCtx, verdict.Verdict, list[str]]] = []
     for patch in patches:
         for ctx in targets:
             notes = [f"target unusable: {ctx.error}"] if ctx.cache is None else []
@@ -180,9 +180,8 @@ def run_detect(config: RunConfig) -> tuple[int, ScanReport]:
                     )
                     notes.append(f"hunk {hi}: {exc}")
                     hunk_judgments.append([])
-            rows.append(
-                _row_for(patch, ctx, verdict.aggregate(hunk_judgments), notes)
-            )
+            judged.append((patch, ctx, verdict.aggregate(hunk_judgments), notes))
+    rows = [_row_for(*j, fix) for j, fix in zip(judged, _look_up_fixes(judged))]
 
     scan = ScanReport(
         tool_version=__version__,
@@ -210,11 +209,33 @@ def run_detect(config: RunConfig) -> tuple[int, ScanReport]:
     return code, scan
 
 
+def _look_up_fixes(judged: list[tuple]) -> list[DelayRecord | gitio.GitError | None]:
+    """Per judged pair, its Fixed region's fix or lookup GitError, None if not
+    Fixed. Each distinct region of a target is looked up and warned about once."""
+    found: dict[tuple, DelayRecord | gitio.GitError] = {}
+    fixes: list[DelayRecord | gitio.GitError | None] = []
+    for _, ctx, v, _ in judged:
+        if v.status is not Status.FIXED:
+            fixes.append(None)
+            continue
+        cand = v.winning.candidate
+        region = (ctx.name, cand.path, delay._blame_span(cand))
+        if region not in found:
+            try:
+                found[region] = delay.fix_delay(ctx.cache.repo, ctx.cache.rev, *region[1:])
+            except gitio.GitError as exc:
+                warn(__spec__.name, f"delay lookup failed for {ctx.name}: {exc}")
+                found[region] = exc
+        fixes.append(found[region])
+    return fixes
+
+
 def _row_for(
-    patch: Patch, ctx: _TargetCtx, v: verdict.Verdict, notes: list[str]
+    patch: Patch, ctx: _TargetCtx, v: verdict.Verdict, notes: list[str],
+    fix: DelayRecord | gitio.GitError | None,
 ) -> ResultRow:
     """The report row of one verdict: the winning candidate's audit trail
-    and, for a Fixed verdict, its delay or a note that the lookup failed."""
+    and, for a Fixed verdict, fix with its delay or a failed lookup's note."""
     audit: dict = {}
     if v.winning is not None:
         cand = v.winning.candidate
@@ -228,14 +249,13 @@ def _row_for(
             audit["ctx_sim_up"] = _round(cand.paired_up.ctx_sim)
         if cand.paired_down is not None:
             audit["ctx_sim_down"] = _round(cand.paired_down.ctx_sim)
-    if v.status is Status.FIXED:
-        try:
-            audit["delay"] = delay.fix_delay(
-                ctx.cache, patch.committed_at, v.winning.candidate
-            )
-        except gitio.GitError as exc:
-            warn(__spec__.name, f"delay lookup failed for {ctx.name}: {exc}")
-            notes = [*notes, f"delay: {exc}"]
+    if isinstance(fix, gitio.GitError):
+        notes = [*notes, f"delay: {fix}"]
+    elif fix is not None:
+        if fix.release is not None and patch.committed_at is not None:
+            days = delay.patch_delay(patch.committed_at, fix.release[1])
+            fix = fix._replace(delay_days=days)
+        audit["delay"] = fix
     return ResultRow(
         patch=patch.label,
         target=ctx.name,

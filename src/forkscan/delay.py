@@ -4,9 +4,9 @@ git blame over the winning candidate region at the scanned revision names
 the commits that shaped it, with their commit times; the earliest of them is
 taken as the true fix commit (later commits are refactors of already-fixed
 code). Its first containing release, compared to the source patch's commit
-date, gives the fix delay in whole days. A target's fix commit and release
-are looked up once per blamed region, on its StatementCache; the delay is
-each row's own.
+date, gives the fix delay in whole days. A scan looks up each distinct
+region of a target once, after every pair is judged; each row counts the
+delay from its own patch's date.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from datetime import datetime
 from . import gitio
 from .gitio import RepoHandle
 from .report import DelayRecord
-from .search import CandidateCode, StatementCache
+from .search import CandidateCode
 
 
 def find_fix_commit(
@@ -60,21 +60,8 @@ def _blame_span(cand: CandidateCode) -> tuple[int, int]:
     return (down.ss_line, down.es_line)
 
 
-def fix_delay(
-    cache: StatementCache, patch_committed_at: datetime | None, cand: CandidateCode
-) -> DelayRecord:
-    """The DelayRecord of the winning candidate of a Fixed verdict at the
-    cache's revision.
-
-    A failed git query raises GitError and stores nothing.
-    """
-    region = (cand.path, _blame_span(cand))
-    facts = cache.fixes.get(region)
-    if facts is None:
-        true_fix = find_fix_commit(cache.repo, cand.path, region[1], cache.rev)
-        facts = cache.fixes[region] = (true_fix, earliest_release(cache.repo, true_fix))
-    true_fix, release = facts
-    delay = None
-    if release is not None and patch_committed_at is not None:
-        delay = patch_delay(patch_committed_at, release[1])
-    return DelayRecord(true_fix=true_fix, release=release, delay_days=delay)
+def fix_delay(repo: RepoHandle, rev: str, path: str, span: tuple[int, int]) -> DelayRecord:
+    """One region's true fix at rev and its first release, by one git blame
+    and one git tag --contains, or GitError; each row sets delay_days."""
+    true_fix = find_fix_commit(repo, path, span, rev)
+    return DelayRecord(true_fix, earliest_release(repo, true_fix), None)

@@ -7,11 +7,11 @@ needs), line blame with commit times at a revision, and the dated tags that
 contain a commit. Every patch commit of a scan is read with two: one
 `cat-file` resolves each revision to its full commit id, one `diff-tree
 --stdin` diffs them all, each diff headed by its id and committer time.
-Every query takes the revision or commit it reads; a handle holds none.
-git runs in the C locale, so the English error texts that tell a missing
-path from a failure are what it prints. commit_time has no caller in
-forkscan; it stays only because the benchmark's tracer
-(perfbench/tracer.py) wraps it by name.
+Every query takes the revision or commit it reads; a handle holds none
+and runs no git, so the first query reports a non-repository. git runs in
+the C locale: the English error texts that tell a missing path from a
+failure are what it prints. commit_time has no caller in forkscan; it
+stays because the benchmark's tracer (perfbench/tracer.py) wraps it.
 """
 
 from __future__ import annotations
@@ -44,15 +44,12 @@ _GIT_ENV = dict(os.environ, LC_ALL="C")
 
 
 class RepoHandle:
-    """Handle over a local git repository, read-only."""
+    """Handle over a local git repository, read-only; opening it runs no git."""
 
     def __init__(self, root_path: str | Path):
         self.root = Path(root_path)
         if not self.root.is_dir():
             raise GitError(f"not a directory: {self.root}")
-        probe = self._run(["rev-parse", "--git-dir"])
-        if probe.returncode != 0:
-            raise GitError(f"not a git repository: {self.root}")
 
     def __repr__(self) -> str:
         return f"RepoHandle({str(self.root)!r})"
@@ -60,10 +57,16 @@ class RepoHandle:
     def _run(
         self, args: list[str], input: bytes | None = None
     ) -> subprocess.CompletedProcess:
-        """Run git in the repository with input on its stdin; the caller
-        reads the exit status."""
+        """Run git in the repository with input on its stdin; the caller reads
+        the exit status. No git to run, or no repository, raises GitError."""
         cmd = ["git", "-C", str(self.root), "-c", "core.quotepath=false"] + args
-        return subprocess.run(cmd, input=input, capture_output=True, env=_GIT_ENV)
+        try:
+            proc = subprocess.run(cmd, input=input, capture_output=True, env=_GIT_ENV)
+        except OSError as exc:
+            raise GitError(f"cannot run git: {exc}") from exc
+        if proc.returncode == 128 and b"not a git repository" in proc.stderr:
+            raise GitError(f"not a git repository: {self.root}")
+        return proc
 
 
 def _decode(data: bytes) -> str:

@@ -14,7 +14,6 @@ them become candidate code.
 from __future__ import annotations
 
 import sys
-from datetime import datetime
 from typing import NamedTuple
 
 from . import gitio
@@ -35,17 +34,16 @@ MAX_CANDIDATES = 10
 
 
 class StatementCache:
-    """One target at one revision, opened once: memoized keyword grep,
-    per-file statement extraction and per-region fix facts.
+    """One target at one revision, opened once: memoized keyword grep and
+    per-file statement extraction.
 
     keywords are every keyword a context may ask for. The constructor greps
     them in one git call (none when there are none), drops the hits in test
     code and reads every file holding one of the rest in one more; either
-    failing raises GitError. grep then filters those hits, once per
-    distinct keyword tuple, and starts no git process.
-    A file's statements are extracted when first asked for; a file the
-    batch left out is read alone. fixes maps a blamed (path, span) to its
-    fix commit and first release, as `delay.fix_delay` found them.
+    failing, or a directory that is no git repository, raises GitError.
+    grep then filters those hits, once per distinct keyword tuple, and
+    starts no git process. A file's statements are extracted when first
+    asked for; a file the batch left out is read alone.
     """
 
     def __init__(self, repo: RepoHandle, rev: str, keywords: frozenset[str]):
@@ -58,9 +56,6 @@ class StatementCache:
         self._texts = gitio.read_files_at(repo, rev, paths)
         self._grepped: dict[tuple[str, ...], list[gitio.GrepHit]] = {}
         self._entries: dict[str, tuple[list[NormalizedLine], dict[int, int]]] = {}
-        self.fixes: dict[
-            tuple[str, tuple[int, int]], tuple[str, tuple[str, datetime] | None]
-        ] = {}
 
     def grep(self, keywords: list[str]) -> list[gitio.GrepHit]:
         """Every line outside test code at the revision containing any of

@@ -386,17 +386,23 @@ CORPUS_REPORTS_SHA256 = "3dc165546d58f3fa8b9f16d8d724ee09886f08036bb5d7604687887
 CROSS_PRODUCT_SHA256 = "e62f3ab99ed4eba2e34b624d592ab77bbf1eb9c77c5df9c258e62ba4bf558b9f"
 
 
-def test_cross_product_report_matches_pinned_digest(corpus_env):
+def _detect_cross_product(corpus_env, out: Path) -> int:
+    """One detect of every corpus patch against every corpus target."""
     corpus_dir = corpus_env.corpus_dir
     cases = corpus_env.index["cases"]
-    out = corpus_env.base / "cross" / "report.json"
     argv = ["detect", "--source", str(corpus_dir / "source")]
     for case in cases:
         argv += ["--patch", case["patch_sha"]]
     for case in cases:
         argv += ["--target", str(corpus_dir / case["vuln_target"]),
                  "--target", str(corpus_dir / case["fixed_target"])]
-    assert main([*argv, "--out", str(out)]) == 1
+    return main([*argv, "--out", str(out)])
+
+
+def test_cross_product_report_matches_pinned_digest(corpus_env):
+    corpus_dir = corpus_env.corpus_dir
+    out = corpus_env.base / "cross" / "report.json"
+    assert _detect_cross_product(corpus_env, out) == 1
     digest = hashlib.sha256()
     for name in ("report.json", "report.csv", "delay_cdf.csv"):
         text = (out.parent / name).read_text(encoding="utf-8")
@@ -406,6 +412,26 @@ def test_cross_product_report_matches_pinned_digest(corpus_env):
         "the cross-product report changed. Update CROSS_PRODUCT_SHA256 only for "
         "an intended report change, and record that change in CHANGES.md"
     )
+
+
+def test_cross_product_git_processes(corpus_env, monkeypatch):
+    # Two git processes read every patch, two open each target (its grep and
+    # its file read) and two look up each distinct Fixed region of a target.
+    calls = []
+    real = RepoHandle._run
+
+    def run(self, args, input=None):
+        calls.append(args[0])
+        return real(self, args, input)
+
+    monkeypatch.setattr(RepoHandle, "_run", run)
+    out = corpus_env.base / "cross_git" / "report.json"
+    assert _detect_cross_product(corpus_env, out) == 1
+    rows = json.loads(out.read_text(encoding="utf-8"))["results"]
+    regions = {(r["target"], r["path"], tuple(r["span"]))
+               for r in rows if r["status"] == "Fixed"}
+    assert len(regions) == 54
+    assert len(calls) == 2 + 2 * 60 + 2 * len(regions) == 230
 
 
 def test_corpus_reports_match_pinned_digest(corpus_env):

@@ -622,6 +622,21 @@ class TestScanFailureNotes:
             assert row["note"] == "delay: tags unreadable"
             assert row["delay"] is None
 
+    def test_failed_region_is_looked_up_and_warned_once(self, world, tmp_path,
+                                                        monkeypatch, capsys):
+        def releases(repo, sha):
+            raise forkscan.gitio.GitError("tags unreadable")
+
+        monkeypatch.setattr(forkscan.gitio, "releases_containing", releases)
+        calls = _record_git(monkeypatch)
+        assert main(self._two_patches_one_region(world, tmp_path)) == 0
+        assert [args[0] for _, args in calls].count("blame") == 1
+        assert capsys.readouterr().err == (
+            "WARNING forkscan.cli: delay lookup failed for fixedfork: tags unreadable\n"
+        )
+        rows = _rows(tmp_path / "out" / "report.json")
+        assert [row["note"] for row in rows] == ["delay: tags unreadable"] * 2
+
     def test_blame_failure_notes_fixed_row(self, world, tmp_path, monkeypatch):
         # git blame itself fails: the region lies past the file's end.
         monkeypatch.setattr(forkscan.delay, "_blame_span", lambda cand: (9000, 9001))
@@ -732,7 +747,7 @@ class TestGitProcesses:
     """A scan greps each target once, for every patch's context keywords,
     reads the files holding hits with one more git call per target, reads
     all patches with two git calls, and looks up each Fixed region's delay
-    facts once."""
+    facts once. Opening a repository runs no git."""
 
     def test_one_grep_per_target_and_no_commit_lookup(self, three_world, tmp_path,
                                                      monkeypatch):
@@ -749,24 +764,22 @@ class TestGitProcesses:
         assert sorted(greps) == sorted([three_world.fixed, three_world.vuln])
         assert [args for _, args in calls if args[:2] == ["show", "-s"]] == []
         patch_reads = [(root, args[0]) for root, args in calls
-                       if root == three_world.src and args[0] != "rev-parse"]
+                       if root == three_world.src]
         assert patch_reads == [(three_world.src, "cat-file"),
                                (three_world.src, "diff-tree")]
         file_reads = [root for root, args in calls
                       if root != three_world.src and args[0] == "cat-file"]
         assert sorted(file_reads) == sorted([three_world.fixed, three_world.vuln])
-        # The whole budget: one rev-parse per repository, two calls for all
-        # patches, one grep and one file read per target, and one blame and
-        # one tag --contains per distinct Fixed region: 15, within the
-        # target of at most 10 plus 2 per Fixed region.
+        # The whole budget: two calls for all patches, one grep and one
+        # file read per target, and one blame and one tag --contains per
+        # distinct Fixed region: 12.
         regions = {(r["target"], r["path"], tuple(r["span"]))
                    for r in rows if r["status"] == "Fixed"}
         assert len(regions) == 3
         assert Counter(args[0] for _, args in calls) == {
-            "rev-parse": 3, "cat-file": 3, "diff-tree": 1, "grep": 2,
-            "blame": 3, "tag": 3,
+            "cat-file": 3, "diff-tree": 1, "grep": 2, "blame": 3, "tag": 3,
         }
-        assert len(calls) <= 10 + 2 * len(regions)
+        assert len(calls) == 2 + 2 * len(targets) + 2 * len(regions)
 
     def test_unknown_revision_notes_every_row(self, three_world, tmp_path,
                                               monkeypatch, capsys):
@@ -782,8 +795,7 @@ class TestGitProcesses:
 
         # Opening the target is its one grep and its one failure: one
         # warning line, and the same note on each of its rows.
-        assert [args[0] for root, args in calls
-                if root == three_world.vuln and args[0] != "rev-parse"] == ["grep"]
+        assert [args[0] for root, args in calls if root == three_world.vuln] == ["grep"]
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"WARNING forkscan.cli: target {three_world.vuln} unusable: ")
@@ -963,6 +975,24 @@ class TestDetectErrors:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_missing_git_exits_3(self, world, tmp_path):
+        # With no git on PATH the first git query fails: one error line and
+        # exit 3, not a traceback.
+        src = Path(forkscan.__file__).resolve().parent.parent
+        empty_bin = tmp_path / "bin"
+        empty_bin.mkdir()
+        proc = subprocess.run(
+            [os.path.abspath(sys.executable), "-m", "forkscan.cli", "detect",
+             "--source", str(world.src), "--patch", world.patch_sha,
+             "--target", str(world.vuln), "--out", str(tmp_path / "report.json")],
+            env=dict(os.environ, PATH=str(empty_bin), PYTHONPATH=str(src)),
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: cannot run git: ")
+        assert proc.stderr.count("\n") == 1
+
     def test_unknown_patch_sha_exits_3(self, world, tmp_path):
         code = _detect(world, [world.vuln], tmp_path / "r.json")
         assert code == 1  # control: the world itself is scannable
@@ -1041,9 +1071,7 @@ class TestDetectErrors:
                 "--out", str(out)]
         assert main(argv) == 2
         assert f"two patches are commit {world.patch_sha}" in capsys.readouterr().err
-        assert [args[0] for root, args in calls if root == world.src] == [
-            "rev-parse", "cat-file",
-        ]
+        assert [args[0] for root, args in calls if root == world.src] == ["cat-file"]
         assert not out.exists()
 
     def test_empty_commit_exits_3(self, world, tmp_path, capsys):

@@ -13,6 +13,7 @@ from conftest import (
     tag_annotated,
     write_files,
 )
+from forkscan.cli import _look_up_fixes, _row_for, _TargetCtx
 from forkscan.delay import (
     earliest_release,
     find_fix_commit,
@@ -20,14 +21,24 @@ from forkscan.delay import (
     patch_delay,
 )
 from forkscan.gitio import GitError, NotFoundError, RepoHandle, blame_lines
+from forkscan.patchmodel import Patch
 from forkscan.report import DelayRecord
 from forkscan.search import CandidateCode, CandidateContext, StatementCache
+from forkscan.verdict import CandidateJudgment, Status, Verdict
 
 UTC = timezone.utc
 
 
-def _cache(root, rev: str) -> StatementCache:
-    return StatementCache(RepoHandle(root), rev, frozenset())
+def _target(root, rev: str, name: str = "fork") -> _TargetCtx:
+    cache = StatementCache(RepoHandle(root), rev, frozenset())
+    return _TargetCtx(name, str(root), rev, cache, "")
+
+
+def _judged(target: _TargetCtx, cand: CandidateCode, committed_at: datetime | None):
+    """A (patch, target, verdict, notes) pair judged Fixed at cand."""
+    patch = Patch(source_sha=None, hunks=[], committed_at=committed_at, label="p")
+    winning = CandidateJudgment(cand, s_del=0.1, s_add=0.9, fv=1, conf=0.5)
+    return (patch, target, Verdict(Status.FIXED, 0.5, winning), [])
 
 
 def _owners(repo: RepoHandle, rev: str, path: str, span) -> set[str]:
@@ -91,12 +102,14 @@ class TestSha256Repository:
         assert len(fix) == 64
 
         assert find_fix_commit(RepoHandle(root), "f.c", (1, 2), "HEAD") == fix
+        record = fix_delay(RepoHandle(root), "HEAD", "f.c", (1, 2))
+        release = ("v1.0", datetime(2020, 3, 1, tzinfo=UTC))
+        assert record == DelayRecord(true_fix=fix, release=release, delay_days=None)
         cand = CandidateCode(path="f.c", stmts=[], span=(1, 2),
                              paired_up=None, paired_down=None)
-        record = fix_delay(_cache(root, "HEAD"), datetime(2019, 12, 1, tzinfo=UTC), cand)
-        assert record == DelayRecord(
-            true_fix=fix, release=("v1.0", datetime(2020, 3, 1, tzinfo=UTC)),
-            delay_days=91,
+        pair = _judged(_target(root, "HEAD"), cand, datetime(2019, 12, 1, tzinfo=UTC))
+        assert _row_for(*pair, record).delay == DelayRecord(
+            true_fix=fix, release=release, delay_days=91,
         )
 
 
@@ -148,7 +161,12 @@ class TestPatchDelay:
 
 
 class TestFixDelay:
+    """fix_delay looks up one region; a scan calls it once per distinct
+    region of a target (cli._look_up_fixes), and each row counts the delay
+    from its own patch's date (cli._row_for)."""
+
     PATCH_DATE = datetime(2019, 8, 10, tzinfo=UTC)
+    RELEASE = ("mainnet-ignition-v0.19.0", datetime(2020, 2, 22, tzinfo=UTC))
 
     def _candidate(self, span) -> CandidateCode:
         return CandidateCode(path=TABLE_FILE, stmts=[], span=span,
@@ -156,22 +174,20 @@ class TestFixDelay:
 
     def test_full_attribution(self, table_repo):
         repo_path, c_rewrite, _ = table_repo
-        record = fix_delay(
-            _cache(repo_path, "HEAD"), self.PATCH_DATE, self._candidate((204, 208))
-        )
+        record = fix_delay(RepoHandle(repo_path), "HEAD", TABLE_FILE, (204, 208))
         assert record == DelayRecord(
-            true_fix=c_rewrite,
-            release=("mainnet-ignition-v0.19.0", datetime(2020, 2, 22, tzinfo=UTC)),
-            delay_days=196,
+            true_fix=c_rewrite, release=self.RELEASE, delay_days=None
         )
+        pair = _judged(_target(repo_path, "HEAD"), self._candidate((204, 208)),
+                       self.PATCH_DATE)
+        assert _row_for(*pair, record).delay == record._replace(delay_days=196)
 
     def test_blames_at_given_rev(self, table_repo):
         # Line 205 is owned by the tweak at HEAD and by the rewrite before it.
         repo_path, c_rewrite, c_tweak = table_repo
-        cand = self._candidate((205, 205))
-        head, old = _cache(repo_path, "HEAD"), _cache(repo_path, c_rewrite)
-        assert fix_delay(head, self.PATCH_DATE, cand).true_fix == c_tweak
-        assert fix_delay(old, self.PATCH_DATE, cand).true_fix == c_rewrite
+        repo = RepoHandle(repo_path)
+        assert fix_delay(repo, "HEAD", TABLE_FILE, (205, 205)).true_fix == c_tweak
+        assert fix_delay(repo, c_rewrite, TABLE_FILE, (205, 205)).true_fix == c_rewrite
 
     def test_empty_candidate_blames_context_gap(self, table_repo):
         repo_path, c_rewrite, _ = table_repo
@@ -179,80 +195,92 @@ class TestFixDelay:
         down = CandidateContext(path=TABLE_FILE, ss_line=207, es_line=211, ctx_sim=0.9)
         cand = CandidateCode(path=TABLE_FILE, stmts=[], span=(205, 204),
                              paired_up=up, paired_down=down)
-        record = fix_delay(_cache(repo_path, "HEAD"), self.PATCH_DATE, cand)
+        pair = _judged(_target(repo_path, "HEAD"), cand, self.PATCH_DATE)
+        (record,) = _look_up_fixes([pair])
         # Fallback region (204, 207) includes the rewrite-owned lines.
         assert record.true_fix == c_rewrite
-        assert record.delay_days == 196
+        assert _row_for(*pair, record).delay.delay_days == 196
 
     def test_empty_candidate_single_context_fallback(self, table_repo):
         repo_path, _, c_tweak = table_repo
         up = CandidateContext(path=TABLE_FILE, ss_line=205, es_line=205, ctx_sim=0.9)
         cand = CandidateCode(path=TABLE_FILE, stmts=[], span=(206, 205),
                              paired_up=up, paired_down=None)
-        record = fix_delay(_cache(repo_path, "HEAD"), self.PATCH_DATE, cand)
+        (record,) = _look_up_fixes([_judged(_target(repo_path, "HEAD"), cand, None)])
         assert record.true_fix == c_tweak
 
     def test_blame_failure_raises_git_error(self, table_repo):
         # The scan notes the error in the row (test_cli TestScanFailureNotes).
         with pytest.raises(GitError, match="out of bounds"):
-            fix_delay(
-                _cache(table_repo[0], "HEAD"), self.PATCH_DATE,
-                self._candidate((9000, 9001)),
-            )
+            fix_delay(RepoHandle(table_repo[0]), "HEAD", TABLE_FILE, (9000, 9001))
 
     def test_unreleased_fix_has_no_delay(self, tmp_path):
         root = init_repo(tmp_path / "nofix")
         write_files(root, {"f.c": "int fixed_code = 1;\n"})
         commit_all(root, "fix", datetime(2022, 1, 1, tzinfo=UTC))
         sha = run_git(root, "rev-parse", "HEAD")
-        record = fix_delay(
-            _cache(root, "HEAD"), self.PATCH_DATE,
-            CandidateCode(path="f.c", stmts=[], span=(1, 1),
-                          paired_up=None, paired_down=None),
-        )
-        assert record.true_fix == sha
-        assert record.release is None and record.delay_days is None
+        record = fix_delay(RepoHandle(root), "HEAD", "f.c", (1, 1))
+        assert record == DelayRecord(true_fix=sha, release=None, delay_days=None)
+        cand = CandidateCode(path="f.c", stmts=[], span=(1, 1),
+                             paired_up=None, paired_down=None)
+        pair = _judged(_target(root, "HEAD"), cand, self.PATCH_DATE)
+        assert _row_for(*pair, record).delay == record
 
     def test_unknown_patch_date_has_no_delay(self, table_repo):
-        record = fix_delay(
-            _cache(table_repo[0], "HEAD"), None, self._candidate((204, 208))
-        )
-        assert record.true_fix is not None
-        assert record.release is not None
-        assert record.delay_days is None
+        record = fix_delay(RepoHandle(table_repo[0]), "HEAD", TABLE_FILE, (204, 208))
+        pair = _judged(_target(table_repo[0], "HEAD"), self._candidate((204, 208)), None)
+        row = _row_for(*pair, record)
+        assert row.delay.true_fix is not None
+        assert row.delay.release is not None
+        assert row.delay.delay_days is None
 
     def test_one_lookup_per_region(self, table_repo):
-        # Fix commit and release are looked up once per blamed region;
-        # each row's delay comes from its own patch date.
+        # Fix commit and release are looked up once per blamed region of a
+        # target; each row's delay comes from its own patch date.
         repo_path, c_rewrite, _ = table_repo
-        cache = _cache(repo_path, "HEAD")
-        calls = record_git(cache.repo)
-        first = fix_delay(cache, datetime(2019, 8, 10, tzinfo=UTC),
-                          self._candidate((204, 208)))
-        second = fix_delay(cache, datetime(2020, 1, 1, tzinfo=UTC),
-                           self._candidate((204, 208)))
+        target = _target(repo_path, "HEAD")
+        calls = record_git(target.cache.repo)
+        pairs = [_judged(target, self._candidate((204, 208)), date)
+                 for date in (datetime(2019, 8, 10, tzinfo=UTC),
+                              datetime(2020, 1, 1, tzinfo=UTC), None)]
+        fixes = _look_up_fixes(pairs)
         assert calls == ["blame", "tag"]
-        release = ("mainnet-ignition-v0.19.0", datetime(2020, 2, 22, tzinfo=UTC))
-        assert first == DelayRecord(true_fix=c_rewrite, release=release, delay_days=196)
-        assert second == DelayRecord(true_fix=c_rewrite, release=release, delay_days=52)
-        assert fix_delay(cache, None, self._candidate((204, 208))).delay_days is None
+        record = DelayRecord(true_fix=c_rewrite, release=self.RELEASE, delay_days=None)
+        assert fixes == [record] * 3
+        rows = [_row_for(*pair, fix) for pair, fix in zip(pairs, fixes)]
+        assert [row.delay.delay_days for row in rows] == [196, 52, None]
         assert calls == ["blame", "tag"]
 
     def test_each_region_is_looked_up(self, table_repo):
+        # A region is one per target: the same lines of a second target,
+        # here the same repository at an older revision, are looked up too.
         repo_path, c_rewrite, c_tweak = table_repo
-        cache = _cache(repo_path, "HEAD")
-        calls = record_git(cache.repo)
-        date = datetime(2019, 8, 10, tzinfo=UTC)
-        assert fix_delay(cache, date, self._candidate((204, 208))).true_fix == c_rewrite
-        assert fix_delay(cache, date, self._candidate((205, 205))).true_fix == c_tweak
-        assert calls == ["blame", "tag"] * 2
+        head, old = _target(repo_path, "HEAD"), _target(repo_path, c_rewrite, "old")
+        head_calls, old_calls = record_git(head.cache.repo), record_git(old.cache.repo)
+        date = self.PATCH_DATE
+        fixes = _look_up_fixes([
+            _judged(head, self._candidate((204, 208)), date),
+            _judged(head, self._candidate((205, 205)), date),
+            _judged(old, self._candidate((205, 205)), date),
+        ])
+        assert [f.true_fix for f in fixes] == [c_rewrite, c_tweak, c_rewrite]
+        assert head_calls == ["blame", "tag"] * 2
+        assert old_calls == ["blame", "tag"]
 
-    def test_failed_lookup_raises_every_time(self, table_repo):
-        # Nothing is stored, so each affected row gets its own `delay:` note.
-        cache = _cache(table_repo[0], "HEAD")
-        calls = record_git(cache.repo)
-        for _ in range(2):
-            with pytest.raises(GitError, match="out of bounds"):
-                fix_delay(cache, None, self._candidate((9000, 9001)))
-        assert calls == ["blame", "blame"]
-        assert cache.fixes == {}
+    def test_failed_lookup_raises_every_time(self, table_repo, capsys):
+        # Every row of a failed region gets its GitError, from one lookup
+        # and one warning; the rows keep their verdict and note the error.
+        target = _target(table_repo[0], "HEAD")
+        calls = record_git(target.cache.repo)
+        pairs = [_judged(target, self._candidate((9000, 9001)), date)
+                 for date in (self.PATCH_DATE, None)]
+        fixes = _look_up_fixes(pairs)
+        assert calls == ["blame"]
+        assert capsys.readouterr().err.count("\n") == 1
+        (error,) = set(fixes)
+        assert isinstance(error, GitError)
+        for pair, fix in zip(pairs, fixes):
+            row = _row_for(*pair, fix)
+            assert row.status == "Fixed"
+            assert row.delay is None
+            assert row.note == f"delay: {error}"

@@ -1,6 +1,7 @@
 """Git plumbing: grep, file reads, blame, commit diffs, timestamps, releases."""
 
 import os
+import re
 import subprocess
 import sys
 from datetime import datetime, timedelta, timezone
@@ -134,11 +135,24 @@ class TestGrep:
 
 
 class TestRepoHandle:
-    def test_rejects_non_repo(self, tmp_path):
+    def test_rejects_non_repo(self, tmp_path, monkeypatch):
+        # Opening the handle runs no git; each query reports the directory.
         plain = tmp_path / "plain"
         plain.mkdir()
-        with pytest.raises(GitError):
-            RepoHandle(plain)
+        runs, real = [], subprocess.run
+        monkeypatch.setattr(
+            subprocess, "run", lambda *args, **kw: runs.append(args) or real(*args, **kw)
+        )
+        repo = RepoHandle(plain)
+        assert runs == []
+        message = f"^not a git repository: {re.escape(str(plain))}$"
+        for query in (lambda: grep_repo(repo, ["x"], "HEAD"),
+                      lambda: read_files_at(repo, "HEAD", ["a.c"]),
+                      lambda: commit_diffs(repo, ["HEAD"]),
+                      lambda: blame_lines(repo, "HEAD", "a.c", 1, 1)):
+            with pytest.raises(GitError, match=message):
+                query()
+        assert len(runs) == 4
 
     def test_rejects_missing_dir(self, tmp_path):
         with pytest.raises(GitError):
