@@ -41,6 +41,15 @@ class RunConfig(NamedTuple):
     out: str
 
 
+def _read_input(path: str | Path, what: str) -> str:
+    """A file named on the command line, as UTF-8 text with each undecodable
+    byte replaced; a file that cannot be read is a ConfigError."""
+    try:
+        return Path(path).read_text(encoding="utf-8", errors="replace")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def _parse_target_token(token: str) -> tuple[str, str]:
     path, _, rev = token.partition(",")
     if not path:
@@ -54,11 +63,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
     patch_shas = list(args.patch)
     if args.manifest:
+        text = _read_input(args.manifest, "manifest")
         try:
-            patch_shas += patchmodel.parse_manifest(
-                Path(args.manifest).read_text(encoding="utf-8")
-            )
-        except (OSError, PatchError) as exc:
+            patch_shas += patchmodel.parse_manifest(text)
+        except PatchError as exc:
             raise ConfigError(f"bad manifest {args.manifest}: {exc}") from exc
     if not patch_shas and not args.patch_file:
         raise ConfigError("no patches given (--patch, --patch-file or --manifest)")
@@ -139,10 +147,7 @@ def _load_patches(config: RunConfig) -> list[Patch]:
         raise ConfigError(f"two patches are commit {exc.commit}") from exc
     patches = [patchmodel.load_patch(d, sha) for d, sha in zip(diffs, config.patch_shas)]
     for file in config.patch_files:
-        try:
-            text = Path(file).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read patch file {file}: {exc}") from exc
+        text = _read_input(file, "patch file")
         try:
             patches.append(patchmodel.parse_patch(text, Path(file).name))
         except PatchError as exc:
@@ -219,7 +224,7 @@ def _look_up_fixes(judged: list[tuple]) -> list[DelayRecord | gitio.GitError | N
             fixes.append(None)
             continue
         cand = v.winning.candidate
-        region = (ctx.name, cand.path, delay._blame_span(cand))
+        region = (ctx.name, cand.path, delay.blame_span(cand))
         if region not in found:
             try:
                 found[region] = delay.fix_delay(ctx.cache.repo, ctx.cache.rev, *region[1:])
@@ -236,33 +241,26 @@ def _row_for(
 ) -> ResultRow:
     """The report row of one verdict: the winning candidate's audit trail
     and, for a Fixed verdict, fix with its delay or a failed lookup's note."""
-    audit: dict = {}
-    if v.winning is not None:
-        cand = v.winning.candidate
-        audit.update(
-            path=cand.path,
-            span=cand.span,
-            s_del=_round(v.winning.s_del),
-            s_add=_round(v.winning.s_add),
-        )
-        if cand.paired_up is not None:
-            audit["ctx_sim_up"] = _round(cand.paired_up.ctx_sim)
-        if cand.paired_down is not None:
-            audit["ctx_sim_down"] = _round(cand.paired_down.ctx_sim)
     if isinstance(fix, gitio.GitError):
-        notes = [*notes, f"delay: {fix}"]
-    elif fix is not None:
-        if fix.release is not None and patch.committed_at is not None:
-            days = delay.patch_delay(patch.committed_at, fix.release[1])
-            fix = fix._replace(delay_days=days)
-        audit["delay"] = fix
+        notes, fix = [*notes, f"delay: {fix}"], None
+    elif fix is not None and fix.release is not None and patch.committed_at is not None:
+        fix = fix._replace(delay_days=delay.patch_delay(patch.committed_at, fix.release[1]))
+    w = v.winning
+    cand = w and w.candidate
+    up, down = (cand.paired_up, cand.paired_down) if cand else (None, None)
     return ResultRow(
         patch=patch.label,
         target=ctx.name,
         status=v.status.value,
         conf=round(v.conf, 6),
+        path=cand and cand.path,
+        span=cand and cand.span,
+        ctx_sim_up=_round(up and up.ctx_sim),
+        ctx_sim_down=_round(down and down.ctx_sim),
+        s_del=_round(w and w.s_del),
+        s_add=_round(w and w.s_add),
+        delay=fix,
         note="; ".join(notes),
-        **audit,
     )
 
 
@@ -309,7 +307,7 @@ def _load_pairs(pairs_dir: str) -> list[tuple[list[str], list[str]]]:
     def fragment(path: Path) -> list[str]:
         return [
             line.strip()
-            for line in path.read_text(encoding="utf-8").splitlines()
+            for line in _read_input(path, "fragment file").splitlines()
             if line.strip()
         ]
 
@@ -405,7 +403,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except UnicodeDecodeError as exc:  # an @FILE, decoded strictly before 3.12
+        print(f"error: cannot read an @FILE argument: {exc}", file=sys.stderr)
+        return 2
     search.verbose = args.verbose
 
     try:

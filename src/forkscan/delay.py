@@ -42,7 +42,7 @@ def patch_delay(source_commit_date: datetime, release_date: datetime) -> int:
     return (release_date - source_commit_date).days
 
 
-def _blame_span(cand: CandidateCode) -> tuple[int, int]:
+def blame_span(cand: CandidateCode) -> tuple[int, int]:
     """Lines to blame for the fix: the candidate's own, if it has any.
 
     An empty candidate (a deletion that was applied) leaves nothing to blame

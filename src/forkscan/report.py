@@ -53,19 +53,9 @@ class ResultRow(NamedTuple):
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "patch": self.patch,
-            "target": self.target,
-            "status": self.status,
-            "conf": self.conf,
-            "path": self.path,
+        return self._asdict() | {
             "span": list(self.span) if self.span is not None else None,
-            "ctx_sim_up": self.ctx_sim_up,
-            "ctx_sim_down": self.ctx_sim_down,
-            "s_del": self.s_del,
-            "s_add": self.s_add,
             "delay": self.delay.to_dict() if self.delay is not None else None,
-            "note": self.note,
         }
 
 
@@ -154,21 +144,21 @@ def emit_cdf(values: list[float]) -> CdfSeries:
 
 
 def write_cdf_csv(series: CdfSeries, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["value", "cum_fraction"])
-        for v, f in zip(series.values, series.fractions):
-            writer.writerow([v, f])
+    _write_csv(path, ["value", "cum_fraction"], zip(series.values, series.fractions))
 
 
 def write_rsweep_csv(series_by_r: list[tuple[float, CdfSeries]], path: str) -> None:
     """CDF per reward factor, flattened to (r, value, cum_fraction) rows."""
+    _write_csv(path, ["r", "value", "cum_fraction"], (
+        (r, v, f) for r, s in series_by_r for v, f in zip(s.values, s.fractions)
+    ))
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["r", "value", "cum_fraction"])
-        for r, series in series_by_r:
-            for v, f in zip(series.values, series.fractions):
-                writer.writerow([r, v, f])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def delay_iso(dt: datetime | None) -> str | None:

@@ -2,9 +2,8 @@
 order-tolerant fragment similarity with positional reward decay.
 
 A scan is one process, and its targets' statements are scored against
-every patch, so the kernel keeps three memos for the run: each pattern's
-character masks, each distinct batch of patterns packed into one int, and
-each line pair's similarity."""
+every patch, so the kernel keeps two memos for the run: each distinct batch
+of patterns packed into one int, and each line pair's similarity."""
 
 from __future__ import annotations
 
@@ -49,20 +48,11 @@ def levenshtein(a: str, b: str) -> int:
     return levenshtein_many(a, [b])[0]
 
 
-# Per-run memo of each pattern's masks (peq[c]: bit i set where s[i] == c):
-# target statements recur as patterns across every patch of a scan.
-_PEQ_MEMO: dict[str, dict[str, int]] = {}
-
-
 def _peq(s: str) -> dict[str, int]:
-    peq = _PEQ_MEMO.get(s)
-    if peq is None:
-        peq = {}
-        bit = 1
-        for c in s:
-            peq[c] = peq.get(c, 0) | bit
-            bit <<= 1
-        _PEQ_MEMO[s] = peq
+    """Each character's mask over s: bit i set where s[i] == c."""
+    peq: dict[str, int] = {}
+    for i, c in enumerate(s):
+        peq[c] = peq.get(c, 0) | 1 << i
     return peq
 
 

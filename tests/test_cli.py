@@ -25,8 +25,10 @@ import forkscan
 from forkscan import __version__, fixturegen
 from forkscan.cli import (
     ConfigError,
+    RunConfig,
     _add_detect_flags,
     _build_config,
+    _load_patches,
     _parse_target_token,
     _parser,
     _unique_names,
@@ -286,6 +288,19 @@ class TestBuildConfig:
                 )
             )
 
+    def test_non_utf8_manifest_line_rejected(self, dirs):
+        # The byte is replaced, not a crash; the line is then no sha.
+        manifest = dirs.root / "patches.txt"
+        manifest.write_bytes(b"deadbeef\ncaf\xe9\n")
+        with pytest.raises(ConfigError, match="bad manifest"):
+            _build_config(
+                _ns(
+                    source=str(dirs.src),
+                    manifest=str(manifest),
+                    target=[str(dirs.tgt)],
+                )
+            )
+
     def test_missing_source_rejected(self, dirs):
         with pytest.raises(ConfigError, match="source"):
             _build_config(_ns(patch=["abc"], target=[str(dirs.tgt)]))
@@ -337,6 +352,20 @@ class TestBuildConfig:
             _ns(f"@{dirs.root / 'absent.args'}")
         assert exc.value.code == 2
         assert "absent.args" in capsys.readouterr().err
+
+    def test_non_utf8_config_file_exits_2(self, dirs, tmp_path):
+        # Python 3.10 and 3.11 decode an @FILE strictly in argparse; later
+        # versions escape the byte, and this config then names no patch.
+        conf = dirs.root / "scan.args"
+        conf.write_bytes(b"detect\n--source=caf\xe9\n")
+        src = Path(forkscan.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "forkscan.cli", f"@{conf}"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert b"Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +668,7 @@ class TestScanFailureNotes:
 
     def test_blame_failure_notes_fixed_row(self, world, tmp_path, monkeypatch):
         # git blame itself fails: the region lies past the file's end.
-        monkeypatch.setattr(forkscan.delay, "_blame_span", lambda cand: (9000, 9001))
+        monkeypatch.setattr(forkscan.delay, "blame_span", lambda cand: (9000, 9001))
         out = tmp_path / "report.json"
         assert _detect(world, [world.fixed], out) == 0
 
@@ -920,6 +949,38 @@ class TestPatchFileRoute:
         assert data["patches"][0]["sha"] is None
         assert data["patches"][0]["committed_at"] is None
 
+    def test_non_utf8_patch_file_scans(self, world, tmp_path):
+        diff_text = run_git(
+            world.src, "diff", "-U5", f"{world.patch_sha}^", world.patch_sha
+        )
+        diff_file = tmp_path / "fix-pruned.diff"
+        diff_file.write_bytes(
+            b"From: Ren\xe9 <rene@example.org>\n\n" + diff_text.encode("utf-8")
+        )
+        out = tmp_path / "report.json"
+        code = main(
+            ["detect", "--source", str(world.src), "--patch-file", str(diff_file),
+             "--target", str(world.vuln), "--out", str(out)]
+        )
+        assert code == 1
+        (row,) = _rows(out)
+        assert row["status"] == "Vulnerable"
+        assert row["span"] == [8, 8]
+
+    def test_crlf_patch_file_reads_as_lf(self, world, tmp_path):
+        diff_text = run_git(
+            world.src, "diff", "-U5", f"{world.patch_sha}^", world.patch_sha
+        )
+        lf, crlf = tmp_path / "lf.diff", tmp_path / "crlf.diff"
+        lf.write_bytes(diff_text.encode("utf-8"))
+        crlf.write_bytes(diff_text.replace("\n", "\r\n").encode("utf-8"))
+        config = RunConfig(str(world.src), [], [str(lf), str(crlf)], [], "r.json")
+        lf_patch, crlf_patch = _load_patches(config)
+        assert crlf_patch.hunks == lf_patch.hunks
+        assert {s.path for h in crlf_patch.hunks for s in h.dp + h.ap} == {
+            "src/validation.cpp"
+        }
+
     def test_prose_patch_file_is_config_error(self, world, tmp_path, capsys):
         bad = tmp_path / "notes.diff"
         bad.write_text("this is not a unified diff\n", encoding="utf-8")
@@ -1113,6 +1174,14 @@ class TestDetectErrors:
         assert "Traceback" not in err
         assert loaded == []
 
+    def test_csv_beside_report_is_a_directory_exits_2(self, world, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        (tmp_path / "report.csv").mkdir()
+        assert _detect(world, [world.fixed], out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("below", ["report.json", "sub/dir/report.json"])
     def test_out_below_a_file_exits_2(self, world, tmp_path, capsys, monkeypatch, below):
         # The nearest existing ancestor of --out is a regular file: no
@@ -1247,6 +1316,29 @@ class TestSweepR:
             assert code == 2
             assert f"missing counterpart for {orphan}" in capsys.readouterr().err
             (pairs_dir / orphan).unlink()
+
+    def test_non_utf8_pair_file_is_scored(self, pairs_dir, tmp_path):
+        (pairs_dir / "case3.a.txt").write_bytes(b"puts(\"caf\xe9\");\n")
+        (pairs_dir / "case3.b.txt").write_bytes(b"puts(\"caf\xe9\");\n")
+        out = tmp_path / "cdf.csv"
+        assert main(
+            ["sweep-r", "--pairs", str(pairs_dir), "--r", "0.9", "--out", str(out)]
+        ) == 0
+        rows = [l.split(",") for l in out.read_text(encoding="utf-8").splitlines()[1:]]
+        # case2 and case3 both score 1.0: two of the three pairs at the top.
+        assert [(float(v), float(f)) for _, v, f in rows][1:] == [(1.0, 1.0)]
+        assert float(rows[0][2]) == pytest.approx(1 / 3)
+
+    def test_pair_file_that_is_a_directory_exits_2(self, pairs_dir, tmp_path, capsys):
+        (pairs_dir / "case3.a.txt").mkdir()
+        (pairs_dir / "case3.b.txt").write_text("x = 1;\n", encoding="utf-8")
+        code = main(
+            ["sweep-r", "--pairs", str(pairs_dir), "--r", "0.9", "--out", str(tmp_path / "c.csv")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot read fragment file {pairs_dir / 'case3.a.txt'}: " in err
+        assert "Traceback" not in err
 
     def test_out_is_a_directory_exits_2(self, pairs_dir, tmp_path, capsys):
         out = tmp_path / "taken"

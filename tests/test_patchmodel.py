@@ -652,6 +652,21 @@ class TestDiffTextContexts:
         assert _norms(h.up_ctx.statements) == up
         assert _norms(h.down_ctx.statements) == down[:4]
 
+    def test_plain_diff_paths_match_git_diff(self, guard_repo):
+        # `diff -u` names the files as given, with no a/ or b/ prefix.
+        repo, shas = guard_repo
+        diff = run_git(repo.root, "diff", "-U5", f"{shas['cha']}^", shas["cha"])
+        stamp = "\t2021-06-01 00:00:00.000000000 +0000\n"
+        plain = "".join(
+            line[:4] + line[6:-1] + stamp if line.startswith(("--- a/", "+++ b/")) else line
+            for line in diff.splitlines(keepends=True)
+            if not line.startswith(("diff --git", "index "))
+        )
+        assert f"--- {GUARD}{stamp}+++ {GUARD}{stamp}" in plain
+        git_hunks = parse_patch(diff, "fix.diff").hunks
+        assert parse_patch(plain, "fix.diff").hunks == git_hunks
+        assert {s.path for h in git_hunks for s in h.dp} == {GUARD}
+
     def test_zero_context_diff_gives_empty_contexts(self, guard_repo):
         repo, shas = guard_repo
         diff = run_git(repo.root, "diff", "-U0", f"{shas['cha']}^", shas["cha"])

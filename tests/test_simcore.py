@@ -441,6 +441,10 @@ class TestRewardSweep:
         direct = fragment_similarity(pairs[0][0], pairs[0][1], 0.75)
         assert swept[0][1] == [direct]
 
+    def test_rejects_no_pairs(self):
+        with pytest.raises(ValueError, match="^no fragment pairs given$"):
+            reward_sweep([], [0.9])
+
     @pytest.mark.parametrize("r", [-0.1, 1.1])
     def test_rejects_r_outside_unit_interval(self, r):
         pairs = [(["x = 1;"], ["x = 1;"])]
