@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 from typing import NamedTuple
 
@@ -107,14 +108,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-class _TargetCtx(NamedTuple):
-    name: str
-    path: str
-    rev: str
-    cache: search.StatementCache | None  # None when the target is unusable
-    error: str  # why it is unusable
-
-
 def _unique_names(targets: list[tuple[str, str]]) -> list[str]:
     """The basename where it is unique, else the path; a path scanned at
     more than one revision is named `path,rev`."""
@@ -126,18 +119,17 @@ def _unique_names(targets: list[tuple[str, str]]) -> list[str]:
     ]
 
 
-def _open_targets(config: RunConfig, keywords: frozenset[str]) -> list[_TargetCtx]:
-    """One context per target, opened with its one grep for keywords and
-    its one file read; a target that cannot be opened keeps the reason."""
-    ctxs: list[_TargetCtx] = []
-    for name, (path, rev) in zip(_unique_names(config.targets), config.targets):
+def _open_targets(
+    targets: list[dict], keywords: frozenset[str]
+) -> Iterator[tuple[str, search.StatementCache | gitio.GitError]]:
+    """Each target's name and cache, opened (one grep, one file read) when the
+    scan reaches it; a target that cannot be opened gives its GitError."""
+    for t in targets:
         try:
-            cache, error = search.StatementCache(RepoHandle(path), rev, keywords), ""
+            yield t["name"], search.StatementCache(RepoHandle(t["path"]), t["rev"], keywords)
         except gitio.GitError as exc:
-            cache, error = None, str(exc)
-            warn(__spec__.name, f"target {path} unusable: {exc}")
-        ctxs.append(_TargetCtx(name, path, rev, cache, error))
-    return ctxs
+            warn(__spec__.name, f"target {t['path']} unusable: {exc}")
+            yield t["name"], exc
 
 
 def _load_patches(config: RunConfig) -> list[Patch]:
@@ -155,38 +147,22 @@ def _load_patches(config: RunConfig) -> list[Patch]:
     return patches
 
 
-def _scan_one_hunk(ctx: _TargetCtx, hunk):
-    outcome = search.collect_candidates(ctx.cache, hunk)
+def _scan_one_hunk(cache: search.StatementCache, hunk):
+    outcome = search.collect_candidates(cache, hunk)
     return [verdict.judge_candidate(c, hunk) for c in outcome.candidates]
 
 
 def run_detect(config: RunConfig) -> tuple[int, ScanReport]:
-    """Judge every pair, look up each Fixed region, write the report files."""
+    """Scan the targets one at a time, then write the report files."""
     patches = _load_patches(config)
-    keywords = frozenset(
-        kw.keyword
-        for patch in patches for hunk in patch.hunks
-        for ctx in (hunk.up_ctx, hunk.down_ctx) for kw in ctx.keywords
-    )
-    targets = _open_targets(config, keywords)
-
-    judged: list[tuple[Patch, _TargetCtx, verdict.Verdict, list[str]]] = []
-    for patch in patches:
-        for ctx in targets:
-            notes = [f"target unusable: {ctx.error}"] if ctx.cache is None else []
-            hunk_judgments = []
-            for hi, hunk in enumerate(patch.hunks if ctx.cache is not None else []):
-                try:
-                    hunk_judgments.append(_scan_one_hunk(ctx, hunk))
-                except Exception as exc:
-                    warn(
-                        __spec__.name,
-                        f"scan failed for {patch.label} hunk {hi} in {ctx.name}: {exc}",
-                    )
-                    notes.append(f"hunk {hi}: {exc}")
-                    hunk_judgments.append([])
-            judged.append((patch, ctx, verdict.aggregate(hunk_judgments), notes))
-    rows = [_row_for(*j, fix) for j, fix in zip(judged, _look_up_fixes(judged))]
+    keywords = frozenset(kw.keyword for patch in patches for hunk in patch.hunks
+                         for ctx in (hunk.up_ctx, hunk.down_ctx) for kw in ctx.keywords)
+    targets = [{"name": n, "path": p, "rev": r}
+               for n, (p, r) in zip(_unique_names(config.targets), config.targets)]
+    rows: list[ResultRow] = []
+    for name, cache in _open_targets(targets, keywords):
+        rows += _target_rows(patches, name, cache)
+        del cache  # its statements go before the next target opens
 
     scan = ScanReport(
         tool_version=__version__,
@@ -206,7 +182,7 @@ def run_detect(config: RunConfig) -> tuple[int, ScanReport]:
             }
             for p in patches
         ],
-        targets=[{"name": c.name, "path": c.path, "rev": c.rev} for c in targets],
+        targets=targets,
         results=rows,
     )
     _write_outputs(scan, config.out)
@@ -214,29 +190,54 @@ def run_detect(config: RunConfig) -> tuple[int, ScanReport]:
     return code, scan
 
 
-def _look_up_fixes(judged: list[tuple]) -> list[DelayRecord | gitio.GitError | None]:
-    """Per judged pair, its Fixed region's fix or lookup GitError, None if not
-    Fixed. Each distinct region of a target is looked up and warned about once."""
+def _target_rows(
+    patches: list[Patch], name: str, cache: search.StatementCache | gitio.GitError
+) -> list[ResultRow]:
+    """Every patch's row on one target, noting a failed hunk or why the
+    target is unusable."""
+    if isinstance(cache, gitio.GitError):
+        note = [f"target unusable: {cache}"]
+        return [_row_for(p, name, verdict.aggregate([]), note, None) for p in patches]
+    judged = []
+    for patch in patches:
+        notes, hunk_judgments = [], []
+        for hi, hunk in enumerate(patch.hunks):
+            try:
+                hunk_judgments.append(_scan_one_hunk(cache, hunk))
+            except Exception as exc:
+                warn(__spec__.name, f"scan failed for {patch.label} hunk {hi} in {name}: {exc}")
+                notes.append(f"hunk {hi}: {exc}")
+                hunk_judgments.append([])
+        judged.append((patch, verdict.aggregate(hunk_judgments), notes))
+    fixes = _look_up_fixes(name, cache, [v for _, v, _ in judged])
+    return [_row_for(p, name, v, notes, fix) for (p, v, notes), fix in zip(judged, fixes)]
+
+
+def _look_up_fixes(
+    name: str, cache: search.StatementCache, verdicts: list[verdict.Verdict]
+) -> list[DelayRecord | gitio.GitError | None]:
+    """Per verdict on the target, its Fixed region's fix or lookup GitError,
+    None if not Fixed; each distinct region is looked up and warned about once."""
     found: dict[tuple, DelayRecord | gitio.GitError] = {}
     fixes: list[DelayRecord | gitio.GitError | None] = []
-    for _, ctx, v, _ in judged:
+    for v in verdicts:
         if v.status is not Status.FIXED:
             fixes.append(None)
             continue
         cand = v.winning.candidate
-        region = (ctx.name, cand.path, delay.blame_span(cand))
+        region = (cand.path, delay.blame_span(cand))
         if region not in found:
             try:
-                found[region] = delay.fix_delay(ctx.cache.repo, ctx.cache.rev, *region[1:])
+                found[region] = delay.fix_delay(cache.repo, cache.rev, *region)
             except gitio.GitError as exc:
-                warn(__spec__.name, f"delay lookup failed for {ctx.name}: {exc}")
-                found[region] = exc
+                warn(__spec__.name, f"delay lookup failed for {name}: {exc}")
+                found[region] = exc.with_traceback(None)  # holds no frame, no cache
         fixes.append(found[region])
     return fixes
 
 
 def _row_for(
-    patch: Patch, ctx: _TargetCtx, v: verdict.Verdict, notes: list[str],
+    patch: Patch, target: str, v: verdict.Verdict, notes: list[str],
     fix: DelayRecord | gitio.GitError | None,
 ) -> ResultRow:
     """The report row of one verdict: the winning candidate's audit trail
@@ -250,7 +251,7 @@ def _row_for(
     up, down = (cand.paired_up, cand.paired_down) if cand else (None, None)
     return ResultRow(
         patch=patch.label,
-        target=ctx.name,
+        target=target,
         status=v.status.value,
         conf=round(v.conf, 6),
         path=cand and cand.path,
@@ -284,7 +285,8 @@ def _write_outputs(scan: ScanReport, out: str) -> None:
     try:
         out_path.parent.mkdir(parents=True, exist_ok=True)
         out_path.write_text(report.emit_report(scan, "json"), encoding="utf-8")
-        csv_path.write_text(report.emit_report(scan, "csv"), encoding="utf-8")
+        csv_path.write_text(report.emit_report(scan, "csv"), encoding="utf-8",
+                            errors="surrogateescape")
         if delays:
             report.write_cdf_csv(report.emit_cdf(delays), str(cdf_path))
         else:
@@ -413,14 +415,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "detect":
             code, scan = run_detect(_build_config(args))
-            summary = scan.summary()
-            for target in sorted(summary):
-                counts = summary[target]
-                print(
-                    f"{target}: {counts['Vulnerable']} vulnerable, "
-                    f"{counts['Fixed']} fixed, "
-                    f"{counts['ContextNotFound']} context-not-found"
-                )
+            enc = sys.stdout.encoding or "utf-8"
+            for target, n in sorted(scan.summary().items()):
+                line = (f"{target}: {n['Vulnerable']} vulnerable, {n['Fixed']} fixed, "
+                        f"{n['ContextNotFound']} context-not-found")
+                print(line.encode(enc, "backslashreplace").decode(enc))
             return code
         if args.command == "sweep-r":
             return run_sweep(args.pairs, args.r, args.out)

@@ -5,8 +5,8 @@ the commits that shaped it, with their commit times; the earliest of them is
 taken as the true fix commit (later commits are refactors of already-fixed
 code). Its first containing release, compared to the source patch's commit
 date, gives the fix delay in whole days. A scan looks up each distinct
-region of a target once, after every pair is judged; each row counts the
-delay from its own patch's date.
+region of a target once, after every patch is judged against it; each row
+counts the delay from its own patch's date.
 """
 
 from __future__ import annotations

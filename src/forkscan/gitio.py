@@ -102,16 +102,20 @@ def grep_repo(repo: RepoHandle, keywords: list[str], rev: str) -> list[GrepHit]:
     if proc.returncode != 0:
         raise GitError(f"git grep failed in {repo.root}: {_stderr_line(proc)}")
     # -z ends the path and the line number with NUL and leaves the path
-    # unquoted, so a path may hold ":" or a newline; the text holds neither
-    # NUL nor newline, and the newline after it starts the next path.
+    # unquoted, so a path may hold ":" or a newline. The text runs to the
+    # newline git ends every hit with, and may hold a NUL: git looks for
+    # one only near the start of a file. So each hit is read field by field.
     prefix = rev + ":"
-    fields = _decode(proc.stdout).split("\0")
-    path = fields[0]
+    out = _decode(proc.stdout)
     hits: list[GrepHit] = []
-    for line_no, rest in zip(fields[1::2], fields[2::2]):
-        text, _, next_path = rest.partition("\n")
-        hits.append(GrepHit(path.removeprefix(prefix), int(line_no), text))
-        path = next_path
+    pos = 0
+    while pos < len(out):
+        path_end = out.index("\0", pos)
+        no_end = out.index("\0", path_end + 1)
+        text_end = out.index("\n", no_end + 1)
+        path = out[pos:path_end].removeprefix(prefix)
+        hits.append(GrepHit(path, int(out[path_end + 1:no_end]), out[no_end + 1:text_end]))
+        pos = text_end + 1
     hits.sort(key=lambda h: (h.path, h.line_no))
     return hits
 

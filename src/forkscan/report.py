@@ -155,7 +155,7 @@ def write_rsweep_csv(series_by_r: list[tuple[float, CdfSeries]], path: str) -> N
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

@@ -9,11 +9,13 @@ never imported the code. Every detect run is asserted against that truth.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from datetime import datetime
 from pathlib import Path
@@ -563,6 +565,173 @@ class TestDetectEndToEnd:
         assert data["targets"] == [
             {"name": "fixedfork", "path": str(world.fixed), "rev": "HEAD"}
         ]
+
+
+class TestOneTargetAtATime:
+    """detect opens a target when it reaches it, judges every patch against
+    it, looks up its fixes and builds its rows, then drops it."""
+
+    def test_each_target_is_released_before_the_next_opens(
+        self, world, tmp_path, monkeypatch
+    ):
+        opened: list[weakref.ref] = []
+        alive_at_open: list[int] = []
+
+        class Tracked(forkscan.search.StatementCache):
+            def __init__(self, *args):
+                gc.collect()
+                alive_at_open.append(sum(ref() is not None for ref in opened))
+                super().__init__(*args)
+                opened.append(weakref.ref(self))
+
+        monkeypatch.setattr(forkscan.search, "StatementCache", Tracked)
+        out = tmp_path / "report.json"
+        assert _detect(world, [world.vuln, world.fixed, world.clean], out) == 1
+        assert len(opened) == 3
+        assert alive_at_open == [0, 0, 0]
+
+    def test_failed_delay_lookup_keeps_no_target_alive(
+        self, world, tmp_path, monkeypatch
+    ):
+        # The error kept for a region's rows must not hold the lookup's
+        # frames: without the cycle collector, nothing else frees them.
+        opened: list[weakref.ref] = []
+        alive_at_open: list[int] = []
+
+        class Tracked(forkscan.search.StatementCache):
+            def __init__(self, *args):
+                alive_at_open.append(sum(ref() is not None for ref in opened))
+                super().__init__(*args)
+                opened.append(weakref.ref(self))
+
+        def fail(*args):
+            raise forkscan.gitio.GitError("tags unreadable")
+
+        monkeypatch.setattr(forkscan.search, "StatementCache", Tracked)
+        monkeypatch.setattr(forkscan.delay, "fix_delay", fail)
+        fixed_twin = tmp_path / "twin" / world.fixed.name
+        run_git(tmp_path, "clone", "-q", str(world.fixed), str(fixed_twin))
+        out = tmp_path / "report.json"
+        gc.disable()
+        try:
+            assert _detect(world, [world.fixed, fixed_twin, world.clean], out) == 0
+        finally:
+            gc.enable()
+        assert alive_at_open == [0, 0, 0]
+        assert {r["note"] for r in _rows(out) if r["status"] == "Fixed"} == {
+            "delay: tags unreadable"
+        }
+
+    def test_target_order_changes_only_the_target_list(self, world, tmp_path, capsys):
+        targets = [world.vuln, world.fixed, world.clean]
+        runs = []
+        for name, order in (("given", targets), ("reversed", targets[::-1])):
+            out = tmp_path / name / "report.json"
+            code = _detect(world, order, out)
+            data = json.loads(out.read_text(encoding="utf-8"))
+            runs.append((
+                code,
+                [t["name"] for t in data.pop("targets")],
+                data,
+                out.with_suffix(".csv").read_bytes(),
+                (out.parent / "delay_cdf.csv").read_bytes(),
+                capsys.readouterr().out,
+            ))
+        (code, names, *rest), (r_code, r_names, *r_rest) = runs
+        assert names == ["vulnfork", "fixedfork", "cleanfork"] == r_names[::-1]
+        assert (code, *rest) == (r_code, *r_rest)
+
+    def test_unusable_target_is_warned_about_when_reached(
+        self, world, tmp_path, monkeypatch, capsys
+    ):
+        plain = tmp_path / "plain" / "report.json"
+        _detect(world, [world.fixed, world.vuln], plain)
+        want = _rows(plain)
+        capsys.readouterr()
+
+        events = _record_git(monkeypatch)
+        real_warn = forkscan.cli.warn
+
+        def warn(source, message):
+            events.append((None, ["warning"]))
+            real_warn(source, message)
+
+        monkeypatch.setattr(forkscan.cli, "warn", warn)
+        out = tmp_path / "report.json"
+        assert _detect(world, [world.fixed, world.plain, world.vuln], out) == 1
+
+        # The fixed fork is opened, judged and looked up before the plain
+        # directory is reached; the vulnerable fork opens after its warning.
+        assert [(root and root.name, args[0]) for root, args in events] == [
+            ("upstream", "cat-file"), ("upstream", "diff-tree"),
+            ("fixedfork", "grep"), ("fixedfork", "cat-file"),
+            ("fixedfork", "blame"), ("fixedfork", "tag"),
+            ("notarepo", "grep"), (None, "warning"),
+            ("vulnfork", "grep"), ("vulnfork", "cat-file"),
+        ]
+        assert capsys.readouterr().err == (
+            f"WARNING forkscan.cli: target {world.plain} unusable: "
+            f"not a git repository: {world.plain}\n"
+        )
+        rows = _rows(out)
+        (bad,) = [r for r in rows if r["target"] == "notarepo"]
+        assert bad["status"] == "ContextNotFound"
+        assert bad["note"] == f"target unusable: not a git repository: {world.plain}"
+        assert [r for r in rows if r["target"] != "notarepo"] == want
+
+
+class TestUnusualBytes:
+    """Bytes that git hands over verbatim end a scan in rows, not a crash."""
+
+    def test_nul_inside_a_hit_line(self, tmp_path):
+        # git takes a file for binary only if a NUL comes early in it, so a
+        # grep hit may hold one; the hit after it is read as it is.
+        target = init_repo(tmp_path / "nulfork")
+        filler = "".join(f"int f{i}() {{ return {i}; }}\n" for i in range(598))
+        write_files(target, {"a.cpp": filler + 'LogPrintf("c\0d");\nLogPrintf("e");\n'})
+        commit_all(target, "import", datetime(2021, 1, 1, tzinfo=UTC))
+        diff = tmp_path / "one.diff"
+        diff.write_text(
+            "diff --git a/a.cpp b/a.cpp\n--- a/a.cpp\n+++ b/a.cpp\n"
+            '@@ -1,3 +1,3 @@\n LogPrintf("a");\n-int x = 1;\n+int x = 2;\n'
+            ' LogPrintf("b");\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "report.json"
+        argv = ["detect", "--source", str(target), "--patch-file", str(diff),
+                "--target", str(target), "--out", str(out)]
+        assert main(argv) == 0
+        (row,) = _rows(out)
+        assert (row["target"], row["status"], row["note"]) == (
+            "nulfork", "ContextNotFound", ""
+        )
+
+    def test_non_utf8_directory_name(self, tmp_path):
+        # The name reaches forkscan with surrogate escapes: the CSV carries
+        # its own bytes, report.json a \udcXX escape, and a strict stdout
+        # an escape too.
+        try:
+            repo = init_repo(tmp_path / os.fsdecode(b"caf\xe9"))
+        except (OSError, UnicodeError):
+            pytest.skip("the filesystem refuses a non-UTF-8 name")
+        write_files(repo, {"src/validation.cpp": _validation_cpp(VULN_LINE)})
+        commit_all(repo, "import", datetime(2021, 1, 1, tzinfo=UTC))
+        write_files(repo, {"src/validation.cpp": _validation_cpp(FIXED_LINE)})
+        sha = commit_all(repo, "harden", datetime(2021, 6, 1, tzinfo=UTC))
+        tag_annotated(repo, "v1.0", datetime(2021, 7, 1, tzinfo=UTC))
+        src = Path(forkscan.__file__).resolve().parent.parent
+        out = tmp_path / "out" / "report.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "forkscan.cli", "detect", "--source", str(repo),
+             "--patch", sha, "--target", str(repo), "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONIOENCODING="utf-8:strict"),
+            capture_output=True,
+        )
+        assert b"Traceback" not in proc.stderr, proc.stderr.decode("utf-8", "replace")
+        assert proc.returncode in (0, 1)
+        assert f"{sha},".encode() + b"caf\xe9," in out.with_suffix(".csv").read_bytes()
+        assert '"target": "caf\\udce9"' in out.read_text(encoding="ascii")
+        assert proc.stdout.startswith(b"caf\\udce9: ")
 
 
 class TestScanFailureNotes:

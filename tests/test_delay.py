@@ -13,7 +13,7 @@ from conftest import (
     tag_annotated,
     write_files,
 )
-from forkscan.cli import _look_up_fixes, _row_for, _TargetCtx
+from forkscan.cli import _look_up_fixes, _row_for
 from forkscan.delay import (
     earliest_release,
     find_fix_commit,
@@ -29,16 +29,25 @@ from forkscan.verdict import CandidateJudgment, Status, Verdict
 UTC = timezone.utc
 
 
-def _target(root, rev: str, name: str = "fork") -> _TargetCtx:
-    cache = StatementCache(RepoHandle(root), rev, frozenset())
-    return _TargetCtx(name, str(root), rev, cache, "")
+def _target(root, rev: str) -> StatementCache:
+    return StatementCache(RepoHandle(root), rev, frozenset())
 
 
-def _judged(target: _TargetCtx, cand: CandidateCode, committed_at: datetime | None):
-    """A (patch, target, verdict, notes) pair judged Fixed at cand."""
+def _judged(cand: CandidateCode, committed_at: datetime | None) -> tuple[Patch, Verdict]:
+    """A patch and its verdict on a target, Fixed at cand."""
     patch = Patch(source_sha=None, hunks=[], committed_at=committed_at, label="p")
     winning = CandidateJudgment(cand, s_del=0.1, s_add=0.9, fv=1, conf=0.5)
-    return (patch, target, Verdict(Status.FIXED, 0.5, winning), [])
+    return (patch, Verdict(Status.FIXED, 0.5, winning))
+
+
+def _row(pair: tuple[Patch, Verdict], fix):
+    """The pair's row on target "fork", with no note from the scan."""
+    patch, v = pair
+    return _row_for(patch, "fork", v, [], fix)
+
+
+def _fixes(cache: StatementCache, pairs: list[tuple[Patch, Verdict]]) -> list:
+    return _look_up_fixes("fork", cache, [v for _, v in pairs])
 
 
 def _owners(repo: RepoHandle, rev: str, path: str, span) -> set[str]:
@@ -107,8 +116,8 @@ class TestSha256Repository:
         assert record == DelayRecord(true_fix=fix, release=release, delay_days=None)
         cand = CandidateCode(path="f.c", stmts=[], span=(1, 2),
                              paired_up=None, paired_down=None)
-        pair = _judged(_target(root, "HEAD"), cand, datetime(2019, 12, 1, tzinfo=UTC))
-        assert _row_for(*pair, record).delay == DelayRecord(
+        pair = _judged(cand, datetime(2019, 12, 1, tzinfo=UTC))
+        assert _row(pair, record).delay == DelayRecord(
             true_fix=fix, release=release, delay_days=91,
         )
 
@@ -178,9 +187,8 @@ class TestFixDelay:
         assert record == DelayRecord(
             true_fix=c_rewrite, release=self.RELEASE, delay_days=None
         )
-        pair = _judged(_target(repo_path, "HEAD"), self._candidate((204, 208)),
-                       self.PATCH_DATE)
-        assert _row_for(*pair, record).delay == record._replace(delay_days=196)
+        pair = _judged(self._candidate((204, 208)), self.PATCH_DATE)
+        assert _row(pair, record).delay == record._replace(delay_days=196)
 
     def test_blames_at_given_rev(self, table_repo):
         # Line 205 is owned by the tweak at HEAD and by the rewrite before it.
@@ -195,18 +203,18 @@ class TestFixDelay:
         down = CandidateContext(path=TABLE_FILE, ss_line=207, es_line=211, ctx_sim=0.9)
         cand = CandidateCode(path=TABLE_FILE, stmts=[], span=(205, 204),
                              paired_up=up, paired_down=down)
-        pair = _judged(_target(repo_path, "HEAD"), cand, self.PATCH_DATE)
-        (record,) = _look_up_fixes([pair])
+        pair = _judged(cand, self.PATCH_DATE)
+        (record,) = _fixes(_target(repo_path, "HEAD"), [pair])
         # Fallback region (204, 207) includes the rewrite-owned lines.
         assert record.true_fix == c_rewrite
-        assert _row_for(*pair, record).delay.delay_days == 196
+        assert _row(pair, record).delay.delay_days == 196
 
     def test_empty_candidate_single_context_fallback(self, table_repo):
         repo_path, _, c_tweak = table_repo
         up = CandidateContext(path=TABLE_FILE, ss_line=205, es_line=205, ctx_sim=0.9)
         cand = CandidateCode(path=TABLE_FILE, stmts=[], span=(206, 205),
                              paired_up=up, paired_down=None)
-        (record,) = _look_up_fixes([_judged(_target(repo_path, "HEAD"), cand, None)])
+        (record,) = _fixes(_target(repo_path, "HEAD"), [_judged(cand, None)])
         assert record.true_fix == c_tweak
 
     def test_blame_failure_raises_git_error(self, table_repo):
@@ -223,13 +231,12 @@ class TestFixDelay:
         assert record == DelayRecord(true_fix=sha, release=None, delay_days=None)
         cand = CandidateCode(path="f.c", stmts=[], span=(1, 1),
                              paired_up=None, paired_down=None)
-        pair = _judged(_target(root, "HEAD"), cand, self.PATCH_DATE)
-        assert _row_for(*pair, record).delay == record
+        pair = _judged(cand, self.PATCH_DATE)
+        assert _row(pair, record).delay == record
 
     def test_unknown_patch_date_has_no_delay(self, table_repo):
         record = fix_delay(RepoHandle(table_repo[0]), "HEAD", TABLE_FILE, (204, 208))
-        pair = _judged(_target(table_repo[0], "HEAD"), self._candidate((204, 208)), None)
-        row = _row_for(*pair, record)
+        row = _row(_judged(self._candidate((204, 208)), None), record)
         assert row.delay.true_fix is not None
         assert row.delay.release is not None
         assert row.delay.delay_days is None
@@ -239,15 +246,15 @@ class TestFixDelay:
         # target; each row's delay comes from its own patch date.
         repo_path, c_rewrite, _ = table_repo
         target = _target(repo_path, "HEAD")
-        calls = record_git(target.cache.repo)
-        pairs = [_judged(target, self._candidate((204, 208)), date)
+        calls = record_git(target.repo)
+        pairs = [_judged(self._candidate((204, 208)), date)
                  for date in (datetime(2019, 8, 10, tzinfo=UTC),
                               datetime(2020, 1, 1, tzinfo=UTC), None)]
-        fixes = _look_up_fixes(pairs)
+        fixes = _fixes(target, pairs)
         assert calls == ["blame", "tag"]
         record = DelayRecord(true_fix=c_rewrite, release=self.RELEASE, delay_days=None)
         assert fixes == [record] * 3
-        rows = [_row_for(*pair, fix) for pair, fix in zip(pairs, fixes)]
+        rows = [_row(pair, fix) for pair, fix in zip(pairs, fixes)]
         assert [row.delay.delay_days for row in rows] == [196, 52, None]
         assert calls == ["blame", "tag"]
 
@@ -255,14 +262,12 @@ class TestFixDelay:
         # A region is one per target: the same lines of a second target,
         # here the same repository at an older revision, are looked up too.
         repo_path, c_rewrite, c_tweak = table_repo
-        head, old = _target(repo_path, "HEAD"), _target(repo_path, c_rewrite, "old")
-        head_calls, old_calls = record_git(head.cache.repo), record_git(old.cache.repo)
+        head, old = _target(repo_path, "HEAD"), _target(repo_path, c_rewrite)
+        head_calls, old_calls = record_git(head.repo), record_git(old.repo)
         date = self.PATCH_DATE
-        fixes = _look_up_fixes([
-            _judged(head, self._candidate((204, 208)), date),
-            _judged(head, self._candidate((205, 205)), date),
-            _judged(old, self._candidate((205, 205)), date),
-        ])
+        fixes = _fixes(head, [_judged(self._candidate((204, 208)), date),
+                              _judged(self._candidate((205, 205)), date)])
+        fixes += _fixes(old, [_judged(self._candidate((205, 205)), date)])
         assert [f.true_fix for f in fixes] == [c_rewrite, c_tweak, c_rewrite]
         assert head_calls == ["blame", "tag"] * 2
         assert old_calls == ["blame", "tag"]
@@ -271,16 +276,16 @@ class TestFixDelay:
         # Every row of a failed region gets its GitError, from one lookup
         # and one warning; the rows keep their verdict and note the error.
         target = _target(table_repo[0], "HEAD")
-        calls = record_git(target.cache.repo)
-        pairs = [_judged(target, self._candidate((9000, 9001)), date)
+        calls = record_git(target.repo)
+        pairs = [_judged(self._candidate((9000, 9001)), date)
                  for date in (self.PATCH_DATE, None)]
-        fixes = _look_up_fixes(pairs)
+        fixes = _fixes(target, pairs)
         assert calls == ["blame"]
         assert capsys.readouterr().err.count("\n") == 1
         (error,) = set(fixes)
         assert isinstance(error, GitError)
         for pair, fix in zip(pairs, fixes):
-            row = _row_for(*pair, fix)
+            row = _row(pair, fix)
             assert row.status == "Fixed"
             assert row.delay is None
             assert row.note == f"delay: {error}"

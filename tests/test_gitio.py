@@ -118,6 +118,21 @@ class TestGrep:
         ]
         assert read_file_at(RepoHandle(root), "HEAD", path)[1] == 'LogPrintf("v");'
 
+    def test_nul_inside_a_hit_line_is_text(self, make_repo):
+        # git reads a file as binary only for a NUL near its start, so a
+        # later hit line may hold one; it must not shift the hits after it.
+        filler = "".join(f"int f{i}() {{ return {i}; }}\n" for i in range(598))
+        root = make_repo({
+            "a.cpp": filler + 'LogPrintf("c\0d");\nLogPrintf("e");\n',
+            "src/a\nb.cpp": 'LogPrintf("v");\n',
+        })
+        hits = grep_repo(RepoHandle(root), ["LogPrintf"], "HEAD")
+        assert [(h.path, h.line_no, h.raw_line) for h in hits] == [
+            ("a.cpp", 599, 'LogPrintf("c\0d");'),
+            ("a.cpp", 600, 'LogPrintf("e");'),
+            ("src/a\nb.cpp", 1, 'LogPrintf("v");'),
+        ]
+
     def test_table_layout_hits(self, table_repo):
         repo_path, c_rewrite, _ = table_repo
         repo = RepoHandle(repo_path)
