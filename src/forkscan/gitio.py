@@ -121,8 +121,12 @@ def grep_repo(repo: RepoHandle, keywords: list[str], rev: str) -> list[GrepHit]:
 
 
 def read_file_at(repo: RepoHandle, rev: str, path: str) -> list[str]:
-    """Full file content at rev, split into lines (original text preserved)."""
-    proc = repo._run(["show", f"{rev}:{path}"])
+    """Full file content at rev, split into lines (original text preserved).
+
+    The object name rev:./path, like grep's output and blame's path, is
+    relative to the directory git runs in, so a handle on a subdirectory
+    of a repository reads that subtree."""
+    proc = repo._run(["show", f"{rev}:./{path}"])
     if proc.returncode != 0:
         err = _decode(proc.stderr)
         if "does not exist" in err or "exists on disk, but not in" in err:
@@ -132,8 +136,8 @@ def read_file_at(repo: RepoHandle, rev: str, path: str) -> list[str]:
 
 
 def read_files_at(repo: RepoHandle, rev: str, paths: list[str]) -> dict[str, list[str]]:
-    """The content of each of paths that is a file at rev, split as
-    read_file_at splits it, in one git call.
+    """The content of each of paths that is a file at rev, split and
+    named as read_file_at splits and names it, in one git call.
 
     A path absent at rev is left out, and so is one that a batch line
     cannot name: it holds a newline, or ends in a carriage return, which
@@ -146,7 +150,7 @@ def read_files_at(repo: RepoHandle, rev: str, paths: list[str]) -> dict[str, lis
         return {}
     proc = repo._run(
         ["cat-file", "--batch=%(objecttype) %(objectsize)"],
-        input="".join(f"{rev}:{p}\n" for p in names).encode(),
+        input="".join(f"{rev}:./{p}\n" for p in names).encode(),
     )
     if proc.returncode != 0:
         raise GitError(f"git cat-file failed: {_stderr_line(proc)}")

@@ -118,7 +118,30 @@ class _FileDiff(NamedTuple):
 _HUNK_HEADER_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
 
 
+# One escape of a path that git C-quotes (one holding '"', '\\', a control
+# character or, under the default core.quotepath, a non-ASCII byte).
+_C_ESCAPE_RE = re.compile(r'\\([0-3][0-7]{2}|[abtnvfr"\\])')
+_C_ESCAPES = dict(zip('abtnvfr"\\', '\a\b\t\n\v\f\r"\\'))
+
+
+def _unquote_path(quoted: str) -> str:
+    """The name inside a C-quoted header path. Each \\ooo is one byte of
+    the name's UTF-8 (carried as a surrogate escape until the bytes are
+    decoded); an undecodable byte becomes U+FFFD."""
+    def unescape(m: re.Match) -> str:
+        esc = m.group(1)
+        if len(esc) == 1:
+            return _C_ESCAPES[esc]
+        byte = int(esc, 8)
+        return chr(byte) if byte < 0x80 else chr(0xDC00 + byte)
+
+    name = _C_ESCAPE_RE.sub(unescape, quoted)
+    return name.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
+
+
 def _strip_diff_prefix(path: str) -> str:
+    if len(path) > 1 and path[0] == path[-1] == '"':
+        path = _unquote_path(path[1:-1])
     if path == "/dev/null":
         return path
     if path.startswith(("a/", "b/")):

@@ -21,6 +21,22 @@ _MIXED_CASE_RE = re.compile(r"(?=.*[a-z])(?=.*[A-Z])")
 # A normalized line consisting solely of these characters is "bracket-only".
 _BRACKET_ONLY = set("{}()[];,")
 
+# A string or character literal with backslash escapes: it ends at its
+# closing quote or, when the line has none, at the line's end. Every scan
+# that must skip literals uses this one pattern.
+_LITERAL = r""""(?:\\.|[^"\\])*"?|'(?:\\.|[^'\\])*'?"""
+# The lexemes of one line, keyed by whether '#' starts a comment: a literal
+# or a run of other code (kept), a block comment closed on the line
+# (dropped), a block comment left open, or a comment to the line's end.
+_LEXEME_RE = {
+    hash_comments: re.compile(
+        rf"""(?P<code>{_LITERAL}|[^"'/{marker}]+|/(?![/*]))"""
+        r"|/\*.*?\*/|(?P<open>/\*)|(?P<end>//|#)",
+        re.S,
+    )
+    for hash_comments, marker in ((False, ""), (True, "#"))
+}
+
 _C_SOURCE_EXTS = {".c", ".cc", ".cpp", ".cxx"}
 _C_HEADER_EXTS = {".h", ".hpp", ".hh"}
 
@@ -73,47 +89,18 @@ def _strip_comments(line: str, in_block: bool, hash_comments: bool) -> tuple[str
     String state does not carry across lines (C strings cannot span lines);
     block-comment state does.
     """
+    if in_block:
+        line = "/*" + line  # the open block comment lexes as if it began here
     out: list[str] = []
-    i = 0
-    n = len(line)
-    quote = ""
-    while i < n:
-        ch = line[i]
-        if in_block:
-            if ch == "*" and i + 1 < n and line[i + 1] == "/":
-                in_block = False
-                i += 2
-                continue
-            i += 1
-            continue
-        if quote:
-            out.append(ch)
-            if ch == "\\" and i + 1 < n:
-                out.append(line[i + 1])
-                i += 2
-                continue
-            if ch == quote:
-                quote = ""
-            i += 1
-            continue
-        if ch in ("\"", "'"):
-            quote = ch
-            out.append(ch)
-            i += 1
-            continue
-        if ch == "/" and i + 1 < n:
-            nxt = line[i + 1]
-            if nxt == "/":
-                break  # line comment: rest of line is dead
-            if nxt == "*":
-                in_block = True
-                i += 2
-                continue
-        if ch == "#" and hash_comments:
+    for m in _LEXEME_RE[hash_comments].finditer(line):
+        kind = m.lastgroup
+        if kind == "code":
+            out.append(m.group())
+        elif kind == "open":
+            return "".join(out), True
+        elif kind == "end":
             break
-        out.append(ch)
-        i += 1
-    return "".join(out), in_block
+    return "".join(out), False
 
 
 def _normalize_ws(text: str) -> str:
@@ -194,6 +181,12 @@ _DECL_RE = re.compile(
     r"^[A-Za-z_][A-Za-z0-9_:<>,\s*&\[\]]*[\s*&]\s*[*&]*[A-Za-z_][A-Za-z0-9_]*"
     r"\s*(\[[^\]]*\])?\s*[;,]?$"
 )
+# What decides whether a statement assigns: literals (skipped), brackets,
+# and an '=' that is not part of ==, =>, !=, <= or >=.
+_ASSIGN_SCAN_RE = re.compile(
+    rf"{_LITERAL}|(?P<open>[([{{])|(?P<close>[)\]}}])|(?P<assign>(?<![=!<>])=(?![=>]))",
+    re.S,
+)
 
 
 def _first_word(norm: str) -> str:
@@ -210,33 +203,14 @@ def _has_top_level_assign(norm: str) -> bool:
     if "=" not in norm:
         return False
     depth = 0
-    quote = ""
-    i = 0
-    n = len(norm)
-    while i < n:
-        ch = norm[i]
-        if quote:
-            if ch == "\\":
-                i += 2
-                continue
-            if ch == quote:
-                quote = ""
-            i += 1
-            continue
-        if ch in ("\"", "'"):
-            quote = ch
-        elif ch in "([{":
+    for m in _ASSIGN_SCAN_RE.finditer(norm):
+        kind = m.lastgroup
+        if kind == "open":
             depth += 1
-        elif ch in ")]}":
+        elif kind == "close":
             depth -= 1
-        elif ch == "=" and depth == 0:
-            nxt = norm[i + 1] if i + 1 < n else ""
-            prev = norm[i - 1] if i > 0 else ""
-            if nxt in ("=", ">") or prev in ("=", "!", "<", ">"):
-                i += 2 if nxt == "=" else 1
-                continue
+        elif kind == "assign" and depth == 0:
             return True
-        i += 1
     return False
 
 

@@ -734,6 +734,48 @@ class TestUnusualBytes:
         assert proc.stdout.startswith(b"caf\\udce9: ")
 
 
+class TestPathsAsGitNamesThem:
+    """A diff header may C-quote its path, and a target may name a
+    subdirectory of its repository."""
+
+    @pytest.mark.parametrize("name, route", [
+        ('src/we"ird.cpp', "commit"),
+        ("src/café.cpp", "patch-file"),
+    ])
+    def test_quoted_header_path(self, tmp_path, name, route):
+        src = init_repo(tmp_path / "upstream")
+        write_files(src, {name: _validation_cpp(VULN_LINE)})
+        commit_all(src, "import", datetime(2021, 1, 1, tzinfo=UTC))
+        fork = tmp_path / "fork"
+        run_git(tmp_path, "clone", "-q", str(src), str(fork))
+        write_files(src, {name: _validation_cpp(FIXED_LINE)})
+        sha = commit_all(src, "harden", datetime(2021, 6, 1, tzinfo=UTC))
+        if route == "commit":
+            patch = ["--patch", sha]
+        else:
+            # Plain git diff writes each non-ASCII byte as \ooo.
+            diff = run_git(src, "-c", "core.quotepath=true", "diff", f"{sha}^", sha)
+            assert '+++ "b/src/caf\\303\\251.cpp"' in diff
+            (tmp_path / "fix.diff").write_text(diff + "\n", encoding="utf-8")
+            patch = ["--patch-file", str(tmp_path / "fix.diff")]
+        out = tmp_path / "report.json"
+        argv = ["detect", "--source", str(src), *patch, "--target", str(fork),
+                "--out", str(out)]
+        assert main(argv) == 1
+        (row,) = _rows(out)
+        assert (row["status"], row["path"], row["note"]) == ("Vulnerable", name, "")
+
+    def test_subdirectory_target_scans_its_subtree(self, world, tmp_path):
+        out = tmp_path / "report.json"
+        assert _detect(world, [world.vuln / "src", world.fixed / "src"], out) == 1
+        rows = sorted(_rows(out), key=lambda r: r["status"])
+        assert [(r["status"], r["path"], r["note"]) for r in rows] == [
+            ("Fixed", "validation.cpp", ""),
+            ("Vulnerable", "validation.cpp", ""),
+        ]
+        assert rows[0]["delay"]["true_fix"] == world.backport_sha
+
+
 class TestScanFailureNotes:
     """A failure inside one (patch, target) scan becomes that row's note;
     the other rows and the run go on."""

@@ -1,14 +1,18 @@
 """Every module of the package, and every test file, uses each name it
-imports; no module of the package reads another one's private names."""
+imports and compiles without a warning; no module of the package reads
+another one's private names."""
 
 import ast
+import warnings
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).parents[1] / "src" / "forkscan"
+ROOT = Path(__file__).parents[1]
+PACKAGE = ROOT / "src" / "forkscan"
 MODULES = sorted(PACKAGE.glob("*.py"))
 TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
+SOURCE_FILES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -77,6 +81,17 @@ def test_module_reads_no_private_name_of_another(module):
 @pytest.mark.parametrize("test_file", TEST_FILES, ids=lambda p: p.name)
 def test_test_file_uses_every_import(test_file):
     assert unused_imports(test_file.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "source", SOURCE_FILES, ids=lambda p: p.relative_to(ROOT).as_posix()
+)
+def test_compiles_without_warnings(source):
+    # An invalid escape in a non-raw string is only a warning (a
+    # SyntaxWarning from Python 3.12), which an import run never fails on.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compile(source.read_bytes(), str(source), "exec")
 
 
 class TestUnusedImports:

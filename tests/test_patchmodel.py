@@ -249,6 +249,18 @@ class TestParseUnifiedDiff:
         assert gone.path == "gone.c" and gone.hunks[0].new_lines == []
         assert _runs(gone.hunks[0]) == [((1, 2), (1, 0))]
 
+    @pytest.mark.parametrize("quoted, path", [
+        ('src/we\\"ird.cpp', 'src/we"ird.cpp'),
+        ("src/caf\\303\\251.cpp", "src/café.cpp"),
+        ("tab\\there\\\\x.c", "tab\there\\x.c"),
+        ("bad\\377.c", "bad\ufffd.c"),
+    ])
+    def test_quoted_header_path(self, quoted, path):
+        # git C-quotes a path holding '"', '\\', a control character or,
+        # under the default core.quotepath, a non-ASCII byte (as \ooo).
+        text = f'--- "a/{quoted}"\n+++ "b/{quoted}"\n@@ -1 +1 @@\n-x();\n+y();\n'
+        assert [f.path for f in parse_unified_diff(text)] == [path]
+
     def test_binary_sections_skipped(self):
         text = (
             "diff --git a/bin.dat b/bin.dat\n"

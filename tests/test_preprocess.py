@@ -191,13 +191,14 @@ class TestExtractStatements:
     def test_lines_without_comment_chars_match_full_scan(self, path):
         # A line holding no / (nor # where it starts a comment) outside a
         # block comment skips the comment scan; every result must equal
-        # scanning each line with _strip_comments.
+        # scanning each line with _strip_comments. Comment, quote and
+        # escape characters make up a tenth of one draw and half of another.
         rng = random.Random(2001)
         hash_comments = path == "f.py"
-        for _ in range(300):
+        for share in [0.1] * 300 + [0.5] * 300:
             lines = [
                 "".join(
-                    rng.choice(COMMENT_CHARS if rng.random() < 0.1 else PLAIN_CHARS)
+                    rng.choice(COMMENT_CHARS if rng.random() < share else PLAIN_CHARS)
                     for _ in range(rng.randint(0, 20))
                 )
                 for _ in range(rng.randint(1, 12))
@@ -269,6 +270,19 @@ class TestClassify:
         ("a->b(c).d();", StatementKind.CALL_OR_EXPR),
         ("???", StatementKind.OTHER),
         ("+-*/", StatementKind.OTHER),
+        # Literals, brackets and operators around '=': a literal ends at its
+        # closing quote or at the line's end; <<= and >>= read as comparisons.
+        ('f("a=b");', StatementKind.CALL_OR_EXPR),
+        ("c = '=';", StatementKind.ASSIGNMENT),
+        ("c = '\\'';", StatementKind.ASSIGNMENT),
+        ('s == "=";', StatementKind.CALL_OR_EXPR),
+        ("x <<= 2;", StatementKind.CALL_OR_EXPR),
+        ("x >>= 2;", StatementKind.CALL_OR_EXPR),
+        ("a === b;", StatementKind.CALL_OR_EXPR),
+        ("a => b", StatementKind.CALL_OR_EXPR),
+        ("a) = b;", StatementKind.CALL_OR_EXPR),
+        ('"open = x', StatementKind.CALL_OR_EXPR),
+        ('x = "open', StatementKind.ASSIGNMENT),
     ])
     def test_kinds(self, norm, kind):
         assert classify_norm(norm) == kind
