@@ -8,8 +8,10 @@ contain a commit. Every patch commit of a scan is read with two: one
 `cat-file` resolves each revision to its full commit id, one `diff-tree
 --stdin` diffs them all, each diff headed by its id and committer time.
 Every query takes the revision or commit it reads; a handle holds none
-and runs no git, so the first query reports a non-repository. git runs in
-the C locale: the English error texts that tell a missing path from a
+and runs no git, so the first query reports a non-repository. A path is
+relative to the handle's directory, as grep prints it; where there is no
+work tree (a bare repository), the first file read takes two calls. git
+runs in the C locale: the English error texts that tell a missing path from a
 failure are what it prints. commit_time has no caller in forkscan; it
 stays because the benchmark's tracer (perfbench/tracer.py) wraps it.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 import os
 import re
 import subprocess
+from collections.abc import Callable
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -50,6 +53,11 @@ class RepoHandle:
         self.root = Path(root_path)
         if not self.root.is_dir():
             raise GitError(f"not a directory: {self.root}")
+        # What an object name puts before a path grep printed: "./" reads
+        # it relative to root, as grep prints it and blame takes it. Where
+        # root has no work tree (a bare repository), git refuses "./" and
+        # paths are relative to the top already; _read learns this once.
+        self._here = "./"
 
     def __repr__(self) -> str:
         return f"RepoHandle({str(self.root)!r})"
@@ -120,13 +128,30 @@ def grep_repo(repo: RepoHandle, keywords: list[str], rev: str) -> list[GrepHit]:
     return hits
 
 
+# What git says when an object name rev:./path is read with no work tree.
+_NO_WORK_TREE = b"relative path syntax can't be used outside working tree"
+
+
+def _read(
+    repo: RepoHandle, run: Callable[[str], tuple[list[str], bytes | None]]
+) -> subprocess.CompletedProcess:
+    """Run the git read that run(here) gives, each of its object names
+    spelled rev:<here>path. A handle with no work tree refuses the first
+    read; it runs again, and later reads run, with here empty."""
+    proc = repo._run(*run(repo._here))
+    if repo._here and proc.returncode == 128 and _NO_WORK_TREE in proc.stderr:
+        repo._here = ""
+        proc = repo._run(*run(""))
+    return proc
+
+
 def read_file_at(repo: RepoHandle, rev: str, path: str) -> list[str]:
     """Full file content at rev, split into lines (original text preserved).
 
-    The object name rev:./path, like grep's output and blame's path, is
-    relative to the directory git runs in, so a handle on a subdirectory
-    of a repository reads that subtree."""
-    proc = repo._run(["show", f"{rev}:./{path}"])
+    Like grep's output and blame's path, path is relative to the handle's
+    directory, so a handle on a subdirectory of a repository reads that
+    subtree."""
+    proc = _read(repo, lambda here: (["show", f"{rev}:{here}{path}"], None))
     if proc.returncode != 0:
         err = _decode(proc.stderr)
         if "does not exist" in err or "exists on disk, but not in" in err:
@@ -148,10 +173,10 @@ def read_files_at(repo: RepoHandle, rev: str, paths: list[str]) -> dict[str, lis
     names = [p for p in paths if "\n" not in p and not p.endswith("\r")]
     if not names:
         return {}
-    proc = repo._run(
+    proc = _read(repo, lambda here: (
         ["cat-file", "--batch=%(objecttype) %(objectsize)"],
-        input="".join(f"{rev}:./{p}\n" for p in names).encode(),
-    )
+        "".join(f"{rev}:{here}{p}\n" for p in names).encode(),
+    ))
     if proc.returncode != 0:
         raise GitError(f"git cat-file failed: {_stderr_line(proc)}")
     # Each object is "<type> <size>\n<size bytes>\n"; a name that is no

@@ -118,25 +118,15 @@ class _FileDiff(NamedTuple):
 _HUNK_HEADER_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
 
 
-# One escape of a path that git C-quotes (one holding '"', '\\', a control
-# character or, under the default core.quotepath, a non-ASCII byte).
-_C_ESCAPE_RE = re.compile(r'\\([0-3][0-7]{2}|[abtnvfr"\\])')
-_C_ESCAPES = dict(zip('abtnvfr"\\', '\a\b\t\n\v\f\r"\\'))
-
-
 def _unquote_path(quoted: str) -> str:
-    """The name inside a C-quoted header path. Each \\ooo is one byte of
-    the name's UTF-8 (carried as a surrogate escape until the bytes are
-    decoded); an undecodable byte becomes U+FFFD."""
-    def unescape(m: re.Match) -> str:
-        esc = m.group(1)
-        if len(esc) == 1:
-            return _C_ESCAPES[esc]
-        byte = int(esc, 8)
-        return chr(byte) if byte < 0x80 else chr(0xDC00 + byte)
-
-    name = _C_ESCAPE_RE.sub(unescape, quoted)
-    return name.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
+    """The name inside a header path that git C-quotes (one holding '"',
+    '\\', a control character or, under the default core.quotepath, a
+    non-ASCII byte as \\ooo). Python's escapes include all of git's; each
+    escaped or raw byte is one Latin-1 character until the name's UTF-8 is
+    decoded, where an undecodable byte becomes U+FFFD. An escape git never
+    writes may become "?"."""
+    raw = quoted.encode("utf-8", "surrogateescape").decode("unicode_escape", "replace")
+    return raw.encode("latin-1", "replace").decode("utf-8", "replace")
 
 
 def _strip_diff_prefix(path: str) -> str:

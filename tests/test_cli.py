@@ -775,6 +775,15 @@ class TestPathsAsGitNamesThem:
         ]
         assert rows[0]["delay"]["true_fix"] == world.backport_sha
 
+    def test_bare_target_scans_its_tree(self, world, tmp_path):
+        bare = tmp_path / "vulnfork.git"
+        run_git(tmp_path, "clone", "-q", "--bare", str(world.vuln), str(bare))
+        out = tmp_path / "report.json"
+        assert _detect(world, [bare], out) == 1
+        (row,) = _rows(out)
+        assert (row["status"], row["path"], row["note"]) == (
+            "Vulnerable", "src/validation.cpp", "")
+
 
 class TestScanFailureNotes:
     """A failure inside one (patch, target) scan becomes that row's note;

@@ -173,6 +173,31 @@ class TestRepoHandle:
         with pytest.raises(GitError):
             RepoHandle(tmp_path / "absent")
 
+    @pytest.mark.parametrize("where, path, refused", [
+        ("src", "init.cpp", 0),
+        ("bare", "src/init.cpp", 1),
+        (".git", "src/init.cpp", 1),
+    ])
+    def test_paths_relative_to_the_handle(self, make_repo, where, path, refused):
+        # Every query names a path as grep prints it: relative to a
+        # subdirectory, or to the top where there is no work tree. There
+        # git refuses the first read once, and the handle then knows.
+        root = make_repo(MIXED_FILES)
+        if where == "bare":
+            run_git(root.parent, "clone", "-q", "--bare", str(root), "bare.git")
+        repo = RepoHandle({"src": root / "src", "bare": root.parent / "bare.git",
+                           ".git": root / ".git"}[where])
+        calls = record_git(repo)
+        hits = grep_repo(repo, ["LogPrintf"], "HEAD")
+        assert [(h.path, h.line_no) for h in hits] == [(path, 2)]
+        text = MIXED_FILES["src/init.cpp"].rstrip("\n").split("\n")
+        assert read_files_at(repo, "HEAD", [path]) == {path: text}
+        assert read_file_at(repo, "HEAD", path) == text
+        assert len(blame_lines(repo, "HEAD", path, 1, 3)) == 1
+        with pytest.raises(NotFoundError):
+            read_file_at(repo, "HEAD", "absent.cpp")
+        assert calls == ["grep", *["cat-file"] * (1 + refused), "show", "blame", "show"]
+
 
 class TestReadFileAt:
     def test_round_trip(self, make_repo):

@@ -254,6 +254,7 @@ class TestParseUnifiedDiff:
         ("src/caf\\303\\251.cpp", "src/café.cpp"),
         ("tab\\there\\\\x.c", "tab\there\\x.c"),
         ("bad\\377.c", "bad\ufffd.c"),
+        ("hand\\x.c", "hand?.c"),
     ])
     def test_quoted_header_path(self, quoted, path):
         # git C-quotes a path holding '"', '\\', a control character or,
