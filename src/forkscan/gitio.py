@@ -3,10 +3,11 @@
 One git call per query: a grep for any of several substrings (a scan greps
 each target once, for every patch's context keywords), the content of one
 file or of many (one `cat-file --batch` reads every file a target's search
-needs), line blame with commit times at a revision, and the dated tags that
-contain a commit. Every patch commit of a scan is read with two: one
-`cat-file` resolves each revision to its full commit id, one `diff-tree
---stdin` diffs them all, each diff headed by its id and committer time.
+needs, and a name no batch line can carry is read alone), line blame with
+commit times at a revision, and the dated tags that contain a commit.
+Every patch commit of a scan is read with two: one `cat-file` resolves
+each revision to its full commit id, one `diff-tree --stdin` diffs them
+all, each diff headed by its id and committer time.
 Every query takes the revision or commit it reads; a handle holds none
 and runs no git, so the first query reports a non-repository. A path is
 relative to the handle's directory, as grep prints it; where there is no
@@ -162,17 +163,27 @@ def read_file_at(repo: RepoHandle, rev: str, path: str) -> list[str]:
 
 def read_files_at(repo: RepoHandle, rev: str, paths: list[str]) -> dict[str, list[str]]:
     """The content of each of paths that is a file at rev, split and
-    named as read_file_at splits and names it, in one git call.
+    named as read_file_at splits and names it; a path absent at rev is
+    left out.
 
-    A path absent at rev is left out, and so is one that a batch line
-    cannot name: it holds a newline, or ends in a carriage return, which
-    git strips. read_file_at tells which it is.
+    One git call reads every path that a batch line can name. A path that
+    holds a newline, or ends in a carriage return (which git strips from
+    a batch line), is read alone with read_file_at.
     """
     if "\n" in rev:
         return {}
-    names = [p for p in paths if "\n" not in p and not p.endswith("\r")]
+    files: dict[str, list[str]] = {}
+    names: list[str] = []
+    for path in paths:
+        if "\n" not in path and not path.endswith("\r"):
+            names.append(path)
+            continue
+        try:
+            files[path] = read_file_at(repo, rev, path)
+        except NotFoundError:
+            pass
     if not names:
-        return {}
+        return files
     proc = _read(repo, lambda here: (
         ["cat-file", "--batch=%(objecttype) %(objectsize)"],
         "".join(f"{rev}:{here}{p}\n" for p in names).encode(),
@@ -182,7 +193,6 @@ def read_files_at(repo: RepoHandle, rev: str, paths: list[str]) -> dict[str, lis
     # Each object is "<type> <size>\n<size bytes>\n"; a name that is no
     # object is one line "<name> missing" (or "ambiguous").
     out = proc.stdout
-    files: dict[str, list[str]] = {}
     pos = 0
     for path in names:
         end = out.index(b"\n", pos)

@@ -11,8 +11,8 @@ are its whole files. Each git hunk splits into change runs (maximal
 stretches of -/+ lines), and adjacent runs merge when fewer than
 2 * CONTEXT_LINES lines lie between them, a line the diff shows counting
 only if it is a statement. A hunk's deleted statements (dp) are the old
-side's statements at its removed lines, its added statements (ap) the new
-side's at its added lines, and its contexts are read from the side it
+side's statements in the span of its runs, its added statements (ap) the
+new side's in theirs, and its contexts are read from the side it
 changes (the old side for dp-bearing hunks, the new side for pure
 additions). A hunk keeps only its file class, dp, ap, type and the two
 contexts, each its statements and their keywords; every statement carries
@@ -278,9 +278,11 @@ def _build_hunks(diff_text: str) -> list[PatchHunk]:
 
     A side's statements are those of each git hunk's lines on that side,
     extracted as one fragment per git hunk. dp are the old side's statements
-    at the removed lines, ap the new side's at the added lines; changed
-    lines that normalize to nothing (comments, blanks, lone brackets) so
-    drop out, and groups left empty are discarded with a warning. UP and
+    inside the group's old span, ap the new side's inside its new span, so
+    a group of several runs also holds the unchanged statements between
+    them, as a candidate between the two contexts does. Changed lines that
+    normalize to nothing (comments, blanks, lone brackets) drop out, and
+    groups left empty are discarded with a warning. UP and
     DOWN are up to CONTEXT_LINES statements of the group's git hunks above
     and below the span on the side the hunk changes: the old side if it
     has dp.
@@ -299,12 +301,10 @@ def _build_hunks(diff_text: str) -> list[PatchHunk]:
             first, last = runs[0].hunk, runs[-1].hunk + 1
             old_stmts = [s for frag in old_frags[first:last] for s in frag]
             new_stmts = [s for frag in new_frags[first:last] for s in frag]
-            removed = {ln for r in runs for ln in range(r.old_span[0], r.old_span[1] + 1)}
-            added = {ln for r in runs for ln in range(r.new_span[0], r.new_span[1] + 1)}
-            dp = [s for s in old_stmts if s.line_no in removed]
-            ap = [s for s in new_stmts if s.line_no in added]
             old_span = (runs[0].old_span[0], runs[-1].old_span[1])
             new_span = (runs[0].new_span[0], runs[-1].new_span[1])
+            dp = [s for s in old_stmts if old_span[0] <= s.line_no <= old_span[1]]
+            ap = [s for s in new_stmts if new_span[0] <= s.line_no <= new_span[1]]
             if not dp and not ap:
                 warn(
                     __name__,

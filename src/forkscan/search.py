@@ -1,7 +1,8 @@
 """Locate candidate clones of a patch region inside a target repository.
 
 When a target is opened, one git grep finds every patch's context
-keywords in it and one more git call reads the files holding hits; each
+keywords in it, one more git call reads the files holding hits, and each
+of those files is extracted into statements; no git runs after that. Each
 context then reads the hits of its own keywords. Hits that survive the
 comment/test/file-class/statement-kind filters become key statements (the
 file class compared is the hunk's). Each key statement expands to a
@@ -34,62 +35,34 @@ MAX_CANDIDATES = 10
 
 
 class StatementCache:
-    """One target at one revision, opened once: memoized keyword grep and
-    per-file statement extraction.
+    """One target at one revision, opened completely: every file the
+    search reads, extracted into statements.
 
     keywords are every keyword a context may ask for. The constructor greps
     them in one git call (none when there are none), drops the hits in test
     code and reads every file holding one of the rest in one more; either
     failing, or a directory that is no git repository, raises GitError.
-    grep then filters those hits, once per distinct keyword tuple, and
-    starts no git process. A file's statements are extracted when first
-    asked for; a file the batch left out is read alone.
+    Each hit file is extracted once, and no git process starts after that.
     """
 
     def __init__(self, repo: RepoHandle, rev: str, keywords: frozenset[str]):
         self.repo = repo
         self.rev = rev
-        self._keywords = keywords
+        self.keywords = keywords
         hits = gitio.grep_repo(repo, sorted(keywords), rev) if keywords else []
-        self._hits = [h for h in hits if not is_test_path(h.path)]
-        paths = list(dict.fromkeys(h.path for h in self._hits))
-        self._texts = gitio.read_files_at(repo, rev, paths)
-        self._grepped: dict[tuple[str, ...], list[gitio.GrepHit]] = {}
-        self._entries: dict[str, tuple[list[NormalizedLine], dict[int, int]]] = {}
+        self.hits = [h for h in hits if not is_test_path(h.path)]
+        paths = list(dict.fromkeys(h.path for h in self.hits))
+        texts = gitio.read_files_at(repo, rev, paths)
+        self._files: dict[str, tuple[list[NormalizedLine], dict[int, int]]] = {}
+        for path in paths:
+            # A name grep printed that names no file (its bytes are not
+            # UTF-8) has no statements.
+            stmts = extract_statements(texts.get(path, []), path, classify_file(path))
+            self._files[path] = (stmts, {s.line_no: i for i, s in enumerate(stmts)})
 
-    def grep(self, keywords: list[str]) -> list[gitio.GrepHit]:
-        """Every line outside test code at the revision containing any of
-        keywords, ordered by (path, line)."""
-        key = tuple(keywords)
-        hits = self._grepped.get(key)
-        if hits is not None:
-            return hits
-        unknown = set(keywords) - self._keywords
-        if unknown:
-            raise ValueError(f"keywords not given to the cache: {sorted(unknown)}")
-        hits = [h for h in self._hits if any(kw in h.raw_line for kw in keywords)]
-        self._grepped[key] = hits
-        return hits
-
-    def _entry(self, path: str) -> tuple[list[NormalizedLine], dict[int, int]]:
-        entry = self._entries.get(path)
-        if entry is None:
-            lines = self._texts.pop(path, None)
-            if lines is None:
-                try:
-                    lines = gitio.read_file_at(self.repo, self.rev, path)
-                except gitio.NotFoundError:
-                    lines = []
-            stmts = extract_statements(lines, path, classify_file(path))
-            entry = (stmts, {s.line_no: i for i, s in enumerate(stmts)})
-            self._entries[path] = entry
-        return entry
-
-    def statements(self, path: str) -> list[NormalizedLine]:
-        return self._entry(path)[0]
-
-    def index_by_line(self, path: str) -> dict[int, int]:
-        return self._entry(path)[1]
+    def file(self, path: str) -> tuple[list[NormalizedLine], dict[int, int]]:
+        """A hit file's statements and the index of each by its line."""
+        return self._files[path]
 
 
 class CandidateContext(NamedTuple):
@@ -116,16 +89,20 @@ class CandidateCode(NamedTuple):
 
 
 def is_test_path(path: str) -> bool:
-    return any(seg.lower() in TEST_PATH_SEGMENTS for seg in path.split("/"))
+    """A path under a test directory, or a Go test file (`*_test.go`)."""
+    return path.endswith("_test.go") or any(
+        seg.lower() in TEST_PATH_SEGMENTS for seg in path.split("/")
+    )
 
 
 def find_key_statements(
     cache: StatementCache, ctx: PatchContext, patch_file_class: str
 ) -> list[NormalizedLine]:
-    """Grep the context keywords in the target and keep plausible hits.
+    """Find the context keywords among the target's hits and keep the
+    plausible ones.
 
-    The hits are the lines outside test code holding any of the keywords,
-    read from the cache's grep in (path, line) order. A hit's statement is
+    The hits are the cache's lines outside test code, in (path, line)
+    order, that hold any of the keywords. A hit's statement is
     kept when it is a meaningful statement (not a comment), in a file of
     the same class as the patched file, and reaches KS_THRESHOLD in
     strsim against the source statement of a keyword its line contains
@@ -137,19 +114,23 @@ def find_key_statements(
             print(f"INFO {__name__}: no keywords in context; nothing to search",
                   file=sys.stderr)
         return []
+    unknown = {kw.keyword for kw in keywords} - cache.keywords
+    if unknown:
+        raise ValueError(f"keywords not given to the cache: {sorted(unknown)}")
     found: list[NormalizedLine] = []
-    for hit in cache.grep([kw.keyword for kw in keywords]):
-        if classify_file(hit.path) != patch_file_class:
+    for hit in cache.hits:
+        on_line = [kw for kw in keywords if kw.keyword in hit.raw_line]
+        if not on_line or classify_file(hit.path) != patch_file_class:
             continue
-        stmt_idx = cache.index_by_line(hit.path).get(hit.line_no)
+        stmts, index = cache.file(hit.path)
+        stmt_idx = index.get(hit.line_no)
         if stmt_idx is None:
             continue  # comment, bracket-only or blank line
-        stmt = cache.statements(hit.path)[stmt_idx]
+        stmt = stmts[stmt_idx]
         kinds = (stmt.kind, StatementKind.OTHER)
         if any(
-            strsim(kw.source_line.norm, stmt.norm) >= KS_THRESHOLD for kw in keywords
-            if kw.keyword in hit.raw_line
-            and (kw.source_line.kind in kinds or stmt.kind is StatementKind.OTHER)
+            strsim(kw.source_line.norm, stmt.norm) >= KS_THRESHOLD for kw in on_line
+            if kw.source_line.kind in kinds or stmt.kind is StatementKind.OTHER
         ):
             found.append(stmt)
     return found
@@ -180,8 +161,8 @@ def _windows(
 ) -> tuple[list[NormalizedLine], list[NormalizedLine]]:
     """The statements expand_boundary searches for a key statement's start
     (CONTEXT_LINES above it, inclusive) and end (CONTEXT_LINES below)."""
-    stmts = cache.statements(ks.path)
-    idx = cache.index_by_line(ks.path)[ks.line_no]
+    stmts, index = cache.file(ks.path)
+    idx = index[ks.line_no]
     return stmts[max(0, idx - CONTEXT_LINES): idx + 1], stmts[idx: idx + CONTEXT_LINES + 1]
 
 
@@ -221,7 +202,7 @@ def finalize_contexts(
         if (path, ss_line, es_line) in seen_spans:
             continue
         seen_spans.add((path, ss_line, es_line))
-        stmts, idx = cache.statements(path), cache.index_by_line(path)
+        stmts, idx = cache.file(path)
         region = stmts[idx[ss_line]:idx[es_line] + 1]
         sim = fragment_similarity(patch_norms, [s.norm for s in region], R)
         if sim < T:
@@ -256,7 +237,7 @@ def fetch_candidate_code(
     below (UP) or above (DOWN). At least one context is given.
     """
     path = up.path if up is not None else down.path
-    all_stmts, idx = cache.statements(path), cache.index_by_line(path)
+    all_stmts, idx = cache.file(path)
     if up is not None:
         lo, empty_at = idx[up.es_line] + 1, up.es_line + 1
         hi = idx[down.ss_line] if down is not None else lo + patch_code_len
@@ -290,7 +271,7 @@ def _pair_contexts(
     """
     compat: list[tuple[int, str, int, int, int, int]] = []
     for i, up in enumerate(ups):
-        idx = cache.index_by_line(up.path)
+        idx = cache.file(up.path)[1]
         for j, down in enumerate(downs):
             if down.path != up.path or down.ss_line <= up.es_line:
                 continue

@@ -3,8 +3,9 @@
 A candidate is compared to the deleted statements (dp) and/or the added
 statements (ap) of the hunk; whichever similarity passes the threshold T
 decides whether the patch was applied there. Per hunk the most confident
-decided candidate wins, and across hunks a single Vulnerable hunk makes the
-whole patch verdict Vulnerable.
+decided candidate wins, one still holding dp first, so a fixed copy cannot
+hide an unfixed one; across hunks a single Vulnerable hunk makes the whole
+patch verdict Vulnerable.
 """
 
 from __future__ import annotations
@@ -102,9 +103,12 @@ def judge_candidate(candidate: CandidateCode, hunk: PatchHunk) -> CandidateJudgm
 
 def _hunk_winner(judgments: list[CandidateJudgment]) -> CandidateJudgment | None:
     """The decided judgment with the highest confidence (ties: lower path,
-    then lower line); None when no judgment was decided."""
+    then lower line), one that still holds dp (fv 0 with s_del >= T: CHA and
+    DEL only) before any other; None when no judgment was decided."""
+    decided = [j for j in judgments if j.decided]
+    present = [j for j in decided if j.fv == 0 and j.s_del is not None and j.s_del >= T]
     return min(
-        (j for j in judgments if j.decided),
+        present or decided,
         key=lambda j: (-j.conf, j.candidate.path, j.candidate.span[0]),
         default=None,
     )

@@ -446,3 +446,24 @@ def test_corpus_reports_match_pinned_digest(corpus_env):
         "the corpus reports changed. Update CORPUS_REPORTS_SHA256 only for an "
         "intended report change, and record that change in CHANGES.md"
     )
+
+
+# The corpus patches not judged Vulnerable against their own parent commit
+# in the source repository, which holds every case file. All are ADD
+# patches: they decide only by absence, so a sibling file that already
+# holds the added check outvotes the file that lacks it. A fix must shrink
+# this set, and a new member fails the test.
+NOT_VULNERABLE_AT_PARENT = {"t1_add_09", "t2_add_04", "t2_add_09", "t3_add_04", "t3_add_09"}
+
+
+def test_each_patch_at_its_parent_commit(corpus_env):
+    source = corpus_env.corpus_dir / "source"
+    out = corpus_env.base / "at_parent" / "report.json"
+    statuses = {}
+    for case in corpus_env.index["cases"]:
+        main(["detect", "--source", str(source), "--patch", case["patch_sha"],
+              "--target", f"{source},{case['patch_sha']}^", "--out", str(out)])
+        (row,) = json.loads(out.read_text(encoding="utf-8"))["results"]
+        statuses[case["name"]] = row["status"]
+    assert len(statuses) == 30
+    assert {n for n, s in statuses.items() if s != "Vulnerable"} == NOT_VULNERABLE_AT_PARENT

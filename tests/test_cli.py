@@ -785,6 +785,92 @@ class TestPathsAsGitNamesThem:
             "Vulnerable", "src/validation.cpp", "")
 
 
+class TestEveryCopyCounts:
+    """A fork that holds the patched region twice, one copy fixed and one
+    not, still holds the pre-patch code: it is Vulnerable."""
+
+    @pytest.mark.parametrize("fixed_path,vuln_path", [
+        ("src/a_validation.cpp", "src/b_validation.cpp"),
+        ("src/b_validation.cpp", "src/a_validation.cpp"),
+    ], ids=["fixed-first", "vulnerable-first"])
+    def test_unfixed_copy_decides(self, world, tmp_path, fixed_path, vuln_path):
+        fork = init_repo(tmp_path / "twofork")
+        write_files(fork, {fixed_path: _validation_cpp(FIXED_LINE),
+                           vuln_path: _validation_cpp(VULN_LINE)})
+        commit_all(fork, "import both copies", datetime(2021, 2, 1, tzinfo=UTC))
+        out = tmp_path / "report.json"
+        assert _detect(world, [fork], out) == 1
+        (row,) = _rows(out)
+        assert (row["status"], row["path"], row["s_del"]) == ("Vulnerable", vuln_path, 1.0)
+
+
+# A fix at two sites six statements apart in one function, so its diff is
+# one two-run hunk; None leaves the site's line out.
+SITE_A = ("    if (fHavePruned) return false;",
+          '    if (fHavePruned || fReindexing) return error("pruned: %s", strName);')
+SITE_B = ("    if (nCheckLevel < 1) nCheckLevel = 1;",
+          '    if (nCheckLevel < 1 || nCheckLevel > 4) return error("level %d", nCheckLevel);')
+TWO_SITE_SHAPES = {
+    "CHA": ((SITE_A[0], SITE_B[0]), (SITE_A[1], SITE_B[1])),
+    "DEL": ((SITE_A[0], SITE_B[0]), (None, None)),
+    "ADD": ((None, None), (SITE_A[1], SITE_B[1])),
+}
+
+
+def _two_site_cpp(site_a: str | None, site_b: str | None) -> str:
+    lines = [
+        '#include "validation.h"',
+        "",
+        "bool CVerifyDB::VerifyBlocks(const CChainParams& chainparams, CCoinsView* coinsview)",
+        "{",
+        '    LogPrintf("Verifying block database integrity...\\n");',
+        '    int nCheckDepth = gArgs.GetArg("-checkblocks", DEFAULT_CHECKBLOCKS);',
+        "    CBlockIndex* pindexState = chainActive.Tip();",
+        "    CCoinsViewCache coinsCache(coinsview);",
+        "    int nGoodTransactions = 0;",
+        site_a,
+        "    bool fPrunedBlock = IsBlockPruned(pindexState);",
+        "    unsigned int nScriptFlags = GetBlockScriptFlags(pindexState);",
+        "    size_t nCacheUsage = coinsCache.DynamicMemoryUsage();",
+        "    int64_t nStartTime = GetTimeMillis();",
+        "    uint256 hashBestBlock = coinsCache.GetBestBlock();",
+        "    std::string strStateMessage = FormatStateMessage(state);",
+        site_b,
+        '    LogPrintf("Verification progress saved\\n");',
+        "    CBlockIndex* pindexFailure = nullptr;",
+        "    int nCheckedBlocks = std::max(0, nCheckDepth);",
+        "    return VerifyDone(pindexFailure, nGoodTransactions);",
+        "}",
+    ]
+    return "\n".join(line for line in lines if line is not None) + "\n"
+
+
+class TestTwoRunHunks:
+    """A hunk of two change runs is compared over its whole span, as its
+    candidate between the two contexts is: exact copies of the pre-image
+    are Vulnerable and of the post-image Fixed."""
+
+    @pytest.mark.parametrize("shape", sorted(TWO_SITE_SHAPES))
+    def test_exact_copies(self, tmp_path, shape):
+        old, new = TWO_SITE_SHAPES[shape]
+        src = init_repo(tmp_path / "upstream")
+        write_files(src, {"src/verify.cpp": _two_site_cpp(*old)})
+        commit_all(src, "import", datetime(2021, 1, 1, tzinfo=UTC))
+        write_files(src, {"src/verify.cpp": _two_site_cpp(*new)})
+        sha = commit_all(src, "harden two checks", datetime(2021, 6, 1, tzinfo=UTC))
+        argv = ["detect", "--source", str(src), "--patch", sha]
+        for name, sites in (("vulnfork", old), ("fixedfork", new)):
+            fork = init_repo(tmp_path / name)
+            write_files(fork, {"src/verify.cpp": _two_site_cpp(*sites)})
+            commit_all(fork, "fork", datetime(2021, 2, 1, tzinfo=UTC))
+            argv += ["--target", str(fork)]
+        out = tmp_path / "report.json"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert {r["target"]: r["status"] for r in _rows(out)} == {
+            "vulnfork": "Vulnerable", "fixedfork": "Fixed",
+        }
+
+
 class TestScanFailureNotes:
     """A failure inside one (patch, target) scan becomes that row's note;
     the other rows and the run go on."""

@@ -210,12 +210,14 @@ class TestFixDelay:
         assert _row(pair, record).delay.delay_days == 196
 
     def test_empty_candidate_single_context_fallback(self, table_repo):
+        # An UP context alone, and a DOWN context alone, is blamed itself.
         repo_path, _, c_tweak = table_repo
-        up = CandidateContext(path=TABLE_FILE, ss_line=205, es_line=205, ctx_sim=0.9)
-        cand = CandidateCode(path=TABLE_FILE, stmts=[], span=(206, 205),
-                             paired_up=up, paired_down=None)
-        (record,) = _fixes(_target(repo_path, "HEAD"), [_judged(cand, None)])
-        assert record.true_fix == c_tweak
+        ctx = CandidateContext(path=TABLE_FILE, ss_line=205, es_line=205, ctx_sim=0.9)
+        for up, down, span in ((ctx, None, (206, 205)), (None, ctx, (205, 204))):
+            cand = CandidateCode(path=TABLE_FILE, stmts=[], span=span,
+                                 paired_up=up, paired_down=down)
+            (record,) = _fixes(_target(repo_path, "HEAD"), [_judged(cand, None)])
+            assert record.true_fix == c_tweak
 
     def test_blame_failure_raises_git_error(self, table_repo):
         # The scan notes the error in the row (test_cli TestScanFailureNotes).

@@ -256,7 +256,8 @@ def batch_repo(tmp_path_factory):
 
 class TestReadFilesAt:
     """One `cat-file --batch` reads many files, each as read_file_at reads
-    it; what a batch line cannot name, or what is no file, is left out."""
+    it; what a batch line cannot name is read alone, and what is no file
+    is left out."""
 
     def test_same_lines_as_read_file_at_in_one_call(self, batch_repo):
         repo, _ = batch_repo
@@ -278,21 +279,24 @@ class TestReadFilesAt:
             "src/with space.cpp": ["int m = 10;"]
         }
 
-    def test_unnamable_absent_and_non_file_paths_are_left_out(self, batch_repo):
+    def test_unnamable_paths_are_read_alone(self, batch_repo):
         repo, old = batch_repo
         paths = ["src/new\nline.cpp", "x.cpp\r", "src/absent.cpp", "src",
                  "src/with:colon.cpp", "x.cpp"]
+        calls = record_git(repo)
         got = read_files_at(repo, "HEAD", paths)
-        assert got == {"src/with:colon.cpp": ["int c = 3;"], "x.cpp": ["int g = 7;"]}
-        assert read_file_at(repo, "HEAD", "src/new\nline.cpp") == ["int k;"]
-        assert read_file_at(repo, "HEAD", "x.cpp\r") == ["int l;"]
+        assert calls == ["show", "show", "cat-file"]
+        assert got == {"src/new\nline.cpp": ["int k;"], "x.cpp\r": ["int l;"],
+                       "src/with:colon.cpp": ["int c = 3;"], "x.cpp": ["int g = 7;"]}
+        calls.clear()
         assert read_files_at(repo, old, ["x.cpp\r", "src/absent.cpp"]) == {}
+        assert read_files_at(repo, old, ["a\nb.cpp"]) == {}
+        assert calls == ["show", "cat-file", "show"]
 
     def test_nothing_to_read_makes_no_call(self, batch_repo):
         repo, _ = batch_repo
         calls = record_git(repo)
         assert read_files_at(repo, "HEAD", []) == {}
-        assert read_files_at(repo, "HEAD", ["a\nb.cpp"]) == {}
         assert read_files_at(repo, "HEAD\n", ["x.cpp"]) == {}
         assert calls == []
 

@@ -526,9 +526,12 @@ class TestHunkMerging:
 
     def test_gap_under_twice_context_merges(self, tmp_path):
         (h,) = _commit_patch(*_gap_commit(tmp_path, 9)).hunks  # 9 < 2 * 5
-        assert _norms(h.dp) == ["head_call(a);", "tail_call(b);"]
-        assert _norms(h.ap) == ["head_call(a, extra);", "tail_call(b, extra);"]
-        assert _lines(h.dp) == [1, 11] and h.ptype == PatchType.CHA
+        # dp and ap span the group: the unchanged statements between the
+        # two runs are on both sides.
+        mid = _numbered("mid", 9)
+        assert _norms(h.dp) == ["head_call(a);", *mid, "tail_call(b);"]
+        assert _norms(h.ap) == ["head_call(a, extra);", *mid, "tail_call(b, extra);"]
+        assert _lines(h.dp) == list(range(1, 12)) and h.ptype == PatchType.CHA
 
     def test_comment_lines_do_not_count_toward_gap(self, tmp_path):
         comments = [f"// filler {k}" for k in range(20)]
@@ -569,7 +572,9 @@ class TestHunkMerging:
         diff = run_git(root, "diff", "-U5", f"{sha}^", sha)
         assert diff.count("@@ -") == 2
         (h,) = parse_patch(diff, "fix.diff").hunks
-        assert _lines(h.dp) == [1, 14]
+        # The group's span holds the two statements the diff shows between
+        # the changes; its comments and omitted lines have none.
+        assert _lines(h.dp) == [1, 12, 13, 14]
         assert len(_commit_patch(RepoHandle(root), sha).hunks) == 1
 
     def test_add_only_file_splits_distant_insertions(self, tmp_path):
@@ -594,12 +599,19 @@ class TestHunkMerging:
                 for h in parse_patch(diff, "fix.diff").hunks
             ]
 
+        def lines(width: str):
+            return [(t, [ln for ln, _ in d], [ln for ln, _ in a]) for t, d, a in shape(width)]
+
         # Empty sides anchor after the last line before the change, so the
-        # insertion stays 9 raw lines from the change and merges with it.
-        assert shape("-U3") == shape("-U0")
-        assert [(t, [ln for ln, _ in d], [ln for ln, _ in a])
-                for t, d, a in shape("-U0")] == [
+        # insertion stays 9 raw lines from the change and merges with it at
+        # either width. dp and ap are the statements the diff shows inside
+        # the group's span, so -U3 adds the unchanged ones it shows there.
+        assert lines("-U0") == [
             (PatchType.CHA, [15], [6, 16]),
+            (PatchType.DEL, [30], []),
+        ]
+        assert lines("-U3") == [
+            (PatchType.CHA, [6, 7, 8, 12, 13, 14, 15], [6, 7, 8, 9, 13, 14, 15, 16]),
             (PatchType.DEL, [30], []),
         ]
 
@@ -698,7 +710,7 @@ class TestDiffTextContexts:
 
     def test_down_context_starts_after_last_change(self, tmp_path):
         # One -U3 hunk changes lines 10 and 13; lines 11-12 between the two
-        # changes are not below the hunk.
+        # changes are inside the hunk, not below it.
         lines = [f"int v{k} = {k};" for k in range(1, 21)]
         root = init_repo(tmp_path / "down")
         write_files(root, {"d.c": "\n".join(lines) + "\n"})
@@ -710,7 +722,7 @@ class TestDiffTextContexts:
         diff = run_git(root, "diff", "-U3", f"{sha}^", sha)
         assert diff.count("@@ -") == 1
         (h,) = parse_patch(diff, "fix.diff").hunks
-        assert _lines(h.dp) == [10, 13]
+        assert _lines(h.dp) == [10, 11, 12, 13]
         assert [(s.line_no, s.norm) for s in h.down_ctx.statements] == [
             (14, "int v14 = 14;"), (15, "int v15 = 15;"), (16, "int v16 = 16;"),
         ]
@@ -719,7 +731,8 @@ class TestDiffTextContexts:
     def test_merged_group_contexts_come_from_outer_raw_hunks(self, tmp_path):
         # Changes at lines 10 and 18 give two -U3 git hunks; the 7 lines
         # between them are statements or omitted, so the gap (7) is under
-        # 2 * 5 and they merge.
+        # 2 * 5 and they merge. dp holds every statement the diff shows in
+        # 10-18: all but the omitted line 14.
         lines = [f"int v{k} = {k};" for k in range(1, 31)]
         root = init_repo(tmp_path / "merged")
         write_files(root, {"m.c": "\n".join(lines) + "\n"})
@@ -733,7 +746,9 @@ class TestDiffTextContexts:
         (h,) = parse_patch(diff, "fix.diff").hunks
         assert h.ptype == PatchType.CHA
         assert [(s.line_no, s.norm) for s in h.dp] == [
-            (10, "int v10 = 10;"), (18, "int v18 = 18;"),
+            (10, "int v10 = 10;"), (11, "int v11 = 11;"), (12, "int v12 = 12;"),
+            (13, "int v13 = 13;"), (15, "int v15 = 15;"), (16, "int v16 = 16;"),
+            (17, "int v17 = 17;"), (18, "int v18 = 18;"),
         ]
         assert [s.line_no for s in h.up_ctx.statements] == [7, 8, 9]
         assert [s.line_no for s in h.down_ctx.statements] == [19, 20, 21]

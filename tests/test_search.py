@@ -111,7 +111,9 @@ def _repo(tmp, files: dict[str, str]) -> RepoHandle:
 
 
 def _cache(repo: RepoHandle, *ctxs: PatchContext) -> StatementCache:
-    """A cache at HEAD given the keywords of ctxs."""
+    """A cache at HEAD given the keywords of ctxs, by default those of the
+    UP and DOWN contexts, whose hits open every file holding the clone."""
+    ctxs = ctxs or (make_ctx(UP_NORMS), make_ctx(DOWN_NORMS))
     keywords = frozenset(kw.keyword for ctx in ctxs for kw in ctx.keywords)
     return StatementCache(repo, "HEAD", keywords)
 
@@ -152,6 +154,9 @@ class TestIsTestPath:
         ("src/attestation/x.cpp", False),
         ("contest/x.cpp", False),
         ("src/init.cpp", False),
+        ("core/state_test.go", True),
+        ("core/state.go", False),
+        ("core/contest.go", False),
     ])
     def test_segments(self, path, expected):
         assert is_test_path(path) is expected
@@ -164,21 +169,20 @@ class TestStatementCache:
         direct = extract_statements(
             read_file_at(fig_repo, "HEAD", path), path, classify_file(path)
         )
-        assert cache.statements(path) == direct
-        assert cache.index_by_line(path) == {
-            s.line_no: i for i, s in enumerate(direct)
-        }
+        assert cache.file(path) == (direct, {s.line_no: i for i, s in enumerate(direct)})
 
     def test_index_slices_statement_lines(self, fig_repo):
-        cache = _cache(fig_repo)
-        stmts, idx = cache.statements("src/init.cpp"), cache.index_by_line("src/init.cpp")
+        stmts, idx = _cache(fig_repo).file("src/init.cpp")
         assert [s.line_no for s in stmts[idx[3]:idx[5] + 1]] == [3, 4, 5]
         assert 13 not in idx  # comment line
 
-    def test_missing_file_is_empty(self, fig_repo):
+    def test_only_hit_files_outside_test_code_are_open(self, fig_repo):
         cache = _cache(fig_repo)
-        assert cache.statements("src/absent.cpp") == []
-        assert cache.index_by_line("src/absent.cpp") == {}
+        assert {h.path for h in cache.hits} == {"src/init.cpp", "src/validation.h"}
+        assert cache.file("src/validation.h")[0][0].norm == DECOY_LINE.strip()
+        for path in ("src/tests/util_tests.cpp", "src/absent.cpp"):
+            with pytest.raises(KeyError):
+                cache.file(path)
 
     def test_revision_pinning(self, tmp_path):
         root = init_repo(tmp_path / "pin")
@@ -187,14 +191,14 @@ class TestStatementCache:
         write_files(root, {"a.cpp": "int a = 2;\n"})
         commit_all(root, "v2", datetime(2020, 1, 2, tzinfo=UTC))
         repo = RepoHandle(root)
-        old_cache = StatementCache(repo, old, frozenset())
-        assert old_cache.statements("a.cpp")[0].norm == "int a = 1;"
-        assert _cache(repo).statements("a.cpp")[0].norm == "int a = 2;"
+        for rev, norm in ((old, "int a = 1;"), ("HEAD", "int a = 2;")):
+            cache = StatementCache(repo, rev, frozenset({"int a"}))
+            assert cache.file("a.cpp")[0][0].norm == norm
 
 
 def _stmts_in(repo: RepoHandle, path: str, lo: int, hi: int) -> list:
     """The file's statements with lo <= line_no <= hi, by direct scan."""
-    return [s for s in _cache(repo).statements(path) if lo <= s.line_no <= hi]
+    return [s for s in _cache(repo).file(path)[0] if lo <= s.line_no <= hi]
 
 
 def _brute_force_keys(repo: RepoHandle, ctx: PatchContext) -> set:
@@ -359,15 +363,19 @@ class TestUnionGrepRouting:
     def test_union_hits_equal_per_context_grep(self, overlap_repo, contexts):
         union = frozenset(kw.keyword for ctx in contexts for kw in ctx.keywords)
         seeded = StatementCache(overlap_repo, "HEAD", union)
+
+        def holding(*keywords):
+            return [h for h in seeded.hits if any(kw in h.raw_line for kw in keywords)]
+
         for ctx in contexts:
             keywords = [kw.keyword for kw in ctx.keywords]
-            assert seeded.grep(keywords) == grep_repo(overlap_repo, keywords, "HEAD")
-        chain_tip = {(h.path, h.line_no) for h in seeded.grep(["Tip"])}
+            assert holding(*keywords) == grep_repo(overlap_repo, keywords, "HEAD")
+        chain_tip = {(h.path, h.line_no) for h in holding("Tip")}
         assert {("src/chain.cpp", n) for n in (1, 2, 5, 6)} <= chain_tip
         for kw in ("fPruneMode", "LogPrintf"):
-            lines = {(h.path, h.line_no) for h in seeded.grep([kw])}
+            lines = {(h.path, h.line_no) for h in holding(kw)}
             assert ("src/chain.cpp", 4) in lines
-        crlf = seeded.grep(["LogPrintf"])
+        crlf = holding("LogPrintf")
         assert [h.raw_line for h in crlf if h.path == "src/net.cpp"] == [
             'LogPrintf("net tip\\n");\r'
         ]
@@ -379,34 +387,33 @@ class TestUnionGrepRouting:
         assert "\n" not in str(exc.value)
         assert greps == [sorted(keywords)]
 
-    def test_greps_once(self, overlap_repo, greps, monkeypatch):
-        cache = StatementCache(overlap_repo, "HEAD", frozenset({"Tip", "LogPrintf"}))
-        assert greps == [["LogPrintf", "Tip"]]
+    def test_greps_once(self, overlap_repo, contexts, greps, monkeypatch):
+        union = frozenset(kw.keyword for ctx in contexts for kw in ctx.keywords)
+        cache = StatementCache(overlap_repo, "HEAD", union)
+        assert greps == [sorted(union)]
         monkeypatch.setattr(RepoHandle, "_run", lambda *args: pytest.fail("git ran"))
-        assert cache.grep(["Tip"]) and cache.grep(["LogPrintf"]) and cache.grep(["Tip"])
-        assert greps == [["LogPrintf", "Tip"]]
+        for ctx in contexts + contexts:
+            find_key_statements(cache, ctx, PATCH_FC)
+        assert greps == [sorted(union)]
 
-    def test_each_keyword_tuple_is_answered_once(self, overlap_repo, greps):
-        cache = StatementCache(overlap_repo, "HEAD", frozenset({"Tip", "LogPrintf"}))
-        first = cache.grep(["Tip", "LogPrintf"])
-        assert cache.grep(["Tip", "LogPrintf"]) is first
-        assert cache.grep(["LogPrintf", "Tip"]) == first
-        assert greps == [["LogPrintf", "Tip"]]
-
-    def test_keyword_not_given_is_rejected(self, overlap_repo, greps):
-        cache = StatementCache(overlap_repo, "HEAD", frozenset({"Tip"}))
-        assert greps == [["Tip"]]
+    def test_keyword_not_given_is_rejected(self, overlap_repo, contexts, greps):
+        ctx = contexts[2]
+        assert [kw.keyword for kw in ctx.keywords] == ["fPruneMode", "nHeight"]
+        cache = StatementCache(overlap_repo, "HEAD", frozenset({"nHeight"}))
+        assert greps == [["nHeight"]]
         with pytest.raises(ValueError, match="fPruneMode"):
-            cache.grep(["Tip", "fPruneMode"])
-        assert greps == [["Tip"]]
+            find_key_statements(cache, ctx, PATCH_FC)
+        assert greps == [["nHeight"]]
 
 
-# Every file holds the keyword `Tip`; the newline path cannot be named on a
-# `cat-file --batch` line, and test code is never searched.
+# Every file holds the keyword `Tip`; the newline and carriage-return paths
+# cannot be named on a `cat-file --batch` line, and test code is never
+# searched.
 BATCH_FILES = {
     "src/with space.cpp": "CBlockIndex* pindex = chainstate.Tip();\n",
     "src/with:colon.cpp": "int n = 0;\nreturn Tip();\n",
     "src/new\nline.cpp": "return Tip(); // newline in the name\n",
+    "src/cr.cpp\r": "return Tip(); // carriage return ending the name\n",
     "src/crlf.cpp": "int n = 0;\r\nif (!Tip()) return false;\r\n",
     "src/test/decoy.cpp": "return Tip();\n",
 }
@@ -425,7 +432,8 @@ def batch_repo(tmp_path_factory):
 
 class TestBatchedFileReads:
     """After its one grep, the cache reads every hit file outside test code
-    in one `cat-file --batch`; a file the batch leaves out is read alone."""
+    in one `cat-file --batch`, and a name no batch line can carry alone,
+    before its constructor returns."""
 
     @pytest.fixture
     def reads(self, monkeypatch):
@@ -447,14 +455,12 @@ class TestBatchedFileReads:
 
     def test_one_batch_then_only_the_unnamable_path_alone(self, batch_repo, reads):
         cache = StatementCache(batch_repo, "HEAD", frozenset({"Tip"}))
-        hits = cache.grep(["Tip"])
         files = [*BATCH_FILES, *BATCH_BYTES]
         searched = sorted(p for p in files if not is_test_path(p))
-        assert sorted({h.path for h in hits}) == searched
-        assert reads == [("batch", searched)]
-        reads.clear()
-        got = {p: cache.statements(p) for p in searched}
-        assert reads == [("alone", "src/new\nline.cpp")]
+        assert sorted({h.path for h in cache.hits}) == searched
+        assert reads == [("batch", searched), ("alone", "src/cr.cpp\r"),
+                         ("alone", "src/new\nline.cpp")]
+        got = {p: cache.file(p)[0] for p in searched}
         for path in searched:
             direct = extract_statements(
                 read_file_at(batch_repo, "HEAD", path), path, classify_file(path)
@@ -484,7 +490,29 @@ class TestBatchedFileReads:
             StatementCache(batch_repo, "HEAD", frozenset({"Tip"}))
         monkeypatch.undo()
         cache = StatementCache(batch_repo, "HEAD", frozenset({"Tip"}))
-        assert {h.path for h in cache.grep(["Tip"])} >= {"src/crlf.cpp"}
+        assert {h.path for h in cache.hits} >= {"src/crlf.cpp"}
+
+
+@pytest.fixture(scope="module")
+def unnamable_repo(tmp_path_factory):
+    """The clone of TARGET_LINES under two names no batch line can carry."""
+    content = "\n".join(TARGET_LINES) + "\n"
+    return _repo(tmp_path_factory.mktemp("unnamable") / "fork", {
+        "src/new\nline.cpp": content,
+        "src/clone.cpp\r": content,
+    })
+
+
+class TestOpenTarget:
+    """Once a target is open, its search starts no git process."""
+
+    @pytest.mark.parametrize("path", ["src/new\nline.cpp", "src/clone.cpp\r"])
+    def test_search_runs_no_git(self, unnamable_repo, monkeypatch, path):
+        hunk = make_hunk(UP_NORMS, DOWN_NORMS)._replace(file_class=classify_file(path))
+        cache = _cache(unnamable_repo, hunk.up_ctx, hunk.down_ctx)
+        monkeypatch.setattr(RepoHandle, "_run", lambda *args: pytest.fail("git ran"))
+        (cand,) = collect_candidates(cache, hunk).candidates
+        assert (cand.path, cand.span, cand.norms) == (path, (6, 6), [DP_LINE])
 
 
 class TestExpandBoundary:
@@ -525,9 +553,10 @@ class TestExpandBoundary:
             "nCheckValue = ComputeValue(x);",
             "OmegaEpsilonZetaTheta();",
         ])
-        ks = find_key_statements(_cache(repo, ctx), ctx, PATCH_FC)
+        cache = _cache(repo, ctx)
+        ks = find_key_statements(cache, ctx, PATCH_FC)
         assert [s.line_no for s in ks] == [2]
-        assert expand_boundary(_cache(repo), ks[0], ctx) is None
+        assert expand_boundary(cache, ks[0], ctx) is None
 
     def test_equal_matches_prefer_closest(self, tmp_path):
         repo = _repo(tmp_path / "dup", {
@@ -537,11 +566,11 @@ class TestExpandBoundary:
             ),
         })
         ctx = make_ctx(["BeginMarker(y);", "filler_stmt;", "MarkerEnd();"])
-        ks = find_key_statements(_cache(repo, ctx), ctx, PATCH_FC)
-        seed2 = next(s for s in ks if s.line_no == 2)
+        cache = _cache(repo, ctx)
+        seed2 = next(s for s in find_key_statements(cache, ctx, PATCH_FC) if s.line_no == 2)
         # MarkerEnd() appears at lines 3 and 5 with equal similarity; the
         # boundary ends at the one nearer the seed.
-        assert expand_boundary(_cache(repo), seed2, ctx) == (2, 3)
+        assert expand_boundary(cache, seed2, ctx) == (2, 3)
 
 
 class TestFinalizeContexts:
