@@ -281,8 +281,9 @@ def _build_hunks(diff_text: str) -> list[PatchHunk]:
     inside the group's old span, ap the new side's inside its new span, so
     a group of several runs also holds the unchanged statements between
     them, as a candidate between the two contexts does. Changed lines that
-    normalize to nothing (comments, blanks, lone brackets) drop out, and
-    groups left empty are discarded with a warning. UP and
+    normalize to nothing (comments, blanks, lone brackets) drop out, and a
+    group whose two sides then normalize alike is discarded with a warning:
+    no candidate could tell its pre-image from its post-image. UP and
     DOWN are up to CONTEXT_LINES statements of the group's git hunks above
     and below the span on the side the hunk changes: the old side if it
     has dp.
@@ -305,11 +306,11 @@ def _build_hunks(diff_text: str) -> list[PatchHunk]:
             new_span = (runs[0].new_span[0], runs[-1].new_span[1])
             dp = [s for s in old_stmts if old_span[0] <= s.line_no <= old_span[1]]
             ap = [s for s in new_stmts if new_span[0] <= s.line_no <= new_span[1]]
-            if not dp and not ap:
+            if [s.norm for s in dp] == [s.norm for s in ap]:
                 warn(
                     __name__,
                     f"{path}: hunk at -{old_span[0]}/+{new_span[0]} "
-                    "empty after normalization; skipped",
+                    "unchanged after normalization; skipped",
                 )
                 continue
 

@@ -103,13 +103,13 @@ def judge_candidate(candidate: CandidateCode, hunk: PatchHunk) -> CandidateJudgm
 
 def _hunk_winner(judgments: list[CandidateJudgment]) -> CandidateJudgment | None:
     """The decided judgment with the highest confidence (ties: lower path,
-    then lower line), one that still holds dp (fv 0 with s_del >= T: CHA and
-    DEL only) before any other; None when no judgment was decided."""
-    decided = [j for j in judgments if j.decided]
-    present = [j for j in decided if j.fv == 0 and j.s_del is not None and j.s_del >= T]
+    then lower line), one that still holds dp (fv 0 with s_del set, which
+    `decide` gives only for s_del >= T) before any other; None when no
+    judgment was decided."""
     return min(
-        present or decided,
-        key=lambda j: (-j.conf, j.candidate.path, j.candidate.span[0]),
+        (j for j in judgments if j.decided),
+        key=lambda j: (j.fv != 0 or j.s_del is None, -j.conf,
+                       j.candidate.path, j.candidate.span[0]),
         default=None,
     )
 

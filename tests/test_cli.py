@@ -871,6 +871,45 @@ class TestTwoRunHunks:
         }
 
 
+# Two comments around one statement, reworded by the same commit as a fix
+# in another file: a change no candidate can see.
+def _notes_cpp(first: str, second: str) -> str:
+    return "\n".join([
+        "void CWalletNotes::Flush(CWallet* pwallet)",
+        "{",
+        "    int nFlushedCount = pwallet->FlushPendingNotes();",
+        f"    // {first}",
+        '    LogPrintf("flushed %d wallet notes\\n", nFlushedCount);',
+        f"    // {second}",
+        "    pwallet->MarkNotesDirty(nFlushedCount);",
+        "}",
+    ]) + "\n"
+
+
+class TestCommentOnlyGroup:
+    """A hunk whose sides normalize alike is left out of the patch, so a
+    fork holding the fix and the reworded comments is Fixed."""
+
+    def test_fixed_fork_is_fixed(self, tmp_path):
+        old = {"src/validation.cpp": _validation_cpp(VULN_LINE),
+               "src/notes.cpp": _notes_cpp("n1", "n2")}
+        new = {"src/validation.cpp": _validation_cpp(FIXED_LINE),
+               "src/notes.cpp": _notes_cpp("flush first", "then mark")}
+        src = init_repo(tmp_path / "upstream")
+        write_files(src, old)
+        commit_all(src, "import", datetime(2021, 1, 1, tzinfo=UTC))
+        write_files(src, new)
+        sha = commit_all(src, "fix and reword", datetime(2021, 6, 1, tzinfo=UTC))
+        fork = init_repo(tmp_path / "fixedfork")
+        write_files(fork, new)
+        commit_all(fork, "fork", datetime(2021, 7, 1, tzinfo=UTC))
+        out = tmp_path / "report.json"
+        main(["detect", "--source", str(src), "--patch", sha,
+              "--target", str(fork), "--out", str(out)])
+        (row,) = _rows(out)
+        assert (row["status"], row["path"]) == ("Fixed", "src/validation.cpp")
+
+
 class TestScanFailureNotes:
     """A failure inside one (patch, target) scan becomes that row's note;
     the other rows and the run go on."""

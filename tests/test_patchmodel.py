@@ -399,6 +399,24 @@ class TestParsePatchFromRepo:
         with pytest.raises(PatchError, match="no meaningful"):
             _commit_patch(RepoHandle(root), sha)
 
+    @pytest.mark.parametrize("old,new", [
+        ("int a = 1;\n// n1\nint b = 2;\n// n2\nint c = 3;\n",
+         "int a = 1;\n// note one\nint b = 2;\n// note two\nint c = 3;\n"),
+        ("int a = 1;\nint b = 2;\nint c = 3;\n",
+         "int a = 1;\n    int  b = 2;\nint c = 3;\n"),
+    ], ids=["comments-around-statement", "reindented-statement"])
+    def test_group_alike_after_normalization_rejected(self, tmp_path, old, new):
+        # Two reworded comments merge into one group whose span holds
+        # `int b = 2;` on both sides; a re-indented line normalizes to
+        # itself. Either group has dp == ap and so cannot be judged.
+        root = init_repo(tmp_path / "alike")
+        write_files(root, {"c.c": old})
+        commit_all(root, "base", datetime(2021, 1, 1, tzinfo=UTC))
+        write_files(root, {"c.c": new})
+        sha = commit_all(root, "reword", datetime(2021, 1, 2, tzinfo=UTC))
+        with pytest.raises(PatchError, match="no meaningful"):
+            _commit_patch(RepoHandle(root), sha)
+
     def test_comment_hunk_skipped_but_real_hunk_kept(self, tmp_path):
         root = init_repo(tmp_path / "mixed")
         write_files(root, {
